@@ -99,6 +99,11 @@ class Or(Expr):
 
 
 @dataclass
+class Not(Expr):
+    arg: Expr
+
+
+@dataclass
 class Fail(Expr):
     pass
 
@@ -120,11 +125,12 @@ class Program:
 BUILTIN_ARITY = {
     "=": 2, "!=": 2, "pair": 2, "fst": 1, "snd": 1, "inl": 1, "inr": 1,
     "cons": 2, "car": 1, "cdr": 1,
-    "true": 0, "false": 0, "unit": 0, "nil": 0, "zerodist": 0,
+    "true": 0, "false": 0, "unit": 0, "nil": 0, "zerodist": 0, "not": 1,
 }
 
-# built-ins callable by name in source; pair is written (e1, e2)
-NAMED_BUILTINS = {"fst", "snd", "inl", "inr", "cons", "car", "cdr"}
+# built-ins callable by name in source; pair is written (e1, e2), and not(e)
+# parses to the sugar form Not
+NAMED_BUILTINS = {"fst", "snd", "inl", "inr", "cons", "car", "cdr", "not"}
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +159,8 @@ def pp_expr(e: Expr) -> str:
         return f"{_and_level(e.left)} and {_cmp_level(e.right)}"
     if isinstance(e, Or):
         return f"{_or_level(e.left)} or {_and_level(e.right)}"
+    if isinstance(e, Not):
+        return f"not({pp_expr(e.arg)})"
     if isinstance(e, Fail):
         return "fail"
     if isinstance(e, Lookup):
@@ -175,7 +183,7 @@ def _paren(e: Expr) -> str:
 
 
 def _atom(e: Expr) -> str:
-    if isinstance(e, (Var, Lookup, Call)):
+    if isinstance(e, (Var, Lookup, Call, Not)):
         return pp_expr(e)
     if isinstance(e, BuiltinApp) and e.op not in ("=", "!="):
         return pp_expr(e)

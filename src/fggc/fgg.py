@@ -86,37 +86,93 @@ class FGG:
     domains: dict[str, Domain]
     factors: dict[str, FactorTable]
 
-    def rules_for(self, label: str) -> list[Rule]:
-        return [r for r in self.rules if r.lhs == label]
-
     def nonterminals(self) -> list[str]:
         return [name for name, lab in self.labels.items() if lab.is_nonterminal]
 
     def ext_domains(self, label: str) -> Optional[tuple[str, ...]]:
         """Per-slot domain names for a nonterminal, from its rules or its uses."""
-        for r in self.rules:
-            if r.lhs == label:
-                return tuple(r.rhs.domain_of(n) for n in r.rhs.ext)
-        for r in self.rules:
-            for e in r.rhs.edges:
-                if e.label == label:
-                    return tuple(r.rhs.domain_of(n) for n in e.att)
-        return None
+        return RuleIndex(self.rules).ext_domains(label)
 
     def domain_tuple(self, names) -> tuple[Domain, ...]:
         return tuple(self.domains[n] for n in names)
+
+
+class RuleIndex:
+    """A grammar's rules by position, indexed by left-hand side and by the
+    labels their right-hand sides use.
+
+    Positions only grow: a replaced rule keeps its position and an added one
+    goes last, so rules() lists the live rules in grammar order. Lookups
+    return positions in increasing order.
+    """
+
+    def __init__(self, rules):
+        self._rules: dict[int, Rule] = {}
+        self._by_lhs: dict[str, dict[int, None]] = {}
+        self._users: dict[str, dict[int, None]] = {}
+        self._next = 0
+        for r in rules:
+            self.add(r)
+
+    def __getitem__(self, pos: int) -> Rule:
+        return self._rules[pos]
+
+    def rules(self) -> list[Rule]:
+        return list(self._rules.values())
+
+    def lhs(self, label: str) -> list[int]:
+        """Positions of the rules whose left-hand side is `label`."""
+        return list(self._by_lhs.get(label, ()))
+
+    def users(self, label: str) -> list[int]:
+        """Positions of the rules with an edge labelled `label`."""
+        return sorted(self._users.get(label, ()))
+
+    def add(self, rule: Rule):
+        pos = self._next
+        self._next += 1
+        self._rules[pos] = rule
+        self._by_lhs.setdefault(rule.lhs, {})[pos] = None
+        self._link(pos, rule)
+
+    def remove(self, pos: int):
+        rule = self._rules.pop(pos)
+        del self._by_lhs[rule.lhs][pos]
+        self._unlink(pos, rule)
+
+    def replace(self, pos: int, rule: Rule):
+        """Put `rule`, which has the same left-hand side, in place of the rule at `pos`."""
+        self._unlink(pos, self._rules[pos])
+        self._rules[pos] = rule
+        self._link(pos, rule)
+
+    def _link(self, pos: int, rule: Rule):
+        for e in rule.rhs.edges:
+            self._users.setdefault(e.label, {})[pos] = None
+
+    def _unlink(self, pos: int, rule: Rule):
+        for e in rule.rhs.edges:
+            self._users[e.label].pop(pos, None)
+
+    def ext_domains(self, label: str) -> Optional[tuple[str, ...]]:
+        """Per-slot domain names for a nonterminal, from its first rule or,
+        failing that, its first use."""
+        own = self.lhs(label)
+        if own:
+            rhs = self._rules[own[0]].rhs
+            return tuple(rhs.domain_of(n) for n in rhs.ext)
+        users = self.users(label)
+        if users:
+            rhs = self._rules[users[0]].rhs
+            e = next(e for e in rhs.edges if e.label == label)
+            return tuple(rhs.domain_of(n) for n in e.att)
+        return None
 
 
 @dataclass
 class DerivationTree:
     rule: Rule
     children: dict[str, "DerivationTree"] = field(default_factory=dict)
-
-    def height(self) -> int:
-        """Rule applications on the longest root-to-leaf path (a leaf rule has height 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(c.height() for c in self.children.values())
 
 
 class StructuralError(Exception):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .ast import (And, BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
-                  Lookup, Observe, Or, Program, Sample, TypeInfo, Var)
+                  Lookup, Not, Observe, Or, Program, Sample, TypeInfo, Var)
 from .fgg import Diagnostic
 from .params import ParamError, Params
 from .values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, Domain, Inl,
@@ -38,6 +38,9 @@ def desugar_expr(e: Expr) -> Expr:
     if isinstance(e, Or):
         return If(desugar_expr(e.left), BuiltinApp("true", [], pos=e.pos),
                   desugar_expr(e.right), pos=e.pos)
+    if isinstance(e, Not):
+        return If(desugar_expr(e.arg), BuiltinApp("false", [], pos=e.pos),
+                  BuiltinApp("true", [], pos=e.pos), pos=e.pos)
     if isinstance(e, Fail):
         # observe true <- «zero»: multiplies the branch weight by 0
         return Observe(BuiltinApp("true", [], pos=e.pos),
@@ -136,7 +139,7 @@ def scope_check(p: Program, global_names: frozenset[str] = frozenset()) -> list[
                 walk(a, bound)
         elif isinstance(e, Lookup):
             walk(e.index, bound)
-        elif isinstance(e, (And, Or, Fail)):
+        elif isinstance(e, (And, Or, Not, Fail)):
             raise DomainError("scope_check requires a desugared program", e.pos)
         else:
             raise TypeError(f"unknown expression {e!r}")

@@ -4,11 +4,11 @@ elimination, and nonterminal weight tensors by Kleene fixed-point iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fgg import FGG, Hypergraph, Rule
+from .fgg import FGG, Hypergraph, Rule, RuleIndex
 from .values import Domain, Value
 
 
@@ -253,28 +253,47 @@ def external_marginal(g: Hypergraph, domains: dict[str, Domain], factors,
 # Fixed-point solver
 
 
-def rule_contribution(g: FGG, rule: Rule, tau: dict[str, WeightTensor],
-                      order=None, counter: OpCounter | None = None) -> WeightTensor:
-    """One-level unrolling: nonterminal edges act as factors with table tau[X]."""
-    rhs = rule.rhs
-    node_domains = {n.id: g.domains[n.domain] for n in rhs.nodes}
-    fs = []
-    for e in rhs.edges:
-        lab = g.labels[e.label]
-        nds = tuple(node_domains[a] for a in e.att)
-        if lab.is_terminal:
-            tab = g.factors[e.label]
-            tds = tuple(g.domains[d] for d in tab.domains)
-            fs.append((e.att, align(tab.weights, tds, nds)))
-        else:
+class _PreparedRule:
+    """A rule made ready for repeated application: its node domains, its
+    elimination order and its terminal factors aligned onto its nodes. Only
+    the nonterminal edges' tensors change between applications."""
+
+    def __init__(self, g: FGG, rule: Rule, order=None):
+        rhs = rule.rhs
+        self.ext = rhs.ext
+        self.node_domains = {n.id: g.domains[n.domain] for n in rhs.nodes}
+        self.factors: list = []
+        self.tau_slots: list = []  # (position in factors, edge, node domains)
+        for e in rhs.edges:
+            nds = tuple(self.node_domains[a] for a in e.att)
+            if g.labels[e.label].is_terminal:
+                tab = g.factors[e.label]
+                tds = tuple(g.domains[d] for d in tab.domains)
+                self.factors.append((e.att, align(tab.weights, tds, nds)))
+            else:
+                self.tau_slots.append((len(self.factors), e, nds))
+                self.factors.append(None)
+        if order is None:
+            order = plan_order(self.node_domains, [e.att for e in rhs.edges],
+                               set(rhs.ext)).order
+        self.order = order
+
+    def apply(self, tau: dict[str, WeightTensor],
+              counter: OpCounter | None = None) -> WeightTensor:
+        fs = list(self.factors)
+        for i, e, nds in self.tau_slots:
             t = tau[e.label]
             if len(t.domains) != len(e.att):
                 raise InferenceError(
                     f"tensor for {e.label} has rank {len(t.domains)}, edge arity {len(e.att)}")
-            fs.append((e.att, align(t.data, t.domains, nds)))
-    if order is None:
-        order = plan_order(node_domains, [e.att for e in rhs.edges], set(rhs.ext)).order
-    return eliminate(node_domains, fs, rhs.ext, order, counter)
+            fs[i] = (e.att, align(t.data, t.domains, nds))
+        return eliminate(self.node_domains, fs, self.ext, self.order, counter)
+
+
+def rule_contribution(g: FGG, rule: Rule, tau: dict[str, WeightTensor],
+                      order=None, counter: OpCounter | None = None) -> WeightTensor:
+    """One-level unrolling: nonterminal edges act as factors with table tau[X]."""
+    return _PreparedRule(g, rule, order).apply(tau, counter)
 
 
 CONVERGED = "converged"
@@ -289,28 +308,28 @@ class SolverState:
     delta: float
     status: str
     ops: int = 0
-    history: list[float] = field(default_factory=list)
 
 
 def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
-                      divergence_bound: float = 1e12,
-                      keep_history: bool = False) -> SolverState:
-    """Kleene iteration from zero tensors, synchronous (Jacobi) updates."""
-    nts = [n for n in g.nonterminals() if g.ext_domains(n) is not None]
-    shapes = {n: g.domain_tuple(g.ext_domains(n)) for n in nts}
+                      divergence_bound: float = 1e12) -> SolverState:
+    """Kleene iteration from zero tensors, synchronous (Jacobi) updates.
+
+    Each rule is prepared once per solve (see _PreparedRule); an iteration
+    applies each nonterminal's rules in grammar order."""
+    index = RuleIndex(g.rules)
+    ext = {n: index.ext_domains(n) for n in g.nonterminals()}
+    nts = [n for n, doms in ext.items() if doms is not None]
+    shapes = {n: g.domain_tuple(ext[n]) for n in nts}
+    prepared = {n: [_PreparedRule(g, index[pos]) for pos in index.lhs(n)] for n in nts}
     tau = {n: WeightTensor.zeros(shapes[n]) for n in nts}
-    plans = {id(r): plan_elimination(g, r).order for r in g.rules}
     counter = OpCounter()
     state = SolverState(tau=tau, iteration=0, delta=float("inf"), status=MAX_ITER)
     for it in range(1, max_iter + 1):
         new_tau = {}
         for n in nts:
             acc = WeightTensor.zeros(shapes[n])
-            for r in g.rules:
-                if r.lhs != n:
-                    continue
-                c = rule_contribution(g, r, tau, order=plans[id(r)], counter=counter)
-                acc.data += c.data
+            for rule in prepared[n]:
+                acc.data += rule.apply(tau, counter).data
             new_tau[n] = acc
         delta = 0.0
         for n in nts:
@@ -321,8 +340,6 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
         state.iteration = it
         state.delta = delta
         state.ops = counter.ops
-        if keep_history:
-            state.history.append(delta)
         if any(np.any(t.data > divergence_bound) for t in tau.values()):
             state.status = DIVERGENT
             return state

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import ast
 from .ast import (And, BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
-                  Lookup, Observe, Or, Program, Sample, Var)
+                  Lookup, Not, Observe, Or, Program, Sample, Var)
 
 KEYWORDS = {
     "fun", "let", "in", "sample", "observe", "if", "then", "else", "case",
@@ -265,6 +265,8 @@ class _Parser:
                         raise ParseError(
                             f"built-in {name.text!r} takes {want} argument(s), got {len(args)}",
                             name.pos)
+                    if name.text == "not":
+                        return Not(args[0], pos=name.pos)
                     return BuiltinApp(name.text, args, pos=name.pos)
                 return Call(name.text, args, pos=name.pos)
             if self.at("sym", "["):

@@ -18,7 +18,7 @@ import numpy as np
 from .ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
                   Observe, Program, Sample, Var)
 from .fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
-                  Hypergraph, Node, Rule)
+                  Hypergraph, Node, Rule, RuleIndex)
 from .frontend import apply_builtin
 from .params import Params
 from .values import Bool, Dist, Domain, Inl, Inr, Value
@@ -348,77 +348,78 @@ def _inline_edge(rhs: Hypergraph, edge: Edge, sub: Hypergraph) -> Hypergraph:
 
 def _pass_inline(cu: CompilationUnit) -> int:
     """Inline single-rule nonterminals other than if/case/function lhs, and
-    collapse function/start rules whose whole rhs is one if/case edge."""
+    collapse function/start rules whose whole rhs is one if/case edge.
+
+    Inlining never makes a label a candidate that was not one before (its
+    rule count, kind and self-recursion cannot change that way, and it only
+    gains uses through a rule that already used it), so one scan in label
+    order inlines the same labels in the same order as restarting from the
+    first label after each one. The collapse scan stays on a label while it
+    fires, for the same reason.
+    """
     g = cu.fgg
+    index = RuleIndex(g.rules)
     fired = 0
-    while True:
-        by_lhs: dict[str, list[Rule]] = {}
-        for r in g.rules:
-            by_lhs.setdefault(r.lhs, []).append(r)
-        candidate = None
-        for name, lab in g.labels.items():
-            if (lab.is_nonterminal and cu.label_kinds.get(name) not in PROTECTED_KINDS
-                    and len(by_lhs.get(name, [])) == 1):
-                sub = by_lhs[name][0].rhs
-                if any(e.label == name for e in sub.edges):
-                    continue  # self-recursive; cannot inline
-                if any(e.label == name for r in g.rules if r.lhs != name
-                       for e in r.rhs.edges):
-                    candidate = (name, sub)
-                    break
-        if candidate is None:
-            break
-        name, sub = candidate
-        new_rules = []
-        for r in g.rules:
-            if r.lhs == name:
-                continue
-            rhs = r.rhs
+    for name in list(g.labels):
+        if (not g.labels[name].is_nonterminal
+                or cu.label_kinds.get(name) in PROTECTED_KINDS):
+            continue
+        own = index.lhs(name)
+        if len(own) != 1:
+            continue
+        sub = index[own[0]].rhs
+        if any(e.label == name for e in sub.edges):
+            continue  # self-recursive; cannot inline
+        users = index.users(name)
+        if not users:
+            continue
+        for pos in users:
+            rhs = index[pos].rhs
             while True:
                 hit = next((e for e in rhs.edges if e.label == name), None)
                 if hit is None:
                     break
                 rhs = _inline_edge(rhs, hit, sub)
                 fired += 1
-            new_rules.append(Rule(r.lhs, rhs))
-        g.rules = new_rules
+            index.replace(pos, Rule(index[pos].lhs, rhs))
+        index.remove(own[0])
         del g.labels[name]
 
     # unit-rule collapse: fun/start whose rhs is exactly one if/case edge
-    changed = True
-    while changed:
-        changed = False
-        by_lhs = {}
-        for r in g.rules:
-            by_lhs.setdefault(r.lhs, []).append(r)
-        for name in list(g.labels):
-            if cu.label_kinds.get(name) not in ("fun", "start"):
-                continue
-            rules = by_lhs.get(name, [])
-            if len(rules) != 1:
-                continue
-            rhs = rules[0].rhs
-            if (len(rhs.edges) == 1 and len(rhs.nodes) == len(rhs.ext)
+    for name in list(g.labels):
+        if cu.label_kinds.get(name) not in ("fun", "start"):
+            continue
+        while True:
+            own = index.lhs(name)
+            if len(own) != 1:
+                break
+            rhs = index[own[0]].rhs
+            if not (len(rhs.edges) == 1 and len(rhs.nodes) == len(rhs.ext)
                     and rhs.edges[0].att == rhs.ext
                     and cu.label_kinds.get(rhs.edges[0].label) in ("if", "case")):
-                child = rhs.edges[0].label
-                uses = sum(1 for r in g.rules for e in r.rhs.edges if e.label == child)
-                if uses != 1:
-                    continue
-                child_rules = [r for r in g.rules if r.lhs == child]
-                # relabel: reuse this rule's node names for the external slots
-                replacement = []
-                for cr in child_rules:
-                    ren = dict(zip(cr.rhs.ext, rhs.ext))
-                    nodes = [Node(ren.get(n.id, n.id), n.domain) for n in cr.rhs.nodes]
-                    edges = [Edge(e.id, e.label, tuple(ren.get(a, a) for a in e.att))
-                             for e in cr.rhs.edges]
-                    replacement.append(Rule(name, Hypergraph(nodes, edges, rhs.ext)))
-                g.rules = [r for r in g.rules if r.lhs not in (name, child)] + replacement
-                del g.labels[child]
-                fired += 1
-                changed = True
                 break
+            child = rhs.edges[0].label
+            uses = sum(1 for pos in index.users(child)
+                       for e in index[pos].rhs.edges if e.label == child)
+            if uses != 1:
+                break
+            child_pos = index.lhs(child)
+            # relabel: reuse this rule's node names for the external slots
+            replacement = []
+            for pos in child_pos:
+                cr = index[pos]
+                ren = dict(zip(cr.rhs.ext, rhs.ext))
+                nodes = [Node(ren.get(n.id, n.id), n.domain) for n in cr.rhs.nodes]
+                edges = [Edge(e.id, e.label, tuple(ren.get(a, a) for a in e.att))
+                         for e in cr.rhs.edges]
+                replacement.append(Rule(name, Hypergraph(nodes, edges, rhs.ext)))
+            for pos in own + child_pos:
+                index.remove(pos)
+            for r in replacement:
+                index.add(r)
+            del g.labels[child]
+            fired += 1
+    g.rules = index.rules()
     return fired
 
 
@@ -530,12 +531,10 @@ def _gc(cu: CompilationUnit):
     g = cu.fgg
     reachable = {g.start}
     frontier = [g.start]
+    index = RuleIndex(g.rules)
     while frontier:
-        lhs = frontier.pop()
-        for r in g.rules:
-            if r.lhs != lhs:
-                continue
-            for e in r.rhs.edges:
+        for pos in index.lhs(frontier.pop()):
+            for e in index[pos].rhs.edges:
                 lab = g.labels.get(e.label)
                 if lab is not None and lab.is_nonterminal and e.label not in reachable:
                     reachable.add(e.label)

@@ -109,6 +109,31 @@ def test_infer_max_iter_one(tmp_path, capsys):
     assert "status: max-iter" in out
 
 
+@pytest.mark.parametrize("source", [
+    "fun f(x) = not(x); f(true)",
+    "let x = sample c[u] in if not(x) then not(x = true) else not(false)",
+])
+def test_infer_not_matches_interpreter(tmp_path, capsys, source):
+    from fggc.frontend import desugar
+    from fggc.oracle import interpret
+    from fggc.params import load_params
+    from fggc.parser import parse
+    src = tmp_path / "not.ppl"
+    src.write_text(source + "\n")
+    params = tmp_path / "not.params.json"
+    params.write_text(json.dumps({"params": {"c": {"u": {"true": 0.3, "false": 0.7}}}}))
+    code, out, _ = run(capsys, "infer", str(src), "--params", str(params))
+    assert code == 0
+    assert "status: converged" in out
+    got = {l.split(":")[0]: float(l.split(":")[1]) for l in out.splitlines()
+           if l.startswith(("true:", "false:"))}
+    want = {v.key(): w for v, w in
+            interpret(desugar(parse(source)), load_params(str(params)), 4).items()}
+    assert set(want) <= set(got)
+    for value, weight in got.items():
+        assert weight == pytest.approx(want.get(value, 0.0), abs=1e-12)
+
+
 def test_twelve_significant_digits(capsys):
     code, out, _ = run(capsys, "infer", _p("observe"), "--params",
                        _params("observe"))

@@ -68,6 +68,13 @@ def test_builtins_partial():
     assert apply_builtin("cons", (Atom("ab"), Atom("c"))) is None
 
 
+def test_not_is_a_builtin():
+    # `not` is desugared, not looked up as a function
+    program, _ = _check("fun f(x) = not(x); f(true)")
+    assert set(program.main.ty.result.values) <= {Bool(False), Bool(True)}
+    assert not _diags("fun f(x) = not(x); f(true)")
+
+
 def test_if_condition_must_be_boolean():
     params = params_from_json({"domains": {"k": ["a", "b"]}})
     with pytest.raises(DomainError) as err:

@@ -81,6 +81,26 @@ def test_desugar_or():
     assert e.els == Var("b")
 
 
+def test_desugar_not():
+    e = desugar(parse("not(a = b)")).main
+    assert isinstance(e, If)
+    assert e.cond == BuiltinApp("=", [Var("a"), Var("b")])
+    assert e.then == BuiltinApp("false", [])
+    assert e.els == BuiltinApp("true", [])
+
+
+def test_not_print_parse_roundtrip():
+    from fggc.ast import pp_program
+    p = parse("fun f(x) = not(x) and not(not(x)); f(true)")
+    assert parse(pp_program(p)) == p
+
+
+def test_not_arity():
+    with pytest.raises(ParseError) as err:
+        parse("not(a, b)")
+    assert "'not'" in str(err.value)
+
+
 def test_desugar_fail():
     e = desugar(parse("fail")).main
     assert isinstance(e, Observe)

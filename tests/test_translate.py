@@ -1,14 +1,18 @@
+import importlib
+import random
+
 import numpy as np
 import pytest
 
 from conftest import SUITE, load_program
 from fggc.ast import Case, Expr, FunDef, If, Program
-from fggc.fgg import validate
+from fggc.fgg import Rule, validate
 from fggc.frontend import check_program
 from fggc.inference import solve_fixed_point
 from fggc.params import Params, params_from_json
 from fggc.translate import ALL_PASSES, compile_source, simplify, translate
 from fggc.values import Atom, Bool, Dist, Inl, Inr, Pair
+from genprog import random_program
 
 
 def _count_rules_law(program: Program) -> int:
@@ -224,3 +228,31 @@ def test_provenance_spans():
     for label, span in cu.provenance.items():
         line, col = span.split(":")
         assert int(line) >= 1 and int(col) >= 1
+
+
+def test_simplify_rebuilds_grow_linearly(monkeypatch):
+    """simplify rebuilds each rule a bounded number of times: with four
+    times the functions it builds at most about four times the rules (a
+    pass that rescans the grammar per inlined label builds about sixteen)."""
+    translate_module = importlib.import_module("fggc.translate")
+
+    def rebuilds(nfun):
+        source, params = random_program(random.Random(f"scaling-{nfun}"), nfun)
+        params = params_from_json(params)
+        program, _ = check_program(source, params)
+        cu = translate(program, params)
+        built = []
+
+        class CountingRule(Rule):
+            def __init__(self, *args, **kw):
+                built.append(1)
+                super().__init__(*args, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(translate_module, "Rule", CountingRule)
+            simplify(cu)
+        return len(built)
+
+    small, large = rebuilds(12), rebuilds(48)
+    assert small > 0
+    assert large / small <= 6, (small, large)
