@@ -7,8 +7,9 @@ Subcommands:
     enumerate  count derivation trees and truncated weights by height
     render     dot or LaTeX diagrams, one per rule
 
-Exit codes: 0 success, 2 front-end error (parse/scope/domain/params/IO),
-3 divergent grammar, 4 comparison failure.
+Exit codes: 0 success, 2 front-end error (parse/scope/domain/params/IO,
+malformed grammar JSON, input nested too deeply), 3 divergent grammar,
+4 comparison failure.
 """
 
 from __future__ import annotations
@@ -71,17 +72,21 @@ def _read_source(path: str) -> str:
         raise CliError(f"cannot read {path!r}: {e}")
 
 
+def _load_grammar(path: str) -> FGG:
+    try:
+        g = fggmod.loads(_read_source(path))
+    except (StructuralError, KeyError, TypeError, ValueError) as e:
+        raise CliError(f"bad FGG JSON: {e}")
+    diags = validate(g)
+    if diags:
+        raise CliError("; ".join(str(d) for d in diags))
+    return g
+
+
 def _compile(args) -> FGG:
     """Load a grammar: .json files directly, anything else as source."""
     if args.input.endswith(".json"):
-        try:
-            g = fggmod.loads(_read_source(args.input))
-        except (StructuralError, KeyError, ValueError) as e:
-            raise CliError(f"bad FGG JSON: {e}")
-        diags = validate(g)
-        if diags:
-            raise CliError("; ".join(str(d) for d in diags))
-        return g
+        return _load_grammar(args.input)
     return _compile_unit(args).fgg
 
 
@@ -135,11 +140,9 @@ def cmd_compare(args) -> int:
     params = _load_params(args.params)
     try:
         program, _ = check_program(source, params)
-        if args.fgg:
-            g = fggmod.loads(_read_source(args.fgg))
-        else:
-            g = compile_source(source, params, _parse_passes(args.passes)).fgg
-    except (ParseError, DomainError, ParamError, StructuralError) as e:
+        g = (_load_grammar(args.fgg) if args.fgg
+             else compile_source(source, params, _parse_passes(args.passes)).fgg)
+    except (ParseError, DomainError, ParamError) as e:
         raise CliError(str(e))
 
     failures: list[str] = []
@@ -266,7 +269,10 @@ def main(argv=None) -> int:
         return e.code
     except (InferenceError, OracleError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIVERGENT if "divergen" in str(e) else EXIT_FRONTEND
+        return EXIT_FRONTEND
+    except RecursionError:
+        print("error: input is nested too deeply to process", file=sys.stderr)
+        return EXIT_FRONTEND
 
 
 if __name__ == "__main__":

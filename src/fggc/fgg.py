@@ -387,28 +387,14 @@ def fgg_from_json(obj: dict) -> FGG:
               for l in obj["labels"]}
     domains = {name: Domain(name, [value_from_json(v) for v in vals])
                for name, vals in obj["domains"].items()}
-    rules = []
-    factor_domains: dict[str, tuple[str, ...]] = {}
-    for r in obj["rules"]:
-        rhs = Hypergraph(
-            nodes=[Node(n["id"], n["domain"]) for n in r["rhs"]["nodes"]],
-            edges=[Edge(e["id"], e["label"], tuple(e["att"])) for e in r["rhs"]["edges"]],
-            ext=tuple(r["rhs"]["ext"]),
-        )
-        rules.append(Rule(r["lhs"], rhs))
-        for e in rhs.edges:
-            lab = labels.get(e.label)
-            if lab is not None and lab.is_terminal and e.label not in factor_domains:
-                factor_domains[e.label] = tuple(rhs.domain_of(a) for a in e.att)
-    factors = {}
-    for name, body in obj["factors"].items():
-        if "domains" in body:
-            doms = tuple(body["domains"])
-        else:
-            # older serializations: recover axis domains from attachments
-            doms = factor_domains.get(name, ())
-        weights = np.asarray(body["table"], dtype=float)
-        factors[name] = FactorTable(name, doms, weights)
+    rules = [Rule(r["lhs"], Hypergraph(
+        nodes=[Node(n["id"], n["domain"]) for n in r["rhs"]["nodes"]],
+        edges=[Edge(e["id"], e["label"], tuple(e["att"])) for e in r["rhs"]["edges"]],
+        ext=tuple(r["rhs"]["ext"]),
+    )) for r in obj["rules"]]
+    factors = {name: FactorTable(name, tuple(body["domains"]),
+                                 np.asarray(body["table"], dtype=float))
+               for name, body in obj["factors"].items()}
     return FGG(labels=labels, rules=rules, start=obj["start"], domains=domains, factors=factors)
 
 

@@ -217,29 +217,29 @@ class DomainInterner:
 
 
 _SET_LIMIT = 100_000  # total values across all sets; growth beyond this is diagnosed
+_MAX_PASSES = 500  # value-set passes before propagation is diagnosed as non-stabilizing
 
 
-def assign_domains(p: Program, params: Params,
-                   max_passes: int = 500) -> dict[str, Domain]:
+def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
     """Annotate every expression with env and result Domain (stored in .ty).
 
-    Returns the registry of interned domains. Raises DomainError on type
-    errors or when value-set propagation fails to stabilize (an
-    un-enumerable recursive type without a declared finite enumeration).
+    One abstract evaluator computes the value set of every subexpression,
+    resolves variables and checks the typing discipline. It runs over the
+    whole program until a pass grows no parameter or result set; that pass
+    saw only the final sets, so its post-order record of (expression, env,
+    result) is what gets interned. Returns the registry of interned
+    domains. Raises DomainError on type errors or when value-set
+    propagation fails to stabilize (an un-enumerable recursive type without
+    a declared finite enumeration).
     """
-    funs = {f.name: f for f in p.functions}
-    param_sets: dict[str, list[set[Value]]] = {}
+    param_sets: dict[str, list[set[Value]]] = {
+        f.name: [set(params.domains.get(f"{f.name}.{x}") or ()) for x in f.params]
+        for f in p.functions}
     result_sets: dict[str, set[Value]] = {f.name: set() for f in p.functions}
-    for f in p.functions:
-        param_sets[f.name] = []
-        for x in f.params:
-            seed: set[Value] = set()
-            declared = params.domains.get(f"{f.name}.{x}")
-            if declared:
-                seed = set(declared)
-            param_sets[f.name].append(seed)
-
-    changed = True
+    changed = False
+    # (expr, env, result) of the current pass, in post-order. Sets in it must
+    # never be updated in place: a later union would change a recorded domain.
+    record: list[tuple[Expr, dict[str, set[Value]], set[Value]]] = []
 
     def union_into(target: set[Value], values) -> None:
         nonlocal changed
@@ -248,60 +248,67 @@ def assign_domains(p: Program, params: Params,
         if len(target) != before:
             changed = True
 
-    def flow(e: Expr, env: dict[str, set[Value]]) -> set[Value]:
+    def evaluate(e: Expr, env: dict[str, set[Value]]) -> set[Value]:
+        result: set[Value]
         if isinstance(e, Var):
             if e.name in env:
-                return set(env[e.name])
-            if e.name in params.inputs:
-                return {params.inputs[e.name]}
-            return {Atom(e.name)}
-        if isinstance(e, Let):
-            bound = flow(e.bound, env)
-            return flow(e.body, {**env, e.name: bound})
-        if isinstance(e, Call):
+                e.resolution = "var"
+                result = set(env[e.name])
+            elif e.name in params.inputs:
+                e.resolution = "input"
+                result = {params.inputs[e.name]}
+            else:
+                e.resolution = "atom"
+                result = {Atom(e.name)}
+        elif isinstance(e, Let):
+            bound = evaluate(e.bound, env)
+            result = evaluate(e.body, {**env, e.name: bound})
+        elif isinstance(e, Call):
             for i, a in enumerate(e.args):
-                union_into(param_sets[e.fn][i], flow(a, env))
-            return set(result_sets[e.fn])
-        if isinstance(e, Sample):
-            dists = flow(e.arg, env)
-            out: set[Value] = set()
+                union_into(param_sets[e.fn][i], evaluate(a, env))
+            result = set(result_sets[e.fn])
+        elif isinstance(e, Sample):
+            dists = evaluate(e.arg, env)
+            _require(dists, Dist, "sample argument is not a distribution", e.pos)
+            result = set()
             for d in dists:
-                if isinstance(d, Dist):
-                    out |= set(params.dist_table(d.name).keys())
-            return out
-        if isinstance(e, Observe):
-            flow(e.dist, env)
-            return flow(e.value, env)
-        if isinstance(e, If):
-            flow(e.cond, env)
-            return flow(e.then, env) | flow(e.els, env)
-        if isinstance(e, Case):
-            scrut = flow(e.scrutinee, env)
+                result |= set(params.dist_table(d.name).keys())
+        elif isinstance(e, Observe):
+            _require(evaluate(e.dist, env), Dist, "observe target is not a distribution", e.pos)
+            result = evaluate(e.value, env)
+        elif isinstance(e, If):
+            _require(evaluate(e.cond, env), Bool, "if condition is not boolean", e.pos)
+            result = evaluate(e.then, env) | evaluate(e.els, env)
+        elif isinstance(e, Case):
+            scrut = evaluate(e.scrutinee, env)
+            _require(scrut, (Inl, Inr), "case scrutinee is not a sum value", e.pos)
             lefts = {v.value for v in scrut if isinstance(v, Inl)}
             rights = {v.value for v in scrut if isinstance(v, Inr)}
-            out = flow(e.left, {**env, e.left_var: lefts})
-            out |= flow(e.right, {**env, e.right_var: rights})
-            return out
-        if isinstance(e, BuiltinApp):
-            arg_sets = [flow(a, env) for a in e.args]
-            out = set()
-            for combo in _product(arg_sets):
+            result = (evaluate(e.left, {**env, e.left_var: lefts})
+                      | evaluate(e.right, {**env, e.right_var: rights}))
+        elif isinstance(e, BuiltinApp):
+            arg_sets = [evaluate(a, env) for a in e.args]
+            result = set()
+            for combo in _product(arg_sets, e.pos):
                 v = apply_builtin(e.op, combo)
                 if v is not None:
-                    out.add(v)
-            return out
-        if isinstance(e, Lookup):
-            index = flow(e.index, env)
+                    result.add(v)
+        elif isinstance(e, Lookup):
+            index = evaluate(e.index, env)
             keys = set(params.lookup_keys(e.param))
-            return {params.dist_value(e.param, k) for k in index & keys}
-        raise DomainError("domain assignment requires a desugared program", e.pos)
+            result = {params.dist_value(e.param, k) for k in index & keys}
+        else:
+            raise DomainError("domain assignment requires a desugared program", e.pos)
+        record.append((e, env, result))
+        return result
 
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         changed = False
+        record.clear()
         for f in p.functions:
-            env = {x: param_sets[f.name][i] for i, x in enumerate(f.params)}
-            union_into(result_sets[f.name], flow(f.body, env))
-        flow(p.main, {})
+            env = dict(zip(f.params, param_sets[f.name]))
+            union_into(result_sets[f.name], evaluate(f.body, env))
+        evaluate(p.main, {})
         total = sum(len(s) for ss in param_sets.values() for s in ss)
         total += sum(len(s) for s in result_sets.values())
         if total > _SET_LIMIT:
@@ -315,94 +322,28 @@ def assign_domains(p: Program, params: Params,
             "value-set propagation did not stabilize; declare a finite "
             "enumeration for the recursive type (domains entry 'f.x')")
 
-    # second pass: annotate with interned domains and check typing discipline
     interner = DomainInterner()
-
-    def annotate(e: Expr, env: list[tuple[str, set[Value]]]) -> set[Value]:
-        env_dict = dict(env)
-        result: set[Value]
-        if isinstance(e, Var):
-            if e.name in env_dict:
-                e.resolution = "var"
-                result = set(env_dict[e.name])
-            elif e.name in params.inputs:
-                e.resolution = "input"
-                result = {params.inputs[e.name]}
-            else:
-                e.resolution = "atom"
-                result = {Atom(e.name)}
-        elif isinstance(e, Let):
-            bound = annotate(e.bound, env)
-            result = annotate(e.body, env + [(e.name, bound)])
-        elif isinstance(e, Call):
-            for a in e.args:
-                annotate(a, env)
-            result = set(result_sets[e.fn])
-        elif isinstance(e, Sample):
-            dists = annotate(e.arg, env)
-            bad = [v for v in dists if not isinstance(v, Dist)]
-            if bad:
-                raise DomainError(
-                    f"sample argument is not a distribution (can be {bad[0].key()})", e.pos)
-            result = set()
-            for d in dists:
-                result |= set(params.dist_table(d.name).keys())
-        elif isinstance(e, Observe):
-            dists = annotate(e.dist, env)
-            bad = [v for v in dists if not isinstance(v, Dist)]
-            if bad:
-                raise DomainError(
-                    f"observe target is not a distribution (can be {bad[0].key()})", e.pos)
-            result = annotate(e.value, env)
-        elif isinstance(e, If):
-            cond = annotate(e.cond, env)
-            bad = [v for v in cond if not isinstance(v, Bool)]
-            if bad:
-                raise DomainError(
-                    f"if condition is not boolean (can be {bad[0].key()})", e.pos)
-            result = annotate(e.then, env) | annotate(e.els, env)
-        elif isinstance(e, Case):
-            scrut = annotate(e.scrutinee, env)
-            bad = [v for v in scrut if not isinstance(v, (Inl, Inr))]
-            if bad:
-                raise DomainError(
-                    f"case scrutinee is not a sum value (can be {bad[0].key()})", e.pos)
-            lefts = {v.value for v in scrut if isinstance(v, Inl)}
-            rights = {v.value for v in scrut if isinstance(v, Inr)}
-            result = annotate(e.left, env + [(e.left_var, lefts)])
-            result |= annotate(e.right, env + [(e.right_var, rights)])
-        elif isinstance(e, BuiltinApp):
-            arg_sets = [annotate(a, env) for a in e.args]
-            result = set()
-            for combo in _product(arg_sets):
-                v = apply_builtin(e.op, combo)
-                if v is not None:
-                    result.add(v)
-        elif isinstance(e, Lookup):
-            index = annotate(e.index, env)
-            keys = set(params.lookup_keys(e.param))
-            result = {params.dist_value(e.param, k) for k in index & keys}
-        else:
-            raise DomainError("domain assignment requires a desugared program", e.pos)
-        e.ty = TypeInfo(env=tuple((x, interner.intern(s)) for x, s in env),
+    for e, env, result in record:
+        e.ty = TypeInfo(env=tuple((x, interner.intern(s)) for x, s in env.items()),
                         result=interner.intern(result))
-        return result
-
-    for f in p.functions:
-        env = [(x, param_sets[f.name][i]) for i, x in enumerate(f.params)]
-        annotate(f.body, env)
-    annotate(p.main, [])
     return interner.domains
 
 
-def _product(sets: list[set[Value]]):
+def _require(values: set[Value], kind, message: str, pos) -> None:
+    """Raise a DomainError naming the smallest value that is not a `kind`."""
+    bad = [v for v in values if not isinstance(v, kind)]
+    if bad:
+        raise DomainError(f"{message} (can be {sorted_values(bad)[0].key()})", pos)
+
+
+def _product(sets: list[set[Value]], pos):
     from itertools import product
     ordered = [sorted_values(s) for s in sets]
     size = 1
     for s in ordered:
         size *= max(len(s), 1)
     if size > 1_000_000:
-        raise DomainError("built-in argument domains are too large to enumerate")
+        raise DomainError("built-in argument domains are too large to enumerate", pos)
     return product(*ordered)
 
 

@@ -1,22 +1,30 @@
 """Reference implementations kept for equivalence tests.
 
-These are the straightforward forms of two hot paths: the `inline` pass
+These are the straightforward forms of three paths: the `inline` pass
 that rescans the whole grammar from its first label after every inlined
-label, and the Jacobi solver that scans all rules for every nonterminal
-and rebuilds every rule's factors on every iteration. The library's
-indexed versions must produce identical grammars and bit-identical solver
-states (see test_reference_equivalence.py).
+label, the Jacobi solver that scans all rules for every nonterminal and
+rebuilds every rule's factors on every iteration, and domain assignment
+as two traversals (a value-set fixpoint, then a typing walk that interns
+the final sets). The library's versions must produce identical grammars,
+bit-identical solver states and identical domain annotations (see
+test_reference_equivalence.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from fggc.ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup, Observe,
+                      Program, Sample, TypeInfo, Var)
 from fggc.fgg import FGG, Edge, Hypergraph, Node, Rule
+from fggc.frontend import (_SET_LIMIT, DomainError, DomainInterner, _product,
+                           apply_builtin)
 from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, OpCounter,
                             SolverState, WeightTensor, plan_elimination,
                             rule_contribution)
+from fggc.params import Params
 from fggc.translate import PROTECTED_KINDS, CompilationUnit, _inline_edge
+from fggc.values import Atom, Bool, Dist, Domain, Inl, Inr, Value
 
 
 def pass_inline(cu: CompilationUnit) -> int:
@@ -133,3 +141,174 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
             return state
     state.status = MAX_ITER
     return state
+
+
+def assign_domains(p: Program, params: Params,
+                   max_passes: int = 500) -> dict[str, Domain]:
+    """Value-set fixpoint (`flow`), then a second walk (`annotate`) that
+    resolves variables, checks the typing discipline and interns domains."""
+    param_sets: dict[str, list[set[Value]]] = {}
+    result_sets: dict[str, set[Value]] = {f.name: set() for f in p.functions}
+    for f in p.functions:
+        param_sets[f.name] = []
+        for x in f.params:
+            seed: set[Value] = set()
+            declared = params.domains.get(f"{f.name}.{x}")
+            if declared:
+                seed = set(declared)
+            param_sets[f.name].append(seed)
+
+    changed = True
+
+    def union_into(target: set[Value], values) -> None:
+        nonlocal changed
+        before = len(target)
+        target |= set(values)
+        if len(target) != before:
+            changed = True
+
+    def flow(e: Expr, env: dict[str, set[Value]]) -> set[Value]:
+        if isinstance(e, Var):
+            if e.name in env:
+                return set(env[e.name])
+            if e.name in params.inputs:
+                return {params.inputs[e.name]}
+            return {Atom(e.name)}
+        if isinstance(e, Let):
+            bound = flow(e.bound, env)
+            return flow(e.body, {**env, e.name: bound})
+        if isinstance(e, Call):
+            for i, a in enumerate(e.args):
+                union_into(param_sets[e.fn][i], flow(a, env))
+            return set(result_sets[e.fn])
+        if isinstance(e, Sample):
+            dists = flow(e.arg, env)
+            out: set[Value] = set()
+            for d in dists:
+                if isinstance(d, Dist):
+                    out |= set(params.dist_table(d.name).keys())
+            return out
+        if isinstance(e, Observe):
+            flow(e.dist, env)
+            return flow(e.value, env)
+        if isinstance(e, If):
+            flow(e.cond, env)
+            return flow(e.then, env) | flow(e.els, env)
+        if isinstance(e, Case):
+            scrut = flow(e.scrutinee, env)
+            lefts = {v.value for v in scrut if isinstance(v, Inl)}
+            rights = {v.value for v in scrut if isinstance(v, Inr)}
+            out = flow(e.left, {**env, e.left_var: lefts})
+            out |= flow(e.right, {**env, e.right_var: rights})
+            return out
+        if isinstance(e, BuiltinApp):
+            arg_sets = [flow(a, env) for a in e.args]
+            out = set()
+            for combo in _product(arg_sets, e.pos):
+                v = apply_builtin(e.op, combo)
+                if v is not None:
+                    out.add(v)
+            return out
+        if isinstance(e, Lookup):
+            index = flow(e.index, env)
+            keys = set(params.lookup_keys(e.param))
+            return {params.dist_value(e.param, k) for k in index & keys}
+        raise DomainError("domain assignment requires a desugared program", e.pos)
+
+    for _ in range(max_passes):
+        changed = False
+        for f in p.functions:
+            env = {x: param_sets[f.name][i] for i, x in enumerate(f.params)}
+            union_into(result_sets[f.name], flow(f.body, env))
+        flow(p.main, {})
+        total = sum(len(s) for ss in param_sets.values() for s in ss)
+        total += sum(len(s) for s in result_sets.values())
+        if total > _SET_LIMIT:
+            raise DomainError(
+                "value-set propagation exceeded the size limit; declare a finite "
+                "enumeration for the recursive type (domains entry 'f.x')")
+        if not changed:
+            break
+    else:
+        raise DomainError(
+            "value-set propagation did not stabilize; declare a finite "
+            "enumeration for the recursive type (domains entry 'f.x')")
+
+    # second pass: annotate with interned domains and check typing discipline
+    interner = DomainInterner()
+
+    def annotate(e: Expr, env: list[tuple[str, set[Value]]]) -> set[Value]:
+        env_dict = dict(env)
+        result: set[Value]
+        if isinstance(e, Var):
+            if e.name in env_dict:
+                e.resolution = "var"
+                result = set(env_dict[e.name])
+            elif e.name in params.inputs:
+                e.resolution = "input"
+                result = {params.inputs[e.name]}
+            else:
+                e.resolution = "atom"
+                result = {Atom(e.name)}
+        elif isinstance(e, Let):
+            bound = annotate(e.bound, env)
+            result = annotate(e.body, env + [(e.name, bound)])
+        elif isinstance(e, Call):
+            for a in e.args:
+                annotate(a, env)
+            result = set(result_sets[e.fn])
+        elif isinstance(e, Sample):
+            dists = annotate(e.arg, env)
+            bad = [v for v in dists if not isinstance(v, Dist)]
+            if bad:
+                raise DomainError(
+                    f"sample argument is not a distribution (can be {bad[0].key()})", e.pos)
+            result = set()
+            for d in dists:
+                result |= set(params.dist_table(d.name).keys())
+        elif isinstance(e, Observe):
+            dists = annotate(e.dist, env)
+            bad = [v for v in dists if not isinstance(v, Dist)]
+            if bad:
+                raise DomainError(
+                    f"observe target is not a distribution (can be {bad[0].key()})", e.pos)
+            result = annotate(e.value, env)
+        elif isinstance(e, If):
+            cond = annotate(e.cond, env)
+            bad = [v for v in cond if not isinstance(v, Bool)]
+            if bad:
+                raise DomainError(
+                    f"if condition is not boolean (can be {bad[0].key()})", e.pos)
+            result = annotate(e.then, env) | annotate(e.els, env)
+        elif isinstance(e, Case):
+            scrut = annotate(e.scrutinee, env)
+            bad = [v for v in scrut if not isinstance(v, (Inl, Inr))]
+            if bad:
+                raise DomainError(
+                    f"case scrutinee is not a sum value (can be {bad[0].key()})", e.pos)
+            lefts = {v.value for v in scrut if isinstance(v, Inl)}
+            rights = {v.value for v in scrut if isinstance(v, Inr)}
+            result = annotate(e.left, env + [(e.left_var, lefts)])
+            result |= annotate(e.right, env + [(e.right_var, rights)])
+        elif isinstance(e, BuiltinApp):
+            arg_sets = [annotate(a, env) for a in e.args]
+            result = set()
+            for combo in _product(arg_sets, e.pos):
+                v = apply_builtin(e.op, combo)
+                if v is not None:
+                    result.add(v)
+        elif isinstance(e, Lookup):
+            index = annotate(e.index, env)
+            keys = set(params.lookup_keys(e.param))
+            result = {params.dist_value(e.param, k) for k in index & keys}
+        else:
+            raise DomainError("domain assignment requires a desugared program", e.pos)
+        e.ty = TypeInfo(env=tuple((x, interner.intern(s)) for x, s in env),
+                        result=interner.intern(result))
+        return result
+
+    for f in p.functions:
+        env = [(x, param_sets[f.name][i]) for i, x in enumerate(f.params)]
+        annotate(f.body, env)
+    annotate(p.main, [])
+    return interner.domains

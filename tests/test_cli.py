@@ -205,3 +205,69 @@ def test_compile_deterministic(capsys):
     _, a, _ = run(capsys, "compile", _p("pcfgw"), "--params", _params("pcfgw"))
     _, b, _ = run(capsys, "compile", _p("pcfgw"), "--params", _params("pcfgw"))
     assert a == b
+
+
+def _one_line_error(err):
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _edit_json(edit):
+    def damage(path):
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+    return damage
+
+
+def _drop_factor_domains(obj):
+    for body in obj["factors"].values():
+        del body["domains"]
+
+
+def _undeclared_label(obj):
+    obj["rules"][0]["rhs"]["edges"][0]["label"] = "nosuch"
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:200])
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_truncate, "bad FGG JSON"),
+    (_edit_json(_drop_factor_domains), "bad FGG JSON"),
+    (_edit_json(_undeclared_label), "undeclared label 'nosuch'"),
+], ids=["truncated", "factor-without-domains", "undeclared-label"])
+@pytest.mark.parametrize("command", ["infer", "compare"])
+def test_malformed_grammar_json_exit_2(tmp_path, capsys, command, damage, message):
+    path = tmp_path / "g.json"
+    run(capsys, "compile", _p("pcfg"), "--params", _params("pcfg"), "--out", str(path))
+    damage(path)
+    if command == "infer":
+        code, _, err = run(capsys, "infer", str(path))
+    else:
+        code, _, err = run(capsys, "compare", _p("pcfg"), "--params", _params("pcfg"),
+                           "--fgg", str(path))
+    assert code == 2
+    assert message in err
+    _one_line_error(err)
+
+
+def _let_chain(tmp_path, n):
+    body = "".join(f"let x{i} = x{i - 1} in " for i in range(2, n + 1))
+    src = tmp_path / "chain.ppl"
+    src.write_text(f"let x1 = true in {body}x{n}\n")
+    return str(src)
+
+
+def test_deep_let_chain_is_diagnosed(tmp_path, capsys):
+    code, _, err = run(capsys, "infer", _let_chain(tmp_path, 1200))
+    assert code == 2
+    assert "nested too deeply" in err
+    _one_line_error(err)
+
+
+def test_600_deep_let_chain_infers(tmp_path, capsys):
+    code, out, _ = run(capsys, "infer", _let_chain(tmp_path, 600))
+    assert code == 0
+    assert "true: 1" in out and "status: converged" in out

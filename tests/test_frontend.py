@@ -165,3 +165,35 @@ def test_env_extends_only_at_binders():
     f = program.functions[0]
     walk(f.body, list(f.params))
     walk(program.main, [])
+
+
+def _uniform(values):
+    return {v: 1.0 / len(values) for v in values}
+
+
+def test_set_limit_diagnosed():
+    # strings over ten letters: the set of suffixes passes the limit at length 5
+    params = params_from_json({"params": {
+        "c": {"u": {"true": 0.5, "false": 0.5}},
+        "d": {"u": _uniform("abcdefghij")}}})
+    src = "fun f(w) = if sample c[u] then w else f(cons(sample d[u], w)); f(nil)"
+    with pytest.raises(DomainError) as err:
+        check_program(src, params)
+    assert "exceeded the size limit" in str(err.value)
+
+
+def test_product_limit_diagnosed_at_builtin():
+    params = params_from_json({"params": {"d": {"u": _uniform([f"a{i}" for i in range(1001)])}}})
+    src = "let x = sample d[u] in\nlet y = sample d[u] in\n  (x, y)"
+    with pytest.raises(DomainError) as err:
+        check_program(src, params)
+    assert "too large to enumerate" in str(err.value)
+    assert err.value.pos == (3, 3)
+
+
+def test_type_error_names_smallest_bad_value():
+    letters = "zyxwvutsrqponmlkjihgfedcba"
+    params = params_from_json({"params": {"d": {"u": _uniform(letters)}}})
+    with pytest.raises(DomainError) as err:
+        check_program("if sample d[u] then true else false", params)
+    assert str(err.value) == "1:1: if condition is not boolean (can be a)"

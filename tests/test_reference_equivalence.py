@@ -1,7 +1,9 @@
-"""The indexed `inline` pass and the prepared-rule solver against their
-straightforward references (reference_impl.py): identical grammars and pass
-logs, bit-identical solver states."""
+"""The indexed `inline` pass, the prepared-rule solver and the one-traversal
+domain assignment against their straightforward references
+(reference_impl.py): identical grammars and pass logs, bit-identical solver
+states, identical domain annotations and errors."""
 
+import dataclasses
 import importlib
 import json
 import random
@@ -11,11 +13,14 @@ import pytest
 
 import reference_impl
 from conftest import SUITE, load_program
+from fggc.ast import Expr, Var
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                       Hypergraph, Node, Rule, fgg_to_json)
-from fggc.frontend import check_program
+from fggc.frontend import (DomainError, assign_domains, check_program, desugar,
+                           scope_check)
 from fggc.inference import solve_fixed_point
 from fggc.params import params_from_json
+from fggc.parser import parse
 from fggc.translate import ALL_PASSES, CompilationUnit, simplify, translate
 from fggc.values import Bool, Domain
 from genprog import random_program
@@ -95,3 +100,65 @@ def test_collapse_cascade_matches_reference(monkeypatch):
     got = _same_grammar(cu, ("inline",), monkeypatch)
     assert got.pass_log == [("inline", 2)]
     assert [r.lhs for r in got.fgg.rules] == ["$start", "f", "f"]
+
+
+def _nodes(e):
+    """Every expression node below `e`, in a fixed order."""
+    yield e
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, Expr):
+                yield from _nodes(child)
+
+
+def _annotations(program):
+    out = []
+    for body in [f.body for f in program.functions] + [program.main]:
+        for e in _nodes(body):
+            domains = [(x, d.name, d.values) for x, d in e.ty.env]
+            domains.append(("", e.ty.result.name, e.ty.result.values))
+            out.append((type(e).__name__, e.pos, e.resolution if isinstance(e, Var) else None,
+                        domains))
+    return out
+
+
+def _same_domains(source, params):
+    programs = [desugar(parse(source)) for _ in range(2)]
+    assert not scope_check(programs[0], frozenset(params.global_names()))
+    got = assign_domains(programs[0], params)
+    want = reference_impl.assign_domains(programs[1], params)
+    assert {n: d.values for n, d in got.items()} == {n: d.values for n, d in want.items()}
+    assert _annotations(programs[0]) == _annotations(programs[1])
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_suite_domains_match_reference(name):
+    _same_domains(*load_program(name))
+
+
+@pytest.mark.parametrize("seed,nfun", GENERATED)
+def test_generated_domains_match_reference(seed, nfun):
+    source, params = random_program(random.Random(f"equivalence-{seed}-{nfun}"), nfun)
+    _same_domains(source, params_from_json(params))
+
+
+ATOMS_A_B = {"domains": {"k": ["a", "b"]}}
+
+
+@pytest.mark.parametrize("source,params", [
+    ("if a then a else b", ATOMS_A_B),
+    ("sample a", ATOMS_A_B),
+    ("observe a <- a", ATOMS_A_B),
+    ("case a of inl(x) => x | inr(y) => y", ATOMS_A_B),
+    ("fun f(w) = if sample c[u] then w else f(cons(a, w)); f(nil)",
+     {"params": {"c": {"u": {"true": 0.5, "false": 0.5}}}, "domains": {"atoms": ["a"]}}),
+])
+def test_domain_errors_match_reference(source, params):
+    params = params_from_json(params)
+    messages = []
+    for assign in (assign_domains, reference_impl.assign_domains):
+        with pytest.raises(DomainError) as err:
+            assign(desugar(parse(source)), params)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
