@@ -8,8 +8,9 @@ Subcommands:
     render     dot or LaTeX diagrams, one per rule
 
 Exit codes: 0 success, 2 front-end error (parse/scope/domain/params/IO,
-malformed grammar JSON, input nested too deeply), 3 divergent grammar,
-4 comparison failure.
+malformed grammar JSON, input nested too deeply, a nonterminal with more
+external nodes than numpy has axes), 3 divergent grammar, 4 comparison
+failure, 5 `infer` stopped at --max-iter without converging.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from . import fgg as fggmod
 from .fgg import FGG, StructuralError, validate
 from .frontend import DomainError, check_program
-from .inference import (DIVERGENT, InferenceError, solve_fixed_point)
+from .inference import DIVERGENT, MAX_ITER, InferenceError, solve_fixed_point
 from .oracle import OracleError, enumerate_derivations, interpret, truncated_wX
 from .params import ParamError, Params, load_params
 from .parser import ParseError
@@ -31,6 +32,7 @@ from .translate import ALL_PASSES, compile_source
 EXIT_FRONTEND = 2
 EXIT_DIVERGENT = 3
 EXIT_MISMATCH = 4
+EXIT_MAX_ITER = 5
 
 
 class CliError(Exception):
@@ -132,7 +134,7 @@ def cmd_infer(args) -> int:
     print(f"iterations: {state.iteration}")
     print(f"delta: {fmt(state.delta)}")
     print(f"status: {state.status}")
-    return EXIT_DIVERGENT if state.status == DIVERGENT else 0
+    return {DIVERGENT: EXIT_DIVERGENT, MAX_ITER: EXIT_MAX_ITER}.get(state.status, 0)
 
 
 def cmd_compare(args) -> int:

@@ -42,7 +42,8 @@ class WeightTensor:
 
 
 class OpCounter:
-    """Counts elementary table operations performed by the elimination engine."""
+    """Counts elementary table operations: the size of the product that each
+    einsum step of a contraction ranges over, summed."""
 
     def __init__(self):
         self.ops = 0
@@ -69,96 +70,12 @@ def align(arr: np.ndarray, table_domains, node_domains) -> np.ndarray:
     return arr
 
 
-def _multiply(scope1, arr1, scope2, arr2, sizes, counter):
-    """Pointwise product over the union scope (scope1 order, then new nodes)."""
-    scope = list(scope1) + [n for n in scope2 if n not in scope1]
-    # expand arr1
-    a1 = arr1.reshape(arr1.shape + (1,) * (len(scope) - len(scope1)))
-    # permute/expand arr2 into the union scope
-    perm = []
-    for n in scope:
-        if n in scope2:
-            perm.append(scope2.index(n))
-    a2 = np.transpose(arr2, perm)
-    shape2 = tuple(sizes[n] if n in scope2 else 1 for n in scope)
-    a2 = a2.reshape(shape2)
-    out = a1 * a2
-    if counter is not None:
-        counter.ops += out.size
-    return scope, out
-
-
-def _dedupe(scope: list[str], arr: np.ndarray):
-    """Collapse repeated attachments to the same node onto the diagonal."""
-    while True:
-        dup = None
-        for i, n in enumerate(scope):
-            j = scope.index(n)
-            if j != i:
-                dup = (j, i, n)
-                break
-        if dup is None:
-            return scope, arr
-        j, i, n = dup
-        arr = arr.diagonal(axis1=j, axis2=i)  # diagonal axis moves to the end
-        scope = [m for k, m in enumerate(scope) if k not in (i, j)] + [n]
-
-
-def eliminate(node_domains: dict[str, Domain], factors, ext,
-              order, counter: OpCounter | None = None) -> WeightTensor:
-    """Sum-product variable elimination.
-
-    node_domains: node id -> Domain; factors: list of (scope, array) where
-    scope is a tuple of node ids; ext: output node order; order: internal
-    nodes in elimination order. Accumulation order is fixed by `order` and
-    by the positions of factors in the list, so results are reproducible.
-    """
-    sizes = {n: len(d) for n, d in node_domains.items()}
-    work = [_dedupe(list(s), np.asarray(a, dtype=float)) for s, a in factors]
-    for n in order:
-        group = [(s, a) for s, a in work if n in s]
-        work = [(s, a) for s, a in work if n not in s]
-        if not group:
-            # unconstrained internal node: contributes a factor |domain|
-            work.append(([], np.array(float(sizes[n]))))
-            continue
-        scope, acc = group[0]
-        for s, a in group[1:]:
-            scope, acc = _multiply(scope, acc, s, a, sizes, counter)
-        ax = scope.index(n)
-        if counter is not None:
-            counter.ops += acc.size
-        acc = acc.sum(axis=ax)
-        scope = scope[:ax] + scope[ax + 1:]
-        work.append((scope, acc))
-    # combine what remains (scopes are subsets of ext plus scalars)
-    scope: list[str] = []
-    acc = np.array(1.0)
-    for s, a in work:
-        bad = [n for n in s if n not in ext]
-        if bad:
-            raise InferenceError(f"node {bad[0]!r} survived elimination but is not external")
-        scope, acc = _multiply(scope, acc, s, a, sizes, counter)
-    # broadcast up to the full external scope, in ext order
-    for n in ext:
-        if n not in scope:
-            scope, acc = _multiply(scope, acc, [n], np.ones(sizes[n]), sizes, counter)
-    perm = [scope.index(n) for n in ext]
-    out = np.transpose(acc, perm) if perm else acc
-    if not np.all(np.isfinite(out)):
-        raise InferenceError("non-finite result in external marginal (overflow)")
-    # note: ascontiguousarray would promote 0-d results to 1-d
-    return WeightTensor(tuple(node_domains[n] for n in ext),
-                        np.array(out, dtype=float, copy=True, order="C"))
-
-
 # ---------------------------------------------------------------------------
 # Elimination planning (min-fill, deterministic tie-break by node id)
 
 
 @dataclass
 class EliminationPlan:
-    rule: Rule | None
     order: list[str]
     cost: float
 
@@ -196,15 +113,13 @@ def plan_order(node_domains: dict[str, Domain], scopes, ext) -> EliminationPlan:
         order.append(n)
         pending.discard(n)
         remaining.discard(n)
-    return EliminationPlan(rule=None, order=order, cost=cost)
+    return EliminationPlan(order=order, cost=cost)
 
 
 def plan_elimination(g: FGG, rule: Rule) -> EliminationPlan:
     rhs = rule.rhs
     node_domains = {n.id: g.domains[n.domain] for n in rhs.nodes}
-    plan = plan_order(node_domains, [e.att for e in rhs.edges], set(rhs.ext))
-    plan.rule = rule
-    return plan
+    return plan_order(node_domains, [e.att for e in rhs.edges], set(rhs.ext))
 
 
 # ---------------------------------------------------------------------------
@@ -221,79 +136,134 @@ def assignment_weight(g: Hypergraph, domains: dict[str, Domain], factors,
     w = 1.0
     for e in g.edges:
         tab = factors[e.label]
-        idx = []
-        ok = True
-        for a, dname in zip(e.att, tab.domains):
-            dom = domains[dname] if isinstance(dname, str) else dname
-            v = assignment[a]
-            if v not in dom:
-                ok = False
-                break
-            idx.append(dom.index(v))
-        w *= float(tab.weights[tuple(idx)]) if ok else 0.0
+        pairs = [(domains[d], assignment[a]) for a, d in zip(e.att, tab.domains)]
+        ok = all(v in dom for dom, v in pairs)
+        w *= float(tab.weights[tuple(dom.index(v) for dom, v in pairs)]) if ok else 0.0
     return w
 
 
 def external_marginal(g: Hypergraph, domains: dict[str, Domain], factors,
                       order=None, counter: OpCounter | None = None) -> WeightTensor:
     """Marginal weight tensor over the external nodes of a terminal-only graph."""
-    node_domains = {n.id: domains[n.domain] for n in g.nodes}
-    fs = []
-    for e in g.edges:
-        tab = factors[e.label]
-        tds = tuple(domains[d] if isinstance(d, str) else d for d in tab.domains)
-        nds = tuple(node_domains[a] for a in e.att)
-        fs.append((e.att, align(tab.weights, tds, nds)))
-    if order is None:
-        order = plan_order(node_domains, [e.att for e in g.edges], set(g.ext)).order
-    return eliminate(node_domains, fs, g.ext, order, counter)
+    return _Contraction(g, domains, factors, order=order).apply({}, counter)
+
+
+# ---------------------------------------------------------------------------
+# Compiled variable elimination
+
+# np.einsum takes < 32 operands on numpy 1.x (< 64 on numpy 2), labels in range(52)
+_MAX_OPERANDS = 31
+
+
+class _Contraction:
+    """A hypergraph's sum-product onto its external nodes, compiled once into
+    a fixed list of np.einsum steps; only the nonterminal edges' tensors
+    change between applications.
+
+    Terminal tables are aligned onto their nodes here. Each node of the
+    elimination order gets one step over the operands that mention it, and a
+    last step maps what remains onto `ext`. A repeated attachment is a
+    repeated label (a diagonal), an unattached external node a vector of
+    ones, an unattached internal node a constant scale. A node with one
+    value carries no label (its axes are reshaped away), and labels are
+    numbered within each step, so a step's labels are its nodes of size > 1.
+    """
+
+    def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
+                 is_terminal=lambda label: True, order=None):
+        node_domains = {n.id: domains[n.domain] for n in graph.nodes}
+        self.sizes = {n: len(d) for n, d in node_domains.items()}
+        self.ext_domains = tuple(node_domains[n] for n in graph.ext)
+        if order is None:
+            order = plan_order(node_domains, [e.att for e in graph.edges], set(graph.ext)).order
+        self.operands: list = []  # arrays; None where apply puts a tau tensor
+        self.tau_slots: list = []  # (position, edge, node domains, shape)
+        work = []  # (labelled nodes, operand position)
+        for e in graph.edges:
+            nds = tuple(node_domains[a] for a in e.att)
+            shape = tuple(len(d) for d in nds if len(d) > 1)
+            arr = None
+            if is_terminal(e.label):
+                tab = factors[e.label]
+                tds = tuple(domains[d] for d in tab.domains)
+                arr = align(np.asarray(tab.weights, dtype=float), tds, nds).reshape(shape)
+            else:
+                self.tau_slots.append((len(self.operands), e, nds, shape))
+            work.append((self._labelled(e.att), self._operand(arr)))
+        attached = {a for e in graph.edges for a in e.att}
+        out = self._labelled(graph.ext)
+        work += [((n,), self._operand(np.ones(self.sizes[n]))) for n in out if n not in attached]
+        scale = float(np.prod([len(d) for n, d in node_domains.items()
+                               if n not in attached and n not in graph.ext]))
+        if scale != 1.0 or not work:
+            work.append(((), self._operand(np.array(scale))))
+        self.steps: list = []  # ([(operand position, labels)], output labels)
+        self.ops = 0
+        for n in order:
+            group = [w for w in work if n in w[0]]
+            if group:
+                work = [w for w in work if n not in w[0]]
+                keep = tuple(dict.fromkeys(m for s, _ in group for m in s if m != n))
+                work.append((keep, self._step(group, keep)))
+        self._step(work, out)  # also sums any internal node `order` left out
+        self.shape = tuple(len(d) for d in self.ext_domains)
+
+    def _labelled(self, nodes) -> tuple:
+        return tuple(n for n in nodes if self.sizes[n] > 1)
+
+    def _operand(self, arr) -> int:
+        self.operands.append(arr)
+        return len(self.operands) - 1
+
+    def _step(self, group, out) -> int:
+        """Add the steps contracting `group` onto `out`; return the position
+        of the result. A group too large for one call is multiplied in
+        chunks that keep all their labels, and summed by the last call."""
+        while len(group) > _MAX_OPERANDS:
+            chunk, group = group[:_MAX_OPERANDS], group[_MAX_OPERANDS:]
+            keep = tuple(dict.fromkeys(m for s, _ in chunk for m in s))
+            group.insert(0, (keep, self._step(chunk, keep)))
+        label = {m: i for i, m in enumerate(dict.fromkeys(m for s, _ in group for m in s))}
+        self.steps.append(([(pos, [label[m] for m in s]) for s, pos in group],
+                           [label[m] for m in out]))
+        self.ops += int(np.prod([self.sizes[m] for m in label]))
+        return len(self.operands) + len(self.steps) - 1
+
+    def apply(self, tau: dict[str, WeightTensor],
+              counter: OpCounter | None = None) -> WeightTensor:
+        vals = list(self.operands)
+        for i, e, nds, shape in self.tau_slots:
+            t = tau[e.label]
+            if len(t.domains) != len(e.att):
+                raise InferenceError(
+                    f"tensor for {e.label} has rank {len(t.domains)}, edge arity {len(e.att)}")
+            vals[i] = align(t.data, t.domains, nds).reshape(shape)
+        for operands, out in self.steps:
+            args = []
+            for pos, labels in operands:
+                args += (vals[pos], labels)
+            vals.append(np.einsum(*args, out))
+        if counter is not None:
+            counter.ops += self.ops
+        result = np.array(vals[-1], dtype=float, order="C").reshape(self.shape)
+        if not np.all(np.isfinite(result)):
+            raise InferenceError("non-finite result in external marginal (overflow)")
+        return WeightTensor(self.ext_domains, result)
 
 
 # ---------------------------------------------------------------------------
 # Fixed-point solver
 
 
-class _PreparedRule:
-    """A rule made ready for repeated application: its node domains, its
-    elimination order and its terminal factors aligned onto its nodes. Only
-    the nonterminal edges' tensors change between applications."""
-
-    def __init__(self, g: FGG, rule: Rule, order=None):
-        rhs = rule.rhs
-        self.ext = rhs.ext
-        self.node_domains = {n.id: g.domains[n.domain] for n in rhs.nodes}
-        self.factors: list = []
-        self.tau_slots: list = []  # (position in factors, edge, node domains)
-        for e in rhs.edges:
-            nds = tuple(self.node_domains[a] for a in e.att)
-            if g.labels[e.label].is_terminal:
-                tab = g.factors[e.label]
-                tds = tuple(g.domains[d] for d in tab.domains)
-                self.factors.append((e.att, align(tab.weights, tds, nds)))
-            else:
-                self.tau_slots.append((len(self.factors), e, nds))
-                self.factors.append(None)
-        if order is None:
-            order = plan_order(self.node_domains, [e.att for e in rhs.edges],
-                               set(rhs.ext)).order
-        self.order = order
-
-    def apply(self, tau: dict[str, WeightTensor],
-              counter: OpCounter | None = None) -> WeightTensor:
-        fs = list(self.factors)
-        for i, e, nds in self.tau_slots:
-            t = tau[e.label]
-            if len(t.domains) != len(e.att):
-                raise InferenceError(
-                    f"tensor for {e.label} has rank {len(t.domains)}, edge arity {len(e.att)}")
-            fs[i] = (e.att, align(t.data, t.domains, nds))
-        return eliminate(self.node_domains, fs, self.ext, self.order, counter)
+def _rule_contraction(g: FGG, rule: Rule, order=None) -> _Contraction:
+    return _Contraction(rule.rhs, g.domains, g.factors,
+                        lambda label: g.labels[label].is_terminal, order)
 
 
 def rule_contribution(g: FGG, rule: Rule, tau: dict[str, WeightTensor],
                       order=None, counter: OpCounter | None = None) -> WeightTensor:
     """One-level unrolling: nonterminal edges act as factors with table tau[X]."""
-    return _PreparedRule(g, rule, order).apply(tau, counter)
+    return _rule_contraction(g, rule, order).apply(tau, counter)
 
 
 CONVERGED = "converged"
@@ -314,14 +284,19 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
                       divergence_bound: float = 1e12) -> SolverState:
     """Kleene iteration from zero tensors, synchronous (Jacobi) updates.
 
-    Each rule is prepared once per solve (see _PreparedRule); an iteration
+    Each rule is compiled once per solve (see _Contraction); an iteration
     applies each nonterminal's rules in grammar order."""
     index = RuleIndex(g.rules)
     ext = {n: index.ext_domains(n) for n in g.nonterminals()}
     nts = [n for n, doms in ext.items() if doms is not None]
     shapes = {n: g.domain_tuple(ext[n]) for n in nts}
-    prepared = {n: [_PreparedRule(g, index[pos]) for pos in index.lhs(n)] for n in nts}
-    tau = {n: WeightTensor.zeros(shapes[n]) for n in nts}
+    tau = {}
+    for n in nts:
+        try:
+            tau[n] = WeightTensor.zeros(shapes[n])
+        except ValueError as e:  # numpy's limit on the number of axes
+            raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: {e}") from None
+    prepared = {n: [_rule_contraction(g, index[pos]) for pos in index.lhs(n)] for n in nts}
     counter = OpCounter()
     state = SolverState(tau=tau, iteration=0, delta=float("inf"), status=MAX_ITER)
     for it in range(1, max_iter + 1):

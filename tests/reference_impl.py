@@ -1,13 +1,15 @@
 """Reference implementations kept for equivalence tests.
 
-These are the straightforward forms of three paths: the `inline` pass
+These are the straightforward forms of four paths: the `inline` pass
 that rescans the whole grammar from its first label after every inlined
 label, the Jacobi solver that scans all rules for every nonterminal and
-rebuilds every rule's factors on every iteration, and domain assignment
-as two traversals (a value-set fixpoint, then a typing walk that interns
-the final sets). The library's versions must produce identical grammars,
-bit-identical solver states and identical domain annotations (see
-test_reference_equivalence.py).
+rebuilds every rule's factors on every iteration, variable elimination
+as hand-written tensor algebra that re-derives every scope on every
+application, and domain assignment as two traversals (a value-set
+fixpoint, then a typing walk that interns the final sets). The library's
+versions must produce identical grammars, bit-identical solver states,
+rule contributions equal to 1e-12 relative and identical domain
+annotations (see test_reference_equivalence.py).
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from fggc.ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup, Observe,
 from fggc.fgg import FGG, Edge, Hypergraph, Node, Rule
 from fggc.frontend import (_SET_LIMIT, DomainError, DomainInterner, _product,
                            apply_builtin)
-from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, OpCounter,
-                            SolverState, WeightTensor, plan_elimination,
-                            rule_contribution)
+from fggc import inference
+from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, InferenceError,
+                            OpCounter, SolverState, WeightTensor, align,
+                            plan_elimination)
 from fggc.params import Params
 from fggc.translate import PROTECTED_KINDS, CompilationUnit, _inline_edge
 from fggc.values import Atom, Bool, Dist, Domain, Inl, Inr, Value
@@ -107,7 +110,8 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
                       divergence_bound: float = 1e12) -> SolverState:
     """Kleene iteration from zero tensors, synchronous (Jacobi) updates,
     rescanning the rules for every nonterminal and preparing every rule
-    anew on every iteration."""
+    anew on every iteration (by the library's rule_contribution, so that
+    the states must agree bit for bit)."""
     nts = [n for n in g.nonterminals() if g.ext_domains(n) is not None]
     shapes = {n: g.domain_tuple(g.ext_domains(n)) for n in nts}
     tau = {n: WeightTensor.zeros(shapes[n]) for n in nts}
@@ -121,7 +125,8 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
             for r in g.rules:
                 if r.lhs != n:
                     continue
-                c = rule_contribution(g, r, tau, order=plans[id(r)], counter=counter)
+                c = inference.rule_contribution(g, r, tau, order=plans[id(r)],
+                                                counter=counter)
                 acc.data += c.data
             new_tau[n] = acc
         delta = 0.0
@@ -141,6 +146,112 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
             return state
     state.status = MAX_ITER
     return state
+
+
+def _multiply(scope1, arr1, scope2, arr2, sizes, counter):
+    """Pointwise product over the union scope (scope1 order, then new nodes)."""
+    scope = list(scope1) + [n for n in scope2 if n not in scope1]
+    # expand arr1
+    a1 = arr1.reshape(arr1.shape + (1,) * (len(scope) - len(scope1)))
+    # permute/expand arr2 into the union scope
+    perm = []
+    for n in scope:
+        if n in scope2:
+            perm.append(scope2.index(n))
+    a2 = np.transpose(arr2, perm)
+    shape2 = tuple(sizes[n] if n in scope2 else 1 for n in scope)
+    a2 = a2.reshape(shape2)
+    out = a1 * a2
+    if counter is not None:
+        counter.ops += out.size
+    return scope, out
+
+
+def _dedupe(scope: list[str], arr: np.ndarray):
+    """Collapse repeated attachments to the same node onto the diagonal."""
+    while True:
+        dup = None
+        for i, n in enumerate(scope):
+            j = scope.index(n)
+            if j != i:
+                dup = (j, i, n)
+                break
+        if dup is None:
+            return scope, arr
+        j, i, n = dup
+        arr = arr.diagonal(axis1=j, axis2=i)  # diagonal axis moves to the end
+        scope = [m for k, m in enumerate(scope) if k not in (i, j)] + [n]
+
+
+def eliminate(node_domains: dict[str, Domain], factors, ext,
+              order, counter: OpCounter | None = None) -> WeightTensor:
+    """Sum-product variable elimination.
+
+    node_domains: node id -> Domain; factors: list of (scope, array) where
+    scope is a tuple of node ids; ext: output node order; order: internal
+    nodes in elimination order. Accumulation order is fixed by `order` and
+    by the positions of factors in the list, so results are reproducible.
+    """
+    sizes = {n: len(d) for n, d in node_domains.items()}
+    work = [_dedupe(list(s), np.asarray(a, dtype=float)) for s, a in factors]
+    for n in order:
+        group = [(s, a) for s, a in work if n in s]
+        work = [(s, a) for s, a in work if n not in s]
+        if not group:
+            # unconstrained internal node: contributes a factor |domain|
+            work.append(([], np.array(float(sizes[n]))))
+            continue
+        scope, acc = group[0]
+        for s, a in group[1:]:
+            scope, acc = _multiply(scope, acc, s, a, sizes, counter)
+        ax = scope.index(n)
+        if counter is not None:
+            counter.ops += acc.size
+        acc = acc.sum(axis=ax)
+        scope = scope[:ax] + scope[ax + 1:]
+        work.append((scope, acc))
+    # combine what remains (scopes are subsets of ext plus scalars)
+    scope: list[str] = []
+    acc = np.array(1.0)
+    for s, a in work:
+        bad = [n for n in s if n not in ext]
+        if bad:
+            raise InferenceError(f"node {bad[0]!r} survived elimination but is not external")
+        scope, acc = _multiply(scope, acc, s, a, sizes, counter)
+    # broadcast up to the full external scope, in ext order
+    for n in ext:
+        if n not in scope:
+            scope, acc = _multiply(scope, acc, [n], np.ones(sizes[n]), sizes, counter)
+    perm = [scope.index(n) for n in ext]
+    out = np.transpose(acc, perm) if perm else acc
+    if not np.all(np.isfinite(out)):
+        raise InferenceError("non-finite result in external marginal (overflow)")
+    # note: ascontiguousarray would promote 0-d results to 1-d
+    return WeightTensor(tuple(node_domains[n] for n in ext),
+                        np.array(out, dtype=float, copy=True, order="C"))
+
+
+def rule_contribution(g: FGG, rule: Rule, tau: dict[str, WeightTensor],
+                      order=None, counter: OpCounter | None = None) -> WeightTensor:
+    """One-level unrolling: every edge's table (tau[X] for a nonterminal X)
+    aligned onto its nodes, then eliminated by `eliminate`."""
+    rhs = rule.rhs
+    node_domains = {n.id: g.domains[n.domain] for n in rhs.nodes}
+    factors = []
+    for e in rhs.edges:
+        nds = tuple(node_domains[a] for a in e.att)
+        if g.labels[e.label].is_terminal:
+            tab = g.factors[e.label]
+            factors.append((e.att, align(tab.weights, g.domain_tuple(tab.domains), nds)))
+        else:
+            t = tau[e.label]
+            if len(t.domains) != len(e.att):
+                raise InferenceError(
+                    f"tensor for {e.label} has rank {len(t.domains)}, edge arity {len(e.att)}")
+            factors.append((e.att, align(t.data, t.domains, nds)))
+    if order is None:
+        order = plan_elimination(g, rule).order
+    return eliminate(node_domains, factors, rhs.ext, order, counter)
 
 
 def assign_domains(p: Program, params: Params,

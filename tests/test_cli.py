@@ -103,7 +103,7 @@ def test_infer_max_iter_one(tmp_path, capsys):
     path = tmp_path / "quad.json"
     path.write_text(fggmod.dumps(quadratic_fgg()))
     code, out, _ = run(capsys, "infer", str(path), "--max-iter", "1")
-    assert code == 0
+    assert code == 5
     (line,) = [l for l in out.splitlines() if l.startswith("()")]
     assert float(line.split(":")[1]) == pytest.approx(0.7)
     assert "status: max-iter" in out
@@ -271,3 +271,44 @@ def test_600_deep_let_chain_infers(tmp_path, capsys):
     code, out, _ = run(capsys, "infer", _let_chain(tmp_path, 600))
     assert code == 0
     assert "true: 1" in out and "status: converged" in out
+
+
+def _numpy_max_axes():
+    try:
+        np.zeros((1,) * 64)
+        return 64
+    except ValueError:  # numpy 1.x
+        return 32
+
+
+def _wide_if(tmp_path, n):
+    """`if` under n bound variables, each with the one-value domain {true}:
+    the `if` nonterminal has n + 1 external nodes."""
+    body = "".join(f"let x{i} = x{i - 1} in " for i in range(2, n + 1))
+    src = tmp_path / "wide.ppl"
+    src.write_text(f"let x1 = true in {body}if x{n} then x1 else x2\n")
+    return str(src)
+
+
+def test_wide_if_over_numpy_axis_limit_is_diagnosed(tmp_path, capsys):
+    code, out, err = run(capsys, "infer", _wide_if(tmp_path, 70))
+    assert code == 2 and out == ""
+    assert "arity 71" in err
+    _one_line_error(err)
+
+
+def test_wide_if_within_numpy_axis_limit_infers(tmp_path, capsys):
+    # 62 bound variables on numpy 2 (64 axes), 30 on numpy 1.x (32 axes)
+    code, out, _ = run(capsys, "infer", _wide_if(tmp_path, _numpy_max_axes() - 2))
+    assert code == 0
+    assert "true: 1" in out and "status: converged" in out
+
+
+def test_unit_chain_beyond_einsum_operand_limit_infers(tmp_path, capsys):
+    """70 one-value factors end up in one contraction, more operands than
+    one np.einsum call takes."""
+    src = tmp_path / "units.ppl"
+    src.write_text("".join(f"let x{i} = unit in " for i in range(1, 71)) + "x70\n")
+    code, out, _ = run(capsys, "infer", str(src))
+    assert code == 0
+    assert "unit: 1" in out and "status: converged" in out

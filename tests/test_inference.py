@@ -6,10 +6,11 @@ import pytest
 
 from conftest import SUITE, load_program
 from fixtures import pcfg_fgg, pcfg_tree_graph, quadratic_fgg
-from fggc.fgg import Edge, Hypergraph, Node
+from fggc import inference
+from fggc.fgg import Edge, FactorTable, Hypergraph, Node
 from fggc.inference import (DIVERGENT, InferenceError, OpCounter,
                             WeightTensor, align, assignment_weight,
-                            eliminate, external_marginal, plan_elimination,
+                            external_marginal, plan_elimination,
                             plan_order, query_start, rule_contribution,
                             solve_fixed_point)
 from fggc.oracle import enumerate_derivations, truncated_wX
@@ -109,10 +110,32 @@ def test_unconstrained_node_multiplicity():
     assert float(t.data) == 3.0
 
 
+def test_unconstrained_node_scales_the_other_factors():
+    d = Domain("D3", (Atom("a"), Atom("b"), Atom("c")))
+    h = Hypergraph([Node("n", "D3"), Node("m", "D3"), Node("x", "D3")],
+                   [Edge("e", "t", ("m",))], ("x", "m"))
+    factors = {"t": FactorTable("t", ("D3",), np.array([1.0, 2.0, 3.0]))}
+    t = external_marginal(h, {"D3": d}, factors)
+    # n is summed out unconstrained (x3); x is external but unattached
+    np.testing.assert_array_equal(t.data, np.full((3, 1), 3.0) * [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_chunked_contraction_matches_one_call(name, monkeypatch):
+    """Operand groups split into einsum calls of two operands each give the
+    same iterates as groups contracted in one call."""
+    source, params = load_program(name)
+    g = compile_source(source, params, ()).fgg
+    whole = solve_fixed_point(g, max_iter=10, tol=0.0)
+    monkeypatch.setattr(inference, "_MAX_OPERANDS", 2)
+    chunked = solve_fixed_point(g, max_iter=10, tol=0.0)
+    for label, t in whole.tau.items():
+        np.testing.assert_allclose(chunked.tau[label].data, t.data, rtol=1e-12, atol=0)
+
+
 def test_repeated_attachment_diagonal():
     d = Domain("D2", (Atom("a"), Atom("b")))
     tab = np.array([[1.0, 2.0], [3.0, 4.0]])
-    from fggc.fgg import FactorTable
     h = Hypergraph([Node("n", "D2")], [Edge("e", "t", ("n", "n"))], ())
     factors = {"t": FactorTable("t", ("D2", "D2"), tab)}
     t = external_marginal(h, {"D2": d}, factors)

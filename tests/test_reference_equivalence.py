@@ -1,7 +1,8 @@
-"""The indexed `inline` pass, the prepared-rule solver and the one-traversal
-domain assignment against their straightforward references
-(reference_impl.py): identical grammars and pass logs, bit-identical solver
-states, identical domain annotations and errors."""
+"""The indexed `inline` pass, the prepared-rule solver, the compiled einsum
+contraction and the one-traversal domain assignment against their
+straightforward references (reference_impl.py): identical grammars and pass
+logs, bit-identical solver states, rule contributions equal to 1e-12
+relative, identical domain annotations and errors."""
 
 import dataclasses
 import importlib
@@ -12,16 +13,17 @@ import numpy as np
 import pytest
 
 import reference_impl
-from conftest import SUITE, load_program
+from conftest import PROGRAMS_DIR, SUITE, load_program
 from fggc.ast import Expr, Var
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                       Hypergraph, Node, Rule, fgg_to_json)
 from fggc.frontend import (DomainError, assign_domains, check_program, desugar,
                            scope_check)
-from fggc.inference import solve_fixed_point
+from fggc.inference import rule_contribution, solve_fixed_point
 from fggc.params import params_from_json
 from fggc.parser import parse
-from fggc.translate import ALL_PASSES, CompilationUnit, simplify, translate
+from fggc.translate import (ALL_PASSES, CompilationUnit, compile_source, simplify,
+                            translate)
 from fggc.values import Bool, Domain
 from genprog import random_program
 
@@ -100,6 +102,39 @@ def test_collapse_cascade_matches_reference(monkeypatch):
     got = _same_grammar(cu, ("inline",), monkeypatch)
     assert got.pass_log == [("inline", 2)]
     assert [r.lhs for r in got.fgg.rules] == ["$start", "f", "f"]
+
+
+def _same_contributions(g):
+    """Every rule's contribution, by the compiled contraction and by the
+    hand-written elimination, under the iterates after 1, 3 and 10 steps."""
+    for iterations in (1, 3, 10):
+        tau = solve_fixed_point(g, max_iter=iterations, tol=0.0).tau
+        for rule in g.rules:
+            got = rule_contribution(g, rule, tau)
+            want = reference_impl.rule_contribution(g, rule, tau)
+            assert got.domains == want.domains
+            np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_suite_contributions_match_reference(name):
+    source, params = load_program(name)
+    _same_contributions(compile_source(source, params).fgg)
+    _same_contributions(_compiled(source, params).fgg)
+
+
+@pytest.mark.parametrize("seed,nfun", GENERATED)
+def test_generated_contributions_match_reference(seed, nfun):
+    source, params = random_program(random.Random(f"equivalence-{seed}-{nfun}"), nfun)
+    _same_contributions(compile_source(source, params_from_json(params)).fgg)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_string_scoring_contributions_match_reference(n):
+    source, _ = load_program("pcfgw")
+    params = json.loads((PROGRAMS_DIR / "pcfgw.params.json").read_text())
+    params["inputs"]["w0"] = ("ab" * n)[:n]
+    _same_contributions(compile_source(source, params_from_json(params)).fgg)
 
 
 def _nodes(e):
