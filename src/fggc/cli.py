@@ -10,13 +10,15 @@ Subcommands:
 Exit codes: 0 success, 2 front-end error (parse/scope/domain/params/IO,
 malformed grammar JSON, input nested too deeply, a nonterminal with more
 external nodes than numpy has axes), 3 divergent grammar, 4 comparison
-failure, 5 `infer` stopped at --max-iter without converging.
+failure, 5 `infer` stopped at --max-iter without converging, 1 stdout
+closed by its reader (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fgg as fggmod
@@ -265,7 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`fggc compare ... | head -1`): point stdout
+        # at devnull so the flush at exit fails silently, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

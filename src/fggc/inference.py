@@ -1,5 +1,8 @@
 """Exact inference: assignment weights, external marginals by variable
-elimination, and nonterminal weight tensors by Kleene fixed-point iteration.
+elimination, and nonterminal weight tensors as the least fixed point of
+tau = F(tau), solved one strongly connected component of the nonterminal
+dependency graph at a time, callees first: one exact pass for a
+non-recursive component, Kleene iteration for a recursive one.
 """
 
 from __future__ import annotations
@@ -280,12 +283,70 @@ class SolverState:
     ops: int = 0
 
 
+def dependency_components(index: RuleIndex, nts) -> list[tuple[list[str], bool]]:
+    """The strongly connected components of the graph "a rule of X uses Y"
+    over the nonterminals `nts`, callees first, each with its members in
+    `nts` order and whether it is recursive (more than one member, or a
+    member whose rules use it). Tarjan's algorithm with an explicit stack,
+    so a deep grammar meets no recursion limit."""
+    rank = {n: i for i, n in enumerate(nts)}
+    calls = {n: list(dict.fromkeys(e.label for pos in index.lhs(n)
+                                   for e in index[pos].rhs.edges if e.label in rank))
+             for n in nts}
+    number: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    work: list = []  # (nonterminal, iterator over its callees not yet visited)
+    out = []
+
+    def enter(n):
+        number[n] = low[n] = len(number)
+        stack.append(n)
+        on_stack.add(n)
+        work.append((n, iter(calls[n])))
+
+    for root in nts:
+        if root in number:
+            continue
+        enter(root)
+        while work:
+            n, succ = work[-1]
+            for m in succ:
+                if m not in number:
+                    enter(m)
+                    break
+                if m in on_stack:
+                    low[n] = min(low[n], number[m])
+            else:
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[n])
+                if low[n] == number[n]:
+                    members = []
+                    while not members or members[-1] != n:
+                        members.append(stack.pop())
+                        on_stack.discard(members[-1])
+                    members.sort(key=rank.__getitem__)
+                    out.append((members, len(members) > 1 or n in calls[n]))
+    return out
+
+
 def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
                       divergence_bound: float = 1e12) -> SolverState:
-    """Kleene iteration from zero tensors, synchronous (Jacobi) updates.
+    """Least fixed point of tau = F(tau) by Kleene iteration from zero
+    tensors, one dependency component at a time, callees first.
 
-    Each rule is compiled once per solve (see _Contraction); an iteration
-    applies each nonterminal's rules in grammar order."""
+    A non-recursive component takes one pass, which is exact (delta 0). A
+    recursive one takes synchronous (Jacobi) sweeps over its own rules, with
+    the tensors of earlier components final, until the largest absolute
+    change is below `tol` (converged), `max_iter` sweeps have run (max-iter:
+    the later components are still solved from this last iterate) or an
+    entry exceeds `divergence_bound` (divergent: the solve stops). The state
+    reports the most sweeps and the largest final delta of any component.
+    Each rule is compiled once per solve (see _Contraction).
+    """
     index = RuleIndex(g.rules)
     ext = {n: index.ext_domains(n) for n in g.nonterminals()}
     nts = [n for n, doms in ext.items() if doms is not None]
@@ -298,30 +359,36 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
             raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: {e}") from None
     prepared = {n: [_rule_contraction(g, index[pos]) for pos in index.lhs(n)] for n in nts}
     counter = OpCounter()
-    state = SolverState(tau=tau, iteration=0, delta=float("inf"), status=MAX_ITER)
-    for it in range(1, max_iter + 1):
-        new_tau = {}
-        for n in nts:
-            acc = WeightTensor.zeros(shapes[n])
-            for rule in prepared[n]:
-                acc.data += rule.apply(tau, counter).data
-            new_tau[n] = acc
-        delta = 0.0
-        for n in nts:
-            d = float(np.max(np.abs(new_tau[n].data - tau[n].data))) if tau[n].data.size else 0.0
-            delta = max(delta, d)
-        tau = new_tau
-        state.tau = tau
-        state.iteration = it
-        state.delta = delta
-        state.ops = counter.ops
-        if any(np.any(t.data > divergence_bound) for t in tau.values()):
+    state = SolverState(tau=tau, iteration=0, delta=0.0, status=CONVERGED)
+    for members, recursive in dependency_components(index, nts):
+        delta, status = float("inf"), MAX_ITER
+        for it in range(1, (max_iter if recursive else min(max_iter, 1)) + 1):
+            new_tau = {}
+            for n in members:
+                acc = WeightTensor.zeros(shapes[n])
+                for rule in prepared[n]:
+                    acc.data += rule.apply(tau, counter).data
+                new_tau[n] = acc
+            delta = 0.0
+            if recursive:
+                for n in members:
+                    d = float(np.max(np.abs(new_tau[n].data - tau[n].data))) if tau[n].data.size else 0.0
+                    delta = max(delta, d)
+            tau.update(new_tau)
+            state.iteration = max(state.iteration, it)
+            state.ops = counter.ops
+            if any(np.any(t.data > divergence_bound) for t in new_tau.values()):
+                status = DIVERGENT
+                break
+            if delta < tol or not recursive:
+                status = CONVERGED
+                break
+        state.delta = max(state.delta, delta)
+        if status == DIVERGENT:
             state.status = DIVERGENT
             return state
-        if delta < tol:
-            state.status = CONVERGED
-            return state
-    state.status = MAX_ITER
+        if status == MAX_ITER:
+            state.status = MAX_ITER
     return state
 
 

@@ -17,6 +17,7 @@ distribution, and sampling it ranges over the declared support keys.
 from __future__ import annotations
 
 import json
+import math
 
 from .values import Atom, Dist, Inl, Inr, Pair, Value, value_from_json
 
@@ -104,6 +105,8 @@ def params_from_json(obj: dict) -> Params:
             row: dict[Value, float] = {}
             for vtext, w in weights.items():
                 w = float(w)
+                if not math.isfinite(w):
+                    raise ParamError(f"non-finite weight {w} in {pname}[{keytext}]")
                 if w < 0:
                     raise ParamError(f"negative weight in {pname}[{keytext}]")
                 row[_parse_key(vtext)] = w

@@ -51,12 +51,16 @@ class _Names:
         return name
 
 
-def _indicator(doms: tuple[Domain, ...], pred) -> np.ndarray:
-    t = np.zeros(tuple(len(d) for d in doms))
-    for idx in iproduct(*(range(len(d)) for d in doms)):
-        vals = tuple(d.values[i] for d, i in zip(doms, idx))
-        if pred(vals):
-            t[idx] = 1.0
+def _graph(arg_doms: tuple[Domain, ...], out: Domain, fn) -> np.ndarray:
+    """The graph of the partial function `fn` as a 0/1 table, one axis per
+    argument domain and a last one for `out`: 1 at (args, fn(args)) where
+    fn(args) is defined and lies in `out`. `fn` is called once per
+    argument tuple."""
+    t = np.zeros(tuple(len(d) for d in arg_doms) + (len(out),))
+    for idx in iproduct(*(range(len(d)) for d in arg_doms)):
+        result = fn(tuple(d.values[i] for d, i in zip(arg_doms, idx)))
+        if result in out:
+            t[idx + (out.index(result),)] = 1.0
     return t
 
 
@@ -137,14 +141,14 @@ class _Translator:
             if e.resolution == "var":
                 xdom = dict(e.ty.env)[e.name]
                 lab = self.terminal(f"copy@{span}", (xdom, e.ty.result),
-                                    _indicator((xdom, e.ty.result), lambda v: v[0] == v[1]),
+                                    _graph((xdom,), e.ty.result, lambda v: v[0]),
                                     origin="copy")
                 self._rule(lhs, e, [], [Edge("e0", lab, (e.name, RESULT))])
             else:
                 value = (self.params.inputs[e.name] if e.resolution == "input"
                          else _atom_value(e.name))
                 lab = self.terminal(f"const@{span}", (e.ty.result,),
-                                    _indicator((e.ty.result,), lambda v: v[0] == value),
+                                    _graph((), e.ty.result, lambda v: value),
                                     origin="builtin")
                 self._rule(lhs, e, [], [Edge("e0", lab, (RESULT,))])
             return lhs
@@ -157,9 +161,10 @@ class _Translator:
                 nid = f"%{j + 1}"
                 arg_nodes.append((nid, a.ty.result))
                 edges.append(self._edge_for(f"e{j}", a, nid))
-            doms = tuple(a.ty.result for a in e.args) + (e.ty.result,)
-            table = _indicator(doms, lambda v: apply_builtin(e.op, v[:-1]) == v[-1])
-            lab = self.terminal(f"{e.op}@{span}", doms, table, origin="builtin")
+            arg_doms = tuple(a.ty.result for a in e.args)
+            table = _graph(arg_doms, e.ty.result, lambda v: apply_builtin(e.op, v))
+            lab = self.terminal(f"{e.op}@{span}", arg_doms + (e.ty.result,), table,
+                                origin="builtin")
             edges.append(Edge(f"e{len(e.args)}", lab,
                               tuple(nid for nid, _ in arg_nodes) + (RESULT,)))
             self._rule(lhs, e, arg_nodes, edges)
@@ -170,12 +175,11 @@ class _Translator:
             idom, rdom = e.index.ty.result, e.ty.result
             keys = set(self.params.lookup_keys(e.param))
 
-            def is_entry(v):
-                key, dist = v
-                return key in keys and dist == self.params.dist_value(e.param, key)
+            def entry(v):
+                return self.params.dist_value(e.param, v[0]) if v[0] in keys else None
 
             lab = self.terminal(f"{e.param}[]@{span}", (idom, rdom),
-                                _indicator((idom, rdom), is_entry), origin="lookup")
+                                _graph((idom,), rdom, entry), origin="lookup")
             self._rule(lhs, e, [("%1", idom)],
                        [self._edge_for("e0", e.index, "%1"),
                         Edge("e1", lab, ("%1", RESULT))])
@@ -212,7 +216,7 @@ class _Translator:
             for arm, want, tag in ((e.then, True, "true"), (e.els, False, "false")):
                 self.translate_expr(arm)
                 lab = self.terminal(f"is-{tag}@{span}", (cdom,),
-                                    _indicator((cdom,), lambda v: v[0] == Bool(want)),
+                                    _graph((), cdom, lambda v: Bool(want)),
                                     origin="constraint")
                 self._rule(lhs, e, [("%1", cdom)],
                            [self._edge_for("e0", e.cond, "%1"),
@@ -227,9 +231,9 @@ class _Translator:
                                           (e.right, e.right_var, Inr, "inr")):
                 self.translate_expr(arm)
                 bdom = dict(arm.ty.env)[binder]
+                table = _graph((bdom,), sdom, lambda v: con(v[0]))
                 lab = self.terminal(f"is-{tag}@{span}", (sdom, bdom),
-                                    _indicator((sdom, bdom), lambda v: v[0] == con(v[1])),
-                                    origin="constraint")
+                                    np.ascontiguousarray(table.T), origin="constraint")
                 self._rule(lhs, e, [("%1", sdom), (binder, bdom)],
                            [self._edge_for("e0", e.scrutinee, "%1"),
                             Edge("e1", lab, ("%1", binder)),

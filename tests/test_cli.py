@@ -312,3 +312,60 @@ def test_unit_chain_beyond_einsum_operand_limit_infers(tmp_path, capsys):
     code, out, _ = run(capsys, "infer", str(src))
     assert code == 0
     assert "unit: 1" in out and "status: converged" in out
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_param_weight_exit_2(tmp_path, capsys, weight):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"params": {"p": {"S": {"inl a": weight, "inr (S,S)": 0.3}}}}))
+    code, out, err = run(capsys, "infer", _p("pcfg"), "--params", str(params))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "non-finite weight" in err and "p[S]" in err
+
+
+def test_infer_max_iter_in_inner_component(capsys):
+    """The recursive `gen` component stops at --max-iter; the start
+    nonterminal above it is still solved from that last iterate."""
+    code, out, _ = run(capsys, "infer", _p("pcfg"), "--params", _params("pcfg"),
+                       "--max-iter", "3")
+    assert code == 5
+    (line,) = [l for l in out.splitlines() if l.startswith("unit:")]
+    assert 0.0 < float(line.split(":")[1]) < 1.0
+    assert "iterations: 3" in out.splitlines()
+    assert "status: max-iter" in out.splitlines()
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """`fggc compare ... | head -1`: the reader has gone when fggc writes."""
+    import os
+    import subprocess
+    import sys
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(PROGRAMS_DIR.parents[1] / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fggc.cli", "compare", _p("pcfg"), "--params", _params("pcfg")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_readme_infer_example(capsys):
+    """The README's `fggc infer` example prints what the CLI prints."""
+    root = PROGRAMS_DIR.parents[1]
+    block = (root / "README.md").read_text().split("$ fggc infer ", 1)[1].split("```", 1)[0]
+    command, *shown = block.strip().splitlines()
+    code, out, _ = run(capsys, "infer", *(str(root / a) if (root / a).exists() else a
+                                          for a in command.split()))
+    assert code == 0
+
+    def lines(text):
+        return [l for l in text.splitlines() if l.startswith(("unit:", "iterations:", "status:"))]
+
+    assert len(lines("\n".join(shown))) == 3
+    assert lines(out) == lines("\n".join(shown))

@@ -1,19 +1,23 @@
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
-from conftest import SUITE, load_program
+import reference_impl
+from conftest import PROGRAMS_DIR, SUITE, load_program
 from fixtures import pcfg_fgg, pcfg_tree_graph, quadratic_fgg
 from fggc import inference
-from fggc.fgg import Edge, FactorTable, Hypergraph, Node
-from fggc.inference import (DIVERGENT, InferenceError, OpCounter,
-                            WeightTensor, align, assignment_weight,
-                            external_marginal, plan_elimination,
-                            plan_order, query_start, rule_contribution,
-                            solve_fixed_point)
-from fggc.oracle import enumerate_derivations, truncated_wX
+from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
+                      Hypergraph, Node, Rule, RuleIndex)
+from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, InferenceError,
+                            OpCounter, WeightTensor, align, assignment_weight,
+                            dependency_components, external_marginal,
+                            plan_elimination, plan_order, query_start,
+                            rule_contribution, solve_fixed_point)
+from fggc.oracle import enumerate_derivations, inside_reference, truncated_wX
+from fggc.params import params_from_json
 from fggc.translate import compile_source
 from fggc.values import Atom, Domain
 
@@ -235,9 +239,11 @@ def test_divergence_detected():
 def test_acyclic_grammar_exact_after_depth_iterations():
     g = pcfg_fgg()
     # this grammar is recursive, so compare truncations instead: tau after n
-    # iterations equals the sum over derivation trees of height <= n
+    # whole-grammar Jacobi sweeps (the reference solver, which applies the
+    # library's rule_contribution) equals the sum over derivation trees of
+    # height <= n
     for n in range(1, 5):
-        st = solve_fixed_point(g, max_iter=n, tol=0.0)
+        st = reference_impl.solve_fixed_point(g, max_iter=n, tol=0.0)
         brute = truncated_wX(g, "S'", n - 1)
         np.testing.assert_allclose(st.tau["S'"].data, brute.data, atol=1e-12)
 
@@ -247,7 +253,7 @@ def test_truncation_equivalence(name):
     source, params = load_program(name)
     g = compile_source(source, params).fgg
     for n in range(1, 5):
-        st = solve_fixed_point(g, max_iter=n, tol=0.0)
+        st = reference_impl.solve_fixed_point(g, max_iter=n, tol=0.0)
         brute = truncated_wX(g, g.start, n - 1)
         np.testing.assert_allclose(st.tau[g.start].data, brute.data, atol=1e-12)
 
@@ -257,3 +263,156 @@ def test_normalization_proper_pcfg():
     g = compile_source(source, params).fgg
     t = query_start(g)
     assert t.total() == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Solving one dependency component at a time
+
+
+def _scalar_fgg(rules, start, weight=0.5) -> FGG:
+    """A grammar of arity-0 nonterminals: `rules` lists (lhs, callees) pairs;
+    each rule is a scalar factor `weight` times its callees' weights."""
+    labels = {"w": EdgeLabel("w", 0, TERMINAL)}
+    grammar = []
+    for lhs, callees in rules:
+        for x in (lhs, *callees):
+            labels.setdefault(x, EdgeLabel(x, 0, NONTERMINAL))
+        edges = [Edge("f", "w", ())] + [Edge(f"e{i}", x, ()) for i, x in enumerate(callees)]
+        grammar.append(Rule(lhs, Hypergraph([], edges, ())))
+    return FGG(labels=labels, rules=grammar, start=start, domains={},
+               factors={"w": FactorTable("w", (), np.array(weight))})
+
+
+def _components(g):
+    return dependency_components(RuleIndex(g.rules), g.nonterminals())
+
+
+def test_long_chain_one_pass():
+    """5000 nonterminals in a chain: no recursion limit, one exact pass."""
+    n = 5000
+    rules = [(f"X{i}", [f"X{i + 1}"]) for i in range(n - 1)] + [(f"X{n - 1}", [])]
+    g = _scalar_fgg(rules, "X0", weight=1.0)
+    comps = _components(g)
+    assert comps[0] == ([f"X{n - 1}"], False) and comps[-1] == (["X0"], False)
+    st = solve_fixed_point(g)
+    assert (st.status, st.iteration, st.delta) == (CONVERGED, 1, 0.0)
+    assert float(st.tau["X0"].data) == 1.0
+    assert st.ops == n
+
+
+def test_mutual_recursion_is_one_component():
+    g = _scalar_fgg([("S", ["A"]), ("A", ["B"]), ("B", ["A", "A"]), ("B", []),
+                    ("A", ["L"]), ("L", [])], "S")
+    assert _components(g) == [(["L"], False), (["A", "B"], True), (["S"], False)]
+    assert _components(_scalar_fgg([("S", ["S", "S"]), ("S", [])], "S")) == [(["S"], True)]
+    source, params = load_program("mutual")
+    g = compile_source(source, params).fgg
+    recursive = [members for members, rec in _components(g) if rec]
+    assert len(recursive) == 1 and {"even", "odd"} <= set(recursive[0])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_components_against_reachability(seed):
+    """Components are the classes of mutual reachability, callees first."""
+    rng = random.Random(seed)
+    names = [f"N{i}" for i in range(12)]
+    rules = [(x, rng.sample(names, rng.randrange(3))) for x in names for _ in range(2)]
+    g = _scalar_fgg(rules, "N0")
+    reach = {x: {y for lhs, callees in rules if lhs == x for y in callees} for x in names}
+    for _ in names:  # transitive closure
+        reach = {x: ys.union(*(reach[y] for y in ys)) for x, ys in reach.items()}
+    comps = _components(g)
+    assert sorted(m for members, _ in comps for m in members) == sorted(names)
+    where = {m: i for i, (members, _) in enumerate(comps) for m in members}
+    for x in names:
+        assert [m for m in g.nonterminals() if where[m] == where[x]] == comps[where[x]][0]
+        for y in names:
+            same = x == y or (y in reach[x] and x in reach[y])
+            assert (where[x] == where[y]) == same
+            if y in reach[x] and not same:
+                assert where[y] < where[x]  # callee first
+        assert comps[where[x]][1] == (x in reach[x])
+
+
+def _mixed_fgg():
+    """Non-recursive S and T over a recursive pair A, B and a recursive C
+    that calls A."""
+    return _scalar_fgg([("S", ["T", "C"]), ("S", ["A"]), ("T", ["A", "B"]), ("T", []),
+                       ("A", ["B", "B"]), ("A", []), ("B", ["A"]), ("B", []),
+                       ("C", ["C", "A"]), ("C", [])], "S", weight=0.3)
+
+
+def test_mixed_components_agree_with_whole_grammar_iteration():
+    """Suite programs are compared in test_reference_equivalence."""
+    g = _mixed_fgg()
+    tol = 1e-10
+    got = solve_fixed_point(g, tol=tol)
+    want = reference_impl.solve_fixed_point(g, tol=tol)
+    assert got.status == want.status == CONVERGED
+    assert got.iteration <= want.iteration
+    assert got.ops < want.ops
+    for label, t in want.tau.items():
+        np.testing.assert_allclose(got.tau[label].data, t.data, rtol=0, atol=tol)
+
+
+def test_nonterminal_without_rules_stays_zero():
+    g = _scalar_fgg([("S", ["A"]), ("S", [])], "S")
+    st = solve_fixed_point(g)
+    assert float(st.tau["A"].data) == 0.0
+    assert float(st.tau["S"].data) == 0.5
+    assert (st.status, st.iteration, st.delta) == (CONVERGED, 1, 0.0)
+
+
+def test_max_iter_in_inner_component_fills_start():
+    source, params = load_program("pcfg")
+    g = compile_source(source, params).fgg
+    st = solve_fixed_point(g, max_iter=3)
+    assert st.status == MAX_ITER and st.iteration == 3
+    (inner,) = [m for m, rec in _components(g) if rec]
+    assert g.start not in inner
+    start = st.tau[g.start].total()
+    assert 0.0 < start < 1.0
+    # the start weight is the last iterate of the inner component, passed up
+    whole = reference_impl.solve_fixed_point(g, max_iter=4, tol=0.0)
+    assert start == pytest.approx(whole.tau[g.start].total(), rel=1e-12)
+
+
+def test_divergence_in_inner_component_stops_the_solve():
+    source, _ = load_program("pcfg")
+    g = compile_source(source, params_from_json(
+        {"params": {"p": {"S": {"inl a": 0.2, "inr (S,S)": 1.8}}}})).fgg
+    st = solve_fixed_point(g)
+    assert st.status == DIVERGENT
+    assert st.tau[g.start].total() == 0.0  # its component was never reached
+
+
+# ---------------------------------------------------------------------------
+# Known defect (ROADMAP item 1): the absolute stopping rule `delta < tol`
+# stops early on queries of small total weight and reports them converged,
+# and Kleene iteration needs about 1/eps sweeps on a critical grammar. These
+# tests fail until the stopping rule is fixed.
+
+
+@pytest.mark.xfail(strict=True, reason="absolute stopping rule stops early (ROADMAP item 1)")
+@pytest.mark.parametrize("n", [24, 32, 48])
+def test_string_scoring_matches_cky_at_default_settings(n):
+    source, params = load_program("pcfgw")
+    obj = json.loads((PROGRAMS_DIR / "pcfgw.params.json").read_text())
+    w = ("ab" * n)[:n]
+    obj["inputs"]["w0"] = w
+    params = params_from_json(obj)
+    g = compile_source(source, params).fgg
+    st = solve_fixed_point(g)
+    want = inside_reference(params.params["p"], w, "S")
+    assert st.status == CONVERGED
+    assert abs(st.tau[g.start].total() - want) <= 1e-9 * want
+
+
+@pytest.mark.xfail(strict=True, reason="Kleene iteration is too slow at Z = 1 (ROADMAP item 1)")
+def test_critical_pcfg_converges_at_default_settings():
+    source, _ = load_program("pcfg")
+    g = compile_source(source, params_from_json(
+        {"params": {"p": {"S": {"inl a": 0.5, "inr (S,S)": 0.5}}}})).fgg
+    st = solve_fixed_point(g)
+    assert st.status == CONVERGED
+    assert abs(st.tau[g.start].total() - 1.0) <= 1e-9
