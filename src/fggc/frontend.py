@@ -10,12 +10,14 @@ function f.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 from .ast import (And, BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
                   Lookup, Not, Observe, Or, Program, Sample, TypeInfo, Var)
 from .fgg import Diagnostic
 from .params import ParamError, Params
+from .scc import strongly_connected_components
 from .values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, Domain, Inl,
                      Inr, Pair, Unit, Value, sorted_values)
 
@@ -201,52 +203,136 @@ class DomainInterner:
     """Deduplicates value sets into named Domain objects, deterministically."""
 
     def __init__(self):
-        self._by_content: dict[tuple[Value, ...], Domain] = {}
+        self._by_set: dict[frozenset[Value], Domain] = {}
 
     def intern(self, values) -> Domain:
-        content = sorted_values(values) if values else (UNIT,)
-        dom = self._by_content.get(content)
+        key = frozenset(values) if values else frozenset((UNIT,))
+        dom = self._by_set.get(key)
         if dom is None:
-            dom = Domain(f"D{len(self._by_content)}", content)
-            self._by_content[content] = dom
+            dom = Domain(f"D{len(self._by_set)}", sorted_values(key))
+            self._by_set[key] = dom
         return dom
 
     @property
     def domains(self) -> dict[str, Domain]:
-        return {d.name: d for d in self._by_content.values()}
+        return {d.name: d for d in self._by_set.values()}
 
 
 _SET_LIMIT = 100_000  # total values across all sets; growth beyond this is diagnosed
-_MAX_PASSES = 500  # value-set passes before propagation is diagnosed as non-stabilizing
+_MAX_EVALUATIONS = 500  # per recursive body, and per body on average; then non-stabilizing
+# Evaluator frames that nested body evaluations may take, when the deepest
+# body alone takes fewer (see assign_domains): well inside Python's default
+# recursion limit of 1000, and room for about twenty levels of calls to
+# bodies ten expressions deep.
+_NEST_FRAMES = 256
 
 
 def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
     """Annotate every expression with env and result Domain (stored in .ty).
 
     One abstract evaluator computes the value set of every subexpression,
-    resolves variables and checks the typing discipline. It runs over the
-    whole program until a pass grows no parameter or result set; that pass
-    saw only the final sets, so its post-order record of (expression, env,
-    result) is what gets interned. Returns the registry of interned
-    domains. Raises DomainError on type errors or when value-set
-    propagation fails to stabilize (an un-enumerable recursive type without
-    a declared finite enumeration).
-    """
-    param_sets: dict[str, list[set[Value]]] = {
-        f.name: [set(params.domains.get(f"{f.name}.{x}") or ()) for x in f.params]
-        for f in p.functions}
-    result_sets: dict[str, set[Value]] = {f.name: set() for f in p.functions}
-    changed = False
-    # (expr, env, result) of the current pass, in post-order. Sets in it must
-    # never be updated in place: a later union would change a recorded domain.
-    record: list[tuple[Expr, dict[str, set[Value]], set[Value]]] = []
+    resolves variables and checks the typing discipline, one function body
+    (or the main expression) at a time. Every body is evaluated once,
+    callers first, and again whenever one of its parameter sets, or the
+    result set of a function it read, has grown since. A call that finds
+    its callee waiting so evaluates the callee on the spot and then reads
+    its result, unless the callee is already being evaluated (recursion) or
+    the evaluator's stack would grow deeper than the deepest body alone, or
+    _NEST_FRAMES frames, takes it. Other bodies wait in a worklist ordered
+    by the call graph's components, callees first. So a non-recursive
+    program whose functions each have one caller evaluates each body once.
+    When no body waits, the last evaluation of each body saw only the final
+    sets, so its post-order record of (expression, env, result) is what
+    gets interned: functions in source order, then main, each distinct set
+    once.
 
-    def union_into(target: set[Value], values) -> None:
-        nonlocal changed
+    Returns the registry of interned domains. Raises DomainError on type
+    errors or when value-set propagation fails to stabilize (an
+    un-enumerable recursive type without a declared finite enumeration): a
+    body of a recursive component needs more than _MAX_EVALUATIONS
+    evaluations, all bodies together more than _MAX_EVALUATIONS each on
+    average (a non-recursive program can still feed a result back to its
+    callee, as `let u = g(x) in g(u)` does), or the sets hold more than
+    _SET_LIMIT values in all.
+    """
+    funs = p.functions
+    main = len(funs)
+    bodies = [f.body for f in funs] + [p.main]
+    number = {f.name: i for i, f in enumerate(funs)}
+    heights, callees = [], []
+    for body in bodies:
+        height, calls = _shape(body)
+        heights.append(height)
+        callees.append(list(dict.fromkeys(number[c] for c in calls)))
+    callers: list[list[int]] = [[] for _ in bodies]
+    for b, cs in enumerate(callees):
+        for c in cs:
+            callers[c].append(b)
+    components = strongly_connected_components(range(len(bodies)), callees)
+    order = [b for members, _ in components for b in members]  # callees first
+    rank = {b: i for i, b in enumerate(order)}
+    recursive = {b for members, rec in components if rec for b in members}
+
+    param_sets: list[list[set[Value]]] = [
+        [set(params.domains.get(f"{f.name}.{x}") or ()) for x in f.params] for f in funs]
+    result_sets: list[set[Value]] = [set() for _ in funs]
+    total = sum(len(s) for ss in param_sets for s in ss)
+    pending = set(range(len(bodies)))  # never evaluated, or inputs grew since
+    queue: list[tuple[int, int]] = []  # (rank, body) of bodies that became pending
+    active: set[int] = set()
+    frames = 0  # evaluator frames the active bodies can take
+    budget = max(max(heights) + 1, _NEST_FRAMES)
+    evaluations = [0] * len(bodies)
+    runs_left = _MAX_EVALUATIONS * len(bodies)
+    records: list = [None] * len(bodies)
+    # (expr, env, result) of the body being evaluated, in post-order. Sets in
+    # it must never be updated in place: a later union would change a
+    # recorded domain.
+    record: list[tuple[Expr, dict[str, set[Value]], set[Value]]] = []
+    reads: list[tuple[int, int]] = []  # (callee, size of the result read) of that body
+
+    def union_into(target: set[Value], values: set[Value]) -> bool:
+        nonlocal total
         before = len(target)
-        target |= set(values)
-        if len(target) != before:
-            changed = True
+        target |= values
+        total += len(target) - before
+        return len(target) != before
+
+    def wait(b: int) -> None:
+        if b not in pending:
+            pending.add(b)
+            heapq.heappush(queue, (rank[b], b))
+
+    def run(b: int) -> None:
+        nonlocal record, reads, frames, runs_left
+        if runs_left == 0 or (b in recursive and evaluations[b] == _MAX_EVALUATIONS):
+            raise DomainError(
+                "value-set propagation did not stabilize; declare a finite "
+                "enumeration for the recursive type (domains entry 'f.x')")
+        runs_left -= 1
+        evaluations[b] += 1
+        pending.discard(b)
+        active.add(b)
+        frames += heights[b] + 1
+        outer = record, reads
+        record, reads = [], []
+        env = dict(zip(funs[b].params, param_sets[b])) if b != main else {}
+        result = evaluate(bodies[b], env)
+        records[b] = record
+        stale = any(len(result_sets[g]) != size for g, size in reads)
+        record, reads = outer
+        frames -= heights[b] + 1
+        active.discard(b)
+        if b != main and union_into(result_sets[b], result):
+            for c in callers[b]:
+                if c not in active:  # an active caller checks what it read when it ends
+                    wait(c)
+        if stale:
+            wait(b)
+        if total > _SET_LIMIT:
+            raise DomainError(
+                "value-set propagation exceeded the size limit; declare a finite "
+                "enumeration for the recursive type (domains entry 'f.x')")
 
     def evaluate(e: Expr, env: dict[str, set[Value]]) -> set[Value]:
         result: set[Value]
@@ -264,9 +350,16 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
             bound = evaluate(e.bound, env)
             result = evaluate(e.body, {**env, e.name: bound})
         elif isinstance(e, Call):
+            g = number[e.fn]
+            grew = False
             for i, a in enumerate(e.args):
-                union_into(param_sets[e.fn][i], evaluate(a, env))
-            result = set(result_sets[e.fn])
+                grew |= union_into(param_sets[g][i], evaluate(a, env))
+            if grew:
+                wait(g)
+            if g in pending and g not in active and frames + heights[g] + 1 <= budget:
+                run(g)
+            result = set(result_sets[g])
+            reads.append((g, len(result)))
         elif isinstance(e, Sample):
             dists = evaluate(e.arg, env)
             _require(dists, Dist, "sample argument is not a distribution", e.pos)
@@ -302,31 +395,62 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
         record.append((e, env, result))
         return result
 
-    for _ in range(_MAX_PASSES):
-        changed = False
-        record.clear()
-        for f in p.functions:
-            env = dict(zip(f.params, param_sets[f.name]))
-            union_into(result_sets[f.name], evaluate(f.body, env))
-        evaluate(p.main, {})
-        total = sum(len(s) for ss in param_sets.values() for s in ss)
-        total += sum(len(s) for s in result_sets.values())
-        if total > _SET_LIMIT:
-            raise DomainError(
-                "value-set propagation exceeded the size limit; declare a finite "
-                "enumeration for the recursive type (domains entry 'f.x')")
-        if not changed:
-            break
-    else:
-        raise DomainError(
-            "value-set propagation did not stabilize; declare a finite "
-            "enumeration for the recursive type (domains entry 'f.x')")
+    for b in reversed(order):  # callers first: main, which nothing calls, leads
+        if b in pending:
+            run(b)
+    while queue:
+        b = heapq.heappop(queue)[1]
+        if b in pending:
+            run(b)
 
     interner = DomainInterner()
-    for e, env, result in record:
-        e.ty = TypeInfo(env=tuple((x, interner.intern(s)) for x, s in env.items()),
-                        result=interner.intern(result))
+    domains: dict[int, Domain] = {}  # by id(set): `records` holds every set
+    envs: dict[int, tuple[tuple[str, Domain], ...]] = {}  # by id(env), likewise
+
+    def intern(values: set[Value]) -> Domain:
+        dom = domains.get(id(values))
+        if dom is None:
+            dom = domains[id(values)] = interner.intern(values)
+        return dom
+
+    for record in records:
+        for e, env, result in record:
+            ty_env = envs.get(id(env))
+            if ty_env is None:
+                ty_env = envs[id(env)] = tuple((x, intern(s)) for x, s in env.items())
+            e.ty = TypeInfo(env=ty_env, result=intern(result))
     return interner.domains
+
+
+def _shape(body: Expr) -> tuple[int, list[str]]:
+    """The nesting depth of `body`, which is the evaluator's recursion depth
+    on it, and the name of every function it calls, in order."""
+    height, calls = 0, []
+    stack = [(body, 1)]
+    while stack:
+        e, depth = stack.pop()
+        height = max(height, depth)
+        if isinstance(e, Call):
+            calls.append(e.fn)
+            kids = e.args
+        elif isinstance(e, BuiltinApp):
+            kids = e.args
+        elif isinstance(e, Let):
+            kids = (e.bound, e.body)
+        elif isinstance(e, Sample):
+            kids = (e.arg,)
+        elif isinstance(e, Observe):
+            kids = (e.value, e.dist)
+        elif isinstance(e, If):
+            kids = (e.cond, e.then, e.els)
+        elif isinstance(e, Case):
+            kids = (e.scrutinee, e.left, e.right)
+        elif isinstance(e, Lookup):
+            kids = (e.index,)
+        else:
+            continue
+        stack.extend((k, depth + 1) for k in reversed(kids))
+    return height, calls
 
 
 def _require(values: set[Value], kind, message: str, pos) -> None:

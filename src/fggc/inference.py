@@ -1,8 +1,8 @@
-"""Exact inference: assignment weights, external marginals by variable
-elimination, and nonterminal weight tensors as the least fixed point of
-tau = F(tau), solved one strongly connected component of the nonterminal
-dependency graph at a time, callees first: one exact pass for a
-non-recursive component, Kleene iteration for a recursive one.
+"""Exact inference: external marginals by variable elimination, and
+nonterminal weight tensors as the least fixed point of tau = F(tau), solved
+one strongly connected component of the nonterminal dependency graph at a
+time, callees first: one exact pass for a non-recursive component, Kleene
+iteration for a recursive one.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fgg import FGG, Hypergraph, Rule, RuleIndex
+from .scc import strongly_connected_components
 from .values import Domain, Value
 
 
@@ -126,23 +127,7 @@ def plan_elimination(g: FGG, rule: Rule) -> EliminationPlan:
 
 
 # ---------------------------------------------------------------------------
-# Assignment weight and external marginal over terminal-only graphs
-
-
-def assignment_weight(g: Hypergraph, domains: dict[str, Domain], factors,
-                      assignment: dict[str, Value]) -> float:
-    """Product of factor values under a total assignment (terminal edges only)."""
-    for n in g.nodes:
-        v = assignment[n.id]
-        if v not in domains[n.domain]:
-            raise InferenceError(f"value {v.key()} outside domain of node {n.id}")
-    w = 1.0
-    for e in g.edges:
-        tab = factors[e.label]
-        pairs = [(domains[d], assignment[a]) for a, d in zip(e.att, tab.domains)]
-        ok = all(v in dom for dom, v in pairs)
-        w *= float(tab.weights[tuple(dom.index(v) for dom, v in pairs)]) if ok else 0.0
-    return w
+# External marginal over terminal-only graphs
 
 
 def external_marginal(g: Hypergraph, domains: dict[str, Domain], factors,
@@ -287,50 +272,12 @@ def dependency_components(index: RuleIndex, nts) -> list[tuple[list[str], bool]]
     """The strongly connected components of the graph "a rule of X uses Y"
     over the nonterminals `nts`, callees first, each with its members in
     `nts` order and whether it is recursive (more than one member, or a
-    member whose rules use it). Tarjan's algorithm with an explicit stack,
-    so a deep grammar meets no recursion limit."""
-    rank = {n: i for i, n in enumerate(nts)}
+    member whose rules use it)."""
+    known = set(nts)
     calls = {n: list(dict.fromkeys(e.label for pos in index.lhs(n)
-                                   for e in index[pos].rhs.edges if e.label in rank))
+                                   for e in index[pos].rhs.edges if e.label in known))
              for n in nts}
-    number: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    work: list = []  # (nonterminal, iterator over its callees not yet visited)
-    out = []
-
-    def enter(n):
-        number[n] = low[n] = len(number)
-        stack.append(n)
-        on_stack.add(n)
-        work.append((n, iter(calls[n])))
-
-    for root in nts:
-        if root in number:
-            continue
-        enter(root)
-        while work:
-            n, succ = work[-1]
-            for m in succ:
-                if m not in number:
-                    enter(m)
-                    break
-                if m in on_stack:
-                    low[n] = min(low[n], number[m])
-            else:
-                work.pop()
-                if work:
-                    caller = work[-1][0]
-                    low[caller] = min(low[caller], low[n])
-                if low[n] == number[n]:
-                    members = []
-                    while not members or members[-1] != n:
-                        members.append(stack.pop())
-                        on_stack.discard(members[-1])
-                    members.sort(key=rank.__getitem__)
-                    out.append((members, len(members) > 1 or n in calls[n]))
-    return out
+    return strongly_connected_components(nts, calls)
 
 
 def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,

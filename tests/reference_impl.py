@@ -9,7 +9,9 @@ application, and domain assignment as two traversals (a value-set
 fixpoint, then a typing walk that interns the final sets). The library's
 versions must produce identical grammars, bit-identical solver states,
 rule contributions equal to 1e-12 relative and identical domain
-annotations (see test_reference_equivalence.py).
+annotations (see test_reference_equivalence.py). `assignment_weight`, the
+weight of one total assignment of a terminal-only graph, is the brute-force
+oracle for variable elimination (see test_inference.py).
 """
 
 from __future__ import annotations
@@ -252,6 +254,22 @@ def rule_contribution(g: FGG, rule: Rule, tau: dict[str, WeightTensor],
     if order is None:
         order = plan_elimination(g, rule).order
     return eliminate(node_domains, factors, rhs.ext, order, counter)
+
+
+def assignment_weight(g: Hypergraph, domains: dict[str, Domain], factors,
+                      assignment: dict[str, Value]) -> float:
+    """Product of factor values under a total assignment (terminal edges only)."""
+    for n in g.nodes:
+        v = assignment[n.id]
+        if v not in domains[n.domain]:
+            raise InferenceError(f"value {v.key()} outside domain of node {n.id}")
+    w = 1.0
+    for e in g.edges:
+        tab = factors[e.label]
+        pairs = [(domains[d], assignment[a]) for a, d in zip(e.att, tab.domains)]
+        ok = all(v in dom for dom, v in pairs)
+        w *= float(tab.weights[tuple(dom.index(v) for dom, v in pairs)]) if ok else 0.0
+    return w
 
 
 def assign_domains(p: Program, params: Params,

@@ -5,6 +5,7 @@ from fggc.frontend import (DomainError, apply_builtin, assign_domains,
                            check_program, desugar, scope_check)
 from fggc.params import Params, params_from_json
 from fggc.parser import parse
+from fggc.translate import compile_source
 from fggc.values import Atom, Bool, Dist, Inl, Inr, Pair, Unit
 
 
@@ -197,3 +198,41 @@ def test_type_error_names_smallest_bad_value():
     with pytest.raises(DomainError) as err:
         check_program("if sample d[u] then true else false", params)
     assert str(err.value) == "1:1: if condition is not boolean (can be a)"
+
+
+def _call_chain(depth):
+    """f0 calls f1, ..., which calls f{depth}, which returns its argument."""
+    lines = [f"fun f{i}(x) = let y = f{i + 1}(x) in y;" for i in range(depth)]
+    return "\n".join(lines + [f"fun f{depth}(x) = x;", "f0(true)"])
+
+
+@pytest.mark.parametrize("depth", [400, 1000])
+def test_deep_call_chain_compiles(depth):
+    # no recursion, so no body's evaluations are capped
+    cu = compile_source(_call_chain(depth), Params())
+    assert len(cu.fgg.rules) == depth + 2
+
+
+def test_callee_evaluated_inside_caller_within_one_body_stack():
+    # each body is a 250-deep let chain whose innermost expression calls the
+    # next function: evaluating each callee inside its caller would take
+    # four bodies' stack where one at a time takes one
+    lines = []
+    for i in range(4):
+        chain = "".join(f"let x{j} = x{j - 1} in " for j in range(1, 251))
+        inner = f"f{i + 1}(x250)" if i < 3 else "x250"
+        lines.append(f"fun f{i}(x0) = {chain}{inner};")
+    program, _ = _check("\n".join(lines + ["f0(true)"]))
+    assert program.main.ty.result.values == (Bool(True),)
+
+
+def test_callee_shared_by_many_callers():
+    # each caller adds one value to g's parameter set, so g is evaluated once
+    # per caller: more often than a recursive body may be, yet not capped
+    n = 600
+    atoms = [f"a{i}" for i in range(n)]
+    lines = ["fun g(x) = inl(x);"]
+    lines += [f"fun c{i}(x) = let u = g(x) in x;" for i in range(n)]
+    lines.append("".join(f"let y{i} = c{i}(a{i}) in " for i in range(n)) + "y0")
+    program, _ = _check("\n".join(lines), params_from_json({"domains": {"atoms": atoms}}))
+    assert len(program.functions[0].body.ty.result.values) == n

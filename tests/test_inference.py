@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import reference_impl
+from reference_impl import assignment_weight
 from conftest import PROGRAMS_DIR, SUITE, load_program
 from fixtures import pcfg_fgg, pcfg_tree_graph, quadratic_fgg
 from fggc import inference
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                       Hypergraph, Node, Rule, RuleIndex)
 from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, InferenceError,
-                            OpCounter, WeightTensor, align, assignment_weight,
+                            OpCounter, WeightTensor, align,
                             dependency_components, external_marginal,
                             plan_elimination, plan_order, query_start,
                             rule_contribution, solve_fixed_point)

@@ -9,6 +9,7 @@ reference's limit bit for bit."""
 import dataclasses
 import importlib
 import json
+import math
 import random
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 import reference_impl
 from conftest import PROGRAMS_DIR, SUITE, load_program
-from fggc.ast import Expr, Var
+from fggc.ast import BuiltinApp, Expr, Var
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                       Hypergraph, Node, Rule, RuleIndex, fgg_to_json)
 from fggc.frontend import (DomainError, assign_domains, check_program, desugar,
@@ -30,6 +31,7 @@ from fggc.values import Bool, Domain
 from genprog import random_program
 
 translate_module = importlib.import_module("fggc.translate")
+frontend_module = importlib.import_module("fggc.frontend")
 
 PASS_SETS = [ALL_PASSES, ("inline",), ("prune", "inline", "compose", "contract")]
 GENERATED = [(seed, nfun) for seed in range(5) for nfun in (2, 4, 8)]
@@ -217,6 +219,64 @@ def test_generated_domains_match_reference(seed, nfun):
     _same_domains(source, params_from_json(params))
 
 
+# Programs whose parameter sets grow after the callee's first evaluation, so
+# that a caller read a result that grew later.
+LATE_GROWTH = [
+    # g is shared: f1's argument reaches it first, then f2 adds a constant
+    # and its own parameter
+    """fun g(x) = inl(x);
+fun f1(x) = let u = g(x) in (x, u);
+fun f2(y) = let v = g(b) in let w = g(y) in (v, w);
+let a1 = f1(a) in let a2 = f2(c) in (a1, a2)""",
+    # the argument of h's second call is the result of its first
+    """fun g(x) = case x of inl(y) => inr(y) | inr(z) => inl(z);
+fun h(x) = let u = g(x) in g(u);
+h(inl(a))""",
+    # a function nothing calls adds an argument to one that main calls
+    """fun g(x) = (x, b);
+fun unused(y) = g(c);
+g(a)""",
+    # a recursive function and main share a non-recursive callee
+    """fun k(x) = inl(x);
+fun r(x) = if x = c then k(b) else let u = k(c) in r(c);
+let v = k(a) in r(v)""",
+]
+
+
+@pytest.mark.parametrize("source", LATE_GROWTH)
+def test_late_parameter_growth_matches_reference(source):
+    _same_domains(source, params_from_json({"domains": {"atoms": ["a", "b", "c"]}}))
+
+
+def test_non_recursive_program_evaluates_each_body_once(monkeypatch):
+    """A generated program's call graph is a tree, so each body is evaluated
+    once, with its final sets: each built-in runs once per tuple of its final
+    argument values. The reference, whole-program passes and then a typing
+    walk, applies built-ins five times as often on this program."""
+    source, params = random_program(random.Random("once"), 30)
+    params = params_from_json(params)
+    calls = {}
+
+    def counted(name, apply):
+        def count(op, args):
+            calls[name] = calls.get(name, 0) + 1
+            return apply(op, args)
+        return count
+
+    monkeypatch.setattr(frontend_module, "apply_builtin",
+                        counted("library", frontend_module.apply_builtin))
+    monkeypatch.setattr(reference_impl, "apply_builtin",
+                        counted("reference", reference_impl.apply_builtin))
+    program = desugar(parse(source))
+    assign_domains(program, params)
+    reference_impl.assign_domains(desugar(parse(source)), params)
+    once = sum(math.prod(len(a.ty.result.values) for a in e.args)
+               for body in [f.body for f in program.functions] + [program.main]
+               for e in _nodes(body) if isinstance(e, BuiltinApp))
+    assert calls["library"] == once
+    assert calls["reference"] > 4 * once
+
+
 ATOMS_A_B = {"domains": {"k": ["a", "b"]}}
 
 
@@ -227,6 +287,8 @@ ATOMS_A_B = {"domains": {"k": ["a", "b"]}}
     ("case a of inl(x) => x | inr(y) => y", ATOMS_A_B),
     ("fun f(w) = if sample c[u] then w else f(cons(a, w)); f(nil)",
      {"params": {"c": {"u": {"true": 0.5, "false": 0.5}}}, "domains": {"atoms": ["a"]}}),
+    # no recursion, but g's results flow back into g: a, aa, aaa, ...
+    ("fun g(x) = cons(a, x); fun h(x) = let u = g(x) in g(u); h(nil)", ATOMS_A_B),
 ])
 def test_domain_errors_match_reference(source, params):
     params = params_from_json(params)
