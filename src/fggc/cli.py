@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 front-end error (parse/scope/domain/params/IO,
 malformed grammar JSON, input nested too deeply, a nonterminal with more
-external nodes than numpy has axes), 3 divergent grammar, 4 comparison
-failure, 5 `infer` stopped at --max-iter without converging, 1 stdout
-closed by its reader (a broken pipe).
+external nodes than numpy has axes, memory exhausted), 3 divergent
+grammar, 4 comparison failure, 5 `infer` stopped at --max-iter without
+converging, 1 stdout closed by its reader (a broken pipe).
 """
 
 from __future__ import annotations
@@ -283,6 +283,10 @@ def main(argv=None) -> int:
         return EXIT_FRONTEND
     except RecursionError:
         print("error: input is nested too deeply to process", file=sys.stderr)
+        return EXIT_FRONTEND
+    except MemoryError as e:  # numpy's allocation failure is a MemoryError too
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory",
+              file=sys.stderr)
         return EXIT_FRONTEND
 
 

@@ -44,10 +44,12 @@ class Hypergraph:
     """Nodes, labeled hyperedges with ordered attachments, and ordered external nodes."""
 
     def __init__(self, nodes, edges, ext):
-        self.nodes: tuple[Node, ...] = tuple(Node(n.id, n.domain) if isinstance(n, Node) else Node(*n) for n in nodes)
+        # Node and Edge instances (with a tuple att) are kept as given;
+        # raw tuples and lists are converted
+        self.nodes: tuple[Node, ...] = tuple(n if isinstance(n, Node) else Node(*n) for n in nodes)
         self.edges: tuple[Edge, ...] = tuple(
-            Edge(e.id, e.label, tuple(e.att)) if isinstance(e, Edge) else Edge(e[0], e[1], tuple(e[2]))
-            for e in edges)
+            e if isinstance(e, Edge) and isinstance(e.att, tuple)
+            else Edge(e[0], e[1], tuple(e[2])) for e in edges)
         self.ext: tuple[str, ...] = tuple(ext)
         self._domain_of = {n.id: n.domain for n in self.nodes}
 
@@ -103,13 +105,16 @@ class RuleIndex:
 
     Positions only grow: a replaced rule keeps its position and an added one
     goes last, so rules() lists the live rules in grammar order. Lookups
-    return positions in increasing order.
+    return positions in increasing order. A caller that edits a rule's
+    right-hand side in place keeps the uses exact with link() and unlink(),
+    and stores the result with replace().
     """
 
     def __init__(self, rules):
         self._rules: dict[int, Rule] = {}
         self._by_lhs: dict[str, dict[int, None]] = {}
         self._users: dict[str, dict[int, None]] = {}
+        self._uses: dict[int, set[str]] = {}  # position -> labels linked to it
         self._next = 0
         for r in rules:
             self.add(r)
@@ -133,26 +138,35 @@ class RuleIndex:
         self._next += 1
         self._rules[pos] = rule
         self._by_lhs.setdefault(rule.lhs, {})[pos] = None
-        self._link(pos, rule)
+        self._uses[pos] = uses = {e.label for e in rule.rhs.edges}
+        for label in uses:
+            self._users.setdefault(label, {})[pos] = None
 
     def remove(self, pos: int):
         rule = self._rules.pop(pos)
         del self._by_lhs[rule.lhs][pos]
-        self._unlink(pos, rule)
+        for label in self._uses.pop(pos):
+            del self._users[label][pos]
 
     def replace(self, pos: int, rule: Rule):
         """Put `rule`, which has the same left-hand side, in place of the rule at `pos`."""
-        self._unlink(pos, self._rules[pos])
+        for label in self._uses[pos] - {e.label for e in rule.rhs.edges}:
+            self.unlink(pos, label)
         self._rules[pos] = rule
-        self._link(pos, rule)
+        self.link(pos, (e.label for e in rule.rhs.edges))
 
-    def _link(self, pos: int, rule: Rule):
-        for e in rule.rhs.edges:
-            self._users.setdefault(e.label, {})[pos] = None
+    def link(self, pos: int, labels):
+        """Record that the rule at `pos` uses each of `labels`."""
+        uses = self._uses[pos]
+        for label in labels:
+            if label not in uses:
+                uses.add(label)
+                self._users.setdefault(label, {})[pos] = None
 
-    def _unlink(self, pos: int, rule: Rule):
-        for e in rule.rhs.edges:
-            self._users[e.label].pop(pos, None)
+    def unlink(self, pos: int, label: str):
+        """Record that the rule at `pos` no longer uses `label`."""
+        self._uses[pos].remove(label)
+        del self._users[label][pos]
 
     def ext_domains(self, label: str) -> Optional[tuple[str, ...]]:
         """Per-slot domain names for a nonterminal, from its first rule or,

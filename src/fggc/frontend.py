@@ -225,6 +225,12 @@ _MAX_EVALUATIONS = 500  # per recursive body, and per body on average; then non-
 # recursion limit of 1000, and room for about twenty levels of calls to
 # bodies ten expressions deep.
 _NEST_FRAMES = 256
+# Constructors a value may nest, beyond which a value set is taken to grow
+# without bound: key() and hash() recurse once or twice per level, so far
+# deeper values would exhaust Python's stack before _MAX_EVALUATIONS is
+# reached (`fun g(x) = inr(x)` fed its own result grows one level per
+# evaluation).
+_MAX_NESTING = 200
 
 
 def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
@@ -252,8 +258,9 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
     body of a recursive component needs more than _MAX_EVALUATIONS
     evaluations, all bodies together more than _MAX_EVALUATIONS each on
     average (a non-recursive program can still feed a result back to its
-    callee, as `let u = g(x) in g(u)` does), or the sets hold more than
-    _SET_LIMIT values in all.
+    callee, as `let u = g(x) in g(u)` does), the sets hold more than
+    _SET_LIMIT values in all, or a value nests more than _MAX_NESTING pair
+    and sum constructors.
     """
     funs = p.functions
     main = len(funs)
@@ -386,6 +393,11 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
                 v = apply_builtin(e.op, combo)
                 if v is not None:
                     result.add(v)
+            if e.op in ("pair", "inl", "inr") and any(_nesting(v) > _MAX_NESTING
+                                                      for v in result):
+                raise DomainError("value-set propagation did not stabilize: values "
+                                  f"nest more than {_MAX_NESTING} pair and sum "
+                                  "constructors deep", e.pos)
         elif isinstance(e, Lookup):
             index = evaluate(e.index, env)
             keys = set(params.lookup_keys(e.param))
@@ -458,6 +470,19 @@ def _require(values: set[Value], kind, message: str, pos) -> None:
     bad = [v for v in values if not isinstance(v, kind)]
     if bad:
         raise DomainError(f"{message} (can be {sorted_values(bad)[0].key()})", pos)
+
+
+def _nesting(v: Value) -> int:
+    """The most pair and sum constructors on one path into `v`, counted
+    level by level rather than by recursion."""
+    depth, level = 0, [v]
+    while True:
+        level = [c for x in level
+                 for c in ((x.first, x.second) if isinstance(x, Pair)
+                           else (x.value,) if isinstance(x, (Inl, Inr)) else ())]
+        if not level:
+            return depth
+        depth += 1
 
 
 def _product(sets: list[set[Value]], pos):

@@ -7,6 +7,7 @@ iteration for a recursive one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,8 +182,8 @@ class _Contraction:
         attached = {a for e in graph.edges for a in e.att}
         out = self._labelled(graph.ext)
         work += [((n,), self._operand(np.ones(self.sizes[n]))) for n in out if n not in attached]
-        scale = float(np.prod([len(d) for n, d in node_domains.items()
-                               if n not in attached and n not in graph.ext]))
+        scale = float(math.prod(len(d) for n, d in node_domains.items()
+                                if n not in attached and n not in graph.ext))
         if scale != 1.0 or not work:
             work.append(((), self._operand(np.array(scale))))
         self.steps: list = []  # ([(operand position, labels)], output labels)
@@ -214,7 +215,7 @@ class _Contraction:
         label = {m: i for i, m in enumerate(dict.fromkeys(m for s, _ in group for m in s))}
         self.steps.append(([(pos, [label[m] for m in s]) for s, pos in group],
                            [label[m] for m in out]))
-        self.ops += int(np.prod([self.sizes[m] for m in label]))
+        self.ops += math.prod(self.sizes[m] for m in label)
         return len(self.operands) + len(self.steps) - 1
 
     def apply(self, tau: dict[str, WeightTensor],

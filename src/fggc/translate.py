@@ -6,6 +6,12 @@ nonterminal of arity k+1 (the environment slots in binding order, then the
 result slot). Conditionals and case expressions get two rules, one per arm;
 everything else gets one rule; each function definition and the program
 top level get one rule each.
+
+Every primitive occurrence (a copy, constant, built-in, parameter lookup,
+density or branch test) gets a terminal label of its own, named after its
+source position. Its table depends only on the construct and its domains,
+so each distinct table is computed once and shared, read-only, by all the
+labels it serves.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ class _Translator:
         self.label_kinds: dict[str, str] = {}
         self.factor_origins: dict[str, str] = {}
         self._nt_of: dict[int, str] = {}  # id(expr) -> label name
+        self._tables: dict[tuple, np.ndarray] = {}  # see terminal()
 
     # -- naming and registration --------------------------------------------
 
@@ -106,8 +113,17 @@ class _Translator:
             self._nt_of[id(e)] = name
         return name
 
-    def terminal(self, base: str, doms: tuple[Domain, ...], table: np.ndarray,
+    def terminal(self, base: str, doms: tuple[Domain, ...], key: tuple, make,
                  origin: str) -> str:
+        """A fresh terminal label over `doms`. Its table, `make()`, is
+        computed once per `key` and domains and shared, read-only, by every
+        label with the same key and domains."""
+        key += tuple(d.name for d in doms)
+        table = self._tables.get(key)
+        if table is None:
+            table = make()
+            table.flags.writeable = False
+            self._tables[key] = table
         name = self.names.fresh(base)
         self.labels[name] = EdgeLabel(name, len(doms), TERMINAL)
         self.factors[name] = FactorTable(name, tuple(self._dom(d) for d in doms), table)
@@ -140,15 +156,15 @@ class _Translator:
         if isinstance(e, Var):
             if e.resolution == "var":
                 xdom = dict(e.ty.env)[e.name]
-                lab = self.terminal(f"copy@{span}", (xdom, e.ty.result),
-                                    _graph((xdom,), e.ty.result, lambda v: v[0]),
+                lab = self.terminal(f"copy@{span}", (xdom, e.ty.result), ("copy",),
+                                    lambda: _graph((xdom,), e.ty.result, lambda v: v[0]),
                                     origin="copy")
                 self._rule(lhs, e, [], [Edge("e0", lab, (e.name, RESULT))])
             else:
                 value = (self.params.inputs[e.name] if e.resolution == "input"
                          else _atom_value(e.name))
-                lab = self.terminal(f"const@{span}", (e.ty.result,),
-                                    _graph((), e.ty.result, lambda v: value),
+                lab = self.terminal(f"const@{span}", (e.ty.result,), ("const", value),
+                                    lambda: _graph((), e.ty.result, lambda v: value),
                                     origin="builtin")
                 self._rule(lhs, e, [], [Edge("e0", lab, (RESULT,))])
             return lhs
@@ -162,8 +178,9 @@ class _Translator:
                 arg_nodes.append((nid, a.ty.result))
                 edges.append(self._edge_for(f"e{j}", a, nid))
             arg_doms = tuple(a.ty.result for a in e.args)
-            table = _graph(arg_doms, e.ty.result, lambda v: apply_builtin(e.op, v))
-            lab = self.terminal(f"{e.op}@{span}", arg_doms + (e.ty.result,), table,
+            lab = self.terminal(f"{e.op}@{span}", arg_doms + (e.ty.result,), ("op", e.op),
+                                lambda: _graph(arg_doms, e.ty.result,
+                                               lambda v: apply_builtin(e.op, v)),
                                 origin="builtin")
             edges.append(Edge(f"e{len(e.args)}", lab,
                               tuple(nid for nid, _ in arg_nodes) + (RESULT,)))
@@ -178,8 +195,8 @@ class _Translator:
             def entry(v):
                 return self.params.dist_value(e.param, v[0]) if v[0] in keys else None
 
-            lab = self.terminal(f"{e.param}[]@{span}", (idom, rdom),
-                                _graph((idom,), rdom, entry), origin="lookup")
+            lab = self.terminal(f"{e.param}[]@{span}", (idom, rdom), ("lookup", e.param),
+                                lambda: _graph((idom,), rdom, entry), origin="lookup")
             self._rule(lhs, e, [("%1", idom)],
                        [self._edge_for("e0", e.index, "%1"),
                         Edge("e1", lab, ("%1", RESULT))])
@@ -188,8 +205,8 @@ class _Translator:
         if isinstance(e, Sample):
             self.translate_expr(e.arg)
             ddom = e.arg.ty.result
-            lab = self.terminal(f"density@{span}", (ddom, e.ty.result),
-                                _density_table(ddom, e.ty.result, self.params),
+            lab = self.terminal(f"density@{span}", (ddom, e.ty.result), ("density",),
+                                lambda: _density_table(ddom, e.ty.result, self.params),
                                 origin="density")
             self._rule(lhs, e, [("%1", ddom)],
                        [self._edge_for("e0", e.arg, "%1"),
@@ -200,8 +217,8 @@ class _Translator:
             self.translate_expr(e.value)
             self.translate_expr(e.dist)
             ddom = e.dist.ty.result
-            lab = self.terminal(f"density@{span}", (ddom, e.ty.result),
-                                _density_table(ddom, e.ty.result, self.params),
+            lab = self.terminal(f"density@{span}", (ddom, e.ty.result), ("density",),
+                                lambda: _density_table(ddom, e.ty.result, self.params),
                                 origin="density")
             # the observed expression's result node IS the rule's result
             self._rule(lhs, e, [("%1", ddom)],
@@ -215,8 +232,8 @@ class _Translator:
             cdom = e.cond.ty.result
             for arm, want, tag in ((e.then, True, "true"), (e.els, False, "false")):
                 self.translate_expr(arm)
-                lab = self.terminal(f"is-{tag}@{span}", (cdom,),
-                                    _graph((), cdom, lambda v: Bool(want)),
+                lab = self.terminal(f"is-{tag}@{span}", (cdom,), (tag,),
+                                    lambda: _graph((), cdom, lambda v: Bool(want)),
                                     origin="constraint")
                 self._rule(lhs, e, [("%1", cdom)],
                            [self._edge_for("e0", e.cond, "%1"),
@@ -231,9 +248,10 @@ class _Translator:
                                           (e.right, e.right_var, Inr, "inr")):
                 self.translate_expr(arm)
                 bdom = dict(arm.ty.env)[binder]
-                table = _graph((bdom,), sdom, lambda v: con(v[0]))
-                lab = self.terminal(f"is-{tag}@{span}", (sdom, bdom),
-                                    np.ascontiguousarray(table.T), origin="constraint")
+                lab = self.terminal(f"is-{tag}@{span}", (sdom, bdom), (tag,),
+                                    lambda: np.ascontiguousarray(
+                                        _graph((bdom,), sdom, lambda v: con(v[0])).T),
+                                    origin="constraint")
                 self._rule(lhs, e, [("%1", sdom), (binder, bdom)],
                            [self._edge_for("e0", e.scrutinee, "%1"),
                             Edge("e1", lab, ("%1", binder)),
@@ -336,20 +354,6 @@ def _copy_fgg(g: FGG) -> FGG:
                domains=dict(g.domains), factors=dict(g.factors))
 
 
-def _inline_edge(rhs: Hypergraph, edge: Edge, sub: Hypergraph) -> Hypergraph:
-    """Replace one nonterminal edge by a rule's right-hand side."""
-    ren = {}
-    fuse = dict(zip(sub.ext, edge.att))
-    for n in sub.nodes:
-        ren[n.id] = fuse.get(n.id, f"{edge.id}.{n.id}")
-    nodes = list(rhs.nodes)
-    nodes += [Node(ren[n.id], n.domain) for n in sub.nodes if n.id not in fuse]
-    edges = [e for e in rhs.edges if e.id != edge.id]
-    edges += [Edge(f"{edge.id}.{e.id}", e.label, tuple(ren[a] for a in e.att))
-              for e in sub.edges]
-    return Hypergraph(nodes, edges, rhs.ext)
-
-
 def _pass_inline(cu: CompilationUnit) -> int:
     """Inline single-rule nonterminals other than if/case/function lhs, and
     collapse function/start rules whose whole rhs is one if/case edge.
@@ -360,9 +364,15 @@ def _pass_inline(cu: CompilationUnit) -> int:
     order inlines the same labels in the same order as restarting from the
     first label after each one. The collapse scan stays on a label while it
     fires, for the same reason.
+
+    A rule that receives an inlined edge is edited in place, as a node list
+    and an edge dict keyed by id: the edge is deleted and the sub-rule's
+    edges go last, in their order. Its hypergraph is built once, after the
+    last inlining.
     """
     g = cu.fgg
     index = RuleIndex(g.rules)
+    bodies: dict[int, tuple[list[Node], dict[str, Edge]]] = {}  # edited in place
     fired = 0
     for name in list(g.labels):
         if (not g.labels[name].is_nonterminal
@@ -372,22 +382,39 @@ def _pass_inline(cu: CompilationUnit) -> int:
         if len(own) != 1:
             continue
         sub = index[own[0]].rhs
-        if any(e.label == name for e in sub.edges):
+        sub_nodes, sub_edges = sub.nodes, sub.edges
+        if own[0] in bodies:  # the sub-rule itself received inlined edges
+            sub_nodes, sub_by_id = bodies[own[0]]
+            sub_edges = list(sub_by_id.values())
+        if any(e.label == name for e in sub_edges):
             continue  # self-recursive; cannot inline
         users = index.users(name)
         if not users:
             continue
         for pos in users:
-            rhs = index[pos].rhs
-            while True:
-                hit = next((e for e in rhs.edges if e.label == name), None)
-                if hit is None:
-                    break
-                rhs = _inline_edge(rhs, hit, sub)
+            if pos not in bodies:
+                rhs = index[pos].rhs
+                bodies[pos] = (list(rhs.nodes), {e.id: e for e in rhs.edges})
+            nodes, edges = bodies[pos]
+            for hit in [e for e in edges.values() if e.label == name]:
+                ren = dict(zip(sub.ext, hit.att))
+                for n in sub_nodes:
+                    if n.id not in ren:
+                        ren[n.id] = f"{hit.id}.{n.id}"
+                        nodes.append(Node(ren[n.id], n.domain))
+                del edges[hit.id]
+                for e in sub_edges:
+                    eid = f"{hit.id}.{e.id}"
+                    edges[eid] = Edge(eid, e.label, tuple(ren[a] for a in e.att))
                 fired += 1
-            index.replace(pos, Rule(index[pos].lhs, rhs))
+            index.unlink(pos, name)
+            index.link(pos, (e.label for e in sub_edges))
+        bodies.pop(own[0], None)
         index.remove(own[0])
         del g.labels[name]
+    for pos, (nodes, edges) in bodies.items():
+        r = index[pos]
+        index.replace(pos, Rule(r.lhs, Hypergraph(nodes, edges.values(), r.rhs.ext)))
 
     # unit-rule collapse: fun/start whose rhs is exactly one if/case edge
     for name in list(g.labels):

@@ -2,8 +2,9 @@
 
 These are the straightforward forms of four paths: the `inline` pass
 that rescans the whole grammar from its first label after every inlined
-label, the Jacobi solver that scans all rules for every nonterminal and
-rebuilds every rule's factors on every iteration, variable elimination
+label and rebuilds a right-hand side for every inlined edge, the Jacobi
+solver that scans all rules for every nonterminal and rebuilds every
+rule's factors on every iteration, variable elimination
 as hand-written tensor algebra that re-derives every scope on every
 application, and domain assignment as two traversals (a value-set
 fixpoint, then a typing walk that interns the final sets). The library's
@@ -28,8 +29,22 @@ from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, InferenceError,
                             OpCounter, SolverState, WeightTensor, align,
                             plan_elimination)
 from fggc.params import Params
-from fggc.translate import PROTECTED_KINDS, CompilationUnit, _inline_edge
+from fggc.translate import PROTECTED_KINDS, CompilationUnit
 from fggc.values import Atom, Bool, Dist, Domain, Inl, Inr, Value
+
+
+def _inline_edge(rhs: Hypergraph, edge: Edge, sub: Hypergraph) -> Hypergraph:
+    """Replace one nonterminal edge by a rule's right-hand side."""
+    ren = {}
+    fuse = dict(zip(sub.ext, edge.att))
+    for n in sub.nodes:
+        ren[n.id] = fuse.get(n.id, f"{edge.id}.{n.id}")
+    nodes = list(rhs.nodes)
+    nodes += [Node(ren[n.id], n.domain) for n in sub.nodes if n.id not in fuse]
+    edges = [e for e in rhs.edges if e.id != edge.id]
+    edges += [Edge(f"{edge.id}.{e.id}", e.label, tuple(ren[a] for a in e.att))
+              for e in sub.edges]
+    return Hypergraph(nodes, edges, rhs.ext)
 
 
 def pass_inline(cu: CompilationUnit) -> int:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import PROGRAMS_DIR, load_program
+from fggc import cli
 from fggc import fgg as fggmod
 from fggc.cli import main
+from fggc.fgg import FactorTable
 from fggc.translate import compile_source
 
 
@@ -87,13 +89,21 @@ def test_infer_divergent_exit_code(tmp_path, capsys):
 
 
 def test_infer_from_compiled_json_matches_source(tmp_path, capsys):
-    out_path = tmp_path / "g.json"
-    run(capsys, "compile", _p("pcfg"), "--params", _params("pcfg"),
-        "--out", str(out_path))
-    code1, out1, _ = run(capsys, "infer", str(out_path))
-    code2, out2, _ = run(capsys, "infer", _p("pcfg"), "--params", _params("pcfg"))
-    assert code1 == code2 == 0
-    assert out1 == out2  # byte-identical, same numbers to the last digit
+    """For every suite program, inferring from the grammar `compile --out`
+    wrote prints what inferring from the source prints, byte for byte:
+    every label's table is written, shared or not."""
+    names = sorted(p.stem for p in PROGRAMS_DIR.glob("*.ppl"))
+    assert "pcfg" in names
+    for name in names:
+        out_path = tmp_path / f"{name}.json"
+        code, _, _ = run(capsys, "compile", _p(name), "--params", _params(name),
+                         "--out", str(out_path))
+        assert code == 0
+        code1, out1, _ = run(capsys, "infer", str(out_path))
+        code2, out2, _ = run(capsys, "infer", _p(name), "--params", _params(name))
+        assert code1 == code2, name
+        assert out1 == out2, name  # same numbers to the last digit
+        assert "iterations: " in out2 and "status: " in out2
 
 
 def test_infer_max_iter_one(tmp_path, capsys):
@@ -161,9 +171,10 @@ def test_compare_corrupted_grammar_exit_4(tmp_path, capsys):
     source, params = load_program("pcfg")
     cu = compile_source(source, params)
     g = cu.fgg
-    # corrupt one factor table
+    # corrupt one factor table: tables are shared and read-only, so replace it
     name = sorted(g.factors)[0]
-    g.factors[name].weights[...] = g.factors[name].weights * 3.0 + 0.1
+    tab = g.factors[name]
+    g.factors[name] = FactorTable(name, tab.domains, tab.weights * 3.0 + 0.1)
     bad = tmp_path / "bad.json"
     bad.write_text(fggmod.dumps(g))
     code, _, err = run(capsys, "compare", _p("pcfg"), "--params",
@@ -369,3 +380,28 @@ def test_readme_infer_example(capsys):
 
     assert len(lines("\n".join(shown))) == 3
     assert lines(out) == lines("\n".join(shown))
+
+
+def test_unbounded_sum_nesting_is_not_stabilizing(tmp_path, capsys):
+    """`g` is fed its own result, so its value set grows one `inr` deeper
+    per evaluation: diagnosed as propagation that does not stabilize, not
+    as input nested too deeply."""
+    src = tmp_path / "sums.ppl"
+    src.write_text("fun g(x) = inr(x);\nfun h(x) = let u = g(x) in g(u);\nh(a)\n")
+    params = tmp_path / "sums.json"
+    params.write_text(json.dumps({"domains": {"atoms": ["a"]}}))
+    code, out, err = run(capsys, "infer", str(src), "--params", str(params))
+    assert code == 2 and out == ""
+    assert "value-set propagation did not stabilize" in err
+    _one_line_error(err)
+
+
+def test_memory_error_exit_2(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.64 GiB for an array")
+
+    monkeypatch.setattr(cli, "solve_fixed_point", exhausted)
+    code, out, err = run(capsys, "infer", _p("pcfg"), "--params", _params("pcfg"))
+    assert code == 2 and out == ""
+    assert "out of memory" in err and "8.64 GiB" in err
+    _one_line_error(err)

@@ -256,3 +256,62 @@ def test_simplify_rebuilds_grow_linearly(monkeypatch):
     small, large = rebuilds(12), rebuilds(48)
     assert small > 0
     assert large / small <= 6, (small, large)
+
+
+def test_each_distinct_table_is_tabulated_once(monkeypatch):
+    """A terminal table depends only on its construct and its domains, so
+    translation tabulates each distinct one once, however many sites share
+    it. The distinct ones are counted here from the labels: construct (the
+    label's name before '@'), domains and contents."""
+    translate_module = importlib.import_module("fggc.translate")
+    source, params = random_program(random.Random("shared-tables"), 48)
+    params = params_from_json(params)
+    program, _ = check_program(source, params)
+    calls = {"_graph": 0, "_density_table": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(translate_module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(translate_module, name, counted)
+    cu = translate(program, params)
+    distinct = {"_graph": set(), "_density_table": set()}
+    for label, tab in cu.fgg.factors.items():
+        kind = "_density_table" if cu.factor_origins[label] == "density" else "_graph"
+        distinct[kind].add((label.split("@")[0], tab.domains, tab.weights.tobytes()))
+    for name in calls:
+        assert 0 < calls[name] <= len(distinct[name]), name
+    assert sum(calls.values()) < len(cu.fgg.factors)  # some tables are shared
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_translated_tables_are_read_only(name):
+    source, params = load_program(name)
+    cu = compile_source(source, params, passes=())
+    assert cu.fgg.factors
+    for tab in cu.fgg.factors.values():
+        with pytest.raises(ValueError, match="read-only"):
+            tab.weights[...] = 0.0
+
+
+def test_inline_builds_each_rule_once(monkeypatch):
+    """The inline pass edits right-hand sides in place and builds one
+    hypergraph per rule it changed, however many edges it inlined there,
+    plus one per rule the collapse relabels: at most two per rule left,
+    where building one per inlined edge would be `fired`."""
+    translate_module = importlib.import_module("fggc.translate")
+    source, params = random_program(random.Random("inline-builds"), 24)
+    params = params_from_json(params)
+    program, _ = check_program(source, params)
+    cu = translate(program, params)
+    built = []
+
+    class CountingHypergraph(translate_module.Hypergraph):
+        def __init__(self, *args, **kw):
+            built.append(1)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(translate_module, "Hypergraph", CountingHypergraph)
+    out = simplify(cu, ("inline",))
+    ((_, fired),) = out.pass_log
+    assert fired > 2 * len(out.fgg.rules)
+    assert 0 < len(built) <= 2 * len(out.fgg.rules)
