@@ -8,16 +8,17 @@ Subcommands:
     render     dot or LaTeX diagrams, one per rule
 
 Exit codes: 0 success, 2 front-end error (parse/scope/domain/params/IO,
-malformed grammar JSON, input nested too deeply, a nonterminal with more
-external nodes than numpy has axes, memory exhausted), 3 divergent
-grammar, 4 comparison failure, 5 `infer` stopped at --max-iter without
-converging, 1 stdout closed by its reader (a broken pipe).
+malformed grammar JSON, bad `infer` flags, input nested too deeply, a
+nonterminal with more external nodes than numpy has axes, memory
+exhausted), 3 divergent grammar, 4 comparison failure, 5 `infer` stopped
+at --max-iter without converging, 1 stdout closed by its reader (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -127,6 +128,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.max_iter < 1:
+        raise CliError(f"--max-iter must be at least 1, got {args.max_iter}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise CliError(f"--tol must be a positive finite number, got {args.tol}")
     g = _compile(args)
     state = solve_fixed_point(g, tol=args.tol, max_iter=args.max_iter)
     t = state.tau[g.start]

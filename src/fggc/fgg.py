@@ -53,9 +53,6 @@ class Hypergraph:
         self.ext: tuple[str, ...] = tuple(ext)
         self._domain_of = {n.id: n.domain for n in self.nodes}
 
-    def node_ids(self):
-        return [n.id for n in self.nodes]
-
     def domain_of(self, node_id: str) -> str:
         return self._domain_of[node_id]
 
@@ -292,6 +289,9 @@ class Diagnostic:
 def validate(g: FGG) -> list[Diagnostic]:
     """Structural well-formedness diagnostics; empty list means valid."""
     out: list[Diagnostic] = []
+    for name, lab in g.labels.items():
+        if lab.kind not in (TERMINAL, NONTERMINAL):
+            out.append(Diagnostic(f"label {name!r} has unknown kind {lab.kind!r}"))
     if g.start not in g.labels:
         out.append(Diagnostic(f"start symbol {g.start!r} is not declared"))
     elif not g.labels[g.start].is_nonterminal:

@@ -258,6 +258,7 @@ def rule_contribution(g: FGG, rule: Rule, tau: dict[str, WeightTensor],
 CONVERGED = "converged"
 MAX_ITER = "max-iter"
 DIVERGENT = "divergent"
+DIVERGENCE_BOUND = 1e12  # an entry above this is taken to mean an infinite weight
 
 
 @dataclass
@@ -281,8 +282,7 @@ def dependency_components(index: RuleIndex, nts) -> list[tuple[list[str], bool]]
     return strongly_connected_components(nts, calls)
 
 
-def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
-                      divergence_bound: float = 1e12) -> SolverState:
+def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> SolverState:
     """Least fixed point of tau = F(tau) by Kleene iteration from zero
     tensors, one dependency component at a time, callees first.
 
@@ -291,7 +291,7 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
     the tensors of earlier components final, until the largest absolute
     change is below `tol` (converged), `max_iter` sweeps have run (max-iter:
     the later components are still solved from this last iterate) or an
-    entry exceeds `divergence_bound` (divergent: the solve stops). The state
+    entry exceeds DIVERGENCE_BOUND (divergent: the solve stops). The state
     reports the most sweeps and the largest final delta of any component.
     Each rule is compiled once per solve (see _Contraction).
     """
@@ -325,7 +325,7 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
             tau.update(new_tau)
             state.iteration = max(state.iteration, it)
             state.ops = counter.ops
-            if any(np.any(t.data > divergence_bound) for t in new_tau.values()):
+            if any(np.any(t.data > DIVERGENCE_BOUND) for t in new_tau.values()):
                 status = DIVERGENT
                 break
             if delta < tol or not recursive:

@@ -49,9 +49,6 @@ class Params:
                 return table
         raise ParamError(f"unknown distribution {dist_name!r}")
 
-    def density(self, dist_name: str, value: Value) -> float:
-        return self.dist_table(dist_name).get(value, 0.0)
-
     def lookup_keys(self, pname: str) -> list[Value]:
         if pname not in self.params:
             raise ParamError(f"unknown parameter map {pname!r}")

@@ -26,8 +26,9 @@ from .ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
 from .fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                   Hypergraph, Node, Rule, RuleIndex)
 from .frontend import apply_builtin
+from .inference import align
 from .params import Params
-from .values import Bool, Dist, Domain, Inl, Inr, Value
+from .values import Atom, Bool, Dist, Domain, Inl, Inr
 
 START = "$start"
 RESULT = "%v"  # result node id inside every rule ('%' cannot appear in identifiers)
@@ -44,8 +45,8 @@ class CompilationUnit:
 
 
 class _Names:
-    def __init__(self):
-        self.taken: set[str] = set()
+    def __init__(self, taken=()):
+        self.taken: set[str] = set(taken)
 
     def fresh(self, base: str) -> str:
         name = base
@@ -140,18 +141,14 @@ class _Translator:
         ext = tuple(x for x, _ in e.ty.env) + (RESULT,)
         self.rules.append(Rule(lhs, Hypergraph(all_nodes, edges, ext)))
 
-    def _env_ids(self, e: Expr) -> list[str]:
-        return [x for x, _ in e.ty.env]
-
     def _edge_for(self, eid: str, sub: Expr, result_node: str) -> Edge:
-        return Edge(eid, self.nt(sub), tuple(self._env_ids(sub)) + (result_node,))
+        return Edge(eid, self.nt(sub), tuple(x for x, _ in sub.ty.env) + (result_node,))
 
     # -- per-construct translation -------------------------------------------
 
     def translate_expr(self, e: Expr) -> str:
         lhs = self.nt(e)
         span = f"{e.pos[0]}:{e.pos[1]}"
-        env = self._env_ids(e)
 
         if isinstance(e, Var):
             if e.resolution == "var":
@@ -162,7 +159,7 @@ class _Translator:
                 self._rule(lhs, e, [], [Edge("e0", lab, (e.name, RESULT))])
             else:
                 value = (self.params.inputs[e.name] if e.resolution == "input"
-                         else _atom_value(e.name))
+                         else Atom(e.name))
                 lab = self.terminal(f"const@{span}", (e.ty.result,), ("const", value),
                                     lambda: _graph((), e.ty.result, lambda v: value),
                                     origin="builtin")
@@ -315,11 +312,6 @@ def _kind_of(e: Expr) -> str:
             BuiltinApp: "builtin", Lookup: "lookup"}[type(e)]
 
 
-def _atom_value(name: str) -> Value:
-    from .values import Atom
-    return Atom(name)
-
-
 def translate(program: Program, params: Params) -> CompilationUnit:
     """Compile a domain-annotated program (see frontend.assign_domains)."""
     if program.main.ty is None:
@@ -337,8 +329,10 @@ PROTECTED_KINDS = {"if", "case", "fun", "start"}
 
 def simplify(cu: CompilationUnit, passes=ALL_PASSES) -> CompilationUnit:
     """Apply the requested weight-preserving passes, in the given order."""
-    cu = CompilationUnit(fgg=_copy_fgg(cu.fgg), provenance=dict(cu.provenance),
-                         pass_log=list(cu.pass_log),
+    g = cu.fgg
+    cu = CompilationUnit(fgg=FGG(labels=dict(g.labels), rules=list(g.rules), start=g.start,
+                                 domains=dict(g.domains), factors=dict(g.factors)),
+                         provenance=dict(cu.provenance), pass_log=list(cu.pass_log),
                          label_kinds=dict(cu.label_kinds),
                          factor_origins=dict(cu.factor_origins))
     for name in passes:
@@ -347,11 +341,6 @@ def simplify(cu: CompilationUnit, passes=ALL_PASSES) -> CompilationUnit:
         cu.pass_log.append((name, fired))
     _gc(cu)
     return cu
-
-
-def _copy_fgg(g: FGG) -> FGG:
-    return FGG(labels=dict(g.labels), rules=list(g.rules), start=g.start,
-               domains=dict(g.domains), factors=dict(g.factors))
 
 
 def _pass_inline(cu: CompilationUnit) -> int:
@@ -455,104 +444,110 @@ def _pass_inline(cu: CompilationUnit) -> int:
 
 
 def _pass_compose(cu: CompilationUnit) -> int:
-    """Fuse pairs of built-in factor tables that meet at a private internal node."""
+    """Fuse pairs of built-in factor tables that meet at a private internal
+    node (attached once to each of exactly two edges).
+
+    One forward scan over a rule's nodes fuses where restarting from the
+    first node after each fusion would: a node attached to both fused edges
+    is attached twice to the fused one, so it stops being a candidate, and
+    every other node keeps its candidacy. The edges are edited in place,
+    with a node-to-edges map kept in edge order (the fused edge goes last),
+    and the rule's hypergraph is built once, if anything fused.
+    """
     g = cu.fgg
+    names = _Names(g.labels)
     fired = 0
-    new_rules = []
-    for r in g.rules:
+    for i, r in enumerate(g.rules):
         rhs = r.rhs
-        while True:
-            target = None
-            for n in rhs.nodes:
-                if n.id in rhs.ext:
-                    continue
-                incident = [(e, [i for i, a in enumerate(e.att) if a == n.id])
-                            for e in rhs.edges if n.id in e.att]
-                if len(incident) != 2:
-                    continue
-                (e1, p1), (e2, p2) = incident
-                if len(p1) != 1 or len(p2) != 1:
-                    continue
-                if (cu.factor_origins.get(e1.label) == "builtin"
-                        and cu.factor_origins.get(e2.label) == "builtin"):
-                    target = (n, e1, p1[0], e2, p2[0])
-                    break
-            if target is None:
-                break
-            n, e1, i1, e2, i2 = target
+        edges = {e.id: e for e in rhs.edges}
+        incident: dict[str, dict[str, None]] = {n.id: {} for n in rhs.nodes}
+        for e in rhs.edges:
+            for a in e.att:
+                incident[a][e.id] = None
+        fused = set()
+        for n in rhs.nodes:
+            if n.id in rhs.ext or len(incident[n.id]) != 2:
+                continue
+            e1, e2 = (edges[eid] for eid in incident[n.id])
+            if not all(e.att.count(n.id) == 1 and cu.factor_origins.get(e.label) == "builtin"
+                       for e in (e1, e2)):
+                continue
             # reindex both tables onto the attachment nodes' domains so the
             # contracted axes agree and the fused table matches its domains
-            from .inference import align
-            def _aligned(e):
-                tab = g.factors[e.label]
-                tds = tuple(g.domains[d] for d in tab.domains)
-                nds = tuple(g.domains[rhs.domain_of(a)] for a in e.att)
-                return align(tab.weights, tds, nds)
-            t1, t2 = _aligned(e1), _aligned(e2)
-            fusedtab = np.tensordot(np.moveaxis(t1, i1, -1), np.moveaxis(t2, i2, 0), axes=1)
-            att = tuple(a for a in e1.att if a != n.id) + tuple(a for a in e2.att if a != n.id)
-            dom_names = tuple(rhs.domain_of(a) for a in att)
-            base = f"fused.{e1.label}.{e2.label}"
-            name = base
-            k = 1
-            while name in g.labels:
-                k += 1
-                name = f"{base}#{k}"
+            t1, t2 = (align(g.factors[e.label].weights,
+                            g.domain_tuple(g.factors[e.label].domains),
+                            g.domain_tuple(rhs.domain_of(a) for a in e.att)) for e in (e1, e2))
+            table = np.tensordot(np.moveaxis(t1, e1.att.index(n.id), -1),
+                                 np.moveaxis(t2, e2.att.index(n.id), 0), axes=1)
+            att = tuple(a for a in e1.att + e2.att if a != n.id)
+            name = names.fresh(f"fused.{e1.label}.{e2.label}")
             g.labels[name] = EdgeLabel(name, len(att), TERMINAL)
-            g.factors[name] = FactorTable(name, dom_names, fusedtab)
+            g.factors[name] = FactorTable(name, tuple(rhs.domain_of(a) for a in att), table)
             cu.factor_origins[name] = "builtin"
-            nodes = [x for x in rhs.nodes if x.id != n.id]
-            edges = [e for e in rhs.edges if e.id not in (e1.id, e2.id)]
-            edges.append(Edge(f"{e1.id}+{e2.id}", name, att))
-            rhs = Hypergraph(nodes, edges, rhs.ext)
-            fired += 1
-        new_rules.append(Rule(r.lhs, rhs))
-    g.rules = new_rules
+            for e in (e1, e2):
+                del edges[e.id]
+                for a in e.att:
+                    incident[a].pop(e.id, None)
+            eid = f"{e1.id}+{e2.id}"
+            edges[eid] = Edge(eid, name, att)
+            for a in att:
+                incident[a][eid] = None
+            fused.add(n.id)
+        if fused:
+            nodes = [n for n in rhs.nodes if n.id not in fused]
+            g.rules[i] = Rule(r.lhs, Hypergraph(nodes, edges.values(), rhs.ext))
+            fired += len(fused)
     return fired
 
 
 def _pass_contract(cu: CompilationUnit) -> int:
-    """Contract copy factors v = x by merging the two nodes."""
+    """Contract copy factors v = x by merging the two nodes.
+
+    One forward scan over a rule's edges contracts where restarting from the
+    first edge after each merge would: a merge only joins two nodes of one
+    domain and never drops an external one, so an earlier copy edge can
+    lose eligibility but never gain it. Attachments are resolved through the
+    merge map; the remaining edges are rewritten, and the hypergraph built,
+    once at the end, if anything merged.
+    """
     g = cu.fgg
     fired = 0
-    new_rules = []
-    for r in g.rules:
+    for i, r in enumerate(g.rules):
         rhs = r.rhs
-        while True:
-            target = None
-            for e in rhs.edges:
-                if cu.factor_origins.get(e.label) != "copy" or len(e.att) != 2:
-                    continue
-                a, b = e.att
-                if a == b:
-                    continue
-                if rhs.domain_of(a) != rhs.domain_of(b):
-                    continue
-                if a in rhs.ext and b in rhs.ext:
-                    continue  # merging would duplicate an external node
-                target = e
-                break
-            if target is None:
-                break
-            a, b = target.att
+        merged: dict[str, str] = {}  # dropped node -> the node it was merged into
+        contracted = set()
+        for e in rhs.edges:
+            if cu.factor_origins.get(e.label) != "copy" or len(e.att) != 2:
+                continue
+            a, b = (_resolve(merged, x) for x in e.att)
+            if (a == b or rhs.domain_of(a) != rhs.domain_of(b)
+                    or a in rhs.ext and b in rhs.ext):  # would duplicate an external node
+                continue
             keep, drop = (b, a) if b in rhs.ext else (a, b)
-            nodes = [n for n in rhs.nodes if n.id != drop]
-            edges = [Edge(e.id, e.label, tuple(keep if x == drop else x for x in e.att))
-                     for e in rhs.edges if e.id != target.id]
-            rhs = Hypergraph(nodes, edges, rhs.ext)
-            fired += 1
-        new_rules.append(Rule(r.lhs, rhs))
-    g.rules = new_rules
+            merged[drop] = keep
+            contracted.add(e.id)
+        if contracted:
+            nodes = [n for n in rhs.nodes if n.id not in merged]
+            edges = [Edge(e.id, e.label, tuple(_resolve(merged, x) for x in e.att))
+                     for e in rhs.edges if e.id not in contracted]
+            g.rules[i] = Rule(r.lhs, Hypergraph(nodes, edges, rhs.ext))
+            fired += len(contracted)
     return fired
+
+
+def _resolve(merged: dict[str, str], node: str) -> str:
+    while node in merged:
+        node = merged[node]
+    return node
 
 
 def _pass_prune(cu: CompilationUnit) -> int:
     """Drop rules containing an identically-zero factor table."""
     g = cu.fgg
+    zero = {name for name, tab in g.factors.items() if not tab.weights.any()}
     before = len(g.rules)
     g.rules = [r for r in g.rules
-               if not any(g.labels[e.label].is_terminal
-                          and not np.any(g.factors[e.label].weights)
+               if not any(e.label in zero and g.labels[e.label].is_terminal
                           for e in r.rhs.edges)]
     return before - len(g.rules)
 

@@ -1,13 +1,15 @@
 """Reference implementations kept for equivalence tests.
 
-These are the straightforward forms of four paths: the `inline` pass
-that rescans the whole grammar from its first label after every inlined
-label and rebuilds a right-hand side for every inlined edge, the Jacobi
-solver that scans all rules for every nonterminal and rebuilds every
-rule's factors on every iteration, variable elimination
-as hand-written tensor algebra that re-derives every scope on every
-application, and domain assignment as two traversals (a value-set
-fixpoint, then a typing walk that interns the final sets). The library's
+These are the straightforward forms of four paths: the simplification
+passes (`inline` rescans the whole grammar from its first label after every
+inlined label and rebuilds a right-hand side for every inlined edge;
+`compose` and `contract` rescan a rule from its first node or edge after
+every firing and rebuild it each time), the Jacobi solver that scans all
+rules for every nonterminal and rebuilds every rule's factors on every
+iteration, variable elimination as hand-written tensor algebra that
+re-derives every scope on every application, and domain assignment as two
+traversals (a value-set fixpoint, then a typing walk that interns the final
+sets). The library's
 versions must produce identical grammars, bit-identical solver states,
 rule contributions equal to 1e-12 relative and identical domain
 annotations (see test_reference_equivalence.py). `assignment_weight`, the
@@ -21,13 +23,13 @@ import numpy as np
 
 from fggc.ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup, Observe,
                       Program, Sample, TypeInfo, Var)
-from fggc.fgg import FGG, Edge, Hypergraph, Node, Rule
+from fggc.fgg import FGG, TERMINAL, Edge, EdgeLabel, FactorTable, Hypergraph, Node, Rule
 from fggc.frontend import (_SET_LIMIT, DomainError, DomainInterner, _product,
                            apply_builtin)
 from fggc import inference
-from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, InferenceError,
-                            OpCounter, SolverState, WeightTensor, align,
-                            plan_elimination)
+from fggc.inference import (CONVERGED, DIVERGENCE_BOUND, DIVERGENT, MAX_ITER,
+                            InferenceError, OpCounter, SolverState, WeightTensor,
+                            align, plan_elimination)
 from fggc.params import Params
 from fggc.translate import PROTECTED_KINDS, CompilationUnit
 from fggc.values import Atom, Bool, Dist, Domain, Inl, Inr, Value
@@ -123,8 +125,98 @@ def pass_inline(cu: CompilationUnit) -> int:
     return fired
 
 
-def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
-                      divergence_bound: float = 1e12) -> SolverState:
+def pass_compose(cu: CompilationUnit) -> int:
+    """Fuse pairs of built-in factor tables that meet at a private internal node."""
+    g = cu.fgg
+    fired = 0
+    new_rules = []
+    for r in g.rules:
+        rhs = r.rhs
+        while True:
+            target = None
+            for n in rhs.nodes:
+                if n.id in rhs.ext:
+                    continue
+                incident = [(e, [i for i, a in enumerate(e.att) if a == n.id])
+                            for e in rhs.edges if n.id in e.att]
+                if len(incident) != 2:
+                    continue
+                (e1, p1), (e2, p2) = incident
+                if len(p1) != 1 or len(p2) != 1:
+                    continue
+                if (cu.factor_origins.get(e1.label) == "builtin"
+                        and cu.factor_origins.get(e2.label) == "builtin"):
+                    target = (n, e1, p1[0], e2, p2[0])
+                    break
+            if target is None:
+                break
+            n, e1, i1, e2, i2 = target
+            # reindex both tables onto the attachment nodes' domains so the
+            # contracted axes agree and the fused table matches its domains
+            def _aligned(e):
+                tab = g.factors[e.label]
+                tds = tuple(g.domains[d] for d in tab.domains)
+                nds = tuple(g.domains[rhs.domain_of(a)] for a in e.att)
+                return align(tab.weights, tds, nds)
+            t1, t2 = _aligned(e1), _aligned(e2)
+            fusedtab = np.tensordot(np.moveaxis(t1, i1, -1), np.moveaxis(t2, i2, 0), axes=1)
+            att = tuple(a for a in e1.att if a != n.id) + tuple(a for a in e2.att if a != n.id)
+            dom_names = tuple(rhs.domain_of(a) for a in att)
+            base = f"fused.{e1.label}.{e2.label}"
+            name = base
+            k = 1
+            while name in g.labels:
+                k += 1
+                name = f"{base}#{k}"
+            g.labels[name] = EdgeLabel(name, len(att), TERMINAL)
+            g.factors[name] = FactorTable(name, dom_names, fusedtab)
+            cu.factor_origins[name] = "builtin"
+            nodes = [x for x in rhs.nodes if x.id != n.id]
+            edges = [e for e in rhs.edges if e.id not in (e1.id, e2.id)]
+            edges.append(Edge(f"{e1.id}+{e2.id}", name, att))
+            rhs = Hypergraph(nodes, edges, rhs.ext)
+            fired += 1
+        new_rules.append(Rule(r.lhs, rhs))
+    g.rules = new_rules
+    return fired
+
+
+def pass_contract(cu: CompilationUnit) -> int:
+    """Contract copy factors v = x by merging the two nodes."""
+    g = cu.fgg
+    fired = 0
+    new_rules = []
+    for r in g.rules:
+        rhs = r.rhs
+        while True:
+            target = None
+            for e in rhs.edges:
+                if cu.factor_origins.get(e.label) != "copy" or len(e.att) != 2:
+                    continue
+                a, b = e.att
+                if a == b:
+                    continue
+                if rhs.domain_of(a) != rhs.domain_of(b):
+                    continue
+                if a in rhs.ext and b in rhs.ext:
+                    continue  # merging would duplicate an external node
+                target = e
+                break
+            if target is None:
+                break
+            a, b = target.att
+            keep, drop = (b, a) if b in rhs.ext else (a, b)
+            nodes = [n for n in rhs.nodes if n.id != drop]
+            edges = [Edge(e.id, e.label, tuple(keep if x == drop else x for x in e.att))
+                     for e in rhs.edges if e.id != target.id]
+            rhs = Hypergraph(nodes, edges, rhs.ext)
+            fired += 1
+        new_rules.append(Rule(r.lhs, rhs))
+    g.rules = new_rules
+    return fired
+
+
+def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> SolverState:
     """Kleene iteration from zero tensors, synchronous (Jacobi) updates,
     rescanning the rules for every nonterminal and preparing every rule
     anew on every iteration (by the library's rule_contribution, so that
@@ -155,7 +247,7 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000,
         state.iteration = it
         state.delta = delta
         state.ops = counter.ops
-        if any(np.any(t.data > divergence_bound) for t in tau.values()):
+        if any(np.any(t.data > DIVERGENCE_BOUND) for t in tau.values()):
             state.status = DIVERGENT
             return state
         if delta < tol:

@@ -119,6 +119,25 @@ def test_infer_max_iter_one(tmp_path, capsys):
     assert "status: max-iter" in out
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--max-iter", "0"], "--max-iter must be at least 1"),
+    (["--max-iter", "-3"], "--max-iter must be at least 1"),
+    (["--tol", "0"], "--tol must be a positive finite number"),
+    (["--tol=-1e-10"], "--tol must be a positive finite number"),
+    (["--tol", "nan"], "--tol must be a positive finite number"),
+    (["--tol", "inf"], "--tol must be a positive finite number"),
+])
+def test_infer_rejects_degenerate_solver_flags(capsys, flags, message):
+    """No solve with these flags can report a meaningful weight: zero sweeps
+    leave every weight 0, and a tolerance that is not positive and finite
+    can never be met."""
+    code, out, err = run(capsys, "infer", _p("const"), "--params", _params("const"), *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    _one_line_error(err)
+
+
 @pytest.mark.parametrize("source", [
     "fun f(x) = not(x); f(true)",
     "let x = sample c[u] in if not(x) then not(x = true) else not(false)",
@@ -240,6 +259,10 @@ def _undeclared_label(obj):
     obj["rules"][0]["rhs"]["edges"][0]["label"] = "nosuch"
 
 
+def _unknown_kind(obj):
+    next(l for l in obj["labels"] if l["kind"] == "terminal")["kind"] = "factor"
+
+
 def _truncate(path):
     path.write_text(path.read_text()[:200])
 
@@ -248,7 +271,8 @@ def _truncate(path):
     (_truncate, "bad FGG JSON"),
     (_edit_json(_drop_factor_domains), "bad FGG JSON"),
     (_edit_json(_undeclared_label), "undeclared label 'nosuch'"),
-], ids=["truncated", "factor-without-domains", "undeclared-label"])
+    (_edit_json(_unknown_kind), "has unknown kind 'factor'"),
+], ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind"])
 @pytest.mark.parametrize("command", ["infer", "compare"])
 def test_malformed_grammar_json_exit_2(tmp_path, capsys, command, damage, message):
     path = tmp_path / "g.json"

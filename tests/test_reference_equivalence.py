@@ -1,9 +1,10 @@
-"""The indexed `inline` pass, the prepared-rule solver, the compiled einsum
-contraction and the one-traversal domain assignment against their
-straightforward references (reference_impl.py): identical grammars and pass
-logs, solver states that agree with whole-grammar Kleene iteration, rule
-contributions equal to 1e-12 relative, identical domain annotations and
-errors. On grammars without recursion, the dependency-ordered solve gives the
+"""The one-scan `inline`, `compose` and `contract` passes, the prepared-rule
+solver, the compiled einsum contraction and the one-traversal domain
+assignment against their straightforward references (reference_impl.py):
+identical grammars and pass logs (also under random pass orders), solver
+states that agree with whole-grammar Kleene iteration, rule contributions
+equal to 1e-12 relative, identical domain annotations and errors. On
+grammars without recursion, the dependency-ordered solve gives the
 reference's limit bit for bit."""
 
 import dataclasses
@@ -42,10 +43,20 @@ def _compiled(source, params):
     return translate(program, params)
 
 
+def _program(name):
+    """A suite program by name, or a `genprog` one named gen-SEED-NFUN."""
+    if not name.startswith("gen-"):
+        return load_program(name)
+    _, seed, nfun = name.split("-")
+    source, params = random_program(random.Random(f"equivalence-{seed}-{nfun}"), int(nfun))
+    return source, params_from_json(params)
+
+
 def _same_grammar(cu0, passes, monkeypatch):
     got = simplify(cu0, passes)
     with monkeypatch.context() as m:
-        m.setattr(translate_module, "_pass_inline", reference_impl.pass_inline)
+        for name in ("inline", "compose", "contract"):
+            m.setattr(translate_module, f"_pass_{name}", getattr(reference_impl, f"pass_{name}"))
         want = simplify(cu0, passes)
     assert json.dumps(fgg_to_json(got.fgg)) == json.dumps(fgg_to_json(want.fgg))
     assert got.pass_log == want.pass_log
@@ -67,8 +78,9 @@ def _same_solve(g, tol=1e-10, **kw):
         np.testing.assert_allclose(got.tau[name].data, t.data, rtol=0, atol=tol)
 
 
+GENERATED_NAMES = [f"gen-{seed}-{nfun}" for seed, nfun in GENERATED]
 NON_RECURSIVE = ([name for name in SUITE if name not in ("mutual", "pcfg", "pcfgw")]
-                 + [f"gen-{seed}-{nfun}" for seed, nfun in GENERATED])
+                 + GENERATED_NAMES)
 
 
 @pytest.mark.parametrize("name", NON_RECURSIVE)
@@ -76,13 +88,7 @@ def test_non_recursive_solve_is_the_reference_limit(name):
     """One pass in dependency order gives, bit for bit, the tensors that
     Jacobi iteration reaches when its last sweep changes nothing, on the
     grammar simplified by each pass set and not at all."""
-    if name.startswith("gen-"):
-        _, seed, nfun = name.split("-")
-        source, params = random_program(random.Random(f"equivalence-{seed}-{nfun}"), int(nfun))
-        params = params_from_json(params)
-    else:
-        source, params = load_program(name)
-    cu = _compiled(source, params)
+    cu = _compiled(*_program(name))
     checked = 0
     for g in [cu.fgg] + [simplify(cu, passes).fgg for passes in PASS_SETS]:
         components = dependency_components(RuleIndex(g.rules), g.nonterminals())
@@ -99,6 +105,29 @@ def test_non_recursive_solve_is_the_reference_limit(name):
             assert got.tau[label].domains == t.domains
             assert got.tau[label].data.tobytes() == t.data.tobytes()
     assert checked
+
+
+def _start_weights(g):
+    """The start tensor, solved tightly enough that a recursive grammar's
+    iterates agree to 1e-12 relative however the passes reshaped it."""
+    state = solve_fixed_point(g, tol=1e-15)
+    assert state.status == "converged"
+    return state.tau[g.start].data
+
+
+@pytest.mark.parametrize("name", SUITE + GENERATED_NAMES)
+def test_random_pass_orders_match_reference(name, monkeypatch):
+    """Seeded random sequences of 0 to 6 passes, repeats allowed: the
+    library's passes give the reference passes' grammar and pass log byte
+    for byte, and the start weights of the unsimplified grammar."""
+    cu0 = _compiled(*_program(name))
+    want = _start_weights(cu0.fgg)
+    rng = random.Random(f"pass-orders-{name}")
+    for _ in range(6):
+        passes = tuple(rng.choice(ALL_PASSES) for _ in range(rng.randint(0, 6)))
+        got = _same_grammar(cu0, passes, monkeypatch)
+        np.testing.assert_allclose(_start_weights(got.fgg), want, rtol=1e-12, atol=0,
+                                   err_msg="+".join(passes))
 
 
 @pytest.mark.parametrize("passes", PASS_SETS, ids=lambda p: "+".join(p))

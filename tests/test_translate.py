@@ -293,16 +293,16 @@ def test_translated_tables_are_read_only(name):
             tab.weights[...] = 0.0
 
 
-def test_inline_builds_each_rule_once(monkeypatch):
-    """The inline pass edits right-hand sides in place and builds one
-    hypergraph per rule it changed, however many edges it inlined there,
-    plus one per rule the collapse relabels: at most two per rule left,
-    where building one per inlined edge would be `fired`."""
-    translate_module = importlib.import_module("fggc.translate")
-    source, params = random_program(random.Random("inline-builds"), 24)
+def _generated_unit(nfun):
+    source, params = random_program(random.Random("inline-builds"), nfun)
     params = params_from_json(params)
     program, _ = check_program(source, params)
-    cu = translate(program, params)
+    return translate(program, params)
+
+
+def _count_hypergraph_builds(monkeypatch) -> list:
+    """Make the translator record each hypergraph it builds in the list returned."""
+    translate_module = importlib.import_module("fggc.translate")
     built = []
 
     class CountingHypergraph(translate_module.Hypergraph):
@@ -311,7 +311,31 @@ def test_inline_builds_each_rule_once(monkeypatch):
             super().__init__(*args, **kw)
 
     monkeypatch.setattr(translate_module, "Hypergraph", CountingHypergraph)
+    return built
+
+
+def test_inline_builds_each_rule_once(monkeypatch):
+    """The inline pass edits right-hand sides in place and builds one
+    hypergraph per rule it changed, however many edges it inlined there,
+    plus one per rule the collapse relabels: at most two per rule left,
+    where building one per inlined edge would be `fired`."""
+    cu = _generated_unit(24)
+    built = _count_hypergraph_builds(monkeypatch)
     out = simplify(cu, ("inline",))
     ((_, fired),) = out.pass_log
     assert fired > 2 * len(out.fgg.rules)
     assert 0 < len(built) <= 2 * len(out.fgg.rules)
+
+
+@pytest.mark.parametrize("name", ["compose", "contract"])
+def test_compose_and_contract_build_each_changed_rule_once(monkeypatch, name):
+    """compose and contract edit a rule's edges in place and build one
+    hypergraph per rule they changed, however often they fired there. On
+    this inlined program both fire more often than they change rules."""
+    cu = simplify(_generated_unit(48), ("inline",))
+    before = [r.rhs for r in cu.fgg.rules]
+    built = _count_hypergraph_builds(monkeypatch)
+    fired = getattr(importlib.import_module("fggc.translate"), f"_pass_{name}")(cu)
+    changed = sum(r.rhs is not rhs for r, rhs in zip(cu.fgg.rules, before))
+    assert fired > changed > 0
+    assert len(built) == changed
