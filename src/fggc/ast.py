@@ -84,30 +84,6 @@ class Lookup(Expr):
     index: Expr
 
 
-# sugar forms, eliminated by desugar()
-
-@dataclass
-class And(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass
-class Or(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass
-class Not(Expr):
-    arg: Expr
-
-
-@dataclass
-class Fail(Expr):
-    pass
-
-
 @dataclass
 class FunDef:
     name: str
@@ -129,14 +105,17 @@ BUILTIN_ARITY = {
 }
 
 # built-ins callable by name in source; pair is written (e1, e2), and not(e)
-# parses to the sugar form Not
+# parses to `if e then false else true`
 NAMED_BUILTINS = {"fst", "snd", "inl", "inr", "cons", "car", "cdr", "not"}
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printer. print -> parse is the identity on ASTs (modulo positions).
+# `and`, `or` and `not(e)` print as the `if` forms they parse to; `fail`
+# parses to _FAIL, which prints as `fail`.
 
 _CONSTS = {"true": "true", "false": "false", "unit": "unit", "nil": "nil"}
+_FAIL = Observe(BuiltinApp("true", []), BuiltinApp("zerodist", []))
 
 
 def pp_expr(e: Expr) -> str:
@@ -149,27 +128,19 @@ def pp_expr(e: Expr) -> str:
     if isinstance(e, Sample):
         return f"sample {_atom(e.arg)}"
     if isinstance(e, Observe):
-        return f"observe {_or_level(e.value)} <- {pp_expr(e.dist)}"
+        if e == _FAIL:
+            return "fail"
+        return f"observe {_cmp_level(e.value)} <- {pp_expr(e.dist)}"
     if isinstance(e, If):
         return f"if {pp_expr(e.cond)} then {pp_expr(e.then)} else {pp_expr(e.els)}"
     if isinstance(e, Case):
         return (f"case {pp_expr(e.scrutinee)} of inl({e.left_var}) => {_arm(e.left)}"
                 f" | inr({e.right_var}) => {pp_expr(e.right)}")
-    if isinstance(e, And):
-        return f"{_and_level(e.left)} and {_cmp_level(e.right)}"
-    if isinstance(e, Or):
-        return f"{_or_level(e.left)} or {_and_level(e.right)}"
-    if isinstance(e, Not):
-        return f"not({pp_expr(e.arg)})"
-    if isinstance(e, Fail):
-        return "fail"
     if isinstance(e, Lookup):
         return f"{e.param}[{pp_expr(e.index)}]"
     if isinstance(e, BuiltinApp):
         if e.op in _CONSTS and not e.args:
             return _CONSTS[e.op]
-        if e.op == "zerodist":
-            return "fail"  # only arises from desugared fail
         if e.op == "pair":
             return f"({pp_expr(e.args[0])}, {pp_expr(e.args[1])})"
         if e.op in ("=", "!="):
@@ -183,12 +154,10 @@ def _paren(e: Expr) -> str:
 
 
 def _atom(e: Expr) -> str:
-    if isinstance(e, (Var, Lookup, Call, Not)):
+    if isinstance(e, (Var, Lookup, Call)) or e == _FAIL:
         return pp_expr(e)
     if isinstance(e, BuiltinApp) and e.op not in ("=", "!="):
         return pp_expr(e)
-    if isinstance(e, Fail):
-        return "fail"
     return _paren(e)
 
 
@@ -196,18 +165,6 @@ def _cmp_level(e: Expr) -> str:
     if isinstance(e, BuiltinApp) and e.op in ("=", "!="):
         return pp_expr(e)
     return _atom(e)
-
-
-def _and_level(e: Expr) -> str:
-    if isinstance(e, And):
-        return pp_expr(e)
-    return _cmp_level(e)
-
-
-def _or_level(e: Expr) -> str:
-    if isinstance(e, Or):
-        return pp_expr(e)
-    return _and_level(e)
 
 
 def _arm(e: Expr) -> str:

@@ -8,8 +8,8 @@ Subcommands:
     render     dot or LaTeX diagrams, one per rule
 
 Exit codes: 0 success, 2 front-end error (parse/scope/domain/params/IO,
-malformed grammar JSON, bad `infer` flags, input nested too deeply, a
-nonterminal with more external nodes than numpy has axes, memory
+malformed grammar JSON, bad command-line arguments, input nested too
+deeply, a nonterminal with more external nodes than numpy has axes, memory
 exhausted), 3 divergent grammar, 4 comparison failure, 5 `infer` stopped
 at --max-iter without converging, 1 stdout closed by its reader (a broken pipe).
 """
@@ -30,7 +30,7 @@ from .oracle import OracleError, enumerate_derivations, interpret, truncated_wX
 from .params import ParamError, Params, load_params
 from .parser import ParseError
 from .render import to_dot, to_latex
-from .translate import ALL_PASSES, compile_source
+from .translate import ALL_PASSES, compile_program, compile_source
 
 EXIT_FRONTEND = 2
 EXIT_DIVERGENT = 3
@@ -150,7 +150,7 @@ def cmd_compare(args) -> int:
     try:
         program, _ = check_program(source, params)
         g = (_load_grammar(args.fgg) if args.fgg
-             else compile_source(source, params, _parse_passes(args.passes)).fgg)
+             else compile_program(program, params, _parse_passes(args.passes)).fgg)
     except (ParseError, DomainError, ParamError) as e:
         raise CliError(str(e))
 
@@ -222,10 +222,18 @@ def cmd_render(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a CliError (one `error:` line, exit 2)
+    instead of printing usage and exiting; subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fggc",
-                                 description="compile probabilistic programs "
-                                 "to factor graph grammars and run exact inference")
+    ap = _ArgumentParser(prog="fggc",
+                         description="compile probabilistic programs "
+                         "to factor graph grammars and run exact inference")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, passes=True):
@@ -270,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()
         return code

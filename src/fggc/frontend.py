@@ -1,4 +1,4 @@
-"""Desugaring, scope checking, and domain assignment.
+"""Scope checking and domain assignment.
 
 Domain assignment gives every subexpression a finite domain: the set of
 values it can evaluate to, and an environment listing the bound variables
@@ -11,10 +11,11 @@ function f.
 from __future__ import annotations
 
 import heapq
+from itertools import product
 from typing import Optional
 
-from .ast import (And, BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
-                  Lookup, Not, Observe, Or, Program, Sample, TypeInfo, Var)
+from .ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup, Observe,
+                  Program, Sample, TypeInfo, Var)
 from .fgg import Diagnostic
 from .params import ParamError, Params
 from .scc import strongly_connected_components
@@ -29,49 +30,10 @@ class DomainError(Exception):
         self.pos = pos
 
 
-# ---------------------------------------------------------------------------
-# Desugaring
-
-
-def desugar_expr(e: Expr) -> Expr:
-    if isinstance(e, And):
-        return If(desugar_expr(e.left), desugar_expr(e.right),
-                  BuiltinApp("false", [], pos=e.pos), pos=e.pos)
-    if isinstance(e, Or):
-        return If(desugar_expr(e.left), BuiltinApp("true", [], pos=e.pos),
-                  desugar_expr(e.right), pos=e.pos)
-    if isinstance(e, Not):
-        return If(desugar_expr(e.arg), BuiltinApp("false", [], pos=e.pos),
-                  BuiltinApp("true", [], pos=e.pos), pos=e.pos)
-    if isinstance(e, Fail):
-        # observe true <- «zero»: multiplies the branch weight by 0
-        return Observe(BuiltinApp("true", [], pos=e.pos),
-                       BuiltinApp("zerodist", [], pos=e.pos), pos=e.pos)
-    if isinstance(e, Var):
-        return Var(e.name, pos=e.pos)
-    if isinstance(e, Let):
-        return Let(e.name, desugar_expr(e.bound), desugar_expr(e.body), pos=e.pos)
-    if isinstance(e, Call):
-        return Call(e.fn, [desugar_expr(a) for a in e.args], pos=e.pos)
-    if isinstance(e, Sample):
-        return Sample(desugar_expr(e.arg), pos=e.pos)
-    if isinstance(e, Observe):
-        return Observe(desugar_expr(e.value), desugar_expr(e.dist), pos=e.pos)
-    if isinstance(e, If):
-        return If(desugar_expr(e.cond), desugar_expr(e.then), desugar_expr(e.els), pos=e.pos)
-    if isinstance(e, Case):
-        return Case(desugar_expr(e.scrutinee), e.left_var, desugar_expr(e.left),
-                    e.right_var, desugar_expr(e.right), pos=e.pos)
-    if isinstance(e, BuiltinApp):
-        return BuiltinApp(e.op, [desugar_expr(a) for a in e.args], pos=e.pos)
-    if isinstance(e, Lookup):
-        return Lookup(e.param, desugar_expr(e.index), pos=e.pos)
-    raise TypeError(f"unknown expression {e!r}")
-
-
 def desugar(p: Program) -> Program:
-    return Program([FunDef(f.name, list(f.params), desugar_expr(f.body), f.pos)
-                    for f in p.functions], desugar_expr(p.main))
+    """The identity: the parser already reads `and`, `or`, `not(e)` and
+    `fail` as core forms. Kept for callers written before it did."""
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +103,6 @@ def scope_check(p: Program, global_names: frozenset[str] = frozenset()) -> list[
                 walk(a, bound)
         elif isinstance(e, Lookup):
             walk(e.index, bound)
-        elif isinstance(e, (And, Or, Not, Fail)):
-            raise DomainError("scope_check requires a desugared program", e.pos)
         else:
             raise TypeError(f"unknown expression {e!r}")
 
@@ -403,7 +363,7 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
             keys = set(params.lookup_keys(e.param))
             result = {params.dist_value(e.param, k) for k in index & keys}
         else:
-            raise DomainError("domain assignment requires a desugared program", e.pos)
+            raise TypeError(f"unknown expression {e!r}")
         record.append((e, env, result))
         return result
 
@@ -486,14 +446,14 @@ def _nesting(v: Value) -> int:
 
 
 def _product(sets: list[set[Value]], pos):
-    from itertools import product
-    ordered = [sorted_values(s) for s in sets]
+    """Every combination of one value from each set, in no fixed order:
+    the caller only collects the results into a set."""
     size = 1
-    for s in ordered:
+    for s in sets:
         size *= max(len(s), 1)
     if size > 1_000_000:
         raise DomainError("built-in argument domains are too large to enumerate", pos)
-    return product(*ordered)
+    return product(*sets)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +461,9 @@ def _product(sets: list[set[Value]], pos):
 
 
 def check_program(source: str, params: Params) -> tuple[Program, dict[str, Domain]]:
-    """parse + desugar + scope_check + assign_domains; raises on any failure."""
+    """parse + scope_check + assign_domains; raises on any failure."""
     from .parser import parse
-    p = desugar(parse(source))
+    p = parse(source)
     diags = scope_check(p, frozenset(params.global_names()))
     if diags:
         raise DomainError("; ".join(str(d) for d in diags))

@@ -170,7 +170,7 @@ def branches(p: Program, params: Params, depth_bound: int) -> list[BranchOutcome
                 if k in params.params.get(e.param, {}):
                     yield Dist(f"{e.param}[{k.key()}]"), w, m, p1
             return
-        raise OracleError(f"cannot interpret {e!r} (program not desugared?)")
+        raise OracleError(f"cannot interpret unknown expression {e!r}")
 
     def _ev_args(args, env, d):
         if not args:

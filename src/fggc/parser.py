@@ -19,7 +19,11 @@ Concrete syntax (low to high precedence):
                | IDENT "[" expr "]"                  -- parameter lookup
                | IDENT
 
-Comments run from '#' to end of line.
+Comments run from '#' to end of line. `a and b` parses to
+`if a then b else false`, `a or b` to `if a then true else b`, `not(e)` to
+`if e then false else true`, and `fail` to an observe of `true` under the
+built-in zero distribution `zerodist`. Each form, and each constant it
+adds, takes the position of its keyword.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ast
-from .ast import (And, BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
-                  Lookup, Not, Observe, Or, Program, Sample, Var)
+from .ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
+                  Observe, Program, Sample, Var)
 
 KEYWORDS = {
     "fun", "let", "in", "sample", "observe", "if", "then", "else", "case",
@@ -197,14 +201,14 @@ class _Parser:
         e = self.andexpr()
         while self.at("kw", "or"):
             pos = self.advance().pos
-            e = Or(e, self.andexpr(), pos=pos)
+            e = If(e, _const("true", pos), self.andexpr(), pos=pos)
         return e
 
     def andexpr(self) -> Expr:
         e = self.cmpexpr()
         while self.at("kw", "and"):
             pos = self.advance().pos
-            e = And(e, self.cmpexpr(), pos=pos)
+            e = If(e, self.cmpexpr(), _const("false", pos), pos=pos)
         return e
 
     def cmpexpr(self) -> Expr:
@@ -217,21 +221,12 @@ class _Parser:
 
     def atom(self) -> Expr:
         t = self.tok
-        if self.at("kw", "true"):
+        if t.kind == "kw" and t.text in ("true", "false", "unit", "nil"):
             self.advance()
-            return BuiltinApp("true", [], pos=t.pos)
-        if self.at("kw", "false"):
-            self.advance()
-            return BuiltinApp("false", [], pos=t.pos)
-        if self.at("kw", "unit"):
-            self.advance()
-            return BuiltinApp("unit", [], pos=t.pos)
-        if self.at("kw", "nil"):
-            self.advance()
-            return BuiltinApp("nil", [], pos=t.pos)
+            return _const(t.text, t.pos)
         if self.at("kw", "fail"):
             self.advance()
-            return Fail(pos=t.pos)
+            return Observe(_const("true", t.pos), _const("zerodist", t.pos), pos=t.pos)
         if self.at("kw", "inl") or self.at("kw", "inr"):
             op = self.advance()
             self.expect("sym", "(")
@@ -266,7 +261,8 @@ class _Parser:
                             f"built-in {name.text!r} takes {want} argument(s), got {len(args)}",
                             name.pos)
                     if name.text == "not":
-                        return Not(args[0], pos=name.pos)
+                        return If(args[0], _const("false", name.pos),
+                                  _const("true", name.pos), pos=name.pos)
                     return BuiltinApp(name.text, args, pos=name.pos)
                 return Call(name.text, args, pos=name.pos)
             if self.at("sym", "["):
@@ -276,6 +272,10 @@ class _Parser:
                 return Lookup(name.text, index, pos=name.pos)
             return Var(name.text, pos=name.pos)
         raise ParseError(f"expected expression, found {t.text or 'end of input'!r}", t.pos)
+
+
+def _const(op: str, pos: tuple[int, int]) -> BuiltinApp:
+    return BuiltinApp(op, [], pos=pos)
 
 
 def parse(source: str) -> Program:

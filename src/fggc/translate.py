@@ -276,7 +276,7 @@ class _Translator:
             self._rule(lhs, e, arg_nodes, edges)
             return lhs
 
-        raise TypeError(f"cannot translate {e!r} (program not desugared?)")
+        raise TypeError(f"cannot translate unknown expression {e!r}")
 
     def translate_fun(self, f: FunDef):
         body_lhs = self.translate_expr(f.body)
@@ -585,9 +585,15 @@ def _gc(cu: CompilationUnit):
 
 
 def compile_source(source: str, params: Params, passes=ALL_PASSES) -> CompilationUnit:
-    """Full pipeline: parse, desugar, check, translate, simplify."""
+    """Full pipeline: parse, check, translate, simplify."""
     from .frontend import check_program
     program, _ = check_program(source, params)
+    return compile_program(program, params, passes)
+
+
+def compile_program(program: Program, params: Params, passes=ALL_PASSES) -> CompilationUnit:
+    """Translate a checked program (see frontend.check_program), then
+    simplify it with `passes`; no passes skips `simplify`."""
     cu = translate(program, params)
     if passes:
         cu = simplify(cu, passes)

@@ -138,12 +138,25 @@ def test_infer_rejects_degenerate_solver_flags(capsys, flags, message):
     _one_line_error(err)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["infer", _p("const"), "--max-iter", "abc"], "invalid int value: 'abc'"),
+    # argparse takes -1e-10 for an option, not a value
+    (["infer", _p("const"), "--tol", "-1e-10"], "--tol: expected one argument"),
+    (["frobnicate", _p("const")], "invalid choice: 'frobnicate'"),
+])
+def test_bad_arguments_end_in_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    _one_line_error(err)
+
+
 @pytest.mark.parametrize("source", [
     "fun f(x) = not(x); f(true)",
     "let x = sample c[u] in if not(x) then not(x = true) else not(false)",
 ])
 def test_infer_not_matches_interpreter(tmp_path, capsys, source):
-    from fggc.frontend import desugar
     from fggc.oracle import interpret
     from fggc.params import load_params
     from fggc.parser import parse
@@ -157,7 +170,7 @@ def test_infer_not_matches_interpreter(tmp_path, capsys, source):
     got = {l.split(":")[0]: float(l.split(":")[1]) for l in out.splitlines()
            if l.startswith(("true:", "false:"))}
     want = {v.key(): w for v, w in
-            interpret(desugar(parse(source)), load_params(str(params)), 4).items()}
+            interpret(parse(source), load_params(str(params)), 4).items()}
     assert set(want) <= set(got)
     for value, weight in got.items():
         assert weight == pytest.approx(want.get(value, 0.0), abs=1e-12)
@@ -177,6 +190,17 @@ def test_compare_clean(capsys):
                        _params("pcfg"), "--depth", "4")
     assert code == 0
     assert "all comparisons within tolerance" in out
+
+
+def test_compare_assigns_domains_once(capsys, monkeypatch):
+    from fggc import frontend
+    calls = []
+    assign = frontend.assign_domains
+    monkeypatch.setattr(frontend, "assign_domains",
+                        lambda *args: calls.append(args) or assign(*args))
+    code, _, _ = run(capsys, "compare", _p("pcfg"), "--params", _params("pcfg"))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_compare_trivial_program(tmp_path, capsys):

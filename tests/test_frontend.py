@@ -2,7 +2,7 @@ import pytest
 
 from conftest import SUITE, load_program
 from fggc.frontend import (DomainError, apply_builtin, assign_domains,
-                           check_program, desugar, scope_check)
+                           check_program, scope_check)
 from fggc.params import Params, params_from_json
 from fggc.parser import parse
 from fggc.translate import compile_source
@@ -15,7 +15,7 @@ def _check(source, params=None):
 
 def _diags(source, params=None):
     params = params or Params()
-    return scope_check(desugar(parse(source)), frozenset(params.global_names()))
+    return scope_check(parse(source), frozenset(params.global_names()))
 
 
 @pytest.mark.parametrize("name", SUITE)
@@ -70,7 +70,7 @@ def test_builtins_partial():
 
 
 def test_not_is_a_builtin():
-    # `not` is desugared, not looked up as a function
+    # `not(x)` parses to an `if`, not a call to a function named `not`
     program, _ = _check("fun f(x) = not(x); f(true)")
     assert set(program.main.ty.result.values) <= {Bool(False), Bool(True)}
     assert not _diags("fun f(x) = not(x); f(true)")

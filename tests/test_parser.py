@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import SUITE, load_program
-from fggc.ast import (And, BuiltinApp, Call, Case, Fail, If, Let, Observe,
-                      Or, Sample, Var, pp_program)
+from fggc.ast import (BuiltinApp, Call, Case, If, Observe, Sample, Var,
+                      pp_program)
 from fggc.frontend import desugar
 from fggc.parser import ParseError, parse, parse_expr
 
@@ -31,11 +31,13 @@ def test_pair_vs_parens():
     assert parse_expr("(a)") == Var("a")
 
 
+TRUE, FALSE = BuiltinApp("true", []), BuiltinApp("false", [])
+
+
 def test_precedence():
+    # ((a = b) and c) or d
     e = parse_expr("a = b and c or d")
-    assert isinstance(e, Or)
-    assert isinstance(e.left, And)
-    assert e.left.left == BuiltinApp("=", [Var("a"), Var("b")])
+    assert e == If(If(BuiltinApp("=", [Var("a"), Var("b")]), Var("c"), FALSE), TRUE, Var("d"))
 
 
 def test_case_arms():
@@ -67,7 +69,7 @@ def test_comments_ignored():
 
 
 def test_desugar_and():
-    e = desugar(parse("a and b")).main
+    e = parse("a and b").main
     assert isinstance(e, If)
     assert e.cond == Var("a")
     assert e.then == Var("b")
@@ -75,14 +77,14 @@ def test_desugar_and():
 
 
 def test_desugar_or():
-    e = desugar(parse("a or b")).main
+    e = parse("a or b").main
     assert isinstance(e, If)
     assert e.then == BuiltinApp("true", [])
     assert e.els == Var("b")
 
 
 def test_desugar_not():
-    e = desugar(parse("not(a = b)")).main
+    e = parse("not(a = b)").main
     assert isinstance(e, If)
     assert e.cond == BuiltinApp("=", [Var("a"), Var("b")])
     assert e.then == BuiltinApp("false", [])
@@ -102,14 +104,42 @@ def test_not_arity():
 
 
 def test_desugar_fail():
-    e = desugar(parse("fail")).main
+    e = parse("fail").main
     assert isinstance(e, Observe)
     assert e.value == BuiltinApp("true", [])
     assert e.dist == BuiltinApp("zerodist", [])
 
 
+def test_sugar_takes_the_keyword_position():
+    e = parse_expr("x or\n  y and not(z)")
+    assert e.pos == e.then.pos == (1, 3)
+    assert e.els.pos == e.els.els.pos == (2, 5)
+    assert e.els.then.pos == e.els.then.then.pos == e.els.then.els.pos == (2, 9)
+    f = parse_expr("let u = a in fail")
+    assert f.body.pos == f.body.value.pos == f.body.dist.pos == (1, 14)
+
+
 @pytest.mark.parametrize("name", SUITE)
 def test_desugar_idempotent(name):
-    source, _ = load_program(name)
-    once = desugar(parse(source))
-    assert desugar(once) == once
+    # the parser reads the sugar, so desugar is the identity
+    p = parse(load_program(name)[0])
+    assert desugar(p) is p
+
+
+EVERY_SURFACE_FORM = """
+fun f(x, y) = observe x and not(y) <- (if x or fail then c[x and y] else c[not(y)]);
+fun g(x) = case sample s[not(not(x))] of inl(l) => l and fail | inr(r) => not(r) or x;
+let a = sample c[fail] in
+let u = observe (a = fail) or not(a) <- c[a and true] in
+if not(u) and (a or fail) then (f(a or u, not(a)), fail) else (g(fail and a), not(not(u)))
+"""
+
+
+def test_every_surface_form_print_parse_roundtrip():
+    """`and`, `or`, `not` and `fail` as observe value and target, call
+    argument, case arm, condition, tuple element and lookup index."""
+    p = parse(EVERY_SURFACE_FORM)
+    text = pp_program(p)
+    assert parse(text) == p
+    assert pp_program(parse(text)) == text
+    assert "fail" in text and "zerodist" not in text

@@ -21,8 +21,7 @@ from conftest import PROGRAMS_DIR, SUITE, load_program
 from fggc.ast import BuiltinApp, Expr, Var
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                       Hypergraph, Node, Rule, RuleIndex, fgg_to_json)
-from fggc.frontend import (DomainError, assign_domains, check_program, desugar,
-                           scope_check)
+from fggc.frontend import DomainError, assign_domains, check_program, scope_check
 from fggc.inference import dependency_components, rule_contribution, solve_fixed_point
 from fggc.params import params_from_json
 from fggc.parser import parse
@@ -229,7 +228,7 @@ def _annotations(program):
 
 
 def _same_domains(source, params):
-    programs = [desugar(parse(source)) for _ in range(2)]
+    programs = [parse(source) for _ in range(2)]
     assert not scope_check(programs[0], frozenset(params.global_names()))
     got = assign_domains(programs[0], params)
     want = reference_impl.assign_domains(programs[1], params)
@@ -296,9 +295,9 @@ def test_non_recursive_program_evaluates_each_body_once(monkeypatch):
                         counted("library", frontend_module.apply_builtin))
     monkeypatch.setattr(reference_impl, "apply_builtin",
                         counted("reference", reference_impl.apply_builtin))
-    program = desugar(parse(source))
+    program = parse(source)
     assign_domains(program, params)
-    reference_impl.assign_domains(desugar(parse(source)), params)
+    reference_impl.assign_domains(parse(source), params)
     once = sum(math.prod(len(a.ty.result.values) for a in e.args)
                for body in [f.body for f in program.functions] + [program.main]
                for e in _nodes(body) if isinstance(e, BuiltinApp))
@@ -324,6 +323,6 @@ def test_domain_errors_match_reference(source, params):
     messages = []
     for assign in (assign_domains, reference_impl.assign_domains):
         with pytest.raises(DomainError) as err:
-            assign(desugar(parse(source)), params)
+            assign(parse(source), params)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
