@@ -145,12 +145,16 @@ def cmd_infer(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    passes = _parse_passes(args.passes)
+    if not args.fgg and "inline" not in passes:
+        raise CliError("compare needs the inline pass: its per-depth check "
+                       "counts derivation heights in the inlined grammar")
     source = _read_source(args.input)
     params = _load_params(args.params)
     try:
         program, _ = check_program(source, params)
         g = (_load_grammar(args.fgg) if args.fgg
-             else compile_program(program, params, _parse_passes(args.passes)).fgg)
+             else compile_program(program, params, passes).fgg)
     except (ParseError, DomainError, ParamError) as e:
         raise CliError(str(e))
 
@@ -193,7 +197,7 @@ def cmd_compare(args) -> int:
 def cmd_enumerate(args) -> int:
     g = _compile(args)
     x = args.nonterminal or g.start
-    if g.ext_domains(x) is None:
+    if x not in g.ext_domains():
         raise CliError(f"unknown nonterminal {x!r}")
     for h in range(1, args.depth + 1):
         trees = enumerate_derivations(g, x, h)
@@ -259,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--fgg", help="compare against this grammar JSON instead "
-                   "of compiling the source")
+    p.add_argument("--fgg", help="compare against this grammar JSON, compiled "
+                   "with the inline pass, instead of compiling the source")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("enumerate", help="count derivation trees by height")

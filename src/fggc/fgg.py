@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,96 +88,28 @@ class FGG:
     def nonterminals(self) -> list[str]:
         return [name for name, lab in self.labels.items() if lab.is_nonterminal]
 
-    def ext_domains(self, label: str) -> Optional[tuple[str, ...]]:
-        """Per-slot domain names for a nonterminal, from its rules or its uses."""
-        return RuleIndex(self.rules).ext_domains(label)
+    def ext_domains(self) -> dict[str, tuple[str, ...]]:
+        """Per-slot domain names of each nonterminal, from its first rule or,
+        failing that, its first use; one with neither is absent."""
+        own, used = {}, {}  # label -> (rhs, the nodes in slot order)
+        for r in self.rules:
+            own.setdefault(r.lhs, (r.rhs, r.rhs.ext))
+            for e in r.rhs.edges:
+                used.setdefault(e.label, (r.rhs, e.att))
+        return {n: tuple(rhs.domain_of(x) for x in nodes)
+                for n, (rhs, nodes) in {**used, **own}.items()
+                if n in self.labels and self.labels[n].is_nonterminal}
 
     def domain_tuple(self, names) -> tuple[Domain, ...]:
         return tuple(self.domains[n] for n in names)
 
 
-class RuleIndex:
-    """A grammar's rules by position, indexed by left-hand side and by the
-    labels their right-hand sides use.
-
-    Positions only grow: a replaced rule keeps its position and an added one
-    goes last, so rules() lists the live rules in grammar order. Lookups
-    return positions in increasing order. A caller that edits a rule's
-    right-hand side in place keeps the uses exact with link() and unlink(),
-    and stores the result with replace().
-    """
-
-    def __init__(self, rules):
-        self._rules: dict[int, Rule] = {}
-        self._by_lhs: dict[str, dict[int, None]] = {}
-        self._users: dict[str, dict[int, None]] = {}
-        self._uses: dict[int, set[str]] = {}  # position -> labels linked to it
-        self._next = 0
-        for r in rules:
-            self.add(r)
-
-    def __getitem__(self, pos: int) -> Rule:
-        return self._rules[pos]
-
-    def rules(self) -> list[Rule]:
-        return list(self._rules.values())
-
-    def lhs(self, label: str) -> list[int]:
-        """Positions of the rules whose left-hand side is `label`."""
-        return list(self._by_lhs.get(label, ()))
-
-    def users(self, label: str) -> list[int]:
-        """Positions of the rules with an edge labelled `label`."""
-        return sorted(self._users.get(label, ()))
-
-    def add(self, rule: Rule):
-        pos = self._next
-        self._next += 1
-        self._rules[pos] = rule
-        self._by_lhs.setdefault(rule.lhs, {})[pos] = None
-        self._uses[pos] = uses = {e.label for e in rule.rhs.edges}
-        for label in uses:
-            self._users.setdefault(label, {})[pos] = None
-
-    def remove(self, pos: int):
-        rule = self._rules.pop(pos)
-        del self._by_lhs[rule.lhs][pos]
-        for label in self._uses.pop(pos):
-            del self._users[label][pos]
-
-    def replace(self, pos: int, rule: Rule):
-        """Put `rule`, which has the same left-hand side, in place of the rule at `pos`."""
-        for label in self._uses[pos] - {e.label for e in rule.rhs.edges}:
-            self.unlink(pos, label)
-        self._rules[pos] = rule
-        self.link(pos, (e.label for e in rule.rhs.edges))
-
-    def link(self, pos: int, labels):
-        """Record that the rule at `pos` uses each of `labels`."""
-        uses = self._uses[pos]
-        for label in labels:
-            if label not in uses:
-                uses.add(label)
-                self._users.setdefault(label, {})[pos] = None
-
-    def unlink(self, pos: int, label: str):
-        """Record that the rule at `pos` no longer uses `label`."""
-        self._uses[pos].remove(label)
-        del self._users[label][pos]
-
-    def ext_domains(self, label: str) -> Optional[tuple[str, ...]]:
-        """Per-slot domain names for a nonterminal, from its first rule or,
-        failing that, its first use."""
-        own = self.lhs(label)
-        if own:
-            rhs = self._rules[own[0]].rhs
-            return tuple(rhs.domain_of(n) for n in rhs.ext)
-        users = self.users(label)
-        if users:
-            rhs = self._rules[users[0]].rhs
-            e = next(e for e in rhs.edges if e.label == label)
-            return tuple(rhs.domain_of(n) for n in e.att)
-        return None
+def rules_by_lhs(rules) -> dict[str, list[Rule]]:
+    """The rules grouped by left-hand side, each group in grammar order."""
+    by_lhs: dict[str, list[Rule]] = {}
+    for r in rules:
+        by_lhs.setdefault(r.lhs, []).append(r)
+    return by_lhs
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgg import FGG, Hypergraph, Rule, RuleIndex
+from .fgg import FGG, Hypergraph, Rule, rules_by_lhs
 from .scc import strongly_connected_components
 from .values import Domain, Value
 
@@ -270,14 +270,14 @@ class SolverState:
     ops: int = 0
 
 
-def dependency_components(index: RuleIndex, nts) -> list[tuple[list[str], bool]]:
+def dependency_components(by_lhs: dict[str, list[Rule]], nts) -> list[tuple[list[str], bool]]:
     """The strongly connected components of the graph "a rule of X uses Y"
     over the nonterminals `nts`, callees first, each with its members in
     `nts` order and whether it is recursive (more than one member, or a
     member whose rules use it)."""
     known = set(nts)
-    calls = {n: list(dict.fromkeys(e.label for pos in index.lhs(n)
-                                   for e in index[pos].rhs.edges if e.label in known))
+    calls = {n: list(dict.fromkeys(e.label for r in by_lhs.get(n, ())
+                                   for e in r.rhs.edges if e.label in known))
              for n in nts}
     return strongly_connected_components(nts, calls)
 
@@ -295,9 +295,9 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
     reports the most sweeps and the largest final delta of any component.
     Each rule is compiled once per solve (see _Contraction).
     """
-    index = RuleIndex(g.rules)
-    ext = {n: index.ext_domains(n) for n in g.nonterminals()}
-    nts = [n for n, doms in ext.items() if doms is not None]
+    by_lhs = rules_by_lhs(g.rules)
+    ext = g.ext_domains()
+    nts = [n for n in g.nonterminals() if n in ext]
     shapes = {n: g.domain_tuple(ext[n]) for n in nts}
     tau = {}
     for n in nts:
@@ -305,10 +305,10 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
             tau[n] = WeightTensor.zeros(shapes[n])
         except ValueError as e:  # numpy's limit on the number of axes
             raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: {e}") from None
-    prepared = {n: [_rule_contraction(g, index[pos]) for pos in index.lhs(n)] for n in nts}
+    prepared = {n: [_rule_contraction(g, r) for r in by_lhs.get(n, ())] for n in nts}
     counter = OpCounter()
     state = SolverState(tau=tau, iteration=0, delta=0.0, status=CONVERGED)
-    for members, recursive in dependency_components(index, nts):
+    for members, recursive in dependency_components(by_lhs, nts):
         delta, status = float("inf"), MAX_ITER
         for it in range(1, (max_iter if recursive else min(max_iter, 1)) + 1):
             new_tau = {}

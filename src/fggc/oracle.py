@@ -234,7 +234,7 @@ def truncated_wX(g: FGG, nonterminal: str, max_height: int, limit: int = 500_000
     """Brute-force weight tensor: sum of external marginals of the yields of
     all derivation trees with at most max_height levels below the root rule."""
     from .inference import WeightTensor, external_marginal
-    ext_doms = g.ext_domains(nonterminal)
+    ext_doms = g.ext_domains().get(nonterminal)
     if ext_doms is None:
         raise OracleError(f"nonterminal {nonterminal!r} has no rules or uses")
     acc = WeightTensor.zeros(g.domain_tuple(ext_doms))

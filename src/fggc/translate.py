@@ -16,6 +16,7 @@ labels it serves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -24,7 +25,7 @@ import numpy as np
 from .ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
                   Observe, Program, Sample, Var)
 from .fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
-                  Hypergraph, Node, Rule, RuleIndex)
+                  Hypergraph, Node, Rule, rules_by_lhs)
 from .frontend import apply_builtin
 from .inference import align
 from .params import Params
@@ -347,99 +348,93 @@ def _pass_inline(cu: CompilationUnit) -> int:
     """Inline single-rule nonterminals other than if/case/function lhs, and
     collapse function/start rules whose whole rhs is one if/case edge.
 
-    Inlining never makes a label a candidate that was not one before (its
-    rule count, kind and self-recursion cannot change that way, and it only
-    gains uses through a rule that already used it), so one scan in label
-    order inlines the same labels in the same order as restarting from the
-    first label after each one. The collapse scan stays on a label while it
-    fires, for the same reason.
-
-    A rule that receives an inlined edge is edited in place, as a node list
-    and an edge dict keyed by id: the edge is deleted and the sub-rule's
-    edges go last, in their order. Its hypergraph is built once, after the
-    last inlining.
+    The inlined labels are the unprotected nonterminals with exactly one
+    rule, at least one use and no use in that rule. Each rule whose lhs
+    stays and that uses one is rebuilt once: its other edges stay, in
+    order, then each inlined edge is spliced in, depth first in edge order,
+    its rule's internal nodes and edges renamed under `{edge id}.`. The
+    translator creates labels in preorder, which is also the order of the
+    nonterminal edges within each rule, so this is the grammar that
+    inlining one label at a time, in label order, gives. A cycle of inlined
+    labels reached from a kept rule would expand forever, so it raises a
+    ValueError naming the cycle; the translator makes none.
     """
     g = cu.fgg
-    index = RuleIndex(g.rules)
-    bodies: dict[int, tuple[list[Node], dict[str, Edge]]] = {}  # edited in place
+    by_lhs = rules_by_lhs(g.rules)
+    used = {e.label for r in g.rules for e in r.rhs.edges}
+    inlined = {}  # label -> the rhs of its one rule
+    for name, lab in g.labels.items():
+        own = by_lhs.get(name, ())
+        if (lab.is_nonterminal and cu.label_kinds.get(name) not in PROTECTED_KINDS
+                and len(own) == 1 and name in used
+                and all(e.label != name for e in own[0].rhs.edges)):
+            inlined[name] = own[0].rhs
     fired = 0
-    for name in list(g.labels):
-        if (not g.labels[name].is_nonterminal
-                or cu.label_kinds.get(name) in PROTECTED_KINDS):
+
+    def splice(rhs, ren, prefix, path, nodes, edges):
+        """Append `rhs`, renamed, to `nodes` and `edges`, then splice its
+        inlined edges; `ren` maps its external nodes, `path` the labels
+        being spliced."""
+        nonlocal fired
+        for n in rhs.nodes:
+            if n.id not in ren:
+                ren[n.id] = prefix + n.id
+                nodes.append(Node(ren[n.id], n.domain))
+        hits = []
+        for e in rhs.edges:
+            e = Edge(prefix + e.id, e.label, tuple(ren[a] for a in e.att))
+            (hits if e.label in inlined else edges).append(e)
+        for hit in hits:
+            if hit.label in path:
+                raise ValueError("cannot inline the cycle "
+                                 + " -> ".join(path[path.index(hit.label):] + (hit.label,)))
+            sub = inlined[hit.label]
+            splice(sub, dict(zip(sub.ext, hit.att)), hit.id + ".", path + (hit.label,),
+                   nodes, edges)
+            fired += 1
+
+    rules = []
+    for r in g.rules:
+        if r.lhs in inlined:
             continue
-        own = index.lhs(name)
-        if len(own) != 1:
-            continue
-        sub = index[own[0]].rhs
-        sub_nodes, sub_edges = sub.nodes, sub.edges
-        if own[0] in bodies:  # the sub-rule itself received inlined edges
-            sub_nodes, sub_by_id = bodies[own[0]]
-            sub_edges = list(sub_by_id.values())
-        if any(e.label == name for e in sub_edges):
-            continue  # self-recursive; cannot inline
-        users = index.users(name)
-        if not users:
-            continue
-        for pos in users:
-            if pos not in bodies:
-                rhs = index[pos].rhs
-                bodies[pos] = (list(rhs.nodes), {e.id: e for e in rhs.edges})
-            nodes, edges = bodies[pos]
-            for hit in [e for e in edges.values() if e.label == name]:
-                ren = dict(zip(sub.ext, hit.att))
-                for n in sub_nodes:
-                    if n.id not in ren:
-                        ren[n.id] = f"{hit.id}.{n.id}"
-                        nodes.append(Node(ren[n.id], n.domain))
-                del edges[hit.id]
-                for e in sub_edges:
-                    eid = f"{hit.id}.{e.id}"
-                    edges[eid] = Edge(eid, e.label, tuple(ren[a] for a in e.att))
-                fired += 1
-            index.unlink(pos, name)
-            index.link(pos, (e.label for e in sub_edges))
-        bodies.pop(own[0], None)
-        index.remove(own[0])
+        if any(e.label in inlined for e in r.rhs.edges):
+            nodes, edges = [], []
+            splice(r.rhs, {}, "", (), nodes, edges)
+            r = Rule(r.lhs, Hypergraph(nodes, edges, r.rhs.ext))
+        rules.append(r)
+    for name in inlined:
         del g.labels[name]
-    for pos, (nodes, edges) in bodies.items():
-        r = index[pos]
-        index.replace(pos, Rule(r.lhs, Hypergraph(nodes, edges.values(), r.rhs.ext)))
 
     # unit-rule collapse: fun/start whose rhs is exactly one if/case edge
+    by_lhs = rules_by_lhs(rules)
+    uses = Counter(e.label for r in rules for e in r.rhs.edges)
+    collapsed = {}  # fun/start labels whose rules are replaced, in order
     for name in list(g.labels):
         if cu.label_kinds.get(name) not in ("fun", "start"):
             continue
-        while True:
-            own = index.lhs(name)
-            if len(own) != 1:
-                break
-            rhs = index[own[0]].rhs
+        while len(by_lhs.get(name, ())) == 1:
+            rhs = by_lhs[name][0].rhs
             if not (len(rhs.edges) == 1 and len(rhs.nodes) == len(rhs.ext)
                     and rhs.edges[0].att == rhs.ext
-                    and cu.label_kinds.get(rhs.edges[0].label) in ("if", "case")):
+                    and cu.label_kinds.get(rhs.edges[0].label) in ("if", "case")
+                    and uses[rhs.edges[0].label] == 1):
                 break
             child = rhs.edges[0].label
-            uses = sum(1 for pos in index.users(child)
-                       for e in index[pos].rhs.edges if e.label == child)
-            if uses != 1:
-                break
-            child_pos = index.lhs(child)
             # relabel: reuse this rule's node names for the external slots
             replacement = []
-            for pos in child_pos:
-                cr = index[pos]
+            for cr in by_lhs.pop(child, ()):
                 ren = dict(zip(cr.rhs.ext, rhs.ext))
                 nodes = [Node(ren.get(n.id, n.id), n.domain) for n in cr.rhs.nodes]
                 edges = [Edge(e.id, e.label, tuple(ren.get(a, a) for a in e.att))
                          for e in cr.rhs.edges]
                 replacement.append(Rule(name, Hypergraph(nodes, edges, rhs.ext)))
-            for pos in own + child_pos:
-                index.remove(pos)
-            for r in replacement:
-                index.add(r)
+            by_lhs[name] = replacement
+            collapsed[name] = None
             del g.labels[child]
             fired += 1
-    g.rules = index.rules()
+    # the replacements go last, as if appended one collapse at a time
+    g.rules = ([r for r in rules if r.lhs in by_lhs and r.lhs not in collapsed]
+               + [r for name in collapsed for r in by_lhs[name]])
     return fired
 
 
@@ -542,25 +537,31 @@ def _resolve(merged: dict[str, str], node: str) -> str:
 
 
 def _pass_prune(cu: CompilationUnit) -> int:
-    """Drop rules containing an identically-zero factor table."""
+    """Drop rules containing an identically-zero factor table. The start
+    symbol keeps its last rule if it would lose them all: its weight is 0
+    either way, and the rule records the start symbol's domains."""
     g = cu.fgg
     zero = {name for name, tab in g.factors.items() if not tab.weights.any()}
+    dead = [any(e.label in zero and g.labels[e.label].is_terminal for e in r.rhs.edges)
+            for r in g.rules]
+    starts = [i for i, r in enumerate(g.rules) if r.lhs == g.start]
+    if starts and all(dead[i] for i in starts):
+        dead[starts[-1]] = False
     before = len(g.rules)
-    g.rules = [r for r in g.rules
-               if not any(e.label in zero and g.labels[e.label].is_terminal
-                          for e in r.rhs.edges)]
+    g.rules = [r for r, d in zip(g.rules, dead) if not d]
     return before - len(g.rules)
 
 
 def _gc(cu: CompilationUnit):
-    """Remove rules, labels, factors, and domains unreachable from the start symbol."""
+    """Remove rules, labels, factors, and domains unreachable from the start
+    symbol, and the removed labels' provenance, kinds and origins."""
     g = cu.fgg
     reachable = {g.start}
     frontier = [g.start]
-    index = RuleIndex(g.rules)
+    by_lhs = rules_by_lhs(g.rules)
     while frontier:
-        for pos in index.lhs(frontier.pop()):
-            for e in index[pos].rhs.edges:
+        for r in by_lhs.get(frontier.pop(), ()):
+            for e in r.rhs.edges:
                 lab = g.labels.get(e.label)
                 if lab is not None and lab.is_nonterminal and e.label not in reachable:
                     reachable.add(e.label)
@@ -579,6 +580,9 @@ def _gc(cu: CompilationUnit):
     g.labels = {k: v for k, v in g.labels.items() if k in used_labels}
     g.factors = {k: v for k, v in g.factors.items() if k in used_labels}
     g.domains = {k: v for k, v in g.domains.items() if k in used_domains}
+    for meta in (cu.provenance, cu.label_kinds, cu.factor_origins):
+        for k in [k for k in meta if k not in g.labels]:
+            del meta[k]
 
 
 # ---------------------------------------------------------------------------

@@ -221,8 +221,9 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
     rescanning the rules for every nonterminal and preparing every rule
     anew on every iteration (by the library's rule_contribution, so that
     the states must agree bit for bit)."""
-    nts = [n for n in g.nonterminals() if g.ext_domains(n) is not None]
-    shapes = {n: g.domain_tuple(g.ext_domains(n)) for n in nts}
+    ext = g.ext_domains()
+    nts = [n for n in g.nonterminals() if n in ext]
+    shapes = {n: g.domain_tuple(ext[n]) for n in nts}
     tau = {n: WeightTensor.zeros(shapes[n]) for n in nts}
     plans = {id(r): plan_elimination(g, r).order for r in g.rules}
     counter = OpCounter()

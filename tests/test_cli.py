@@ -43,6 +43,18 @@ def test_compile_writes_sidecar(tmp_path, capsys):
     assert "provenance" in side and "passes" in side
 
 
+def test_sidecar_names_only_grammar_labels(tmp_path, capsys):
+    out_path = tmp_path / "pcfgw.json"
+    code, _, _ = run(capsys, "compile", _p("pcfgw"), "--params",
+                     _params("pcfgw"), "--out", str(out_path))
+    assert code == 0
+    labels = {l["name"] for l in json.loads(out_path.read_text())["labels"]}
+    side = json.loads((tmp_path / "pcfgw.json.provenance.json").read_text())
+    assert side["provenance"] and set(side["provenance"]) <= labels
+    cu = compile_source(*load_program("pcfgw"))
+    assert set(cu.label_kinds) | set(cu.factor_origins) <= set(cu.fgg.labels)
+
+
 def test_compile_passes_none(capsys):
     code, out, _ = run(capsys, "compile", _p("pcfg"), "--params",
                        _params("pcfg"), "--passes", "none")
@@ -208,6 +220,38 @@ def test_compare_trivial_program(tmp_path, capsys):
     src.write_text("true\n")
     code, out, _ = run(capsys, "compare", str(src))
     assert code == 0
+
+
+@pytest.mark.parametrize("passes", ["none", "prune"])
+def test_compare_without_inline_is_refused(capsys, passes):
+    """The per-depth check counts derivation heights of the inlined grammar,
+    so a pass list without inline would report false mismatches."""
+    code, out, err = run(capsys, "compare", _p("pcfg"), "--params",
+                         _params("pcfg"), "--passes", passes)
+    assert code == 2 and out == ""
+    _one_line_error(err)
+    assert "inline" in err
+
+
+def test_compare_with_inline_alone(capsys):
+    code, out, _ = run(capsys, "compare", _p("pcfg"), "--params",
+                       _params("pcfg"), "--passes", "inline")
+    assert code == 0
+    assert "all comparisons within tolerance" in out
+
+
+@pytest.mark.parametrize("source", ["fail", "if true then fail else fail"])
+def test_program_that_always_fails_infers_zero(tmp_path, capsys, source):
+    """prune drops every rule of such a program but one of the start
+    symbol's, so inference still knows the start symbol's domains."""
+    src = tmp_path / "fails.ppl"
+    src.write_text(source + "\n")
+    code, want, _ = run(capsys, "infer", str(src), "--passes", "none")
+    assert code == 0 and want.startswith("true: 0\n")
+    code, out, err = run(capsys, "infer", str(src))
+    assert (code, out, err) == (0, want, "")
+    code, _, err = run(capsys, "compare", str(src))
+    assert (code, err) == (0, "")
 
 
 def test_compare_corrupted_grammar_exit_4(tmp_path, capsys):

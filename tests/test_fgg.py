@@ -8,7 +8,7 @@ from conftest import SUITE, load_program
 from fixtures import (DN, DW, pcfg_depth2_derivation, pcfg_fgg,
                       pcfg_tree_graph, quadratic_fgg)
 from fggc.fgg import (NONTERMINAL, TERMINAL, DerivationTree, Edge, EdgeLabel,
-                      FactorTable, Hypergraph, Node, Rule, RuleIndex,
+                      FactorTable, Hypergraph, Node, Rule,
                       StructuralError, dumps, isomorphic, loads, validate,
                       yield_graph)
 from fggc.translate import compile_source
@@ -179,29 +179,6 @@ def test_validate_soundness_fuzz():
         solve_fixed_point(g, max_iter=20)
         checked += 1
     assert checked >= 20
-
-
-def test_rule_index_links_follow_edits_in_place():
-    """A caller that edits a right-hand side in place reports each change
-    with link() and unlink(); removing or replacing the rule then drops the
-    uses it has now, not those of the rule as it was stored."""
-    def rule(lhs, *labels):
-        return Rule(lhs, Hypergraph([Node("v", "B")],
-                                    [Edge(f"e{i}", l, ("v",)) for i, l in enumerate(labels)],
-                                    ("v",)))
-
-    index = RuleIndex([rule("S", "A"), rule("A", "B"), rule("B", "t")])
-    # inline A into rule 0 without rebuilding it: it now uses B, not A
-    index.unlink(0, "A")
-    index.link(0, ["B"])
-    assert index.users("A") == [] and index.users("B") == [0, 1]
-    index.remove(0)  # the stored rule still says "A"
-    assert index.users("B") == [1] and index.users("A") == []
-    index.link(1, ["t", "C"])
-    index.replace(1, rule("A", "t"))
-    assert index.users("C") == [] and index.users("B") == []
-    assert index.users("t") == [1, 2]
-    assert [r.lhs for r in index.rules()] == ["A", "B"]
 
 
 def test_hypergraph_keeps_node_and_edge_instances():

@@ -11,7 +11,7 @@ from conftest import PROGRAMS_DIR, SUITE, load_program
 from fixtures import pcfg_fgg, pcfg_tree_graph, quadratic_fgg
 from fggc import inference
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
-                      Hypergraph, Node, Rule, RuleIndex)
+                      Hypergraph, Node, Rule, rules_by_lhs)
 from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, InferenceError,
                             OpCounter, WeightTensor, align,
                             dependency_components, external_marginal,
@@ -285,7 +285,7 @@ def _scalar_fgg(rules, start, weight=0.5) -> FGG:
 
 
 def _components(g):
-    return dependency_components(RuleIndex(g.rules), g.nonterminals())
+    return dependency_components(rules_by_lhs(g.rules), g.nonterminals())
 
 
 def test_long_chain_one_pass():

@@ -20,7 +20,7 @@ import reference_impl
 from conftest import PROGRAMS_DIR, SUITE, load_program
 from fggc.ast import BuiltinApp, Expr, Var
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
-                      Hypergraph, Node, Rule, RuleIndex, fgg_to_json)
+                      Hypergraph, Node, Rule, fgg_to_json, rules_by_lhs)
 from fggc.frontend import DomainError, assign_domains, check_program, scope_check
 from fggc.inference import dependency_components, rule_contribution, solve_fixed_point
 from fggc.params import params_from_json
@@ -90,7 +90,7 @@ def test_non_recursive_solve_is_the_reference_limit(name):
     cu = _compiled(*_program(name))
     checked = 0
     for g in [cu.fgg] + [simplify(cu, passes).fgg for passes in PASS_SETS]:
-        components = dependency_components(RuleIndex(g.rules), g.nonterminals())
+        components = dependency_components(rules_by_lhs(g.rules), g.nonterminals())
         assert not any(recursive for _, recursive in components)
         got = solve_fixed_point(g)
         assert (got.status, got.iteration, got.delta) == ("converged", 1, 0.0)

@@ -6,12 +6,14 @@ import pytest
 
 from conftest import SUITE, load_program
 from fggc.ast import Case, Expr, FunDef, If, Program
-from fggc.fgg import Rule, validate
+from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
+                      Hypergraph, Node, Rule, validate)
 from fggc.frontend import check_program
 from fggc.inference import solve_fixed_point
 from fggc.params import Params, params_from_json
-from fggc.translate import ALL_PASSES, compile_source, simplify, translate
-from fggc.values import Atom, Bool, Dist, Inl, Inr, Pair
+from fggc.translate import (ALL_PASSES, CompilationUnit, compile_source, simplify,
+                            translate)
+from fggc.values import Atom, Bool, Dist, Domain, Inl, Inr, Pair
 from genprog import random_program
 
 
@@ -315,7 +317,7 @@ def _count_hypergraph_builds(monkeypatch) -> list:
 
 
 def test_inline_builds_each_rule_once(monkeypatch):
-    """The inline pass edits right-hand sides in place and builds one
+    """The inline pass expands each kept rule once and builds one
     hypergraph per rule it changed, however many edges it inlined there,
     plus one per rule the collapse relabels: at most two per rule left,
     where building one per inlined edge would be `fired`."""
@@ -339,3 +341,25 @@ def test_compose_and_contract_build_each_changed_rule_once(monkeypatch, name):
     changed = sum(r.rhs is not rhs for r, rhs in zip(cu.fgg.rules, before))
     assert fired > changed > 0
     assert len(built) == changed
+
+
+def test_inline_refuses_a_cycle_of_single_rule_labels():
+    """`a` and `b` each have one rule and use each other: splicing either
+    into `$start` never ends, so inline names the cycle instead. The
+    translator makes no such grammar."""
+    kinds = {"$start": "start", "a": "let", "b": "let"}
+    labels = {name: EdgeLabel(name, 1, NONTERMINAL) for name in kinds}
+    labels["t"] = EdgeLabel("t", 1, TERMINAL)
+
+    def rule(lhs, *uses):
+        return Rule(lhs, Hypergraph([Node("v", "B")],
+                                    [Edge(f"e{i}", l, ("v",)) for i, l in enumerate(uses)],
+                                    ("v",)))
+
+    g = FGG(labels=labels, rules=[rule("$start", "a"), rule("a", "b", "t"), rule("b", "a")],
+            start="$start", domains={"B": Domain("B", [Bool(False), Bool(True)])},
+            factors={"t": FactorTable("t", ("B",), np.array([0.5, 0.5]))})
+    cu = CompilationUnit(fgg=g, provenance={}, label_kinds=kinds,
+                         factor_origins={"t": "builtin"})
+    with pytest.raises(ValueError, match="cycle a -> b -> a"):
+        simplify(cu, ("inline",))
