@@ -146,9 +146,6 @@ def cmd_infer(args) -> int:
 
 def cmd_compare(args) -> int:
     passes = _parse_passes(args.passes)
-    if not args.fgg and "inline" not in passes:
-        raise CliError("compare needs the inline pass: its per-depth check "
-                       "counts derivation heights in the inlined grammar")
     source = _read_source(args.input)
     params = _load_params(args.params)
     try:
@@ -263,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--fgg", help="compare against this grammar JSON, compiled "
-                   "with the inline pass, instead of compiling the source")
+    p.add_argument("--fgg", help="compare against this grammar JSON, as "
+                   "`fggc compile` writes it, instead of compiling the source")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("enumerate", help="count derivation trees by height")

@@ -1,11 +1,14 @@
 """Translation of typed programs into factor graph grammars, and the
 weight-preserving simplification passes.
 
-Each subexpression in an environment with k bound variables becomes a
-nonterminal of arity k+1 (the environment slots in binding order, then the
-result slot). Conditionals and case expressions get two rules, one per arm;
-everything else gets one rule; each function definition and the program
-top level get one rule each.
+Each function, `if` and `case` becomes a nonterminal whose arity is one more
+than its number of bound variables (the environment slots in binding order,
+then the result slot). A function body and the main body get one rule each,
+and an `if` or `case` one rule per arm; a function or main body that is an
+`if` or `case` gives its arms' rules straight to the function or start label.
+Every other subexpression adds its nodes and edges to the rule that holds
+it, under the ids that inlining the paper's one-nonterminal-per-subexpression
+grammar would give them (tests/reference_impl.py keeps that translation).
 
 Every primitive occurrence (a copy, constant, built-in, parameter lookup,
 density or branch test) gets a terminal label of its own, named after its
@@ -16,13 +19,12 @@ labels it serves.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 import numpy as np
 
-from .ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
+from .ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup,
                   Observe, Program, Sample, Var)
 from .fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                   Hypergraph, Node, Rule, rules_by_lhs)
@@ -40,8 +42,6 @@ class CompilationUnit:
     fgg: FGG
     provenance: dict[str, str]  # nonterminal label -> source span "line:col"
     pass_log: list[tuple[str, int]] = field(default_factory=list)
-    # metadata used by the simplifier and the oracle comparisons:
-    label_kinds: dict[str, str] = field(default_factory=dict)   # nonterminal -> construct
     factor_origins: dict[str, str] = field(default_factory=dict)  # terminal -> origin
 
 
@@ -84,6 +84,10 @@ def _density_table(dist_dom: Domain, val_dom: Domain, params: Params) -> np.ndar
 
 
 class _Translator:
+    """Builds the rules of every function body, `if`/`case` arm and the main
+    body; every other subexpression adds its nodes and edges to the body
+    that holds it (see _fragment)."""
+
     def __init__(self, program: Program, params: Params):
         self.program = program
         self.params = params
@@ -93,27 +97,12 @@ class _Translator:
         self.factors: dict[str, FactorTable] = {}
         self.domains: dict[str, Domain] = {}
         self.provenance: dict[str, str] = {}
-        self.label_kinds: dict[str, str] = {}
         self.factor_origins: dict[str, str] = {}
-        self._nt_of: dict[int, str] = {}  # id(expr) -> label name
         self._tables: dict[tuple, np.ndarray] = {}  # see terminal()
-
-    # -- naming and registration --------------------------------------------
 
     def _dom(self, d: Domain) -> str:
         self.domains[d.name] = d
         return d.name
-
-    def nt(self, e: Expr) -> str:
-        name = self._nt_of.get(id(e))
-        if name is None:
-            kind = _kind_of(e)
-            name = self.names.fresh(f"{kind}@{e.pos[0]}:{e.pos[1]}")
-            self.labels[name] = EdgeLabel(name, len(e.ty.env) + 1, NONTERMINAL)
-            self.label_kinds[name] = kind
-            self.provenance[name] = f"{e.pos[0]}:{e.pos[1]}"
-            self._nt_of[id(e)] = name
-        return name
 
     def terminal(self, base: str, doms: tuple[Domain, ...], key: tuple, make,
                  origin: str) -> str:
@@ -132,185 +121,182 @@ class _Translator:
         self.factor_origins[name] = origin
         return name
 
-    # -- rule assembly --------------------------------------------------------
+    def _head(self, e: Expr) -> tuple[list[Node], tuple[str, ...]]:
+        """The nodes of a rule for `e` that are its external nodes: the
+        environment's, in binding order, then the result."""
+        nodes = [Node(x, self._dom(d)) for x, d in e.ty.env]
+        nodes.append(Node(RESULT, self._dom(e.ty.result)))
+        return nodes, tuple(n.id for n in nodes)
 
-    def _rule(self, lhs: str, e: Expr, nodes, edges):
-        """nodes: extra (id, Domain) pairs beyond env+result; edges as built."""
-        env_nodes = [Node(x, self._dom(d)) for x, d in e.ty.env]
-        all_nodes = env_nodes + [Node(RESULT, self._dom(e.ty.result))]
-        all_nodes += [Node(nid, self._dom(d)) for nid, d in nodes]
-        ext = tuple(x for x, _ in e.ty.env) + (RESULT,)
-        self.rules.append(Rule(lhs, Hypergraph(all_nodes, edges, ext)))
+    def body(self, lhs: str, e: Expr):
+        """The rules of `lhs`, whose body is `e`: the arms' if `e` is an `if`
+        or a `case`, else one."""
+        if isinstance(e, (If, Case)):
+            self.branch(e, lhs)
+            return
+        nodes, ext = self._head(e)
+        edges = []
+        self._fragment(e, "e0.", dict(zip(ext, ext)), nodes, edges)
+        self.rules.append(Rule(lhs, Hypergraph(nodes, edges, ext)))
 
-    def _edge_for(self, eid: str, sub: Expr, result_node: str) -> Edge:
-        return Edge(eid, self.nt(sub), tuple(x for x, _ in sub.ty.env) + (result_node,))
-
-    # -- per-construct translation -------------------------------------------
-
-    def translate_expr(self, e: Expr) -> str:
-        lhs = self.nt(e)
+    def branch(self, e: If | Case, lhs: str | None = None) -> str:
+        """One rule per arm of `e`, under `lhs` or else under a new label
+        named after `e`, which is returned. A rule's nodes are the external
+        ones, `%1` for the tested value, the `case` arm's binder, then the
+        test's and the arm's own; its edges are e0 (the test), e1 (the arm's
+        condition on `%1`) and e2 (the arm), each spliced under `e0.` or
+        `e2.` unless it is itself an `if` or `case`."""
         span = f"{e.pos[0]}:{e.pos[1]}"
+        if lhs is None:
+            lhs = self.names.fresh(f"{'if' if isinstance(e, If) else 'case'}@{span}")
+            self.labels[lhs] = EdgeLabel(lhs, len(e.ty.env) + 1, NONTERMINAL)
+            self.provenance[lhs] = span
+        head, ext = self._head(e)
+        if isinstance(e, If):
+            test, arms = e.cond, [(e.then, (), "true"), (e.els, (), "false")]
+        else:
+            test, arms = e.scrutinee, [(e.left, (e.left_var,), "inl"),
+                                       (e.right, (e.right_var,), "inr")]
+        tdom = test.ty.result
+        head.append(Node("%1", self._dom(tdom)))
+        test_nodes, test_edges = [], []
+        att = ext[:-1] + ("%1",)
+        if isinstance(test, (If, Case)):
+            test_edge = Edge("e0", self.branch(test), att)
+        else:
+            test_edge = None
+            self._fragment(test, "e0.", _ext_map(test, att), test_nodes, test_edges)
+        for arm, binder, tag in arms:
+            nodes = head + [Node(x, self._dom(d)) for x, d in arm.ty.env if x in binder]
+            nodes += test_nodes
+            edges = []
+            att = tuple(x for x, _ in arm.ty.env) + (RESULT,)
+            if isinstance(arm, (If, Case)):
+                arm_edge = Edge("e2", self.branch(arm), att)
+            else:
+                arm_edge = None
+                self._fragment(arm, "e2.", _ext_map(arm, att), nodes, edges)
+            if isinstance(e, If):
+                want = Bool(tag == "true")
+                lab = self.terminal(f"is-{tag}@{span}", (tdom,), (tag,),
+                                    lambda: _graph((), tdom, lambda v: want),
+                                    origin="constraint")
+            else:
+                con, bdom = (Inl if tag == "inl" else Inr), dict(arm.ty.env)[binder[0]]
+                lab = self.terminal(f"is-{tag}@{span}", (tdom, bdom), (tag,),
+                                    lambda: np.ascontiguousarray(
+                                        _graph((bdom,), tdom, lambda v: con(v[0])).T),
+                                    origin="constraint")
+            own = [edge for edge in (test_edge, Edge("e1", lab, ("%1",) + binder), arm_edge)
+                   if edge is not None]
+            self.rules.append(Rule(lhs, Hypergraph(nodes, own + test_edges + edges, ext)))
+        return lhs
 
+    def _fragment(self, e: Expr, prefix: str, ren: dict[str, str], nodes: list, edges: list):
+        """Add `e`, which is not an `if` or `case`, to a rule body: its own
+        nodes and edges get ids under `prefix`, and `ren` maps its external
+        node ids (see _head) to the body's.
+
+        This is the paper's rule for `e` spliced into its use, as inlining
+        would: `e`'s own nodes, then its subexpressions', in preorder, and
+        likewise its own edges (the edges to its `if`/`case` subexpressions'
+        labels, then its factor or call), then its subexpressions'. The
+        subexpression feeding `e`'s j-th edge gets the prefix `{prefix}ej.`.
+        Labels are made in source order, each factor after its operands'."""
+        extra, subs = _parts(e)
+        for nid, d in extra:
+            ren[nid] = prefix + nid
+            nodes.append(Node(prefix + nid, self._dom(d)))
+        # own edges go first, but their labels are made in source order:
+        # hold their places, one per if/case subexpression, then one for the
+        # factor or call that every construct but `let` ends with
+        ends = not isinstance(e, Let)
+        slot = len(edges)
+        edges += [None] * (sum(isinstance(s, (If, Case)) for s, _ in subs) + ends)
+        for j, (sub, out) in enumerate(subs):
+            att = tuple(ren[x] for x, _ in sub.ty.env) + (ren[out],)
+            if isinstance(sub, (If, Case)):
+                edges[slot] = Edge(f"{prefix}e{j}", self.branch(sub), att)
+                slot += 1
+            else:
+                self._fragment(sub, f"{prefix}e{j}.", _ext_map(sub, att), nodes, edges)
+        if ends:
+            label, att = self._own_label(e, tuple(nid for nid, _ in extra))
+            edges[slot] = Edge(f"{prefix}e{len(subs)}", label, tuple(ren[x] for x in att))
+
+    def _own_label(self, e: Expr, extra: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+        """The label of `e`'s own last edge, a factor or a call, and the ids
+        of the nodes it attaches."""
+        span = f"{e.pos[0]}:{e.pos[1]}"
+        att = extra + (RESULT,)
         if isinstance(e, Var):
             if e.resolution == "var":
                 xdom = dict(e.ty.env)[e.name]
-                lab = self.terminal(f"copy@{span}", (xdom, e.ty.result), ("copy",),
-                                    lambda: _graph((xdom,), e.ty.result, lambda v: v[0]),
-                                    origin="copy")
-                self._rule(lhs, e, [], [Edge("e0", lab, (e.name, RESULT))])
-            else:
-                value = (self.params.inputs[e.name] if e.resolution == "input"
-                         else Atom(e.name))
-                lab = self.terminal(f"const@{span}", (e.ty.result,), ("const", value),
-                                    lambda: _graph((), e.ty.result, lambda v: value),
-                                    origin="builtin")
-                self._rule(lhs, e, [], [Edge("e0", lab, (RESULT,))])
-            return lhs
-
+                return self.terminal(f"copy@{span}", (xdom, e.ty.result), ("copy",),
+                                     lambda: _graph((xdom,), e.ty.result, lambda v: v[0]),
+                                     origin="copy"), (e.name, RESULT)
+            value = (self.params.inputs[e.name] if e.resolution == "input"
+                     else Atom(e.name))
+            return self.terminal(f"const@{span}", (e.ty.result,), ("const", value),
+                                 lambda: _graph((), e.ty.result, lambda v: value),
+                                 origin="builtin"), att
+        if isinstance(e, Call):
+            return e.fn, att
         if isinstance(e, BuiltinApp):
-            arg_nodes = []
-            edges = []
-            for j, a in enumerate(e.args):
-                self.translate_expr(a)
-                nid = f"%{j + 1}"
-                arg_nodes.append((nid, a.ty.result))
-                edges.append(self._edge_for(f"e{j}", a, nid))
             arg_doms = tuple(a.ty.result for a in e.args)
-            lab = self.terminal(f"{e.op}@{span}", arg_doms + (e.ty.result,), ("op", e.op),
-                                lambda: _graph(arg_doms, e.ty.result,
-                                               lambda v: apply_builtin(e.op, v)),
-                                origin="builtin")
-            edges.append(Edge(f"e{len(e.args)}", lab,
-                              tuple(nid for nid, _ in arg_nodes) + (RESULT,)))
-            self._rule(lhs, e, arg_nodes, edges)
-            return lhs
-
+            return self.terminal(f"{e.op}@{span}", arg_doms + (e.ty.result,), ("op", e.op),
+                                 lambda: _graph(arg_doms, e.ty.result,
+                                                lambda v: apply_builtin(e.op, v)),
+                                 origin="builtin"), att
         if isinstance(e, Lookup):
-            self.translate_expr(e.index)
             idom, rdom = e.index.ty.result, e.ty.result
             keys = set(self.params.lookup_keys(e.param))
 
             def entry(v):
                 return self.params.dist_value(e.param, v[0]) if v[0] in keys else None
 
-            lab = self.terminal(f"{e.param}[]@{span}", (idom, rdom), ("lookup", e.param),
-                                lambda: _graph((idom,), rdom, entry), origin="lookup")
-            self._rule(lhs, e, [("%1", idom)],
-                       [self._edge_for("e0", e.index, "%1"),
-                        Edge("e1", lab, ("%1", RESULT))])
-            return lhs
-
-        if isinstance(e, Sample):
-            self.translate_expr(e.arg)
-            ddom = e.arg.ty.result
-            lab = self.terminal(f"density@{span}", (ddom, e.ty.result), ("density",),
-                                lambda: _density_table(ddom, e.ty.result, self.params),
-                                origin="density")
-            self._rule(lhs, e, [("%1", ddom)],
-                       [self._edge_for("e0", e.arg, "%1"),
-                        Edge("e1", lab, ("%1", RESULT))])
-            return lhs
-
-        if isinstance(e, Observe):
-            self.translate_expr(e.value)
-            self.translate_expr(e.dist)
-            ddom = e.dist.ty.result
-            lab = self.terminal(f"density@{span}", (ddom, e.ty.result), ("density",),
-                                lambda: _density_table(ddom, e.ty.result, self.params),
-                                origin="density")
-            # the observed expression's result node IS the rule's result
-            self._rule(lhs, e, [("%1", ddom)],
-                       [self._edge_for("e0", e.value, RESULT),
-                        self._edge_for("e1", e.dist, "%1"),
-                        Edge("e2", lab, ("%1", RESULT))])
-            return lhs
-
-        if isinstance(e, If):
-            self.translate_expr(e.cond)
-            cdom = e.cond.ty.result
-            for arm, want, tag in ((e.then, True, "true"), (e.els, False, "false")):
-                self.translate_expr(arm)
-                lab = self.terminal(f"is-{tag}@{span}", (cdom,), (tag,),
-                                    lambda: _graph((), cdom, lambda v: Bool(want)),
-                                    origin="constraint")
-                self._rule(lhs, e, [("%1", cdom)],
-                           [self._edge_for("e0", e.cond, "%1"),
-                            Edge("e1", lab, ("%1",)),
-                            self._edge_for("e2", arm, RESULT)])
-            return lhs
-
-        if isinstance(e, Case):
-            self.translate_expr(e.scrutinee)
-            sdom = e.scrutinee.ty.result
-            for arm, binder, con, tag in ((e.left, e.left_var, Inl, "inl"),
-                                          (e.right, e.right_var, Inr, "inr")):
-                self.translate_expr(arm)
-                bdom = dict(arm.ty.env)[binder]
-                lab = self.terminal(f"is-{tag}@{span}", (sdom, bdom), (tag,),
-                                    lambda: np.ascontiguousarray(
-                                        _graph((bdom,), sdom, lambda v: con(v[0])).T),
-                                    origin="constraint")
-                self._rule(lhs, e, [("%1", sdom), (binder, bdom)],
-                           [self._edge_for("e0", e.scrutinee, "%1"),
-                            Edge("e1", lab, ("%1", binder)),
-                            self._edge_for("e2", arm, RESULT)])
-            return lhs
-
-        if isinstance(e, Let):
-            self.translate_expr(e.bound)
-            self.translate_expr(e.body)
-            self._rule(lhs, e, [(e.name, e.bound.ty.result)],
-                       [self._edge_for("e0", e.bound, e.name),
-                        self._edge_for("e1", e.body, RESULT)])
-            return lhs
-
-        if isinstance(e, Call):
-            arg_nodes = []
-            edges = []
-            for j, a in enumerate(e.args):
-                self.translate_expr(a)
-                nid = f"%{j + 1}"
-                arg_nodes.append((nid, a.ty.result))
-                edges.append(self._edge_for(f"e{j}", a, nid))
-            edges.append(Edge(f"e{len(e.args)}", e.fn,
-                              tuple(nid for nid, _ in arg_nodes) + (RESULT,)))
-            self._rule(lhs, e, arg_nodes, edges)
-            return lhs
-
-        raise TypeError(f"cannot translate unknown expression {e!r}")
-
-    def translate_fun(self, f: FunDef):
-        body_lhs = self.translate_expr(f.body)
-        self.labels[f.name] = EdgeLabel(f.name, len(f.params) + 1, NONTERMINAL)
-        self.label_kinds[f.name] = "fun"
-        self.provenance[f.name] = f"{f.pos[0]}:{f.pos[1]}"
-        nodes = [Node(x, self._dom(d)) for x, d in f.body.ty.env]
-        nodes.append(Node(RESULT, self._dom(f.body.ty.result)))
-        att = tuple(x for x, _ in f.body.ty.env) + (RESULT,)
-        self.rules.append(Rule(f.name, Hypergraph(nodes, [Edge("e0", body_lhs, att)], att)))
+            return self.terminal(f"{e.param}[]@{span}", (idom, rdom), ("lookup", e.param),
+                                 lambda: _graph((idom,), rdom, entry), origin="lookup"), att
+        ddom = (e.arg if isinstance(e, Sample) else e.dist).ty.result  # Sample, Observe
+        return self.terminal(f"density@{span}", (ddom, e.ty.result), ("density",),
+                             lambda: _density_table(ddom, e.ty.result, self.params),
+                             origin="density"), att
 
     def translate_program(self) -> CompilationUnit:
         for f in self.program.functions:
-            self.translate_fun(f)
-        main_lhs = self.translate_expr(self.program.main)
+            self.body(f.name, f.body)
+            self.labels[f.name] = EdgeLabel(f.name, len(f.params) + 1, NONTERMINAL)
+            self.provenance[f.name] = f"{f.pos[0]}:{f.pos[1]}"
         start = self.names.fresh(START)
+        self.body(start, self.program.main)
         self.labels[start] = EdgeLabel(start, 1, NONTERMINAL)
-        self.label_kinds[start] = "start"
-        main = self.program.main
-        self.rules.append(Rule(start, Hypergraph(
-            [Node(RESULT, self._dom(main.ty.result))],
-            [Edge("e0", main_lhs, (RESULT,))], (RESULT,))))
         g = FGG(labels=self.labels, rules=self.rules, start=start,
                 domains=self.domains, factors=self.factors)
         return CompilationUnit(fgg=g, provenance=self.provenance,
-                               label_kinds=self.label_kinds,
                                factor_origins=self.factor_origins)
 
 
-def _kind_of(e: Expr) -> str:
-    return {Var: "var", Let: "let", Call: "call", Sample: "sample",
-            Observe: "observe", If: "if", Case: "case",
-            BuiltinApp: "builtin", Lookup: "lookup"}[type(e)]
+def _parts(e: Expr) -> tuple[list[tuple[str, Domain]], list[tuple[Expr, str]]]:
+    """The nodes `e`'s rule has besides its external ones, and its
+    subexpressions in edge order, each with the node its result goes to."""
+    if isinstance(e, Var):
+        return [], []
+    if isinstance(e, Let):
+        return [(e.name, e.bound.ty.result)], [(e.bound, e.name), (e.body, RESULT)]
+    if isinstance(e, Observe):  # the observed value is the result
+        return [("%1", e.dist.ty.result)], [(e.value, RESULT), (e.dist, "%1")]
+    if isinstance(e, (Sample, Lookup)):
+        sub = e.arg if isinstance(e, Sample) else e.index
+        return [("%1", sub.ty.result)], [(sub, "%1")]
+    if isinstance(e, (BuiltinApp, Call)):
+        extra = [(f"%{j + 1}", a.ty.result) for j, a in enumerate(e.args)]
+        return extra, [(a, nid) for a, (nid, _) in zip(e.args, extra)]
+    raise TypeError(f"cannot translate unknown expression {e!r}")
+
+
+def _ext_map(e: Expr, att: tuple[str, ...]) -> dict[str, str]:
+    """Maps `e`'s external node ids to `att`, the nodes its edge attaches."""
+    return dict(zip([x for x, _ in e.ty.env] + [RESULT], att))
 
 
 def translate(program: Program, params: Params) -> CompilationUnit:
@@ -324,8 +310,9 @@ def translate(program: Program, params: Params) -> CompilationUnit:
 # Simplification passes
 
 
+# `inline` is kept as a name that fires 0 times, so that pass lists naming it
+# still parse: the translator builds the grammar it used to make.
 ALL_PASSES = ("inline", "compose", "contract", "prune")
-PROTECTED_KINDS = {"if", "case", "fun", "start"}
 
 
 def simplify(cu: CompilationUnit, passes=ALL_PASSES) -> CompilationUnit:
@@ -334,108 +321,13 @@ def simplify(cu: CompilationUnit, passes=ALL_PASSES) -> CompilationUnit:
     cu = CompilationUnit(fgg=FGG(labels=dict(g.labels), rules=list(g.rules), start=g.start,
                                  domains=dict(g.domains), factors=dict(g.factors)),
                          provenance=dict(cu.provenance), pass_log=list(cu.pass_log),
-                         label_kinds=dict(cu.label_kinds),
                          factor_origins=dict(cu.factor_origins))
     for name in passes:
-        fired = {"inline": _pass_inline, "compose": _pass_compose,
+        fired = {"inline": lambda cu: 0, "compose": _pass_compose,
                  "contract": _pass_contract, "prune": _pass_prune}[name](cu)
         cu.pass_log.append((name, fired))
     _gc(cu)
     return cu
-
-
-def _pass_inline(cu: CompilationUnit) -> int:
-    """Inline single-rule nonterminals other than if/case/function lhs, and
-    collapse function/start rules whose whole rhs is one if/case edge.
-
-    The inlined labels are the unprotected nonterminals with exactly one
-    rule, at least one use and no use in that rule. Each rule whose lhs
-    stays and that uses one is rebuilt once: its other edges stay, in
-    order, then each inlined edge is spliced in, depth first in edge order,
-    its rule's internal nodes and edges renamed under `{edge id}.`. The
-    translator creates labels in preorder, which is also the order of the
-    nonterminal edges within each rule, so this is the grammar that
-    inlining one label at a time, in label order, gives. A cycle of inlined
-    labels reached from a kept rule would expand forever, so it raises a
-    ValueError naming the cycle; the translator makes none.
-    """
-    g = cu.fgg
-    by_lhs = rules_by_lhs(g.rules)
-    used = {e.label for r in g.rules for e in r.rhs.edges}
-    inlined = {}  # label -> the rhs of its one rule
-    for name, lab in g.labels.items():
-        own = by_lhs.get(name, ())
-        if (lab.is_nonterminal and cu.label_kinds.get(name) not in PROTECTED_KINDS
-                and len(own) == 1 and name in used
-                and all(e.label != name for e in own[0].rhs.edges)):
-            inlined[name] = own[0].rhs
-    fired = 0
-
-    def splice(rhs, ren, prefix, path, nodes, edges):
-        """Append `rhs`, renamed, to `nodes` and `edges`, then splice its
-        inlined edges; `ren` maps its external nodes, `path` the labels
-        being spliced."""
-        nonlocal fired
-        for n in rhs.nodes:
-            if n.id not in ren:
-                ren[n.id] = prefix + n.id
-                nodes.append(Node(ren[n.id], n.domain))
-        hits = []
-        for e in rhs.edges:
-            e = Edge(prefix + e.id, e.label, tuple(ren[a] for a in e.att))
-            (hits if e.label in inlined else edges).append(e)
-        for hit in hits:
-            if hit.label in path:
-                raise ValueError("cannot inline the cycle "
-                                 + " -> ".join(path[path.index(hit.label):] + (hit.label,)))
-            sub = inlined[hit.label]
-            splice(sub, dict(zip(sub.ext, hit.att)), hit.id + ".", path + (hit.label,),
-                   nodes, edges)
-            fired += 1
-
-    rules = []
-    for r in g.rules:
-        if r.lhs in inlined:
-            continue
-        if any(e.label in inlined for e in r.rhs.edges):
-            nodes, edges = [], []
-            splice(r.rhs, {}, "", (), nodes, edges)
-            r = Rule(r.lhs, Hypergraph(nodes, edges, r.rhs.ext))
-        rules.append(r)
-    for name in inlined:
-        del g.labels[name]
-
-    # unit-rule collapse: fun/start whose rhs is exactly one if/case edge
-    by_lhs = rules_by_lhs(rules)
-    uses = Counter(e.label for r in rules for e in r.rhs.edges)
-    collapsed = {}  # fun/start labels whose rules are replaced, in order
-    for name in list(g.labels):
-        if cu.label_kinds.get(name) not in ("fun", "start"):
-            continue
-        while len(by_lhs.get(name, ())) == 1:
-            rhs = by_lhs[name][0].rhs
-            if not (len(rhs.edges) == 1 and len(rhs.nodes) == len(rhs.ext)
-                    and rhs.edges[0].att == rhs.ext
-                    and cu.label_kinds.get(rhs.edges[0].label) in ("if", "case")
-                    and uses[rhs.edges[0].label] == 1):
-                break
-            child = rhs.edges[0].label
-            # relabel: reuse this rule's node names for the external slots
-            replacement = []
-            for cr in by_lhs.pop(child, ()):
-                ren = dict(zip(cr.rhs.ext, rhs.ext))
-                nodes = [Node(ren.get(n.id, n.id), n.domain) for n in cr.rhs.nodes]
-                edges = [Edge(e.id, e.label, tuple(ren.get(a, a) for a in e.att))
-                         for e in cr.rhs.edges]
-                replacement.append(Rule(name, Hypergraph(nodes, edges, rhs.ext)))
-            by_lhs[name] = replacement
-            collapsed[name] = None
-            del g.labels[child]
-            fired += 1
-    # the replacements go last, as if appended one collapse at a time
-    g.rules = ([r for r in rules if r.lhs in by_lhs and r.lhs not in collapsed]
-               + [r for name in collapsed for r in by_lhs[name]])
-    return fired
 
 
 def _pass_compose(cu: CompilationUnit) -> int:
@@ -554,7 +446,7 @@ def _pass_prune(cu: CompilationUnit) -> int:
 
 def _gc(cu: CompilationUnit):
     """Remove rules, labels, factors, and domains unreachable from the start
-    symbol, and the removed labels' provenance, kinds and origins."""
+    symbol, and the removed labels' provenance and origins."""
     g = cu.fgg
     reachable = {g.start}
     frontier = [g.start]
@@ -580,7 +472,7 @@ def _gc(cu: CompilationUnit):
     g.labels = {k: v for k, v in g.labels.items() if k in used_labels}
     g.factors = {k: v for k, v in g.factors.items() if k in used_labels}
     g.domains = {k: v for k, v in g.domains.items() if k in used_domains}
-    for meta in (cu.provenance, cu.label_kinds, cu.factor_origins):
+    for meta in (cu.provenance, cu.factor_origins):
         for k in [k for k in meta if k not in g.labels]:
             del meta[k]
 

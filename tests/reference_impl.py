@@ -1,17 +1,25 @@
 """Reference implementations kept for equivalence tests.
 
-These are the straightforward forms of four paths: the simplification
-passes (`inline` rescans the whole grammar from its first label after every
-inlined label and rebuilds a right-hand side for every inlined edge;
-`compose` and `contract` rescan a rule from its first node or edge after
-every firing and rebuild it each time), the Jacobi solver that scans all
-rules for every nonterminal and rebuilds every rule's factors on every
-iteration, variable elimination as hand-written tensor algebra that
-re-derives every scope on every application, and domain assignment as two
-traversals (a value-set fixpoint, then a typing walk that interns the final
-sets). The library's
-versions must produce identical grammars, bit-identical solver states,
-rule contributions equal to 1e-12 relative and identical domain
+These are the straightforward forms of five paths:
+
+- the paper's translation, which gives every subexpression a nonterminal of
+  its own, and `pass_inline`, which folds each of them but the `if`, `case`,
+  function and start labels back into its one use (rescanning the whole
+  grammar from its first label after every inlined label, and rebuilding a
+  right-hand side for every inlined edge). The library's translator must
+  build the grammar these two build, and the grammar before inlining must
+  give the same start weights;
+- the simplification passes `compose` and `contract`, which rescan a rule
+  from its first node or edge after every firing and rebuild it each time;
+- the Jacobi solver that scans all rules for every nonterminal and rebuilds
+  every rule's factors on every iteration;
+- variable elimination as hand-written tensor algebra that re-derives every
+  scope on every application;
+- domain assignment as two traversals (a value-set fixpoint, then a typing
+  walk that interns the final sets).
+
+The library's versions must produce identical grammars, bit-identical solver
+states, rule contributions equal to 1e-12 relative and identical domain
 annotations (see test_reference_equivalence.py). `assignment_weight`, the
 weight of one total assignment of a terminal-only graph, is the brute-force
 oracle for variable elimination (see test_inference.py).
@@ -19,11 +27,14 @@ oracle for variable elimination (see test_inference.py).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from fggc.ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup, Observe,
-                      Program, Sample, TypeInfo, Var)
-from fggc.fgg import FGG, TERMINAL, Edge, EdgeLabel, FactorTable, Hypergraph, Node, Rule
+from fggc.ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
+                      Observe, Program, Sample, TypeInfo, Var)
+from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
+                      Hypergraph, Node, Rule)
 from fggc.frontend import (_SET_LIMIT, DomainError, DomainInterner, _product,
                            apply_builtin)
 from fggc import inference
@@ -31,8 +42,262 @@ from fggc.inference import (CONVERGED, DIVERGENCE_BOUND, DIVERGENT, MAX_ITER,
                             InferenceError, OpCounter, SolverState, WeightTensor,
                             align, plan_elimination)
 from fggc.params import Params
-from fggc.translate import PROTECTED_KINDS, CompilationUnit
+from fggc.translate import (RESULT, START, CompilationUnit, _density_table, _graph,
+                            _Names)
 from fggc.values import Atom, Bool, Dist, Domain, Inl, Inr, Value
+
+
+# ---------------------------------------------------------------------------
+# The paper's translation, one nonterminal per subexpression, and the pass
+# that inlines it
+
+
+PROTECTED_KINDS = {"if", "case", "fun", "start"}
+
+
+@dataclass
+class ReferenceUnit(CompilationUnit):
+    label_kinds: dict[str, str] = field(default_factory=dict)  # nonterminal -> construct
+
+
+class _Translator:
+    """Each subexpression in an environment with k bound variables becomes a
+    nonterminal of arity k+1 (the environment slots in binding order, then
+    the result slot). Conditionals and case expressions get two rules, one
+    per arm; everything else gets one rule; each function definition and
+    the program top level get one rule each."""
+
+    def __init__(self, program: Program, params: Params):
+        self.program = program
+        self.params = params
+        self.names = _Names()
+        self.labels: dict[str, EdgeLabel] = {}
+        self.rules: list[Rule] = []
+        self.factors: dict[str, FactorTable] = {}
+        self.domains: dict[str, Domain] = {}
+        self.provenance: dict[str, str] = {}
+        self.label_kinds: dict[str, str] = {}
+        self.factor_origins: dict[str, str] = {}
+        self._nt_of: dict[int, str] = {}  # id(expr) -> label name
+        self._tables: dict[tuple, np.ndarray] = {}  # see terminal()
+
+    # -- naming and registration --------------------------------------------
+
+    def _dom(self, d: Domain) -> str:
+        self.domains[d.name] = d
+        return d.name
+
+    def nt(self, e: Expr) -> str:
+        name = self._nt_of.get(id(e))
+        if name is None:
+            kind = _kind_of(e)
+            name = self.names.fresh(f"{kind}@{e.pos[0]}:{e.pos[1]}")
+            self.labels[name] = EdgeLabel(name, len(e.ty.env) + 1, NONTERMINAL)
+            self.label_kinds[name] = kind
+            self.provenance[name] = f"{e.pos[0]}:{e.pos[1]}"
+            self._nt_of[id(e)] = name
+        return name
+
+    def terminal(self, base: str, doms: tuple[Domain, ...], key: tuple, make,
+                 origin: str) -> str:
+        """A fresh terminal label over `doms`. Its table, `make()`, is
+        computed once per `key` and domains and shared, read-only, by every
+        label with the same key and domains."""
+        key += tuple(d.name for d in doms)
+        table = self._tables.get(key)
+        if table is None:
+            table = make()
+            table.flags.writeable = False
+            self._tables[key] = table
+        name = self.names.fresh(base)
+        self.labels[name] = EdgeLabel(name, len(doms), TERMINAL)
+        self.factors[name] = FactorTable(name, tuple(self._dom(d) for d in doms), table)
+        self.factor_origins[name] = origin
+        return name
+
+    # -- rule assembly --------------------------------------------------------
+
+    def _rule(self, lhs: str, e: Expr, nodes, edges):
+        """nodes: extra (id, Domain) pairs beyond env+result; edges as built."""
+        env_nodes = [Node(x, self._dom(d)) for x, d in e.ty.env]
+        all_nodes = env_nodes + [Node(RESULT, self._dom(e.ty.result))]
+        all_nodes += [Node(nid, self._dom(d)) for nid, d in nodes]
+        ext = tuple(x for x, _ in e.ty.env) + (RESULT,)
+        self.rules.append(Rule(lhs, Hypergraph(all_nodes, edges, ext)))
+
+    def _edge_for(self, eid: str, sub: Expr, result_node: str) -> Edge:
+        return Edge(eid, self.nt(sub), tuple(x for x, _ in sub.ty.env) + (result_node,))
+
+    # -- per-construct translation -------------------------------------------
+
+    def translate_expr(self, e: Expr) -> str:
+        lhs = self.nt(e)
+        span = f"{e.pos[0]}:{e.pos[1]}"
+
+        if isinstance(e, Var):
+            if e.resolution == "var":
+                xdom = dict(e.ty.env)[e.name]
+                lab = self.terminal(f"copy@{span}", (xdom, e.ty.result), ("copy",),
+                                    lambda: _graph((xdom,), e.ty.result, lambda v: v[0]),
+                                    origin="copy")
+                self._rule(lhs, e, [], [Edge("e0", lab, (e.name, RESULT))])
+            else:
+                value = (self.params.inputs[e.name] if e.resolution == "input"
+                         else Atom(e.name))
+                lab = self.terminal(f"const@{span}", (e.ty.result,), ("const", value),
+                                    lambda: _graph((), e.ty.result, lambda v: value),
+                                    origin="builtin")
+                self._rule(lhs, e, [], [Edge("e0", lab, (RESULT,))])
+            return lhs
+
+        if isinstance(e, BuiltinApp):
+            arg_nodes = []
+            edges = []
+            for j, a in enumerate(e.args):
+                self.translate_expr(a)
+                nid = f"%{j + 1}"
+                arg_nodes.append((nid, a.ty.result))
+                edges.append(self._edge_for(f"e{j}", a, nid))
+            arg_doms = tuple(a.ty.result for a in e.args)
+            lab = self.terminal(f"{e.op}@{span}", arg_doms + (e.ty.result,), ("op", e.op),
+                                lambda: _graph(arg_doms, e.ty.result,
+                                               lambda v: apply_builtin(e.op, v)),
+                                origin="builtin")
+            edges.append(Edge(f"e{len(e.args)}", lab,
+                              tuple(nid for nid, _ in arg_nodes) + (RESULT,)))
+            self._rule(lhs, e, arg_nodes, edges)
+            return lhs
+
+        if isinstance(e, Lookup):
+            self.translate_expr(e.index)
+            idom, rdom = e.index.ty.result, e.ty.result
+            keys = set(self.params.lookup_keys(e.param))
+
+            def entry(v):
+                return self.params.dist_value(e.param, v[0]) if v[0] in keys else None
+
+            lab = self.terminal(f"{e.param}[]@{span}", (idom, rdom), ("lookup", e.param),
+                                lambda: _graph((idom,), rdom, entry), origin="lookup")
+            self._rule(lhs, e, [("%1", idom)],
+                       [self._edge_for("e0", e.index, "%1"),
+                        Edge("e1", lab, ("%1", RESULT))])
+            return lhs
+
+        if isinstance(e, Sample):
+            self.translate_expr(e.arg)
+            ddom = e.arg.ty.result
+            lab = self.terminal(f"density@{span}", (ddom, e.ty.result), ("density",),
+                                lambda: _density_table(ddom, e.ty.result, self.params),
+                                origin="density")
+            self._rule(lhs, e, [("%1", ddom)],
+                       [self._edge_for("e0", e.arg, "%1"),
+                        Edge("e1", lab, ("%1", RESULT))])
+            return lhs
+
+        if isinstance(e, Observe):
+            self.translate_expr(e.value)
+            self.translate_expr(e.dist)
+            ddom = e.dist.ty.result
+            lab = self.terminal(f"density@{span}", (ddom, e.ty.result), ("density",),
+                                lambda: _density_table(ddom, e.ty.result, self.params),
+                                origin="density")
+            # the observed expression's result node IS the rule's result
+            self._rule(lhs, e, [("%1", ddom)],
+                       [self._edge_for("e0", e.value, RESULT),
+                        self._edge_for("e1", e.dist, "%1"),
+                        Edge("e2", lab, ("%1", RESULT))])
+            return lhs
+
+        if isinstance(e, If):
+            self.translate_expr(e.cond)
+            cdom = e.cond.ty.result
+            for arm, want, tag in ((e.then, True, "true"), (e.els, False, "false")):
+                self.translate_expr(arm)
+                lab = self.terminal(f"is-{tag}@{span}", (cdom,), (tag,),
+                                    lambda: _graph((), cdom, lambda v: Bool(want)),
+                                    origin="constraint")
+                self._rule(lhs, e, [("%1", cdom)],
+                           [self._edge_for("e0", e.cond, "%1"),
+                            Edge("e1", lab, ("%1",)),
+                            self._edge_for("e2", arm, RESULT)])
+            return lhs
+
+        if isinstance(e, Case):
+            self.translate_expr(e.scrutinee)
+            sdom = e.scrutinee.ty.result
+            for arm, binder, con, tag in ((e.left, e.left_var, Inl, "inl"),
+                                          (e.right, e.right_var, Inr, "inr")):
+                self.translate_expr(arm)
+                bdom = dict(arm.ty.env)[binder]
+                lab = self.terminal(f"is-{tag}@{span}", (sdom, bdom), (tag,),
+                                    lambda: np.ascontiguousarray(
+                                        _graph((bdom,), sdom, lambda v: con(v[0])).T),
+                                    origin="constraint")
+                self._rule(lhs, e, [("%1", sdom), (binder, bdom)],
+                           [self._edge_for("e0", e.scrutinee, "%1"),
+                            Edge("e1", lab, ("%1", binder)),
+                            self._edge_for("e2", arm, RESULT)])
+            return lhs
+
+        if isinstance(e, Let):
+            self.translate_expr(e.bound)
+            self.translate_expr(e.body)
+            self._rule(lhs, e, [(e.name, e.bound.ty.result)],
+                       [self._edge_for("e0", e.bound, e.name),
+                        self._edge_for("e1", e.body, RESULT)])
+            return lhs
+
+        if isinstance(e, Call):
+            arg_nodes = []
+            edges = []
+            for j, a in enumerate(e.args):
+                self.translate_expr(a)
+                nid = f"%{j + 1}"
+                arg_nodes.append((nid, a.ty.result))
+                edges.append(self._edge_for(f"e{j}", a, nid))
+            edges.append(Edge(f"e{len(e.args)}", e.fn,
+                              tuple(nid for nid, _ in arg_nodes) + (RESULT,)))
+            self._rule(lhs, e, arg_nodes, edges)
+            return lhs
+
+        raise TypeError(f"cannot translate unknown expression {e!r}")
+
+    def translate_fun(self, f: FunDef):
+        body_lhs = self.translate_expr(f.body)
+        self.labels[f.name] = EdgeLabel(f.name, len(f.params) + 1, NONTERMINAL)
+        self.label_kinds[f.name] = "fun"
+        self.provenance[f.name] = f"{f.pos[0]}:{f.pos[1]}"
+        nodes = [Node(x, self._dom(d)) for x, d in f.body.ty.env]
+        nodes.append(Node(RESULT, self._dom(f.body.ty.result)))
+        att = tuple(x for x, _ in f.body.ty.env) + (RESULT,)
+        self.rules.append(Rule(f.name, Hypergraph(nodes, [Edge("e0", body_lhs, att)], att)))
+
+    def translate_program(self) -> ReferenceUnit:
+        for f in self.program.functions:
+            self.translate_fun(f)
+        main_lhs = self.translate_expr(self.program.main)
+        start = self.names.fresh(START)
+        self.labels[start] = EdgeLabel(start, 1, NONTERMINAL)
+        self.label_kinds[start] = "start"
+        main = self.program.main
+        self.rules.append(Rule(start, Hypergraph(
+            [Node(RESULT, self._dom(main.ty.result))],
+            [Edge("e0", main_lhs, (RESULT,))], (RESULT,))))
+        g = FGG(labels=self.labels, rules=self.rules, start=start,
+                domains=self.domains, factors=self.factors)
+        return ReferenceUnit(fgg=g, provenance=self.provenance,
+                             label_kinds=self.label_kinds,
+                             factor_origins=self.factor_origins)
+
+
+def _kind_of(e: Expr) -> str:
+    return {Var: "var", Let: "let", Call: "call", Sample: "sample",
+            Observe: "observe", If: "if", Case: "case",
+            BuiltinApp: "builtin", Lookup: "lookup"}[type(e)]
+
+
+def translate(program: Program, params: Params) -> ReferenceUnit:
+    return _Translator(program, params).translate_program()
 
 
 def _inline_edge(rhs: Hypergraph, edge: Edge, sub: Hypergraph) -> Hypergraph:
@@ -49,7 +314,7 @@ def _inline_edge(rhs: Hypergraph, edge: Edge, sub: Hypergraph) -> Hypergraph:
     return Hypergraph(nodes, edges, rhs.ext)
 
 
-def pass_inline(cu: CompilationUnit) -> int:
+def pass_inline(cu: ReferenceUnit) -> int:
     """Inline single-rule nonterminals other than if/case/function lhs, and
     collapse function/start rules whose whole rhs is one if/case edge."""
     g = cu.fgg
@@ -123,6 +388,10 @@ def pass_inline(cu: CompilationUnit) -> int:
                 changed = True
                 break
     return fired
+
+
+# ---------------------------------------------------------------------------
+# Simplification passes
 
 
 def pass_compose(cu: CompilationUnit) -> int:

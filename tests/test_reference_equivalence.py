@@ -1,11 +1,12 @@
-"""The one-scan `inline`, `compose` and `contract` passes, the prepared-rule
-solver, the compiled einsum contraction and the one-traversal domain
-assignment against their straightforward references (reference_impl.py):
-identical grammars and pass logs (also under random pass orders), solver
-states that agree with whole-grammar Kleene iteration, rule contributions
-equal to 1e-12 relative, identical domain annotations and errors. On
-grammars without recursion, the dependency-ordered solve gives the
-reference's limit bit for bit."""
+"""The translator, the one-scan `compose` and `contract` passes, the
+prepared-rule solver, the compiled einsum contraction and the one-traversal
+domain assignment against their straightforward references
+(reference_impl.py): the paper's translation inlined, with the same start
+weights before inlining; identical grammars and pass logs (also under
+random pass orders); solver states that agree with whole-grammar Kleene
+iteration; rule contributions equal to 1e-12 relative; identical domain
+annotations and errors. On grammars without recursion, the
+dependency-ordered solve gives the reference's limit bit for bit."""
 
 import dataclasses
 import importlib
@@ -19,15 +20,12 @@ import pytest
 import reference_impl
 from conftest import PROGRAMS_DIR, SUITE, load_program
 from fggc.ast import BuiltinApp, Expr, Var
-from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
-                      Hypergraph, Node, Rule, fgg_to_json, rules_by_lhs)
+from fggc.fgg import fgg_to_json, rules_by_lhs
 from fggc.frontend import DomainError, assign_domains, check_program, scope_check
 from fggc.inference import dependency_components, rule_contribution, solve_fixed_point
 from fggc.params import params_from_json
 from fggc.parser import parse
-from fggc.translate import (ALL_PASSES, CompilationUnit, compile_source, simplify,
-                            translate)
-from fggc.values import Bool, Domain
+from fggc.translate import ALL_PASSES, compile_source, simplify, translate
 from genprog import random_program
 
 translate_module = importlib.import_module("fggc.translate")
@@ -54,7 +52,7 @@ def _program(name):
 def _same_grammar(cu0, passes, monkeypatch):
     got = simplify(cu0, passes)
     with monkeypatch.context() as m:
-        for name in ("inline", "compose", "contract"):
+        for name in ("compose", "contract"):
             m.setattr(translate_module, f"_pass_{name}", getattr(reference_impl, f"pass_{name}"))
         want = simplify(cu0, passes)
     assert json.dumps(fgg_to_json(got.fgg)) == json.dumps(fgg_to_json(want.fgg))
@@ -114,6 +112,41 @@ def _start_weights(g):
     return state.tau[g.start].data
 
 
+def _rules(g):
+    """Each nonterminal's rules, in order, as comparable tuples."""
+    return {lhs: [(r.rhs.nodes, r.rhs.edges, r.rhs.ext) for r in rules]
+            for lhs, rules in rules_by_lhs(g.rules).items()}
+
+
+@pytest.mark.parametrize("name", SUITE + GENERATED_NAMES)
+def test_translation_is_the_inlined_reference_translation(name):
+    """The translator builds the grammar that inlining the paper's
+    translation builds: the same labels in the same order, tables, domains,
+    origins and provenance, and each nonterminal's rules in the same order,
+    node for node and edge for edge. Only where a nonterminal's rules sit
+    among the others' may differ. The grammar before inlining gives the same
+    start weights."""
+    source, params = _program(name)
+    got = _compiled(source, params)
+    program, _ = check_program(source, params)
+    ref = reference_impl.translate(program, params)
+    want_weights = _start_weights(ref.fgg)
+    reference_impl.pass_inline(ref)
+    g, want = got.fgg, ref.fgg
+    assert list(g.labels.items()) == list(want.labels.items())
+    assert g.start == want.start
+    assert {n: d.values for n, d in g.domains.items()} == {
+        n: d.values for n, d in want.domains.items()}
+    assert g.factors.keys() == want.factors.keys()
+    for label, tab in want.factors.items():
+        assert g.factors[label].domains == tab.domains
+        assert g.factors[label].weights.tobytes() == tab.weights.tobytes()
+    assert _rules(g) == _rules(want)
+    assert got.factor_origins == ref.factor_origins
+    assert got.provenance == {k: v for k, v in ref.provenance.items() if k in want.labels}
+    np.testing.assert_allclose(_start_weights(g), want_weights, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("name", SUITE + GENERATED_NAMES)
 def test_random_pass_orders_match_reference(name, monkeypatch):
     """Seeded random sequences of 0 to 6 passes, repeats allowed: the
@@ -149,28 +182,6 @@ def test_generated_programs_match_reference(seed, nfun, monkeypatch):
     cu0 = _compiled(source, params_from_json(params))
     for passes in PASS_SETS:
         _same_solve(_same_grammar(cu0, passes, monkeypatch).fgg)
-
-
-def test_collapse_cascade_matches_reference(monkeypatch):
-    """A function whose one rule is one `if` edge, whose one rule is one
-    `case` edge: collapsing the `if` leaves the function collapsible again."""
-    kinds = {"$start": "start", "f": "fun", "x": "if", "y": "case"}
-    labels = {name: EdgeLabel(name, 1, NONTERMINAL) for name in kinds}
-    labels["t"] = EdgeLabel("t", 1, TERMINAL)
-
-    def unit_rule(lhs, label):
-        return Rule(lhs, Hypergraph([Node("v", "B")], [Edge("e0", label, ("v",))], ("v",)))
-
-    rules = [unit_rule("$start", "f"), unit_rule("f", "x"), unit_rule("x", "y"),
-             unit_rule("y", "t"), unit_rule("y", "t")]
-    domain = Domain("B", [Bool(False), Bool(True)])
-    g = FGG(labels=labels, rules=rules, start="$start", domains={"B": domain},
-            factors={"t": FactorTable("t", ("B",), np.array([0.25, 0.75]))})
-    cu = CompilationUnit(fgg=g, provenance={}, label_kinds=kinds,
-                         factor_origins={"t": "builtin"})
-    got = _same_grammar(cu, ("inline",), monkeypatch)
-    assert got.pass_log == [("inline", 2)]
-    assert [r.lhs for r in got.fgg.rules] == ["$start", "f", "f"]
 
 
 def _same_contributions(g):

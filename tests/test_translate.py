@@ -1,49 +1,45 @@
 import importlib
 import random
 
-import numpy as np
 import pytest
 
+import reference_impl
 from conftest import SUITE, load_program
-from fggc.ast import Case, Expr, FunDef, If, Program
-from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
-                      Hypergraph, Node, Rule, validate)
+from fggc.ast import Case, Expr, If
+from fggc.fgg import Rule, validate
 from fggc.frontend import check_program
 from fggc.inference import solve_fixed_point
 from fggc.params import Params, params_from_json
-from fggc.translate import (ALL_PASSES, CompilationUnit, compile_source, simplify,
-                            translate)
-from fggc.values import Atom, Bool, Dist, Domain, Inl, Inr, Pair
+from fggc.translate import ALL_PASSES, compile_source, simplify, translate
+from fggc.values import Bool, Dist
 from genprog import random_program
 
 
-def _count_rules_law(program: Program) -> int:
-    """#rules = #subexpressions + #if + #case + #fundefs + 1."""
-    count = 0
-
-    def walk(e: Expr):
-        nonlocal count
-        count += 2 if isinstance(e, (If, Case)) else 1
-        for name in ("bound", "body", "cond", "then", "els", "scrutinee",
-                     "left", "right", "value", "dist", "arg", "index"):
-            child = getattr(e, name, None)
-            if isinstance(child, Expr):
-                walk(child)
-        for a in getattr(e, "args", []):
-            walk(a)
-
-    for f in program.functions:
-        walk(f.body)
-    walk(program.main)
-    return count + len(program.functions) + 1
+def _subexpressions(e: Expr):
+    yield e
+    for name in ("bound", "body", "cond", "then", "els", "scrutinee",
+                 "left", "right", "value", "dist", "arg", "index"):
+        child = getattr(e, name, None)
+        if isinstance(child, Expr):
+            yield from _subexpressions(child)
+    for a in getattr(e, "args", []):
+        yield from _subexpressions(a)
 
 
 @pytest.mark.parametrize("name", SUITE)
 def test_rule_count_law(name):
+    """One rule per function body and for the main body, and one per arm of
+    each `if` and `case`, whose arms replace the rule of a body that is one.
+    The paper's translation has #subexpressions + #if + #case + #fundefs + 1."""
     source, params = load_program(name)
     program, _ = check_program(source, params)
-    cu = translate(program, params)
-    assert len(cu.fgg.rules) == _count_rules_law(program)
+    bodies = [f.body for f in program.functions] + [program.main]
+    everything = [s for body in bodies for s in _subexpressions(body)]
+    branches = sum(isinstance(s, (If, Case)) for s in everything)
+    branch_bodies = sum(isinstance(body, (If, Case)) for body in bodies)
+    assert len(translate(program, params).fgg.rules) == len(bodies) + 2 * branches - branch_bodies
+    ref = reference_impl.translate(program, params)
+    assert len(ref.fgg.rules) == len(everything) + branches + len(bodies)
 
 
 @pytest.mark.parametrize("name", SUITE)
@@ -57,20 +53,21 @@ def test_unsimplified_grammar_validates(name):
 def test_arity_law(name):
     source, params = load_program(name)
     program, _ = check_program(source, params)
-    cu = translate(program, params)
-    g = cu.fgg
-    assert g.labels[g.start].arity == 1
-    # every nonterminal's arity is |env| + 1 by construction; check via rules
-    for r in g.rules:
-        assert g.labels[r.lhs].arity == len(r.rhs.ext)
+    for g in (translate(program, params).fgg, reference_impl.translate(program, params).fgg):
+        assert g.labels[g.start].arity == 1
+        # every nonterminal's arity is |env| + 1 by construction; check via rules
+        for r in g.rules:
+            assert g.labels[r.lhs].arity == len(r.rhs.ext)
 
 
 def test_constant_program_shape():
-    g = compile_source("true", Params(), passes=()).fgg
-    # start rule plus one constant rule
-    assert len(g.rules) == 2
-    g = compile_source("true", Params()).fgg
-    assert len(g.rules) == 1
+    # one start rule holding the constant, with or without the passes; the
+    # paper's translation adds a rule for the constant
+    for passes in ((), ALL_PASSES):
+        (rule,) = compile_source("true", Params(), passes=passes).fgg.rules
+        assert [e.id for e in rule.rhs.edges] == ["e0.e0"]
+    program, _ = check_program("true", Params())
+    assert len(reference_impl.translate(program, Params()).fgg.rules) == 2
 
 
 def test_figure_style_pcfg_shape():
@@ -102,37 +99,41 @@ def test_if_contributes_two_rules():
     params = params_from_json(
         {"params": {"c": {"u": {"true": 0.5, "false": 0.5}}},
          "domains": {"atoms": ["A", "B"]}})
+    # as the main body, the arms are the start symbol's rules
     program, _ = check_program("if sample c[u] then A else B", params)
-    cu = translate(program, params)
-    if_rules = [r for r in cu.fgg.rules if cu.label_kinds.get(r.lhs) == "if"]
-    assert len(if_rules) == 2
+    g = translate(program, params).fgg
+    assert [r.lhs for r in g.rules] == [g.start, g.start]
+    # elsewhere, the arms are the rules of a label of the `if`'s own
+    program, _ = check_program("let x = if sample c[u] then A else B in x", params)
+    g = translate(program, params).fgg
+    assert sorted(r.lhs for r in g.rules) == [g.start, "if@1:9", "if@1:9"]
 
 
 def test_sample_rule_shape():
+    """`sample c[u]` is spliced into the start rule: its density edge e0.e1
+    joins the distribution node e0.%1 to the result, and the lookup feeding
+    that node is spliced under e0.e0."""
     params = params_from_json({"params": {"c": {"u": {"true": 1.0}}}})
     program, _ = check_program("sample c[u]", params)
-    cu = translate(program, params)
-    sample_rules = [r for r in cu.fgg.rules
-                    if cu.label_kinds.get(r.lhs) == "sample"]
-    (rule,) = sample_rules
-    nts = [e for e in rule.rhs.edges if cu.fgg.labels[e.label].is_nonterminal]
-    terms = [e for e in rule.rhs.edges if cu.fgg.labels[e.label].is_terminal]
-    assert len(nts) == 1 and len(terms) == 1
+    g = translate(program, params).fgg
+    (rule,) = g.rules
+    assert all(g.labels[e.label].is_terminal for e in rule.rhs.edges)
+    assert [e.id for e in rule.rhs.edges] == ["e0.e1", "e0.e0.e1", "e0.e0.e0.e0"]
+    density = rule.rhs.edges[0]
+    assert density.label.startswith("density@") and density.att == ("e0.%1",) + rule.rhs.ext
 
 
 def test_observe_wires_value_to_result():
     params = params_from_json({"params": {"c": {"u": {"true": 0.5}},
                                           "d": {"u": {"true": 0.8}}}})
     program, _ = check_program("observe (sample c[u]) <- d[u]", params)
-    cu = translate(program, params)
-    (rule,) = [r for r in cu.fgg.rules if cu.label_kinds.get(r.lhs) == "observe"]
-    nts = [e for e in rule.rhs.edges if cu.fgg.labels[e.label].is_nonterminal]
-    terms = [e for e in rule.rhs.edges if cu.fgg.labels[e.label].is_terminal]
-    assert len(nts) == 2 and len(terms) == 1
+    g = translate(program, params).fgg
+    (rule,) = g.rules
     result = rule.rhs.ext[-1]
-    # the observed expression's result node is the rule's own result
-    value_edge = [e for e in nts if cu.label_kinds.get(e.label) == "sample"][0]
-    assert value_edge.att[-1] == result
+    densities = {e.id: e.att for e in rule.rhs.edges if e.label.startswith("density@")}
+    # the observed expression's result node is the rule's own result: both
+    # the observation's density (e0.e2) and the sample's (e0.e0.e1) end there
+    assert densities == {"e0.e2": ("e0.%1", result), "e0.e0.e1": ("e0.e0.%1", result)}
 
 
 def test_density_table_matches_params():
@@ -235,7 +236,8 @@ def test_provenance_spans():
 def test_simplify_rebuilds_grow_linearly(monkeypatch):
     """simplify rebuilds each rule a bounded number of times: with four
     times the functions it builds at most about four times the rules (a
-    pass that rescans the grammar per inlined label builds about sixteen)."""
+    pass that rescans the whole grammar after each change would build about
+    sixteen)."""
     translate_module = importlib.import_module("fggc.translate")
 
     def rebuilds(nfun):
@@ -316,50 +318,25 @@ def _count_hypergraph_builds(monkeypatch) -> list:
     return built
 
 
-def test_inline_builds_each_rule_once(monkeypatch):
-    """The inline pass expands each kept rule once and builds one
-    hypergraph per rule it changed, however many edges it inlined there,
-    plus one per rule the collapse relabels: at most two per rule left,
-    where building one per inlined edge would be `fired`."""
-    cu = _generated_unit(24)
+def test_translation_builds_each_rule_once(monkeypatch):
+    """The translator builds one hypergraph per rule of its grammar."""
+    source, params = random_program(random.Random("inline-builds"), 24)
+    params = params_from_json(params)
+    program, _ = check_program(source, params)
     built = _count_hypergraph_builds(monkeypatch)
-    out = simplify(cu, ("inline",))
-    ((_, fired),) = out.pass_log
-    assert fired > 2 * len(out.fgg.rules)
-    assert 0 < len(built) <= 2 * len(out.fgg.rules)
+    g = translate(program, params).fgg
+    assert len(built) == len(g.rules)
 
 
 @pytest.mark.parametrize("name", ["compose", "contract"])
 def test_compose_and_contract_build_each_changed_rule_once(monkeypatch, name):
     """compose and contract edit a rule's edges in place and build one
     hypergraph per rule they changed, however often they fired there. On
-    this inlined program both fire more often than they change rules."""
-    cu = simplify(_generated_unit(48), ("inline",))
+    this program both fire more often than they change rules."""
+    cu = _generated_unit(48)
     before = [r.rhs for r in cu.fgg.rules]
     built = _count_hypergraph_builds(monkeypatch)
     fired = getattr(importlib.import_module("fggc.translate"), f"_pass_{name}")(cu)
     changed = sum(r.rhs is not rhs for r, rhs in zip(cu.fgg.rules, before))
     assert fired > changed > 0
     assert len(built) == changed
-
-
-def test_inline_refuses_a_cycle_of_single_rule_labels():
-    """`a` and `b` each have one rule and use each other: splicing either
-    into `$start` never ends, so inline names the cycle instead. The
-    translator makes no such grammar."""
-    kinds = {"$start": "start", "a": "let", "b": "let"}
-    labels = {name: EdgeLabel(name, 1, NONTERMINAL) for name in kinds}
-    labels["t"] = EdgeLabel("t", 1, TERMINAL)
-
-    def rule(lhs, *uses):
-        return Rule(lhs, Hypergraph([Node("v", "B")],
-                                    [Edge(f"e{i}", l, ("v",)) for i, l in enumerate(uses)],
-                                    ("v",)))
-
-    g = FGG(labels=labels, rules=[rule("$start", "a"), rule("a", "b", "t"), rule("b", "a")],
-            start="$start", domains={"B": Domain("B", [Bool(False), Bool(True)])},
-            factors={"t": FactorTable("t", ("B",), np.array([0.5, 0.5]))})
-    cu = CompilationUnit(fgg=g, provenance={}, label_kinds=kinds,
-                         factor_origins={"t": "builtin"})
-    with pytest.raises(ValueError, match="cycle a -> b -> a"):
-        simplify(cu, ("inline",))
