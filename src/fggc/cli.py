@@ -23,25 +23,19 @@ import os
 import sys
 
 from . import fgg as fggmod
-from .fgg import FGG, StructuralError, validate
-from .frontend import DomainError, check_program
-from .inference import DIVERGENT, MAX_ITER, InferenceError, solve_fixed_point
-from .oracle import OracleError, enumerate_derivations, interpret, truncated_wX
-from .params import ParamError, Params, load_params
-from .parser import ParseError
+from .fgg import FGG, validate
+from .frontend import check_program
+from .inference import DIVERGENT, MAX_ITER, solve_fixed_point
+from .oracle import enumerate_derivations, interpret, truncated_wX
+from .params import Params, load_params
 from .render import to_dot, to_latex
 from .translate import ALL_PASSES, compile_program, compile_source
+from .values import FggcError
 
 EXIT_FRONTEND = 2
 EXIT_DIVERGENT = 3
 EXIT_MISMATCH = 4
 EXIT_MAX_ITER = 5
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_FRONTEND):
-        super().__init__(message)
-        self.code = code
 
 
 def fmt(x: float) -> str:
@@ -56,7 +50,7 @@ def _parse_passes(text: str | None):
     passes = tuple(p.strip() for p in text.split(",") if p.strip())
     for p in passes:
         if p not in ALL_PASSES:
-            raise CliError(f"unknown pass {p!r} (choose from {', '.join(ALL_PASSES)})")
+            raise FggcError(f"unknown pass {p!r} (choose from {', '.join(ALL_PASSES)})")
     return passes
 
 
@@ -65,8 +59,8 @@ def _load_params(path: str | None) -> Params:
         return Params()
     try:
         return load_params(path)
-    except (OSError, json.JSONDecodeError, ParamError, ValueError) as e:
-        raise CliError(f"cannot read params {path!r}: {e}")
+    except (OSError, ValueError, FggcError) as e:
+        raise FggcError(f"cannot read params {path!r}: {e}")
 
 
 def _read_source(path: str) -> str:
@@ -74,17 +68,17 @@ def _read_source(path: str) -> str:
         with open(path, encoding="utf-8") as f:
             return f.read()
     except OSError as e:
-        raise CliError(f"cannot read {path!r}: {e}")
+        raise FggcError(f"cannot read {path!r}: {e}")
 
 
 def _load_grammar(path: str) -> FGG:
     try:
         g = fggmod.loads(_read_source(path))
-    except (StructuralError, KeyError, TypeError, ValueError) as e:
-        raise CliError(f"bad FGG JSON: {e}")
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FggcError(f"bad FGG JSON: {e}")
     diags = validate(g)
     if diags:
-        raise CliError("; ".join(str(d) for d in diags))
+        raise FggcError("; ".join(str(d) for d in diags))
     return g
 
 
@@ -99,18 +93,15 @@ def _compile_unit(args):
     source = _read_source(args.input)
     params = _load_params(getattr(args, "params", None))
     passes = _parse_passes(getattr(args, "passes", None))
-    try:
-        return compile_source(source, params, passes)
-    except (ParseError, DomainError, ParamError) as e:
-        raise CliError(str(e))
+    return compile_source(source, params, passes)
 
 
 def cmd_compile(args) -> int:
     cu = _compile_unit(args)
     diags = validate(cu.fgg)
     if diags:
-        raise CliError("compiled grammar failed validation: "
-                       + "; ".join(str(d) for d in diags))
+        raise FggcError("compiled grammar failed validation: "
+                        + "; ".join(str(d) for d in diags))
     text = fggmod.dumps(cu.fgg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -127,11 +118,20 @@ def cmd_compile(args) -> int:
     return 0
 
 
+def _check_flags(args) -> None:
+    """Refuse --max-iter, --depth and --tol values that no run can honour:
+    zero sweeps or levels compute nothing, and a tolerance that is not
+    positive and finite can never be met (every `delta > nan` is false)."""
+    if getattr(args, "max_iter", 1) < 1:
+        raise FggcError(f"--max-iter must be at least 1, got {args.max_iter}")
+    if getattr(args, "depth", 1) < 1:
+        raise FggcError(f"--depth must be at least 1, got {args.depth}")
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        raise FggcError(f"--tol must be a positive finite number, got {tol}")
+
+
 def cmd_infer(args) -> int:
-    if args.max_iter < 1:
-        raise CliError(f"--max-iter must be at least 1, got {args.max_iter}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise CliError(f"--tol must be a positive finite number, got {args.tol}")
     g = _compile(args)
     state = solve_fixed_point(g, tol=args.tol, max_iter=args.max_iter)
     t = state.tau[g.start]
@@ -148,12 +148,8 @@ def cmd_compare(args) -> int:
     passes = _parse_passes(args.passes)
     source = _read_source(args.input)
     params = _load_params(args.params)
-    try:
-        program, _ = check_program(source, params)
-        g = (_load_grammar(args.fgg) if args.fgg
-             else compile_program(program, params, passes).fgg)
-    except (ParseError, DomainError, ParamError) as e:
-        raise CliError(str(e))
+    program, _ = check_program(source, params)
+    g = _load_grammar(args.fgg) if args.fgg else compile_program(program, params, passes).fgg
 
     failures: list[str] = []
     for d in range(1, args.depth + 1):
@@ -195,15 +191,13 @@ def cmd_enumerate(args) -> int:
     g = _compile(args)
     x = args.nonterminal or g.start
     if x not in g.ext_domains():
-        raise CliError(f"unknown nonterminal {x!r}")
+        raise FggcError(f"unknown nonterminal {x!r}")
     for h in range(1, args.depth + 1):
         trees = enumerate_derivations(g, x, h)
         print(f"height <= {h}: {len(trees)} tree(s)")
-    t = truncated_wX(g, x, args.depth - 1) if args.depth >= 1 else None
-    if t is not None:
-        for values, w in t.items():
-            label = ", ".join(v.key() for v in values) or "()"
-            print(f"truncated weight [{label}]: {fmt(w)}")
+    for values, w in truncated_wX(g, x, args.depth - 1).items():
+        label = ", ".join(v.key() for v in values) or "()"
+        print(f"truncated weight [{label}]: {fmt(w)}")
     return 0
 
 
@@ -224,11 +218,11 @@ def cmd_render(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a bad command line as a CliError (one `error:` line, exit 2)
+    """Reports a bad command line as an FggcError (one `error:` line, exit 2)
     instead of printing usage and exiting; subcommand parsers inherit it."""
 
     def error(self, message):
-        raise CliError(f"{self.prog}: {message}")
+        raise FggcError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_flags(args)
         code = args.fn(args)
         sys.stdout.flush()
         return code
@@ -289,10 +284,7 @@ def main(argv=None) -> int:
         # at devnull so the flush at exit fails silently, and exit 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (InferenceError, OracleError) as e:
+    except FggcError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FRONTEND
     except RecursionError:

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .values import Domain, value_from_json, value_to_json
+from .values import Domain, FggcError, value_from_json, value_to_json
 
 TERMINAL = "terminal"
 NONTERMINAL = "nonterminal"
@@ -118,7 +118,7 @@ class DerivationTree:
     children: dict[str, "DerivationTree"] = field(default_factory=dict)
 
 
-class StructuralError(Exception):
+class StructuralError(FggcError):
     pass
 
 

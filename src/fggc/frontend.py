@@ -17,17 +17,14 @@ from typing import Optional
 from .ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup, Observe,
                   Program, Sample, TypeInfo, Var)
 from .fgg import Diagnostic
-from .params import ParamError, Params
+from .params import Params
 from .scc import strongly_connected_components
-from .values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, Domain, Inl,
-                     Inr, Pair, Unit, Value, sorted_values)
+from .values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, Domain,
+                     FggcError, Inl, Inr, Pair, Unit, Value, sorted_values)
 
 
-class DomainError(Exception):
-    def __init__(self, message: str, pos=(0, 0)):
-        super().__init__(f"{pos[0]}:{pos[1]}: {message}" if pos != (0, 0) else message)
-        self.message = message
-        self.pos = pos
+class DomainError(FggcError):
+    pass
 
 
 def desugar(p: Program) -> Program:

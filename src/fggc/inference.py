@@ -14,10 +14,10 @@ import numpy as np
 
 from .fgg import FGG, Hypergraph, Rule, rules_by_lhs
 from .scc import strongly_connected_components
-from .values import Domain, Value
+from .values import Domain, FggcError, Value
 
 
-class InferenceError(Exception):
+class InferenceError(FggcError):
     pass
 
 

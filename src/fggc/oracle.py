@@ -4,9 +4,13 @@
 - a bounded derivation-tree enumerator with brute-force weight summation,
 - a textbook inside-algorithm (CKY) implementation.
 
-These deliberately share only the Value/Domain types and the parameter file
-reader with the main pipeline, so agreement between them and the compiled
-grammars is evidence rather than tautology.
+The interpreter and the inside algorithm share only the Value/Domain types
+and the parameter file reader with the main pipeline, so agreement between
+them and the compiled grammars is evidence rather than tautology. The
+enumerator shares more: it builds each derivation's graph with
+`fgg.yield_graph` and sums it with the solver's own
+`inference.external_marginal`. That contraction is checked on its own in
+tests/test_reference_equivalence.py, against `reference_impl.eliminate`.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from .ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup, Observe,
                   Program, Sample, Var)
 from .fgg import FGG, DerivationTree, yield_graph
 from .params import Params
-from .values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, Inl, Inr,
-                     Pair, Value)
+from .values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, FggcError,
+                     Inl, Inr, Pair, Value)
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,7 @@ class BranchOutcome:
     path: tuple = ()
 
 
-class OracleError(Exception):
+class OracleError(FggcError):
     pass
 
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 import math
 
-from .values import Atom, Dist, Inl, Inr, Pair, Value, value_from_json
+from .values import (Atom, Dist, FggcError, Inl, Inr, Pair, Value,
+                     parse_value, value_from_json)
 
 ZERO_DIST = "__zero__"  # reserved: density 0 everywhere (the target of fail)
 
 
-class ParamError(Exception):
+class ParamError(FggcError):
     pass
 
 
@@ -34,6 +35,8 @@ class Params:
         self.domains: dict[str, list[Value]] = domains or {}
         self.params: dict[str, dict[Value, dict[Value, float]]] = params or {}
         self.inputs: dict[str, Value] = inputs or {}
+        # "p[S]" -> ("p", S), filled as names are first looked up
+        self._dist_refs: dict[str, tuple[str, Value]] = {}
 
     # -- distributions ------------------------------------------------------
 
@@ -41,9 +44,12 @@ class Params:
         """Support and weights for a named distribution like "p[S]"."""
         if dist_name == ZERO_DIST:
             return {}
-        if "[" in dist_name and dist_name.endswith("]"):
+        ref = self._dist_refs.get(dist_name)
+        if ref is None and "[" in dist_name and dist_name.endswith("]"):
             pname, keytext = dist_name.split("[", 1)
-            key = _parse_key(keytext[:-1])
+            ref = self._dist_refs[dist_name] = (pname, parse_value(keytext[:-1]))
+        if ref is not None:
+            pname, key = ref
             table = self.params.get(pname, {}).get(key)
             if table is not None:
                 return table
@@ -86,30 +92,41 @@ def _atom_names(v: Value) -> set[str]:
     return set()
 
 
-def _parse_key(text: str) -> Value:
-    from .values import parse_value
-    return parse_value(text)
+def _items(obj, what: str):
+    """The entries of a JSON object, or ParamError if `obj` is not one."""
+    if not isinstance(obj, dict):
+        raise ParamError(f"{what} is not a JSON object")
+    return obj.items()
 
 
 def params_from_json(obj: dict) -> Params:
-    domains = {name: [value_from_json(v) for v in vals]
-               for name, vals in obj.get("domains", {}).items()}
+    _items(obj, "the parameter file")
+    domains = {}
+    for name, vals in _items(obj.get("domains", {}), '"domains"'):
+        if not isinstance(vals, list):
+            raise ParamError(f"domain {name!r} is not a JSON list")
+        domains[name] = [value_from_json(v) for v in vals]
     params: dict[str, dict[Value, dict[Value, float]]] = {}
-    for pname, table in obj.get("params", {}).items():
+    for pname, table in _items(obj.get("params", {}), '"params"'):
         out: dict[Value, dict[Value, float]] = {}
-        for keytext, weights in table.items():
-            key = _parse_key(keytext)
+        for keytext, weights in _items(table, f"parameter map {pname!r}"):
+            key = parse_value(keytext)
             row: dict[Value, float] = {}
-            for vtext, w in weights.items():
-                w = float(w)
+            for vtext, w in _items(weights, f"distribution {pname}[{keytext}]"):
+                if isinstance(w, bool) or not isinstance(w, (int, float, str)):
+                    raise ParamError(f"weight in {pname}[{keytext}] is not a number")
+                try:
+                    w = float(w)  # a numeric string reads as its number
+                except ValueError as e:
+                    raise ParamError(str(e)) from None
                 if not math.isfinite(w):
                     raise ParamError(f"non-finite weight {w} in {pname}[{keytext}]")
                 if w < 0:
                     raise ParamError(f"negative weight in {pname}[{keytext}]")
-                row[_parse_key(vtext)] = w
+                row[parse_value(vtext)] = w
             out[key] = row
         params[pname] = out
-    inputs = {name: value_from_json(v) for name, v in obj.get("inputs", {}).items()}
+    inputs = {name: value_from_json(v) for name, v in _items(obj.get("inputs", {}), '"inputs"')}
     return Params(domains, params, inputs)
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from . import ast
 from .ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
                   Observe, Program, Sample, Var)
+from .values import FggcError
 
 KEYWORDS = {
     "fun", "let", "in", "sample", "observe", "if", "then", "else", "case",
@@ -42,11 +43,8 @@ KEYWORDS = {
 SYMBOLS = ["<-", "=>", "!=", "(", ")", "[", "]", ",", ";", "=", "|"]
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, pos: tuple[int, int]):
-        super().__init__(f"{pos[0]}:{pos[1]}: {message}")
-        self.message = message
-        self.pos = pos
+class ParseError(FggcError):
+    pass
 
 
 @dataclass

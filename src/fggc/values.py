@@ -11,6 +11,19 @@ import re
 from dataclasses import dataclass
 
 
+class FggcError(Exception):
+    """Base class of every error that bad input raises, from any layer.
+
+    `pos` is a (line, column) pair; the message leads with it, unless it is
+    None or (0, 0), the position of a node that the source does not spell.
+    """
+
+    def __init__(self, message: str, pos: tuple[int, int] | None = None):
+        super().__init__(message if pos in (None, (0, 0)) else f"{pos[0]}:{pos[1]}: {message}")
+        self.message = message
+        self.pos = pos
+
+
 class Value:
     """Base class for all values. Subclasses are frozen and hashable."""
 
@@ -95,7 +108,7 @@ NIL = Atom("")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
-class ValueSyntaxError(ValueError):
+class ValueSyntaxError(FggcError, ValueError):
     pass
 
 
@@ -181,17 +194,17 @@ def value_from_json(obj) -> Value:
         return Bool(obj)
     if isinstance(obj, dict) and len(obj) == 1:
         (tag, body), = obj.items()
-        if tag == "atom":
+        if tag == "atom" and isinstance(body, str):
             return Atom(body)
         if tag == "bool":
             return Bool(bool(body))
-        if tag == "pair":
+        if tag == "pair" and isinstance(body, list) and len(body) == 2:
             return Pair(value_from_json(body[0]), value_from_json(body[1]))
         if tag == "inl":
             return Inl(value_from_json(body))
         if tag == "inr":
             return Inr(value_from_json(body))
-        if tag == "dist":
+        if tag == "dist" and isinstance(body, str):
             return Dist(body)
     raise ValueSyntaxError(f"bad value encoding: {obj!r}")
 

@@ -7,8 +7,14 @@ from conftest import PROGRAMS_DIR, load_program
 from fggc import cli
 from fggc import fgg as fggmod
 from fggc.cli import main
-from fggc.fgg import FactorTable
+from fggc.fgg import FactorTable, StructuralError
+from fggc.frontend import DomainError, check_program
+from fggc.inference import InferenceError
+from fggc.oracle import OracleError
+from fggc.params import ParamError, Params, params_from_json
+from fggc.parser import ParseError, parse
 from fggc.translate import compile_source
+from fggc.values import FggcError, ValueSyntaxError
 
 
 def _p(name, kind="ppl"):
@@ -149,6 +155,29 @@ def test_infer_rejects_degenerate_solver_flags(capsys, flags, message):
     leave every weight 0, and a tolerance that is not positive and finite
     can never be met."""
     code, out, err = run(capsys, "infer", _p("const"), "--params", _params("const"), *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    _one_line_error(err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["compare", _p("pcfg"), "--params", _params("pcfg"), "--tol", "nan"],
+     "--tol must be a positive finite number"),
+    (["compare", _p("pcfg"), "--params", _params("pcfg"), "--tol=-1"],
+     "--tol must be a positive finite number"),
+    (["compare", _p("pcfg"), "--params", _params("pcfg"), "--depth", "0"],
+     "--depth must be at least 1"),
+    (["compare", _p("pcfg"), "--params", _params("pcfg"), "--depth=-2"],
+     "--depth must be at least 1"),
+    (["enumerate", _p("pcfg"), "--params", _params("pcfg"), "--depth", "0"],
+     "--depth must be at least 1"),
+], ids=["compare-tol-nan", "compare-tol-negative", "compare-depth-0",
+        "compare-depth-negative", "enumerate-depth-0"])
+def test_compare_and_enumerate_reject_degenerate_flags(capsys, argv, message):
+    """`delta > nan` is never true, so `--tol nan` would pass any grammar;
+    a depth below 1 compares or enumerates nothing."""
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert message in err
@@ -336,6 +365,10 @@ def _unknown_kind(obj):
     next(l for l in obj["labels"] if l["kind"] == "terminal")["kind"] = "factor"
 
 
+def _domains_as_list(obj):
+    obj["domains"] = []
+
+
 def _truncate(path):
     path.write_text(path.read_text()[:200])
 
@@ -345,7 +378,9 @@ def _truncate(path):
     (_edit_json(_drop_factor_domains), "bad FGG JSON"),
     (_edit_json(_undeclared_label), "undeclared label 'nosuch'"),
     (_edit_json(_unknown_kind), "has unknown kind 'factor'"),
-], ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind"])
+    (_edit_json(_domains_as_list), "bad FGG JSON"),
+], ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind",
+        "domains-as-list"])
 @pytest.mark.parametrize("command", ["infer", "compare"])
 def test_malformed_grammar_json_exit_2(tmp_path, capsys, command, damage, message):
     path = tmp_path / "g.json"
@@ -430,15 +465,31 @@ def test_unit_chain_beyond_einsum_operand_limit_infers(tmp_path, capsys):
     assert "unit: 1" in out and "status: converged" in out
 
 
-@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
-def test_non_finite_param_weight_exit_2(tmp_path, capsys, weight):
+def _pcfg_weight(weight):
+    return {"params": {"p": {"S": {"inl a": weight, "inr (S,S)": 0.3}}}}
+
+
+@pytest.mark.parametrize("obj,messages", [
+    (_pcfg_weight(float("nan")), ["non-finite weight", "p[S]"]),
+    (_pcfg_weight(float("inf")), ["non-finite weight", "p[S]"]),
+    (_pcfg_weight(float("-inf")), ["non-finite weight", "p[S]"]),
+    # malformed files: each once ended in an AttributeError or TypeError
+    ({"params": {"p": 5}}, ["parameter map 'p' is not a JSON object"]),
+    ({"params": {"p": {"S": 3}}}, ["distribution p[S] is not a JSON object"]),
+    ([1, 2], ["the parameter file is not a JSON object"]),
+    ({"domains": {"gen.x": 5}}, ["domain 'gen.x' is not a JSON list"]),
+    (_pcfg_weight(None), ["weight in p[S] is not a number"]),
+], ids=["nan", "inf", "-inf", "number-map", "number-row", "list-file",
+        "number-domain", "null-weight"])
+def test_non_finite_param_weight_exit_2(tmp_path, capsys, obj, messages):
     params = tmp_path / "p.json"
-    params.write_text(json.dumps({"params": {"p": {"S": {"inl a": weight, "inr (S,S)": 0.3}}}}))
+    params.write_text(json.dumps(obj))
     code, out, err = run(capsys, "infer", _p("pcfg"), "--params", str(params))
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "non-finite weight" in err and "p[S]" in err
+    assert err.startswith("error: cannot read params ")
+    assert all(m in err for m in messages)
 
 
 def test_infer_max_iter_in_inner_component(capsys):
@@ -510,3 +561,32 @@ def test_memory_error_exit_2(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert "out of memory" in err and "8.64 GiB" in err
     _one_line_error(err)
+
+
+def test_every_library_error_is_an_fggc_error():
+    for cls in (ParseError, DomainError, ParamError, StructuralError,
+                InferenceError, OracleError, ValueSyntaxError):
+        assert issubclass(cls, FggcError), cls
+    assert issubclass(ValueSyntaxError, ValueError)
+    assert str(FggcError("m", (3, 4))) == "3:4: m"
+    # (0, 0) is the position of a node the source does not spell
+    assert str(DomainError("m", (0, 0))) == str(FggcError("m")) == "m"
+
+
+_BAD_VALUE_GRAMMAR = json.dumps({"labels": [], "domains": {"d": [{"pair": 5}]},
+                                 "rules": [], "factors": {}, "start": "S"})
+
+
+@pytest.mark.parametrize("bad_input,error", [
+    (lambda: parse("let x = in x"), ParseError),
+    (lambda: check_program("y", Params()), DomainError),
+    (lambda: check_program("fun f(x) = f(x); f(", Params()), ParseError),
+    (lambda: params_from_json({"params": {"p": 5}}), ParamError),
+    (lambda: params_from_json({"params": {"p": {"S": {"a": None}}}}), ParamError),
+    (lambda: params_from_json({"params": {"p": {"(S": {}}}}), ValueSyntaxError),
+    (lambda: fggmod.loads(_BAD_VALUE_GRAMMAR), ValueSyntaxError),
+], ids=["parse", "check_program-scope", "check_program-parse", "params-shape",
+        "params-weight", "params-key", "fgg-loads"])
+def test_library_entry_points_raise_their_own_error(bad_input, error):
+    with pytest.raises(error):
+        bad_input()
