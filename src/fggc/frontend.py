@@ -11,6 +11,7 @@ function f.
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import product
 from typing import Optional
 
@@ -176,7 +177,12 @@ class DomainInterner:
 
 
 _SET_LIMIT = 100_000  # total values across all sets; growth beyond this is diagnosed
-_MAX_EVALUATIONS = 500  # per recursive body, and per body on average; then non-stabilizing
+# Atom characters plus pair and sum constructors that the values built by
+# `cons`, `pair`, `inl` and `inr` may hold in all, beyond which the sets
+# are taken to grow without bound: only these built-ins make values larger
+# than their arguments. `cons` adding one character per evaluation reaches
+# it after about 2,800 evaluations.
+_WEIGHT_LIMIT = 4_000_000
 # Evaluator frames that nested body evaluations may take, when the deepest
 # body alone takes fewer (see assign_domains): well inside Python's default
 # recursion limit of 1000, and room for about twenty levels of calls to
@@ -184,10 +190,17 @@ _MAX_EVALUATIONS = 500  # per recursive body, and per body on average; then non-
 _NEST_FRAMES = 256
 # Constructors a value may nest, beyond which a value set is taken to grow
 # without bound: key() and hash() recurse once or twice per level, so far
-# deeper values would exhaust Python's stack before _MAX_EVALUATIONS is
+# deeper values would exhaust Python's stack before _WEIGHT_LIMIT is
 # reached (`fun g(x) = inr(x)` fed its own result grows one level per
 # evaluation).
 _MAX_NESTING = 200
+# Built-ins that give distinct values for distinct arguments.
+_CONSTRUCTORS = ("pair", "inl", "inr")
+_BUILDERS = ("cons",) + _CONSTRUCTORS
+_UNSTABLE = ("value-set propagation did not stabilize; declare a finite "
+             "enumeration for the recursive type (domains entry 'f.x')")
+_TOO_LARGE = ("value-set propagation exceeded the size limit; declare a finite "
+              "enumeration for the recursive type (domains entry 'f.x')")
 
 
 def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
@@ -195,29 +208,37 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
 
     One abstract evaluator computes the value set of every subexpression,
     resolves variables and checks the typing discipline, one function body
-    (or the main expression) at a time. Every body is evaluated once,
-    callers first, and again whenever one of its parameter sets, or the
-    result set of a function it read, has grown since. A call that finds
-    its callee waiting so evaluates the callee on the spot and then reads
-    its result, unless the callee is already being evaluated (recursion) or
-    the evaluator's stack would grow deeper than the deepest body alone, or
-    _NEST_FRAMES frames, takes it. Other bodies wait in a worklist ordered
-    by the call graph's components, callees first. So a non-recursive
-    program whose functions each have one caller evaluates each body once.
-    When no body waits, the last evaluation of each body saw only the final
-    sets, so its post-order record of (expression, env, result) is what
-    gets interned: functions in source order, then main, each distinct set
-    once.
+    (or the main expression) at a time. It is semi-naive: each expression
+    keeps the set of values it has produced, which only grows because it
+    is always evaluated in the same env, and evaluating it again takes only
+    the values its inputs gained since (its variables, its operands, the
+    result of the function it calls) and returns only the values new to its
+    own set. A built-in distributes over union in each argument, so it is
+    applied to the new tuples of its argument sets alone: over all
+    evaluations, to each tuple of the final product once.
+
+    Every body is evaluated once, callers first, and again whenever one of
+    its parameter sets, or the result set of a function it read, has grown
+    since. A call that finds its callee waiting so evaluates the callee on
+    the spot and then reads its result, unless the callee is already being
+    evaluated (recursion) or the evaluator's stack would grow deeper than
+    the deepest body alone, or _NEST_FRAMES frames, takes it. Other bodies
+    wait in a worklist ordered by the call graph's components, callees
+    first. So a non-recursive program whose functions each have one caller
+    evaluates each body once. When no body waits, every expression's set is
+    final, and the post-order record of (expression, env, result) of each
+    body is interned: functions in source order, then main, each distinct
+    set once.
 
     Returns the registry of interned domains. Raises DomainError on type
     errors or when value-set propagation fails to stabilize (an
-    un-enumerable recursive type without a declared finite enumeration): a
-    body of a recursive component needs more than _MAX_EVALUATIONS
-    evaluations, all bodies together more than _MAX_EVALUATIONS each on
-    average (a non-recursive program can still feed a result back to its
-    callee, as `let u = g(x) in g(u)` does), the sets hold more than
-    _SET_LIMIT values in all, or a value nests more than _MAX_NESTING pair
-    and sum constructors.
+    un-enumerable recursive type without a declared finite enumeration):
+    the parameter and result sets hold more than _SET_LIMIT values in all;
+    a pair or sum constructor would give one expression more than
+    _SET_LIMIT values (diagnosed before they are enumerated); the values
+    that `cons` and the constructors build hold more than _WEIGHT_LIMIT
+    atom characters and constructors in all; or a value nests more than
+    _MAX_NESTING pair and sum constructors.
     """
     funs = p.functions
     main = len(funs)
@@ -235,24 +256,27 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
     components = strongly_connected_components(range(len(bodies)), callees)
     order = [b for members, _ in components for b in members]  # callees first
     rank = {b: i for i, b in enumerate(order)}
-    recursive = {b for members, rec in components if rec for b in members}
 
     param_sets: list[list[set[Value]]] = [
         [set(params.domains.get(f"{f.name}.{x}") or ()) for x in f.params] for f in funs]
     result_sets: list[set[Value]] = [set() for _ in funs]
     total = sum(len(s) for ss in param_sets for s in ss)
+    weight = 0  # of the values built by `cons` and the constructors
     pending = set(range(len(bodies)))  # never evaluated, or inputs grew since
     queue: list[tuple[int, int]] = []  # (rank, body) of bodies that became pending
     active: set[int] = set()
     frames = 0  # evaluator frames the active bodies can take
     budget = max(max(heights) + 1, _NEST_FRAMES)
-    evaluations = [0] * len(bodies)
-    runs_left = _MAX_EVALUATIONS * len(bodies)
-    records: list = [None] * len(bodies)
-    # (expr, env, result) of the body being evaluated, in post-order. Sets in
-    # it must never be updated in place: a later union would change a
-    # recorded domain.
-    record: list[tuple[Expr, dict[str, set[Value]], set[Value]]] = []
+    # The values each expression has produced so far, by id(expression). A
+    # Let or an Observe shares the set of its body or its value.
+    seen: dict[int, set[Value]] = {}
+    # By id(expression): the env of a Let's body, the envs of a Case's arms.
+    scopes: dict[int, dict | tuple[dict, dict]] = {}
+    # (expr, env, result) of each body, in post-order, made on its first
+    # evaluation: its sets are those of `seen`, `scopes` and the parameters,
+    # final once no body waits.
+    records: list[list[tuple[Expr, dict[str, set[Value]], set[Value]]]] = [[] for _ in bodies]
+    record = records[main]  # that of the body being evaluated
     reads: list[tuple[int, int]] = []  # (callee, size of the result read) of that body
 
     def union_into(target: set[Value], values: set[Value]) -> bool:
@@ -268,21 +292,14 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
             heapq.heappush(queue, (rank[b], b))
 
     def run(b: int) -> None:
-        nonlocal record, reads, frames, runs_left
-        if runs_left == 0 or (b in recursive and evaluations[b] == _MAX_EVALUATIONS):
-            raise DomainError(
-                "value-set propagation did not stabilize; declare a finite "
-                "enumeration for the recursive type (domains entry 'f.x')")
-        runs_left -= 1
-        evaluations[b] += 1
+        nonlocal record, reads, frames
         pending.discard(b)
         active.add(b)
         frames += heights[b] + 1
         outer = record, reads
-        record, reads = [], []
+        record, reads = records[b], []
         env = dict(zip(funs[b].params, param_sets[b])) if b != main else {}
         result = evaluate(bodies[b], env)
-        records[b] = record
         stale = any(len(result_sets[g]) != size for g, size in reads)
         record, reads = outer
         frames -= heights[b] + 1
@@ -294,25 +311,63 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
         if stale:
             wait(b)
         if total > _SET_LIMIT:
-            raise DomainError(
-                "value-set propagation exceeded the size limit; declare a finite "
-                "enumeration for the recursive type (domains entry 'f.x')")
+            raise DomainError(_TOO_LARGE)
 
     def evaluate(e: Expr, env: dict[str, set[Value]]) -> set[Value]:
-        result: set[Value]
+        """The values new to e's set, from those new to its inputs."""
+        nonlocal weight
+        known = seen.get(id(e))  # None on the first evaluation of e's body
+        new: set[Value]
         if isinstance(e, Var):
             if e.name in env:
                 e.resolution = "var"
-                result = set(env[e.name])
+                new = _unread(env[e.name], known)
             elif e.name in params.inputs:
                 e.resolution = "input"
-                result = {params.inputs[e.name]}
+                new = {params.inputs[e.name]} if known is None else set()
             else:
                 e.resolution = "atom"
-                result = {Atom(e.name)}
+                new = {Atom(e.name)} if known is None else set()
+        elif isinstance(e, BuiltinApp):
+            deltas = [evaluate(a, env) for a in e.args]
+            if known is not None and not any(deltas):
+                return set()
+            fulls = [seen[id(a)] for a in e.args]
+            _check_enumerable(fulls, e.pos)
+            if known is None:
+                blocks = [fulls]
+            else:
+                # the tuples with a new value in argument i and none after it
+                blocks = [fulls[:i] + [d] + [f - g if g else f
+                                             for f, g in zip(fulls[i + 1:], deltas[i + 1:])]
+                          for i, d in enumerate(deltas) if d]
+            if e.op in _CONSTRUCTORS and (len(known or ()) + sum(
+                    math.prod(map(len, block)) for block in blocks) > _SET_LIMIT):
+                raise DomainError(_TOO_LARGE)
+            new = set()
+            for block in blocks:
+                for combo in product(*block):
+                    v = apply_builtin(e.op, combo)
+                    if v is not None:
+                        new.add(v)
+            if e.op in _BUILDERS:
+                for v in new:
+                    depth, size = _measure(v)
+                    if depth > _MAX_NESTING:
+                        raise DomainError("value-set propagation did not stabilize: values "
+                                          f"nest more than {_MAX_NESTING} pair and sum "
+                                          "constructors deep", e.pos)
+                    weight += size
+                if weight > _WEIGHT_LIMIT:
+                    raise DomainError(_UNSTABLE)
         elif isinstance(e, Let):
             bound = evaluate(e.bound, env)
-            result = evaluate(e.body, {**env, e.name: bound})
+            scope = scopes.get(id(e))
+            if scope is None:
+                scope = scopes[id(e)] = {**env, e.name: seen[id(e.bound)]}
+            new = evaluate(e.body, scope)
+            if known is not None:  # the body's set, which is e's, took `new`
+                return new
         elif isinstance(e, Call):
             g = number[e.fn]
             grew = False
@@ -322,47 +377,45 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
                 wait(g)
             if g in pending and g not in active and frames + heights[g] + 1 <= budget:
                 run(g)
-            result = set(result_sets[g])
-            reads.append((g, len(result)))
+            reads.append((g, len(result_sets[g])))
+            new = _unread(result_sets[g], known)
         elif isinstance(e, Sample):
             dists = evaluate(e.arg, env)
             _require(dists, Dist, "sample argument is not a distribution", e.pos)
-            result = set()
+            new = set()
             for d in dists:
-                result |= set(params.dist_table(d.name).keys())
+                new.update(params.dist_table(d.name))
         elif isinstance(e, Observe):
             _require(evaluate(e.dist, env), Dist, "observe target is not a distribution", e.pos)
-            result = evaluate(e.value, env)
+            new = evaluate(e.value, env)
+            if known is not None:  # the value's set, which is e's, took `new`
+                return new
         elif isinstance(e, If):
             _require(evaluate(e.cond, env), Bool, "if condition is not boolean", e.pos)
-            result = evaluate(e.then, env) | evaluate(e.els, env)
+            new = evaluate(e.then, env) | evaluate(e.els, env)
         elif isinstance(e, Case):
             scrut = evaluate(e.scrutinee, env)
             _require(scrut, (Inl, Inr), "case scrutinee is not a sum value", e.pos)
-            lefts = {v.value for v in scrut if isinstance(v, Inl)}
-            rights = {v.value for v in scrut if isinstance(v, Inr)}
-            result = (evaluate(e.left, {**env, e.left_var: lefts})
-                      | evaluate(e.right, {**env, e.right_var: rights}))
-        elif isinstance(e, BuiltinApp):
-            arg_sets = [evaluate(a, env) for a in e.args]
-            result = set()
-            for combo in _product(arg_sets, e.pos):
-                v = apply_builtin(e.op, combo)
-                if v is not None:
-                    result.add(v)
-            if e.op in ("pair", "inl", "inr") and any(_nesting(v) > _MAX_NESTING
-                                                      for v in result):
-                raise DomainError("value-set propagation did not stabilize: values "
-                                  f"nest more than {_MAX_NESTING} pair and sum "
-                                  "constructors deep", e.pos)
+            arms = scopes.get(id(e))
+            if arms is None:
+                arms = scopes[id(e)] = ({**env, e.left_var: set()}, {**env, e.right_var: set()})
+            left, right = arms
+            left[e.left_var].update(v.value for v in scrut if isinstance(v, Inl))
+            right[e.right_var].update(v.value for v in scrut if isinstance(v, Inr))
+            new = evaluate(e.left, left) | evaluate(e.right, right)
         elif isinstance(e, Lookup):
             index = evaluate(e.index, env)
             keys = set(params.lookup_keys(e.param))
-            result = {params.dist_value(e.param, k) for k in index & keys}
+            new = {params.dist_value(e.param, k) for k in index & keys}
         else:
             raise TypeError(f"unknown expression {e!r}")
-        record.append((e, env, result))
-        return result
+        if known is None:
+            seen[id(e)] = new
+            record.append((e, env, new))
+        elif new:
+            new -= known
+            known |= new
+        return new
 
     for b in reversed(order):  # callers first: main, which nothing calls, leads
         if b in pending:
@@ -429,28 +482,43 @@ def _require(values: set[Value], kind, message: str, pos) -> None:
         raise DomainError(f"{message} (can be {sorted_values(bad)[0].key()})", pos)
 
 
-def _nesting(v: Value) -> int:
-    """The most pair and sum constructors on one path into `v`, counted
-    level by level rather than by recursion."""
-    depth, level = 0, [v]
-    while True:
-        level = [c for x in level
-                 for c in ((x.first, x.second) if isinstance(x, Pair)
-                           else (x.value,) if isinstance(x, (Inl, Inr)) else ())]
-        if not level:
-            return depth
+def _measure(v: Value) -> tuple[int, int]:
+    """The most pair and sum constructors on one path into `v`, and its atom
+    characters plus pair and sum constructors, counted level by level
+    rather than by recursion."""
+    depth, size, level = -1, 0, [v]
+    while level:
         depth += 1
+        below = []
+        for x in level:
+            if isinstance(x, Pair):
+                size += 1
+                below += (x.first, x.second)
+            elif isinstance(x, (Inl, Inr)):
+                size += 1
+                below.append(x.value)
+            elif isinstance(x, Atom):
+                size += len(x.name)
+        level = below
+    return depth, size
 
 
-def _product(sets: list[set[Value]], pos):
-    """Every combination of one value from each set, in no fixed order:
-    the caller only collects the results into a set."""
+def _check_enumerable(sets, pos) -> None:
+    """Raise a DomainError if the product of `sets` has more than a million
+    combinations (an empty set counts as one value)."""
     size = 1
     for s in sets:
         size *= max(len(s), 1)
     if size > 1_000_000:
         raise DomainError("built-in argument domains are too large to enumerate", pos)
-    return product(*sets)
+
+
+def _unread(values: set[Value], known: Optional[set[Value]]) -> set[Value]:
+    """The values of a set that only grows that are not in `known`, the
+    ones a reader of it has taken so far (None: it has taken none)."""
+    if known is None:
+        return set(values)
+    return values - known if len(values) != len(known) else set()
 
 
 # ---------------------------------------------------------------------------

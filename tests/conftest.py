@@ -1,4 +1,5 @@
 import pathlib
+import random
 import sys
 
 import pytest
@@ -20,6 +21,24 @@ def load_program(name):
     source = (PROGRAMS_DIR / f"{name}.ppl").read_text()
     params = load_params(str(PROGRAMS_DIR / f"{name}.params.json"))
     return source, params
+
+
+def cnf_pcfgw(n, seed=1):
+    """pcfgw.ppl scoring a random n-symbol string over a, b, c under a
+    random proper CNF grammar on the nonterminals S, T, U, V, as the
+    benchmark's string-scoring queries do."""
+    from fggc.params import params_from_json
+    rng = random.Random(f"cnf-{seed}-{n}")
+    nonterminals, terminals = "STUV", "abc"
+    p = {}
+    for x in nonterminals:
+        rhss = [f"inl {t}" for t in terminals]
+        rhss += [f"inr ({y},{z})" for y in nonterminals for z in nonterminals]
+        weights = [rng.random() for _ in rhss]
+        p[x] = {r: w / sum(weights) for r, w in zip(rhss, weights)}
+    w = "".join(rng.choice(terminals) for _ in range(n))
+    source = (PROGRAMS_DIR / "pcfgw.ppl").read_text()
+    return source, params_from_json({"params": {"p": p}, "inputs": {"w0": w}})
 
 
 @pytest.fixture

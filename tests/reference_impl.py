@@ -28,6 +28,7 @@ oracle for variable elimination (see test_inference.py).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from fggc.ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
                       Observe, Program, Sample, TypeInfo, Var)
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                       Hypergraph, Node, Rule)
-from fggc.frontend import (_SET_LIMIT, DomainError, DomainInterner, _product,
+from fggc.frontend import (_SET_LIMIT, DomainError, DomainInterner, _check_enumerable,
                            apply_builtin)
 from fggc import inference
 from fggc.inference import (CONVERGED, DIVERGENCE_BOUND, DIVERGENT, MAX_ITER,
@@ -647,6 +648,11 @@ def assignment_weight(g: Hypergraph, domains: dict[str, Domain], factors,
         ok = all(v in dom for dom, v in pairs)
         w *= float(tab.weights[tuple(dom.index(v) for dom, v in pairs)]) if ok else 0.0
     return w
+
+
+def _product(sets, pos):
+    _check_enumerable(sets, pos)
+    return product(*sets)
 
 
 def assign_domains(p: Program, params: Params,

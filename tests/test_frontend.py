@@ -1,12 +1,17 @@
+import importlib
+import itertools
+
 import pytest
 
-from conftest import SUITE, load_program
-from fggc.frontend import (DomainError, apply_builtin, assign_domains,
-                           check_program, scope_check)
+from conftest import SUITE, cnf_pcfgw, load_program
+from fggc.frontend import (_MAX_NESTING, _WEIGHT_LIMIT, DomainError, apply_builtin,
+                           assign_domains, check_program, scope_check)
 from fggc.params import Params, params_from_json
 from fggc.parser import parse
 from fggc.translate import compile_source
 from fggc.values import Atom, Bool, Dist, Inl, Inr, Pair, Unit
+
+frontend_module = importlib.import_module("fggc.frontend")
 
 
 def _check(source, params=None):
@@ -236,3 +241,59 @@ def test_callee_shared_by_many_callers():
     lines.append("".join(f"let y{i} = c{i}(a{i}) in " for i in range(n)) + "y0")
     program, _ = _check("\n".join(lines), params_from_json({"domains": {"atoms": atoms}}))
     assert len(program.functions[0].body.ty.result.values) == n
+
+
+def _counted_check(monkeypatch, source, params):
+    """check_program's DomainError on `source`, and its apply_builtin calls."""
+    calls = [0]
+    apply = frontend_module.apply_builtin
+
+    def count(op, args):
+        calls[0] += 1
+        return apply(op, args)
+
+    monkeypatch.setattr(frontend_module, "apply_builtin", count)
+    with pytest.raises(DomainError) as err:
+        check_program(source, params)
+    return str(err.value), calls[0]
+
+
+ATOM_A = params_from_json({"domains": {"atoms": ["a"]}})
+
+
+def test_sum_feedback_applies_each_value_once(monkeypatch):
+    # g's parameter set gains one `inr` level per evaluation, and `inr` is
+    # applied to each of its values once, up to the one nested too deep
+    message, calls = _counted_check(
+        monkeypatch, "fun g(x) = inr(x);\nfun h(x) = let u = g(x) in g(u);\nh(a)", ATOM_A)
+    assert "value-set propagation did not stabilize" in message
+    assert calls == _MAX_NESTING + 1
+
+
+def test_pair_self_feed_diagnosed_before_enumeration(monkeypatch):
+    # the parameter set grows 1, 2, 5, 26, 677 values: the pairs of the 26
+    # are enumerated, the 677² that would pass the size limit are not
+    message, calls = _counted_check(monkeypatch, "fun g(x) = g((x, x)); g(a)", ATOM_A)
+    assert "exceeded the size limit" in message
+    assert calls == 26 ** 2
+
+
+def test_string_chain_diagnosed_by_weight(monkeypatch):
+    # one atom per evaluation: a, aa, aaa, ... until the strings that `cons`
+    # built hold more than _WEIGHT_LIMIT characters; `cons` runs once per
+    # string, plus one call for `nil`
+    message, calls = _counted_check(monkeypatch, "fun f(s) = f(cons(a, s)); f(nil)", ATOM_A)
+    assert "value-set propagation did not stabilize" in message
+    k = next(k for k in itertools.count() if k * (k + 1) // 2 > _WEIGHT_LIMIT)
+    assert calls == k + 1
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_long_string_types_out(n):
+    # w's set is the n + 1 suffixes of the input, and `true`: `fail` is an
+    # observe of `true`, so d can return it
+    source, params = cnf_pcfgw(n)
+    program, _ = check_program(source, params)
+    w0 = params.inputs["w0"].name
+    env = dict(program.functions[0].body.ty.env)
+    assert set(env["w"].values) == {Atom(w0[i:]) for i in range(n + 1)} | {Bool(True)}

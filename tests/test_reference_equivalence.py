@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import reference_impl
-from conftest import PROGRAMS_DIR, SUITE, load_program
+from conftest import PROGRAMS_DIR, SUITE, cnf_pcfgw, load_program
 from fggc.ast import BuiltinApp, Expr, Var
 from fggc.fgg import fgg_to_json, rules_by_lhs
 from fggc.frontend import DomainError, assign_domains, check_program, scope_check
@@ -287,13 +287,14 @@ def test_late_parameter_growth_matches_reference(source):
     _same_domains(source, params_from_json({"domains": {"atoms": ["a", "b", "c"]}}))
 
 
-def test_non_recursive_program_evaluates_each_body_once(monkeypatch):
-    """A generated program's call graph is a tree, so each body is evaluated
-    once, with its final sets: each built-in runs once per tuple of its final
-    argument values. The reference, whole-program passes and then a typing
-    walk, applies built-ins five times as often on this program."""
-    source, params = random_program(random.Random("once"), 30)
-    params = params_from_json(params)
+@pytest.mark.parametrize("n", [8, 23, 64])
+def test_chart_size_domains_match_reference(n):
+    _same_domains(*cnf_pcfgw(n))
+
+
+def _builtin_calls(monkeypatch, source, params):
+    """apply_builtin calls of the library and of the reference on `source`,
+    and the size of every built-in's final argument product, summed."""
     calls = {}
 
     def counted(name, apply):
@@ -312,8 +313,28 @@ def test_non_recursive_program_evaluates_each_body_once(monkeypatch):
     once = sum(math.prod(len(a.ty.result.values) for a in e.args)
                for body in [f.body for f in program.functions] + [program.main]
                for e in _nodes(body) if isinstance(e, BuiltinApp))
-    assert calls["library"] == once
-    assert calls["reference"] > 4 * once
+    return calls["library"], calls["reference"], once
+
+
+def test_non_recursive_program_evaluates_each_body_once(monkeypatch):
+    """A generated program's call graph is a tree, so each body is evaluated
+    once, with its final sets: each built-in runs once per tuple of its final
+    argument values. The reference, whole-program passes and then a typing
+    walk, applies built-ins five times as often on this program."""
+    source, params = random_program(random.Random("once"), 30)
+    library, reference, once = _builtin_calls(monkeypatch, source, params_from_json(params))
+    assert library == once
+    assert reference > 4 * once
+
+
+def test_recursive_body_applies_each_builtin_once_per_final_tuple(monkeypatch):
+    """pcfgw's body is evaluated about twice per input symbol, each time on
+    the values its inputs gained: over all evaluations a built-in still runs
+    once per tuple of its final argument values, where the reference runs
+    it on every tuple in every pass."""
+    library, reference, once = _builtin_calls(monkeypatch, *cnf_pcfgw(64))
+    assert library == once
+    assert reference > 50 * once
 
 
 ATOMS_A_B = {"domains": {"k": ["a", "b"]}}
