@@ -71,6 +71,14 @@ def _read_source(path: str) -> str:
         raise FggcError(f"cannot read {path!r}: {e}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise FggcError(f"cannot write {path!r}: {e}")
+
+
 def _load_grammar(path: str) -> FGG:
     try:
         g = fggmod.loads(_read_source(path))
@@ -104,14 +112,11 @@ def cmd_compile(args) -> int:
                         + "; ".join(str(d) for d in diags))
     text = fggmod.dumps(cu.fgg)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write(args.out, text)
         side = args.out + ".provenance.json"
-        with open(side, "w", encoding="utf-8") as f:
-            json.dump({"provenance": cu.provenance,
-                       "passes": [[name, fired] for name, fired in cu.pass_log]},
-                      f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write(side, json.dumps({"provenance": cu.provenance,
+                                 "passes": [[name, fired] for name, fired in cu.pass_log]},
+                                indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out} ({len(cu.fgg.rules)} rules) and {side}")
     else:
         print(text, end="")
@@ -210,8 +215,7 @@ def cmd_render(args) -> int:
     else:
         text = to_dot(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write(args.out, text)
     else:
         print(text, end="")
     return 0

@@ -29,7 +29,6 @@ from .ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup,
 from .fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                   Hypergraph, Node, Rule, rules_by_lhs)
 from .frontend import apply_builtin
-from .inference import align
 from .params import Params
 from .values import Atom, Bool, Dist, Domain, Inl, Inr
 
@@ -46,8 +45,8 @@ class CompilationUnit:
 
 
 class _Names:
-    def __init__(self, taken=()):
-        self.taken: set[str] = set(taken)
+    def __init__(self):
+        self.taken: set[str] = set()
 
     def fresh(self, base: str) -> str:
         name = base
@@ -310,8 +309,10 @@ def translate(program: Program, params: Params) -> CompilationUnit:
 # Simplification passes
 
 
-# `inline` is kept as a name that fires 0 times, so that pass lists naming it
-# still parse: the translator builds the grammar it used to make.
+# `inline` and `compose` are names that fire 0 times, kept so that pass lists
+# naming them still parse: the translator already splices each subexpression
+# into its use, and the solver's variable elimination already sums out an
+# internal node between two built-in tables.
 ALL_PASSES = ("inline", "compose", "contract", "prune")
 
 
@@ -323,68 +324,11 @@ def simplify(cu: CompilationUnit, passes=ALL_PASSES) -> CompilationUnit:
                          provenance=dict(cu.provenance), pass_log=list(cu.pass_log),
                          factor_origins=dict(cu.factor_origins))
     for name in passes:
-        fired = {"inline": lambda cu: 0, "compose": _pass_compose,
+        fired = {"inline": lambda cu: 0, "compose": lambda cu: 0,
                  "contract": _pass_contract, "prune": _pass_prune}[name](cu)
         cu.pass_log.append((name, fired))
     _gc(cu)
     return cu
-
-
-def _pass_compose(cu: CompilationUnit) -> int:
-    """Fuse pairs of built-in factor tables that meet at a private internal
-    node (attached once to each of exactly two edges).
-
-    One forward scan over a rule's nodes fuses where restarting from the
-    first node after each fusion would: a node attached to both fused edges
-    is attached twice to the fused one, so it stops being a candidate, and
-    every other node keeps its candidacy. The edges are edited in place,
-    with a node-to-edges map kept in edge order (the fused edge goes last),
-    and the rule's hypergraph is built once, if anything fused.
-    """
-    g = cu.fgg
-    names = _Names(g.labels)
-    fired = 0
-    for i, r in enumerate(g.rules):
-        rhs = r.rhs
-        edges = {e.id: e for e in rhs.edges}
-        incident: dict[str, dict[str, None]] = {n.id: {} for n in rhs.nodes}
-        for e in rhs.edges:
-            for a in e.att:
-                incident[a][e.id] = None
-        fused = set()
-        for n in rhs.nodes:
-            if n.id in rhs.ext or len(incident[n.id]) != 2:
-                continue
-            e1, e2 = (edges[eid] for eid in incident[n.id])
-            if not all(e.att.count(n.id) == 1 and cu.factor_origins.get(e.label) == "builtin"
-                       for e in (e1, e2)):
-                continue
-            # reindex both tables onto the attachment nodes' domains so the
-            # contracted axes agree and the fused table matches its domains
-            t1, t2 = (align(g.factors[e.label].weights,
-                            g.domain_tuple(g.factors[e.label].domains),
-                            g.domain_tuple(rhs.domain_of(a) for a in e.att)) for e in (e1, e2))
-            table = np.tensordot(np.moveaxis(t1, e1.att.index(n.id), -1),
-                                 np.moveaxis(t2, e2.att.index(n.id), 0), axes=1)
-            att = tuple(a for a in e1.att + e2.att if a != n.id)
-            name = names.fresh(f"fused.{e1.label}.{e2.label}")
-            g.labels[name] = EdgeLabel(name, len(att), TERMINAL)
-            g.factors[name] = FactorTable(name, tuple(rhs.domain_of(a) for a in att), table)
-            cu.factor_origins[name] = "builtin"
-            for e in (e1, e2):
-                del edges[e.id]
-                for a in e.att:
-                    incident[a].pop(e.id, None)
-            eid = f"{e1.id}+{e2.id}"
-            edges[eid] = Edge(eid, name, att)
-            for a in att:
-                incident[a][eid] = None
-            fused.add(n.id)
-        if fused:
-            nodes = [n for n in rhs.nodes if n.id not in fused]
-            g.rules[i] = Rule(r.lhs, Hypergraph(nodes, edges.values(), rhs.ext))
-            fired += len(fused)
-    return fired
 
 
 def _pass_contract(cu: CompilationUnit) -> int:

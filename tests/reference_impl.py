@@ -9,8 +9,9 @@ These are the straightforward forms of five paths:
   right-hand side for every inlined edge). The library's translator must
   build the grammar these two build, and the grammar before inlining must
   give the same start weights;
-- the simplification passes `compose` and `contract`, which rescan a rule
-  from its first node or edge after every firing and rebuild it each time;
+- the simplification pass `contract`, which rescans a rule from its first
+  edge after every firing and rebuilds it each time (the library keeps
+  `compose` only as a name that fires 0 times, so it has no reference);
 - the Jacobi solver that scans all rules for every nonterminal and rebuilds
   every rule's factors on every iteration;
 - variable elimination as hand-written tensor algebra that re-derives every
@@ -393,62 +394,6 @@ def pass_inline(cu: ReferenceUnit) -> int:
 
 # ---------------------------------------------------------------------------
 # Simplification passes
-
-
-def pass_compose(cu: CompilationUnit) -> int:
-    """Fuse pairs of built-in factor tables that meet at a private internal node."""
-    g = cu.fgg
-    fired = 0
-    new_rules = []
-    for r in g.rules:
-        rhs = r.rhs
-        while True:
-            target = None
-            for n in rhs.nodes:
-                if n.id in rhs.ext:
-                    continue
-                incident = [(e, [i for i, a in enumerate(e.att) if a == n.id])
-                            for e in rhs.edges if n.id in e.att]
-                if len(incident) != 2:
-                    continue
-                (e1, p1), (e2, p2) = incident
-                if len(p1) != 1 or len(p2) != 1:
-                    continue
-                if (cu.factor_origins.get(e1.label) == "builtin"
-                        and cu.factor_origins.get(e2.label) == "builtin"):
-                    target = (n, e1, p1[0], e2, p2[0])
-                    break
-            if target is None:
-                break
-            n, e1, i1, e2, i2 = target
-            # reindex both tables onto the attachment nodes' domains so the
-            # contracted axes agree and the fused table matches its domains
-            def _aligned(e):
-                tab = g.factors[e.label]
-                tds = tuple(g.domains[d] for d in tab.domains)
-                nds = tuple(g.domains[rhs.domain_of(a)] for a in e.att)
-                return align(tab.weights, tds, nds)
-            t1, t2 = _aligned(e1), _aligned(e2)
-            fusedtab = np.tensordot(np.moveaxis(t1, i1, -1), np.moveaxis(t2, i2, 0), axes=1)
-            att = tuple(a for a in e1.att if a != n.id) + tuple(a for a in e2.att if a != n.id)
-            dom_names = tuple(rhs.domain_of(a) for a in att)
-            base = f"fused.{e1.label}.{e2.label}"
-            name = base
-            k = 1
-            while name in g.labels:
-                k += 1
-                name = f"{base}#{k}"
-            g.labels[name] = EdgeLabel(name, len(att), TERMINAL)
-            g.factors[name] = FactorTable(name, dom_names, fusedtab)
-            cu.factor_origins[name] = "builtin"
-            nodes = [x for x in rhs.nodes if x.id != n.id]
-            edges = [e for e in rhs.edges if e.id not in (e1.id, e2.id)]
-            edges.append(Edge(f"{e1.id}+{e2.id}", name, att))
-            rhs = Hypergraph(nodes, edges, rhs.ext)
-            fired += 1
-        new_rules.append(Rule(r.lhs, rhs))
-    g.rules = new_rules
-    return fired
 
 
 def pass_contract(cu: CompilationUnit) -> int:

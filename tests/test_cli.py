@@ -61,6 +61,20 @@ def test_sidecar_names_only_grammar_labels(tmp_path, capsys):
     assert set(cu.provenance) | set(cu.factor_origins) <= set(cu.fgg.labels)
 
 
+@pytest.mark.parametrize("command", ["compile", "render"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
+    """An --out in a directory that does not exist, or naming a directory,
+    is diagnosed like an unreadable source: one error line, exit 2."""
+    out_path = tmp_path / "missing" / "G.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, command, _p("pcfg"), "--params", _params("pcfg"),
+                         "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write {str(out_path)!r}" in err
+    _one_line_error(err)
+
+
 def test_compile_passes_none(capsys):
     code, out, _ = run(capsys, "compile", _p("pcfg"), "--params",
                        _params("pcfg"), "--passes", "none")
@@ -256,20 +270,13 @@ def test_compare_trivial_program(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("passes", ["none", "prune"])
-def test_compare_without_inline_is_refused(capsys, passes):
-    """No longer refused: the translator's grammar has one derivation level
-    per function, `if` and `case`, as the per-depth check assumes, so
-    compare agrees with the interpreter under any pass list."""
+@pytest.mark.parametrize("passes", ["none", "prune", "inline", "compose"])
+def test_compare_agrees_under_any_pass_list(capsys, passes):
+    """The translator's grammar has one derivation level per function, `if`
+    and `case`, as the per-depth check assumes, so compare agrees with the
+    interpreter under any pass list."""
     code, out, _ = run(capsys, "compare", _p("pcfg"), "--params",
                        _params("pcfg"), "--passes", passes)
-    assert code == 0
-    assert "all comparisons within tolerance" in out
-
-
-def test_compare_with_inline_alone(capsys):
-    code, out, _ = run(capsys, "compare", _p("pcfg"), "--params",
-                       _params("pcfg"), "--passes", "inline")
     assert code == 0
     assert "all comparisons within tolerance" in out
 

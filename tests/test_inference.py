@@ -7,7 +7,7 @@ import pytest
 
 import reference_impl
 from reference_impl import assignment_weight
-from conftest import PROGRAMS_DIR, SUITE, load_program
+from conftest import PROGRAMS_DIR, SUITE, cnf_pcfgw, load_program
 from fixtures import pcfg_fgg, pcfg_tree_graph, quadratic_fgg
 from fggc import inference
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
@@ -390,18 +390,32 @@ def test_divergence_in_inner_component_stops_the_solve():
 # ---------------------------------------------------------------------------
 # Known defect (ROADMAP item 1): the absolute stopping rule `delta < tol`
 # stops early on queries of small total weight and reports them converged,
-# and Kleene iteration needs about 1/eps sweeps on a critical grammar. These
-# tests fail until the stopping rule is fixed.
+# and Kleene iteration needs about 1/eps sweeps on a critical grammar. The
+# cases marked xfail fail until the stopping rule is fixed; short strings
+# already pass.
 
 
-@pytest.mark.xfail(strict=True, reason="absolute stopping rule stops early (ROADMAP item 1)")
-@pytest.mark.parametrize("n", [24, 32, 48])
-def test_string_scoring_matches_cky_at_default_settings(n):
-    source, params = load_program("pcfgw")
+def _ab_pcfgw(n):
+    """pcfgw.ppl under its own parameters, scoring abab... of length n."""
+    source, _ = load_program("pcfgw")
     obj = json.loads((PROGRAMS_DIR / "pcfgw.params.json").read_text())
-    w = ("ab" * n)[:n]
-    obj["inputs"]["w0"] = w
-    params = params_from_json(obj)
+    obj["inputs"]["w0"] = ("ab" * n)[:n]
+    return source, params_from_json(obj)
+
+
+STOPS_EARLY = pytest.mark.xfail(strict=True,
+                                reason="absolute stopping rule stops early (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("grammar,n", [
+    *[pytest.param(_ab_pcfgw, n, marks=STOPS_EARLY, id=str(n)) for n in (24, 32, 48)],
+    *[pytest.param(cnf_pcfgw, n, id=f"cnf-{n}") for n in range(1, 9)],
+    *[pytest.param(cnf_pcfgw, n, marks=STOPS_EARLY, id=f"cnf-{n}") for n in (11, 16)],
+])
+def test_string_scoring_matches_cky_at_default_settings(grammar, n):
+    source, params = grammar(n)
+    w = params.inputs["w0"].name
+    assert len(w) == n
     g = compile_source(source, params).fgg
     st = solve_fixed_point(g)
     want = inside_reference(params.params["p"], w, "S")
