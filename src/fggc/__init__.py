@@ -10,7 +10,7 @@ from .oracle import (enumerate_derivations, inside_reference, interpret,
                      truncated_wX)
 from .params import Params, load_params, params_from_json
 from .parser import parse
-from .translate import compile_source, simplify, translate
+from .translate import compile_source, translate
 from .values import Atom, Bool, Dist, Domain, Inl, Inr, Pair, Unit, Value
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .inference import DIVERGENT, MAX_ITER, solve_fixed_point
 from .oracle import enumerate_derivations, interpret, truncated_wX
 from .params import Params, load_params
 from .render import to_dot, to_latex
-from .translate import ALL_PASSES, compile_program, compile_source
+from .translate import compile_source, translate
 from .values import FggcError
 
 EXIT_FRONTEND = 2
@@ -40,18 +40,6 @@ EXIT_MAX_ITER = 5
 
 def fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _parse_passes(text: str | None):
-    if text is None:
-        return ALL_PASSES
-    if text == "none":
-        return ()
-    passes = tuple(p.strip() for p in text.split(",") if p.strip())
-    for p in passes:
-        if p not in ALL_PASSES:
-            raise FggcError(f"unknown pass {p!r} (choose from {', '.join(ALL_PASSES)})")
-    return passes
 
 
 def _load_params(path: str | None) -> Params:
@@ -99,9 +87,7 @@ def _compile(args) -> FGG:
 
 def _compile_unit(args):
     source = _read_source(args.input)
-    params = _load_params(getattr(args, "params", None))
-    passes = _parse_passes(getattr(args, "passes", None))
-    return compile_source(source, params, passes)
+    return compile_source(source, _load_params(args.params))
 
 
 def cmd_compile(args) -> int:
@@ -114,9 +100,12 @@ def cmd_compile(args) -> int:
     if args.out:
         _write(args.out, text)
         side = args.out + ".provenance.json"
-        _write(side, json.dumps({"provenance": cu.provenance,
-                                 "passes": [[name, fired] for name, fired in cu.pass_log]},
-                                indent=2, sort_keys=True) + "\n")
+        try:
+            _write(side, json.dumps({"provenance": cu.provenance}, indent=2, sort_keys=True)
+                   + "\n")
+        except FggcError:
+            os.remove(args.out)  # a failed command leaves no grammar behind
+            raise
         print(f"wrote {args.out} ({len(cu.fgg.rules)} rules) and {side}")
     else:
         print(text, end="")
@@ -150,11 +139,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    passes = _parse_passes(args.passes)
     source = _read_source(args.input)
     params = _load_params(args.params)
     program, _ = check_program(source, params)
-    g = _load_grammar(args.fgg) if args.fgg else compile_program(program, params, passes).fgg
+    g = _load_grammar(args.fgg) if args.fgg else translate(program, params).fgg
 
     failures: list[str] = []
     for d in range(1, args.depth + 1):
@@ -235,13 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "to factor graph grammars and run exact inference")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, passes=True):
+    def common(p):
         p.add_argument("input", help="source file, or compiled .json grammar")
         p.add_argument("--params", help="parameter file (JSON)")
-        if passes:
-            p.add_argument("--passes", default=None,
-                           help="comma-separated pass list, or 'none' "
-                           f"(default: {','.join(ALL_PASSES)})")
 
     p = sub.add_parser("compile", help="translate source to FGG JSON")
     common(p)

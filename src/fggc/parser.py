@@ -28,6 +28,7 @@ adds, takes the position of its keyword.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import ast
@@ -54,43 +55,35 @@ class Token:
     pos: tuple[int, int]
 
 
+# Spaces, tabs and carriage returns, then one token, comment or newline. An
+# identifier starts with a letter or '_' (checked in tokenize, since
+# `[^\W\d]` also takes digits that are not decimal, such as '²') and goes on
+# with letters, digits, '_' and "'". Any other character is unexpected.
+_TOKEN = re.compile(r"[ \t\r]*(?:(?P<ident>[^\W\d][\w']*)|(?P<sym>"
+                    + "|".join(re.escape(sym) for sym in SYMBOLS)
+                    + r")|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<bad>[^ \t\r]))")
+
+
 def tokenize(source: str) -> list[Token]:
+    """The tokens of `source`, each at its (line, column), both from 1; a
+    tab is one column."""
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            text = source[i:j]
-            toks.append(Token("kw" if text in KEYWORDS else "ident", text, (line, col)))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                toks.append(Token("sym", sym, (line, col)))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", (line, col))
-    toks.append(Token("eof", "", (line, col)))
+    line, start = 1, 0  # the current line and the index of its first character
+    m = None
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text, pos = m.group(kind), (line, m.start(kind) - start + 1)
+        if kind == "ident" and (text[0].isalpha() or text[0] == "_"):
+            toks.append(Token("kw" if text in KEYWORDS else "ident", text, pos))
+        elif kind == "sym":
+            toks.append(Token("sym", text, pos))
+        elif kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind != "comment":
+            raise ParseError(f"unexpected character {text[0]!r}", pos)
+    # a comment that ends the source leaves the end of input at its '#'
+    end = m.start(m.lastgroup) if m is not None and m.lastgroup == "comment" else len(source)
+    toks.append(Token("eof", "", (line, end - start + 1)))
     return toks
 
 

@@ -1,5 +1,4 @@
-"""Translation of typed programs into factor graph grammars, and the
-weight-preserving simplification passes.
+"""Translation of typed programs into factor graph grammars.
 
 Each function, `if` and `case` becomes a nonterminal whose arity is one more
 than its number of bound variables (the environment slots in binding order,
@@ -10,16 +9,21 @@ Every other subexpression adds its nodes and edges to the rule that holds
 it, under the ids that inlining the paper's one-nonterminal-per-subexpression
 grammar would give them (tests/reference_impl.py keeps that translation).
 
-Every primitive occurrence (a copy, constant, built-in, parameter lookup,
-density or branch test) gets a terminal label of its own, named after its
-source position. Its table depends only on the construct and its domains,
-so each distinct table is computed once and shared, read-only, by all the
-labels it serves.
+Every primitive occurrence (a constant, built-in, parameter lookup, density
+or branch test) gets a terminal label of its own, named after its source
+position. Its table depends only on the construct and its domains, so each
+distinct table is computed once and shared, read-only, by all the labels it
+serves. A variable reference is the paper's identity ("copy") factor between
+the variable's node and the node its value goes to; the two nodes are made
+one instead (see _Rhs.merge), and only where they cannot be, because both
+are external or their domains differ, is the copy table made. A rule with
+an all-zero table is not kept, but for the start symbol's last rule when
+every start rule has one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product as iproduct
 
 import numpy as np
@@ -40,8 +44,7 @@ RESULT = "%v"  # result node id inside every rule ('%' cannot appear in identifi
 class CompilationUnit:
     fgg: FGG
     provenance: dict[str, str]  # nonterminal label -> source span "line:col"
-    pass_log: list[tuple[str, int]] = field(default_factory=list)
-    factor_origins: dict[str, str] = field(default_factory=dict)  # terminal -> origin
+    pass_log: list[tuple[str, int]] = field(default_factory=list)  # see simplify
 
 
 class _Names:
@@ -82,6 +85,49 @@ def _density_table(dist_dom: Domain, val_dom: Domain, params: Params) -> np.ndar
     return t
 
 
+class _Rhs:
+    """A rule's right-hand side as it is built. `merged` maps each node that
+    was made one with another (see merge) to the node it was merged into;
+    the hypergraph resolves every attachment through it."""
+
+    def __init__(self, nodes: list[Node], ext: tuple[str, ...]):
+        self.nodes = nodes
+        self.ext = ext
+        self.edges: list = []
+        self.domain = {n.id: n.domain for n in nodes}
+        self.merged: dict[str, str] = {}
+
+    def add_node(self, nid: str, domain: str):
+        self.nodes.append(Node(nid, domain))
+        self.domain[nid] = domain
+
+    def resolve(self, nid: str) -> str:
+        while nid in self.merged:
+            nid = self.merged[nid]
+        return nid
+
+    def merge(self, x: str, v: str) -> bool:
+        """Make the nodes `x` and `v` one, as an identity factor between them
+        would, and say whether they were. They are not if they already are
+        one, if their domains differ or if both are external (a rule's
+        external nodes are distinct). The node kept is `v` if it is
+        external, else `x`. Merging only joins nodes of one domain and never
+        drops an external one, so a pair refused here stays refused."""
+        a, b = self.resolve(x), self.resolve(v)
+        if a == b or self.domain[a] != self.domain[b] or a in self.ext and b in self.ext:
+            return False
+        keep, drop = (b, a) if b in self.ext else (a, b)
+        self.merged[drop] = keep
+        return True
+
+    def graph(self) -> Hypergraph:
+        if not self.merged:
+            return Hypergraph(self.nodes, self.edges, self.ext)
+        return Hypergraph([n for n in self.nodes if n.id not in self.merged],
+                          [Edge(e.id, e.label, tuple(self.resolve(x) for x in e.att))
+                           for e in self.edges], self.ext)
+
+
 class _Translator:
     """Builds the rules of every function body, `if`/`case` arm and the main
     body; every other subexpression adds its nodes and edges to the body
@@ -96,29 +142,38 @@ class _Translator:
         self.factors: dict[str, FactorTable] = {}
         self.domains: dict[str, Domain] = {}
         self.provenance: dict[str, str] = {}
-        self.factor_origins: dict[str, str] = {}
-        self._tables: dict[tuple, np.ndarray] = {}  # see terminal()
+        self._tables: dict[tuple, tuple[np.ndarray, bool]] = {}  # see terminal()
+        self._zero: set[str] = set()  # terminal labels whose tables are all zero
+        self._last_zero: tuple[str, _Rhs] | None = None  # the last rule not kept
 
     def _dom(self, d: Domain) -> str:
         self.domains[d.name] = d
         return d.name
 
-    def terminal(self, base: str, doms: tuple[Domain, ...], key: tuple, make,
-                 origin: str) -> str:
+    def terminal(self, base: str, doms: tuple[Domain, ...], key: tuple, make) -> str:
         """A fresh terminal label over `doms`. Its table, `make()`, is
         computed once per `key` and domains and shared, read-only, by every
         label with the same key and domains."""
         key += tuple(d.name for d in doms)
-        table = self._tables.get(key)
-        if table is None:
+        if key not in self._tables:
             table = make()
             table.flags.writeable = False
-            self._tables[key] = table
+            self._tables[key] = table, not table.any()
+        table, zero = self._tables[key]
         name = self.names.fresh(base)
         self.labels[name] = EdgeLabel(name, len(doms), TERMINAL)
         self.factors[name] = FactorTable(name, tuple(self._dom(d) for d in doms), table)
-        self.factor_origins[name] = origin
+        if zero:
+            self._zero.add(name)
         return name
+
+    def _rule(self, lhs: str, rhs: _Rhs):
+        """Add a rule, unless one of its tables is all zero: such a rule adds
+        nothing to any weight."""
+        if any(e.label in self._zero for e in rhs.edges):
+            self._last_zero = lhs, rhs
+        else:
+            self.rules.append(Rule(lhs, rhs.graph()))
 
     def _head(self, e: Expr) -> tuple[list[Node], tuple[str, ...]]:
         """The nodes of a rule for `e` that are its external nodes: the
@@ -133,10 +188,9 @@ class _Translator:
         if isinstance(e, (If, Case)):
             self.branch(e, lhs)
             return
-        nodes, ext = self._head(e)
-        edges = []
-        self._fragment(e, "e0.", dict(zip(ext, ext)), nodes, edges)
-        self.rules.append(Rule(lhs, Hypergraph(nodes, edges, ext)))
+        rhs = _Rhs(*self._head(e))
+        self._fragment(e, "e0.", dict(zip(rhs.ext, rhs.ext)), rhs)
+        self._rule(lhs, rhs)
 
     def branch(self, e: If | Case, lhs: str | None = None) -> str:
         """One rule per arm of `e`, under `lhs` or else under a new label
@@ -158,54 +212,63 @@ class _Translator:
                                        (e.right, (e.right_var,), "inr")]
         tdom = test.ty.result
         head.append(Node("%1", self._dom(tdom)))
-        test_nodes, test_edges = [], []
+        # the test is spliced once, into `shared`: each arm's rule takes its
+        # nodes after the binder's, its edges after e0-e2, and its merges
+        shared = _Rhs(list(head), ext)
         att = ext[:-1] + ("%1",)
         if isinstance(test, (If, Case)):
             test_edge = Edge("e0", self.branch(test), att)
         else:
             test_edge = None
-            self._fragment(test, "e0.", _ext_map(test, att), test_nodes, test_edges)
+            self._fragment(test, "e0.", _ext_map(test, att), shared)
         for arm, binder, tag in arms:
-            nodes = head + [Node(x, self._dom(d)) for x, d in arm.ty.env if x in binder]
-            nodes += test_nodes
-            edges = []
+            rhs = _Rhs(head + [Node(x, self._dom(d)) for x, d in arm.ty.env if x in binder]
+                       + shared.nodes[len(head):], ext)
+            rhs.merged = dict(shared.merged)
             att = tuple(x for x, _ in arm.ty.env) + (RESULT,)
             if isinstance(arm, (If, Case)):
                 arm_edge = Edge("e2", self.branch(arm), att)
             else:
                 arm_edge = None
-                self._fragment(arm, "e2.", _ext_map(arm, att), nodes, edges)
+                self._fragment(arm, "e2.", _ext_map(arm, att), rhs)
             if isinstance(e, If):
                 want = Bool(tag == "true")
                 lab = self.terminal(f"is-{tag}@{span}", (tdom,), (tag,),
-                                    lambda: _graph((), tdom, lambda v: want),
-                                    origin="constraint")
+                                    lambda: _graph((), tdom, lambda v: want))
             else:
                 con, bdom = (Inl if tag == "inl" else Inr), dict(arm.ty.env)[binder[0]]
                 lab = self.terminal(f"is-{tag}@{span}", (tdom, bdom), (tag,),
                                     lambda: np.ascontiguousarray(
-                                        _graph((bdom,), tdom, lambda v: con(v[0])).T),
-                                    origin="constraint")
+                                        _graph((bdom,), tdom, lambda v: con(v[0])).T))
             own = [edge for edge in (test_edge, Edge("e1", lab, ("%1",) + binder), arm_edge)
                    if edge is not None]
-            self.rules.append(Rule(lhs, Hypergraph(nodes, own + test_edges + edges, ext)))
+            rhs.edges[:0] = own + shared.edges
+            self._rule(lhs, rhs)
         return lhs
 
-    def _fragment(self, e: Expr, prefix: str, ren: dict[str, str], nodes: list, edges: list):
+    def _fragment(self, e: Expr, prefix: str, ren: dict[str, str], rhs: _Rhs):
         """Add `e`, which is not an `if` or `case`, to a rule body: its own
         nodes and edges get ids under `prefix`, and `ren` maps its external
-        node ids (see _head) to the body's.
+        node ids (see _head) to the body's. A variable adds no edge where
+        its node and its result's can be merged.
 
         This is the paper's rule for `e` spliced into its use, as inlining
         would: `e`'s own nodes, then its subexpressions', in preorder, and
         likewise its own edges (the edges to its `if`/`case` subexpressions'
         labels, then its factor or call), then its subexpressions'. The
         subexpression feeding `e`'s j-th edge gets the prefix `{prefix}ej.`.
-        Labels are made in source order, each factor after its operands'."""
+        Labels are made in source order, each factor after its operands'.
+
+        Variables are met in the order of their copy edges in the rule, so
+        the merges are those one forward scan over the copy edges would
+        make."""
+        if isinstance(e, Var) and e.resolution == "var" and rhs.merge(ren[e.name], ren[RESULT]):
+            return
         extra, subs = _parts(e)
         for nid, d in extra:
             ren[nid] = prefix + nid
-            nodes.append(Node(prefix + nid, self._dom(d)))
+            rhs.add_node(prefix + nid, self._dom(d))
+        edges = rhs.edges
         # own edges go first, but their labels are made in source order:
         # hold their places, one per if/case subexpression, then one for the
         # factor or call that every construct but `let` ends with
@@ -218,7 +281,7 @@ class _Translator:
                 edges[slot] = Edge(f"{prefix}e{j}", self.branch(sub), att)
                 slot += 1
             else:
-                self._fragment(sub, f"{prefix}e{j}.", _ext_map(sub, att), nodes, edges)
+                self._fragment(sub, f"{prefix}e{j}.", _ext_map(sub, att), rhs)
         if ends:
             label, att = self._own_label(e, tuple(nid for nid, _ in extra))
             edges[slot] = Edge(f"{prefix}e{len(subs)}", label, tuple(ren[x] for x in att))
@@ -232,21 +295,19 @@ class _Translator:
             if e.resolution == "var":
                 xdom = dict(e.ty.env)[e.name]
                 return self.terminal(f"copy@{span}", (xdom, e.ty.result), ("copy",),
-                                     lambda: _graph((xdom,), e.ty.result, lambda v: v[0]),
-                                     origin="copy"), (e.name, RESULT)
+                                     lambda: _graph((xdom,), e.ty.result,
+                                                    lambda v: v[0])), (e.name, RESULT)
             value = (self.params.inputs[e.name] if e.resolution == "input"
                      else Atom(e.name))
             return self.terminal(f"const@{span}", (e.ty.result,), ("const", value),
-                                 lambda: _graph((), e.ty.result, lambda v: value),
-                                 origin="builtin"), att
+                                 lambda: _graph((), e.ty.result, lambda v: value)), att
         if isinstance(e, Call):
             return e.fn, att
         if isinstance(e, BuiltinApp):
             arg_doms = tuple(a.ty.result for a in e.args)
             return self.terminal(f"{e.op}@{span}", arg_doms + (e.ty.result,), ("op", e.op),
                                  lambda: _graph(arg_doms, e.ty.result,
-                                                lambda v: apply_builtin(e.op, v)),
-                                 origin="builtin"), att
+                                                lambda v: apply_builtin(e.op, v))), att
         if isinstance(e, Lookup):
             idom, rdom = e.index.ty.result, e.ty.result
             keys = set(self.params.lookup_keys(e.param))
@@ -255,11 +316,10 @@ class _Translator:
                 return self.params.dist_value(e.param, v[0]) if v[0] in keys else None
 
             return self.terminal(f"{e.param}[]@{span}", (idom, rdom), ("lookup", e.param),
-                                 lambda: _graph((idom,), rdom, entry), origin="lookup"), att
+                                 lambda: _graph((idom,), rdom, entry)), att
         ddom = (e.arg if isinstance(e, Sample) else e.dist).ty.result  # Sample, Observe
         return self.terminal(f"density@{span}", (ddom, e.ty.result), ("density",),
-                             lambda: _density_table(ddom, e.ty.result, self.params),
-                             origin="density"), att
+                             lambda: _density_table(ddom, e.ty.result, self.params)), att
 
     def translate_program(self) -> CompilationUnit:
         for f in self.program.functions:
@@ -268,11 +328,17 @@ class _Translator:
             self.provenance[f.name] = f"{f.pos[0]}:{f.pos[1]}"
         start = self.names.fresh(START)
         self.body(start, self.program.main)
+        if not any(r.lhs == start for r in self.rules):
+            # every start rule has an all-zero table: keep the last one built,
+            # for the start symbol's domain (its weight is 0 either way)
+            lhs, rhs = self._last_zero
+            self.rules.append(Rule(lhs, rhs.graph()))
         self.labels[start] = EdgeLabel(start, 1, NONTERMINAL)
         g = FGG(labels=self.labels, rules=self.rules, start=start,
                 domains=self.domains, factors=self.factors)
-        return CompilationUnit(fgg=g, provenance=self.provenance,
-                               factor_origins=self.factor_origins)
+        cu = CompilationUnit(fgg=g, provenance=self.provenance)
+        _gc(cu)
+        return cu
 
 
 def _parts(e: Expr) -> tuple[list[tuple[str, Domain]], list[tuple[Expr, str]]]:
@@ -305,92 +371,9 @@ def translate(program: Program, params: Params) -> CompilationUnit:
     return _Translator(program, params).translate_program()
 
 
-# ---------------------------------------------------------------------------
-# Simplification passes
-
-
-# `inline` and `compose` are names that fire 0 times, kept so that pass lists
-# naming them still parse: the translator already splices each subexpression
-# into its use, and the solver's variable elimination already sums out an
-# internal node between two built-in tables.
-ALL_PASSES = ("inline", "compose", "contract", "prune")
-
-
-def simplify(cu: CompilationUnit, passes=ALL_PASSES) -> CompilationUnit:
-    """Apply the requested weight-preserving passes, in the given order."""
-    g = cu.fgg
-    cu = CompilationUnit(fgg=FGG(labels=dict(g.labels), rules=list(g.rules), start=g.start,
-                                 domains=dict(g.domains), factors=dict(g.factors)),
-                         provenance=dict(cu.provenance), pass_log=list(cu.pass_log),
-                         factor_origins=dict(cu.factor_origins))
-    for name in passes:
-        fired = {"inline": lambda cu: 0, "compose": lambda cu: 0,
-                 "contract": _pass_contract, "prune": _pass_prune}[name](cu)
-        cu.pass_log.append((name, fired))
-    _gc(cu)
-    return cu
-
-
-def _pass_contract(cu: CompilationUnit) -> int:
-    """Contract copy factors v = x by merging the two nodes.
-
-    One forward scan over a rule's edges contracts where restarting from the
-    first edge after each merge would: a merge only joins two nodes of one
-    domain and never drops an external one, so an earlier copy edge can
-    lose eligibility but never gain it. Attachments are resolved through the
-    merge map; the remaining edges are rewritten, and the hypergraph built,
-    once at the end, if anything merged.
-    """
-    g = cu.fgg
-    fired = 0
-    for i, r in enumerate(g.rules):
-        rhs = r.rhs
-        merged: dict[str, str] = {}  # dropped node -> the node it was merged into
-        contracted = set()
-        for e in rhs.edges:
-            if cu.factor_origins.get(e.label) != "copy" or len(e.att) != 2:
-                continue
-            a, b = (_resolve(merged, x) for x in e.att)
-            if (a == b or rhs.domain_of(a) != rhs.domain_of(b)
-                    or a in rhs.ext and b in rhs.ext):  # would duplicate an external node
-                continue
-            keep, drop = (b, a) if b in rhs.ext else (a, b)
-            merged[drop] = keep
-            contracted.add(e.id)
-        if contracted:
-            nodes = [n for n in rhs.nodes if n.id not in merged]
-            edges = [Edge(e.id, e.label, tuple(_resolve(merged, x) for x in e.att))
-                     for e in rhs.edges if e.id not in contracted]
-            g.rules[i] = Rule(r.lhs, Hypergraph(nodes, edges, rhs.ext))
-            fired += len(contracted)
-    return fired
-
-
-def _resolve(merged: dict[str, str], node: str) -> str:
-    while node in merged:
-        node = merged[node]
-    return node
-
-
-def _pass_prune(cu: CompilationUnit) -> int:
-    """Drop rules containing an identically-zero factor table. The start
-    symbol keeps its last rule if it would lose them all: its weight is 0
-    either way, and the rule records the start symbol's domains."""
-    g = cu.fgg
-    zero = {name for name, tab in g.factors.items() if not tab.weights.any()}
-    dead = [any(e.label in zero and g.labels[e.label].is_terminal for e in r.rhs.edges)
-            for r in g.rules]
-    starts = [i for i, r in enumerate(g.rules) if r.lhs == g.start]
-    if starts and all(dead[i] for i in starts):
-        dead[starts[-1]] = False
-    before = len(g.rules)
-    g.rules = [r for r, d in zip(g.rules, dead) if not d]
-    return before - len(g.rules)
-
-
 def _gc(cu: CompilationUnit):
     """Remove rules, labels, factors, and domains unreachable from the start
-    symbol, and the removed labels' provenance and origins."""
+    symbol, and the removed labels' provenance."""
     g = cu.fgg
     reachable = {g.start}
     frontier = [g.start]
@@ -416,25 +399,27 @@ def _gc(cu: CompilationUnit):
     g.labels = {k: v for k, v in g.labels.items() if k in used_labels}
     g.factors = {k: v for k, v in g.factors.items() if k in used_labels}
     g.domains = {k: v for k, v in g.domains.items() if k in used_domains}
-    for meta in (cu.provenance, cu.factor_origins):
-        for k in [k for k in meta if k not in g.labels]:
-            del meta[k]
+    for k in [k for k in cu.provenance if k not in g.labels]:
+        del cu.provenance[k]
 
 
 # ---------------------------------------------------------------------------
 
 
+# perfbench/ calls compile_source(source, params, ALL_PASSES) and
+# simplify(cu, (name,)) and reads cu.pass_log. The translator builds the final
+# grammar itself, so these only keep that surface; the change that may edit
+# perfbench/ deletes them (ROADMAP item 8).
+ALL_PASSES = ("inline", "compose", "contract", "prune")
+
+
+def simplify(cu: CompilationUnit, passes=ALL_PASSES) -> CompilationUnit:
+    """`cu` as it is, with each of `passes` logged as firing 0 times."""
+    return replace(cu, pass_log=cu.pass_log + [(name, 0) for name in passes])
+
+
 def compile_source(source: str, params: Params, passes=ALL_PASSES) -> CompilationUnit:
-    """Full pipeline: parse, check, translate, simplify."""
+    """Full pipeline: parse, check, translate."""
     from .frontend import check_program
     program, _ = check_program(source, params)
-    return compile_program(program, params, passes)
-
-
-def compile_program(program: Program, params: Params, passes=ALL_PASSES) -> CompilationUnit:
-    """Translate a checked program (see frontend.check_program), then
-    simplify it with `passes`; no passes skips `simplify`."""
-    cu = translate(program, params)
-    if passes:
-        cu = simplify(cu, passes)
-    return cu
+    return simplify(translate(program, params), passes)

@@ -1,17 +1,19 @@
 """Reference implementations kept for equivalence tests.
 
-These are the straightforward forms of five paths:
+These are the straightforward forms of four paths:
 
 - the paper's translation, which gives every subexpression a nonterminal of
-  its own, and `pass_inline`, which folds each of them but the `if`, `case`,
-  function and start labels back into its one use (rescanning the whole
-  grammar from its first label after every inlined label, and rebuilding a
-  right-hand side for every inlined edge). The library's translator must
-  build the grammar these two build, and the grammar before inlining must
-  give the same start weights;
-- the simplification pass `contract`, which rescans a rule from its first
-  edge after every firing and rebuilds it each time (the library keeps
-  `compose` only as a name that fires 0 times, so it has no reference);
+  its own and every variable reference an identity ("copy") table, and
+  three passes over its grammar: `pass_inline`, which folds each
+  nonterminal but the `if`, `case`, function and start labels back into its
+  one use (rescanning the whole grammar from its first label after every
+  inlined label, and rebuilding a right-hand side for every inlined edge);
+  `pass_contract`, which merges the two nodes of a copy edge (rescanning a
+  rule from its first edge after every firing and rebuilding it each time);
+  and `pass_prune`, which drops the rules with an all-zero table.
+  `compile_program` runs the four and the library's `_gc`: the library's
+  translator must build that grammar, and the grammar before the passes
+  must give the same start weights;
 - the Jacobi solver that scans all rules for every nonterminal and rebuilds
   every rule's factors on every iteration;
 - variable elimination as hand-written tensor algebra that re-derives every
@@ -44,7 +46,7 @@ from fggc.inference import (CONVERGED, DIVERGENCE_BOUND, DIVERGENT, MAX_ITER,
                             InferenceError, OpCounter, SolverState, WeightTensor,
                             align, plan_elimination)
 from fggc.params import Params
-from fggc.translate import (RESULT, START, CompilationUnit, _density_table, _graph,
+from fggc.translate import (RESULT, START, CompilationUnit, _density_table, _gc, _graph,
                             _Names)
 from fggc.values import Atom, Bool, Dist, Domain, Inl, Inr, Value
 
@@ -60,6 +62,7 @@ PROTECTED_KINDS = {"if", "case", "fun", "start"}
 @dataclass
 class ReferenceUnit(CompilationUnit):
     label_kinds: dict[str, str] = field(default_factory=dict)  # nonterminal -> construct
+    factor_origins: dict[str, str] = field(default_factory=dict)  # terminal -> construct
 
 
 class _Translator:
@@ -393,10 +396,11 @@ def pass_inline(cu: ReferenceUnit) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Simplification passes
+# Simplification passes, which the library's translator does as it builds
+# each rule
 
 
-def pass_contract(cu: CompilationUnit) -> int:
+def pass_contract(cu: ReferenceUnit) -> int:
     """Contract copy factors v = x by merging the two nodes."""
     g = cu.fgg
     fired = 0
@@ -429,6 +433,34 @@ def pass_contract(cu: CompilationUnit) -> int:
         new_rules.append(Rule(r.lhs, rhs))
     g.rules = new_rules
     return fired
+
+
+def pass_prune(cu: CompilationUnit) -> int:
+    """Drop rules containing an identically-zero factor table. The start
+    symbol keeps its last rule if it would lose them all: its weight is 0
+    either way, and the rule records the start symbol's domains."""
+    g = cu.fgg
+    zero = {name for name, tab in g.factors.items() if not tab.weights.any()}
+    dead = [any(e.label in zero and g.labels[e.label].is_terminal for e in r.rhs.edges)
+            for r in g.rules]
+    starts = [i for i, r in enumerate(g.rules) if r.lhs == g.start]
+    if starts and all(dead[i] for i in starts):
+        dead[starts[-1]] = False
+    before = len(g.rules)
+    g.rules = [r for r, d in zip(g.rules, dead) if not d]
+    return before - len(g.rules)
+
+
+def compile_program(program: Program, params: Params) -> ReferenceUnit:
+    """The paper's translation, inlined, with its copies contracted and its
+    rules with an all-zero table pruned: the grammar the library's
+    translator builds."""
+    cu = translate(program, params)
+    pass_inline(cu)
+    pass_contract(cu)
+    pass_prune(cu)
+    _gc(cu)
+    return cu
 
 
 def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> SolverState:

@@ -68,6 +68,20 @@ def test_comments_ignored():
     assert parse("# hello\n x # trailing\n") == parse("x")
 
 
+@pytest.mark.parametrize("source,pos,message", [
+    # a tab is one column, and a comment line only ends a line
+    ("# a comment\n\tx $ y", (2, 4), "unexpected character '$'"),
+    # '²' is a digit but not a decimal one, so it cannot start a name
+    ("x\r\n  ²", (2, 3), "unexpected character '²'"),
+    # a comment that ends the source leaves the end of input at its '#'
+    ("let x = a in # no body", (1, 14), "expected expression, found 'end of input'"),
+])
+def test_error_positions(source, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.pos, err.value.message) == (pos, message)
+
+
 def test_desugar_and():
     e = parse("a and b").main
     assert isinstance(e, If)

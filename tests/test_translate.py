@@ -29,24 +29,31 @@ def _subexpressions(e: Expr):
 @pytest.mark.parametrize("name", SUITE)
 def test_rule_count_law(name):
     """One rule per function body and for the main body, and one per arm of
-    each `if` and `case`, whose arms replace the rule of a body that is one.
-    The paper's translation has #subexpressions + #if + #case + #fundefs + 1."""
+    each `if` and `case`, whose arms replace the rule of a body that is one,
+    less the rules with an all-zero table. The paper's translation has
+    #subexpressions + #if + #case + #fundefs + 1."""
     source, params = load_program(name)
     program, _ = check_program(source, params)
     bodies = [f.body for f in program.functions] + [program.main]
     everything = [s for body in bodies for s in _subexpressions(body)]
     branches = sum(isinstance(s, (If, Case)) for s in everything)
     branch_bodies = sum(isinstance(body, (If, Case)) for body in bodies)
-    assert len(translate(program, params).fgg.rules) == len(bodies) + 2 * branches - branch_bodies
     ref = reference_impl.translate(program, params)
     assert len(ref.fgg.rules) == len(everything) + branches + len(bodies)
+    reference_impl.pass_inline(ref)
+    assert len(ref.fgg.rules) == len(bodies) + 2 * branches - branch_bodies
+    pruned = reference_impl.pass_prune(ref)
+    assert pruned == (2 if name == "pcfgw" else 1 if name == "failtest" else 0)
+    assert len(translate(program, params).fgg.rules) == len(ref.fgg.rules)
 
 
 @pytest.mark.parametrize("name", SUITE)
 def test_unsimplified_grammar_validates(name):
+    """The translator's grammar and the paper's translation validate."""
     source, params = load_program(name)
-    cu = compile_source(source, params, passes=())
-    assert validate(cu.fgg) == []
+    program, _ = check_program(source, params)
+    for g in (translate(program, params).fgg, reference_impl.translate(program, params).fgg):
+        assert validate(g) == []
 
 
 @pytest.mark.parametrize("name", SUITE)
@@ -61,13 +68,30 @@ def test_arity_law(name):
 
 
 def test_constant_program_shape():
-    # one start rule holding the constant, with or without the passes; the
-    # paper's translation adds a rule for the constant
-    for passes in ((), ALL_PASSES):
-        (rule,) = compile_source("true", Params(), passes=passes).fgg.rules
-        assert [e.id for e in rule.rhs.edges] == ["e0.e0"]
+    # one start rule holding the constant; the paper's translation adds a
+    # rule for the constant
+    (rule,) = compile_source("true", Params()).fgg.rules
+    assert [e.id for e in rule.rhs.edges] == ["e0.e0"]
     program, _ = check_program("true", Params())
     assert len(reference_impl.translate(program, Params()).fgg.rules) == 2
+
+
+def test_copies_merge_and_zero_rules_drop():
+    """A variable's copy table is made only where its two nodes cannot be
+    one: both external (`fun f(x) = x`). A `let` chain merges every copy. A
+    program that always fails keeps one start rule, and its weight is 0."""
+    params = params_from_json({"domains": {"atoms": ["a"]}})
+
+    def copies(g):
+        return [name for name in g.labels if name.startswith("copy@")]
+
+    assert copies(compile_source("fun f(x) = x; f(a)", params).fgg) == ["copy@1:12"]
+    assert copies(compile_source("let x = a in let y = x in y", params).fgg) == []
+    for source in ("fail", "if true then fail else fail"):
+        g = compile_source(source, Params()).fgg
+        assert [r.lhs for r in g.rules] == [g.start]
+        weights = solve_fixed_point(g).tau[g.start].items()
+        assert [(v.key(), w) for (v,), w in weights] == [("true", 0.0)]
 
 
 def test_figure_style_pcfg_shape():
@@ -138,11 +162,8 @@ def test_observe_wires_value_to_result():
 
 def test_density_table_matches_params():
     params = params_from_json({"params": {"c": {"u": {"true": 0.4, "false": 0.6}}}})
-    cu = compile_source("sample c[u]", params, passes=())
-    g = cu.fgg
-    density = [name for name, orig in cu.factor_origins.items()
-               if orig == "density" and name in g.factors]
-    (name,) = density
+    g = compile_source("sample c[u]", params).fgg
+    (name,) = [name for name in g.factors if name.startswith("density@")]
     tab = g.factors[name]
     dist_dom = g.domains[tab.domains[0]]
     val_dom = g.domains[tab.domains[1]]
@@ -154,12 +175,8 @@ def test_density_table_matches_params():
 def test_equality_builtin_is_indicator():
     params = params_from_json({"domains": {"k": ["a", "b"]},
                                "params": {"c": {"u": {"a": 0.5, "b": 0.5}}}})
-    cu = compile_source("let x = sample c[u] in x = b", params, passes=("inline",))
-    g = cu.fgg
-    eq = [n for n, orig in cu.factor_origins.items()
-          if orig == "builtin" and n in g.factors
-          and len(g.factors[n].domains) == 3]
-    (name,) = eq
+    g = compile_source("let x = sample c[u] in x = b", params).fgg
+    (name,) = [name for name in g.factors if name.startswith("=@")]
     tab = g.factors[name]
     d1, d2, dv = (g.domains[d] for d in tab.domains)
     for i, a in enumerate(d1.values):
@@ -178,11 +195,12 @@ def test_recursive_call_appears_in_own_rule():
 
 
 def test_empty_pass_set_is_identity():
+    """Compiling is deterministic, and the shim that perfbench/ calls with
+    an empty pass list logs nothing (see translate.simplify)."""
     source, params = load_program("pcfg")
-    a = compile_source(source, params, passes=()).fgg
-    b = compile_source(source, params, passes=()).fgg
-    assert dumps(a) == dumps(b)
-    cu = compile_source(source, params, passes=())
+    a = compile_source(source, params).fgg
+    cu = compile_source(source, params, ())
+    assert dumps(a) == dumps(cu.fgg)
     assert cu.pass_log == []
 
 
@@ -196,9 +214,12 @@ def _start_weights(g):
 @pytest.mark.parametrize("passes", [("inline",), ("compose",), ("contract",),
                                     ("prune",), ALL_PASSES])
 def test_pass_safety(name, passes):
+    """Whatever pass list perfbench/'s shim is given, the compiled grammar
+    validates and has the start weights of the paper's translation."""
     source, params = load_program(name)
-    base = compile_source(source, params, passes=()).fgg
-    simplified = compile_source(source, params, passes=passes).fgg
+    program, _ = check_program(source, params)
+    base = reference_impl.translate(program, params).fgg
+    simplified = compile_source(source, params, passes).fgg
     assert validate(simplified) == []
     # recursive programs only reach the fixed point to the solver tolerance;
     # non-recursive ones converge exactly
@@ -214,8 +235,9 @@ def test_pass_safety(name, passes):
 
 @pytest.mark.parametrize("name", SUITE + [f"gen-{seed}" for seed in range(5)])
 def test_inline_and_compose_do_nothing(name):
-    """`inline` and `compose` are names kept so that old pass lists parse:
-    each fires 0 times and leaves the grammar as it is."""
+    """Every pass name, `inline` and `compose` as the others, is kept only
+    for perfbench/ (see translate.simplify): each fires 0 times and leaves
+    the grammar as it is."""
     if name.startswith("gen-"):
         source, params = random_program(random.Random(int(name[4:])), 8)
         params = params_from_json(params)
@@ -224,7 +246,7 @@ def test_inline_and_compose_do_nothing(name):
     program, _ = check_program(source, params)
     cu = translate(program, params)
     want = simplify(cu, ())
-    for p in ("inline", "compose"):
+    for p in ALL_PASSES:
         got = simplify(cu, (p,))
         assert got.pass_log == [(p, 0)]
         assert dumps(got.fgg) == dumps(want.fgg)
@@ -232,26 +254,38 @@ def test_inline_and_compose_do_nothing(name):
 
 @pytest.mark.parametrize("name", SUITE)
 def test_fired_passes_reduce_rule_count(name):
+    """Where the reference passes fire on the paper's translation, the
+    translator's grammar is smaller by as much: inlining and pruning leave
+    it fewer rules, and contracting fewer nodes and edges."""
     source, params = load_program(name)
-    cu0 = compile_source(source, params, passes=())
-    n = len(cu0.fgg.rules)
-    for p in ALL_PASSES:
-        cu = compile_source(source, params, passes=(p,))
-        fired = sum(k for _, k in cu.pass_log)
-        if p in ("inline", "prune") and fired:
-            assert len(cu.fgg.rules) < n
+    program, _ = check_program(source, params)
+    g = translate(program, params).fgg
+    ref = reference_impl.translate(program, params)
+
+    def size(g):
+        return sum(len(r.rhs.nodes) + len(r.rhs.edges) for r in g.rules)
+
+    n = len(ref.fgg.rules)
+    assert reference_impl.pass_inline(ref) > 0
+    assert len(g.rules) < n
+    before = size(ref.fgg)
+    if reference_impl.pass_contract(ref):
+        assert size(g) < before
+    n = len(ref.fgg.rules)
+    if reference_impl.pass_prune(ref):
+        assert len(g.rules) < n
 
 
 def test_provenance_spans():
     source, params = load_program("pcfg")
-    cu = compile_source(source, params, passes=())
+    cu = compile_source(source, params)
     for label, span in cu.provenance.items():
         line, col = span.split(":")
         assert int(line) >= 1 and int(col) >= 1
 
 
 def test_simplify_rebuilds_grow_linearly(monkeypatch):
-    """simplify rebuilds each rule a bounded number of times: with four
+    """Compiling builds each rule a bounded number of times: with four
     times the functions it builds at most about four times the rules (a
     pass that rescans the whole grammar after each change would build about
     sixteen)."""
@@ -260,8 +294,6 @@ def test_simplify_rebuilds_grow_linearly(monkeypatch):
     def rebuilds(nfun):
         source, params = random_program(random.Random(f"scaling-{nfun}"), nfun)
         params = params_from_json(params)
-        program, _ = check_program(source, params)
-        cu = translate(program, params)
         built = []
 
         class CountingRule(Rule):
@@ -271,7 +303,7 @@ def test_simplify_rebuilds_grow_linearly(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(translate_module, "Rule", CountingRule)
-            simplify(cu)
+            compile_source(source, params)
         return len(built)
 
     small, large = rebuilds(12), rebuilds(48)
@@ -282,8 +314,9 @@ def test_simplify_rebuilds_grow_linearly(monkeypatch):
 def test_each_distinct_table_is_tabulated_once(monkeypatch):
     """A terminal table depends only on its construct and its domains, so
     translation tabulates each distinct one once, however many sites share
-    it. The distinct ones are counted here from the labels: construct (the
-    label's name before '@'), domains and contents."""
+    it. The distinct ones are counted here from every label made, those of
+    rules dropped later included: construct (the label's name before '@'),
+    domains and contents."""
     translate_module = importlib.import_module("fggc.translate")
     source, params = random_program(random.Random("shared-tables"), 48)
     params = params_from_json(params)
@@ -294,31 +327,30 @@ def test_each_distinct_table_is_tabulated_once(monkeypatch):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(translate_module, name, counted)
-    cu = translate(program, params)
     distinct = {"_graph": set(), "_density_table": set()}
-    for label, tab in cu.fgg.factors.items():
-        kind = "_density_table" if cu.factor_origins[label] == "density" else "_graph"
-        distinct[kind].add((label.split("@")[0], tab.domains, tab.weights.tobytes()))
+    made = []
+
+    def recorded(label, domains, weights, _table=translate_module.FactorTable):
+        kind = "_density_table" if label.startswith("density@") else "_graph"
+        distinct[kind].add((label.split("@")[0], domains, weights.tobytes()))
+        made.append(label)
+        return _table(label, domains, weights)
+
+    monkeypatch.setattr(translate_module, "FactorTable", recorded)
+    translate(program, params)
     for name in calls:
         assert 0 < calls[name] <= len(distinct[name]), name
-    assert sum(calls.values()) < len(cu.fgg.factors)  # some tables are shared
+    assert sum(calls.values()) < len(made)  # some tables are shared
 
 
 @pytest.mark.parametrize("name", SUITE)
 def test_translated_tables_are_read_only(name):
     source, params = load_program(name)
-    cu = compile_source(source, params, passes=())
+    cu = compile_source(source, params)
     assert cu.fgg.factors
     for tab in cu.fgg.factors.values():
         with pytest.raises(ValueError, match="read-only"):
             tab.weights[...] = 0.0
-
-
-def _generated_unit(nfun):
-    source, params = random_program(random.Random("inline-builds"), nfun)
-    params = params_from_json(params)
-    program, _ = check_program(source, params)
-    return translate(program, params)
 
 
 def _count_hypergraph_builds(monkeypatch) -> list:
@@ -335,24 +367,35 @@ def _count_hypergraph_builds(monkeypatch) -> list:
     return built
 
 
-def test_translation_builds_each_rule_once(monkeypatch):
-    """The translator builds one hypergraph per rule of its grammar."""
-    source, params = random_program(random.Random("inline-builds"), 24)
+def _pruned_reference(nfun):
+    """A generated program, and the paper's translation of it inlined,
+    contracted and pruned, with the reference's contract firings."""
+    source, params = random_program(random.Random("inline-builds"), nfun)
     params = params_from_json(params)
     program, _ = check_program(source, params)
+    ref = reference_impl.translate(program, params)
+    reference_impl.pass_inline(ref)
+    fired = reference_impl.pass_contract(ref)
+    reference_impl.pass_prune(ref)
+    return program, params, ref.fgg, fired
+
+
+def test_translation_builds_each_rule_once(monkeypatch):
+    """The translator builds one hypergraph per rule it keeps: the rules
+    pruning keeps, some of which only pruned rules reach, so that the
+    grammar has fewer."""
+    program, params, ref, _ = _pruned_reference(24)
     built = _count_hypergraph_builds(monkeypatch)
     g = translate(program, params).fgg
-    assert len(built) == len(g.rules)
+    assert len(built) == len(ref.rules) > len(g.rules)
 
 
 def test_contract_builds_each_changed_rule_once(monkeypatch):
-    """contract edits a rule's edges in place and builds one hypergraph per
-    rule it changed, however often it fired there. On this program it fires
-    more often than it changes rules."""
-    cu = _generated_unit(48)
-    before = [r.rhs for r in cu.fgg.rules]
+    """The translator merges a variable's nodes as it builds the rule, so
+    it builds one hypergraph per rule however many merges it made there: on
+    this program contracting the reference's grammar fires more often than
+    the translator builds rules."""
+    program, params, ref, fired = _pruned_reference(48)
     built = _count_hypergraph_builds(monkeypatch)
-    fired = importlib.import_module("fggc.translate")._pass_contract(cu)
-    changed = sum(r.rhs is not rhs for r, rhs in zip(cu.fgg.rules, before))
-    assert fired > changed > 0
-    assert len(built) == changed
+    translate(program, params)
+    assert fired > len(built) == len(ref.rules) > 0
