@@ -71,6 +71,11 @@ class Case(Expr):
 
 
 @dataclass
+class Fail(Expr):
+    """`fail`: drops the path. It has no value."""
+
+
+@dataclass
 class BuiltinApp(Expr):
     """Built-in function or constant application (constants have no args)."""
     op: str
@@ -101,7 +106,7 @@ class Program:
 BUILTIN_ARITY = {
     "=": 2, "!=": 2, "pair": 2, "fst": 1, "snd": 1, "inl": 1, "inr": 1,
     "cons": 2, "car": 1, "cdr": 1,
-    "true": 0, "false": 0, "unit": 0, "nil": 0, "zerodist": 0, "not": 1,
+    "true": 0, "false": 0, "unit": 0, "nil": 0, "not": 1,
 }
 
 # built-ins callable by name in source; pair is written (e1, e2), and not(e)
@@ -111,11 +116,9 @@ NAMED_BUILTINS = {"fst", "snd", "inl", "inr", "cons", "car", "cdr", "not"}
 
 # ---------------------------------------------------------------------------
 # Pretty-printer. print -> parse is the identity on ASTs (modulo positions).
-# `and`, `or` and `not(e)` print as the `if` forms they parse to; `fail`
-# parses to _FAIL, which prints as `fail`.
+# `and`, `or` and `not(e)` print as the `if` forms they parse to.
 
 _CONSTS = {"true": "true", "false": "false", "unit": "unit", "nil": "nil"}
-_FAIL = Observe(BuiltinApp("true", []), BuiltinApp("zerodist", []))
 
 
 def pp_expr(e: Expr) -> str:
@@ -127,9 +130,9 @@ def pp_expr(e: Expr) -> str:
         return f"{e.fn}({', '.join(pp_expr(a) for a in e.args)})"
     if isinstance(e, Sample):
         return f"sample {_atom(e.arg)}"
+    if isinstance(e, Fail):
+        return "fail"
     if isinstance(e, Observe):
-        if e == _FAIL:
-            return "fail"
         return f"observe {_cmp_level(e.value)} <- {pp_expr(e.dist)}"
     if isinstance(e, If):
         return f"if {pp_expr(e.cond)} then {pp_expr(e.then)} else {pp_expr(e.els)}"
@@ -154,7 +157,7 @@ def _paren(e: Expr) -> str:
 
 
 def _atom(e: Expr) -> str:
-    if isinstance(e, (Var, Lookup, Call)) or e == _FAIL:
+    if isinstance(e, (Var, Lookup, Call, Fail)):
         return pp_expr(e)
     if isinstance(e, BuiltinApp) and e.op not in ("=", "!="):
         return pp_expr(e)

@@ -143,6 +143,10 @@ def cmd_compare(args) -> int:
     params = _load_params(args.params)
     program, _ = check_program(source, params)
     g = _load_grammar(args.fgg) if args.fgg else translate(program, params).fgg
+    arity = g.labels[g.start].arity
+    if arity != 1:  # only a --fgg grammar can have another
+        raise FggcError(f"start symbol {g.start!r} has arity {arity}; compare needs "
+                        "arity 1, one node for the program's value")
 
     failures: list[str] = []
     for d in range(1, args.depth + 1):

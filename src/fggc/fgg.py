@@ -228,6 +228,8 @@ def validate(g: FGG) -> list[Diagnostic]:
         out.append(Diagnostic(f"start symbol {g.start!r} is not declared"))
     elif not g.labels[g.start].is_nonterminal:
         out.append(Diagnostic(f"start symbol {g.start!r} is not a nonterminal"))
+    elif not any(r.lhs == g.start for r in g.rules):
+        out.append(Diagnostic(f"start symbol {g.start!r} has no rule"))
 
     ext_doms: dict[str, tuple[str, ...]] = {}
     for ri, rule in enumerate(g.rules):

@@ -15,8 +15,8 @@ import math
 from itertools import product
 from typing import Optional
 
-from .ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup, Observe,
-                  Program, Sample, TypeInfo, Var)
+from .ast import (BuiltinApp, Call, Case, Expr, Fail, If, Let, Lookup,
+                  Observe, Program, Sample, TypeInfo, Var)
 from .fgg import Diagnostic
 from .params import Params
 from .scc import strongly_connected_components
@@ -29,8 +29,8 @@ class DomainError(FggcError):
 
 
 def desugar(p: Program) -> Program:
-    """The identity: the parser already reads `and`, `or`, `not(e)` and
-    `fail` as core forms. Kept for callers written before it did."""
+    """The identity: the parser already reads `and`, `or` and `not(e)` as
+    core forms, and `fail` is one. Kept for callers written before it did."""
     return p
 
 
@@ -101,7 +101,7 @@ def scope_check(p: Program, global_names: frozenset[str] = frozenset()) -> list[
                 walk(a, bound)
         elif isinstance(e, Lookup):
             walk(e.index, bound)
-        else:
+        elif not isinstance(e, Fail):  # fail binds and uses nothing
             raise TypeError(f"unknown expression {e!r}")
 
     for f in p.functions:
@@ -148,8 +148,6 @@ def apply_builtin(op: str, args: tuple[Value, ...]) -> Optional[Value]:
         return UNIT
     if op == "nil":
         return NIL
-    if op == "zerodist":
-        return Dist("__zero__")
     raise ValueError(f"unknown built-in {op!r}")
 
 
@@ -407,6 +405,8 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
             index = evaluate(e.index, env)
             keys = set(params.lookup_keys(e.param))
             new = {params.dist_value(e.param, k) for k in index & keys}
+        elif isinstance(e, Fail):
+            new = set()
         else:
             raise TypeError(f"unknown expression {e!r}")
         if known is None:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup, Observe,
-                  Program, Sample, Var)
+from .ast import (BuiltinApp, Call, Case, Expr, Fail, If, Let, Lookup,
+                  Observe, Program, Sample, Var)
 from .fgg import FGG, DerivationTree, yield_graph
 from .params import Params
 from .values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, FggcError,
@@ -77,8 +77,7 @@ def _apply(op: str, args):
         if not (isinstance(s, Atom) and s.name):
             return None
         return Atom(s.name[1:])
-    consts = {"true": TRUE, "false": FALSE, "unit": UNIT, "nil": NIL,
-              "zerodist": Dist("__zero__")}
+    consts = {"true": TRUE, "false": FALSE, "unit": UNIT, "nil": NIL}
     if op in consts:
         return consts[op]
     raise OracleError(f"unknown built-in {op!r}")
@@ -173,6 +172,8 @@ def branches(p: Program, params: Params, depth_bound: int) -> list[BranchOutcome
             for k, w, m, p1 in ev(e.index, env, d):
                 if k in params.params.get(e.param, {}):
                     yield Dist(f"{e.param}[{k.key()}]"), w, m, p1
+            return
+        if isinstance(e, Fail):  # no branch survives it
             return
         raise OracleError(f"cannot interpret unknown expression {e!r}")
 

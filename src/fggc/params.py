@@ -11,7 +11,9 @@ File format (JSON):
 Keys and values are written in the literal syntax of fggc.values (e.g.
 "inl a", "(A,B)", "ab"). A parameter map entry params["p"]["S"] declares the
 distribution named "p[S]"; looking up p[x] at x = S evaluates to that
-distribution, and sampling it ranges over the declared support keys.
+distribution, and sampling it ranges over the declared support keys. These
+are the only distributions: the language has no built-in one, and `fail`
+drops a path without observing anything.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import math
 
 from .values import (Atom, Dist, FggcError, Inl, Inr, Pair, Value,
                      parse_value, value_from_json)
-
-ZERO_DIST = "__zero__"  # reserved: density 0 everywhere (the target of fail)
 
 
 class ParamError(FggcError):
@@ -42,8 +42,6 @@ class Params:
 
     def dist_table(self, dist_name: str) -> dict[Value, float]:
         """Support and weights for a named distribution like "p[S]"."""
-        if dist_name == ZERO_DIST:
-            return {}
         ref = self._dist_refs.get(dist_name)
         if ref is None and "[" in dist_name and dist_name.endswith("]"):
             pname, keytext = dist_name.split("[", 1)

@@ -20,10 +20,10 @@ Concrete syntax (low to high precedence):
                | IDENT
 
 Comments run from '#' to end of line. `a and b` parses to
-`if a then b else false`, `a or b` to `if a then true else b`, `not(e)` to
-`if e then false else true`, and `fail` to an observe of `true` under the
-built-in zero distribution `zerodist`. Each form, and each constant it
-adds, takes the position of its keyword.
+`if a then b else false`, `a or b` to `if a then true else b` and `not(e)`
+to `if e then false else true`; each form, and each constant it adds,
+takes the position of its keyword. `fail` is a core form of its own
+(`ast.Fail`), which has no value.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import re
 from dataclasses import dataclass
 
 from . import ast
-from .ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
-                  Observe, Program, Sample, Var)
+from .ast import (BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
+                  Lookup, Observe, Program, Sample, Var)
 from .values import FggcError
 
 KEYWORDS = {
@@ -217,7 +217,7 @@ class _Parser:
             return _const(t.text, t.pos)
         if self.at("kw", "fail"):
             self.advance()
-            return Observe(_const("true", t.pos), _const("zerodist", t.pos), pos=t.pos)
+            return Fail(pos=t.pos)
         if self.at("kw", "inl") or self.at("kw", "inr"):
             op = self.advance()
             self.expect("sym", "(")

@@ -9,16 +9,16 @@ Every other subexpression adds its nodes and edges to the rule that holds
 it, under the ids that inlining the paper's one-nonterminal-per-subexpression
 grammar would give them (tests/reference_impl.py keeps that translation).
 
-Every primitive occurrence (a constant, built-in, parameter lookup, density
-or branch test) gets a terminal label of its own, named after its source
-position. Its table depends only on the construct and its domains, so each
-distinct table is computed once and shared, read-only, by all the labels it
-serves. A variable reference is the paper's identity ("copy") factor between
-the variable's node and the node its value goes to; the two nodes are made
-one instead (see _Rhs.merge), and only where they cannot be, because both
-are external or their domains differ, is the copy table made. A rule with
-an all-zero table is not kept, but for the start symbol's last rule when
-every start rule has one.
+Every primitive occurrence (a constant, built-in, parameter lookup,
+density, branch test or `fail`) gets a terminal label of its own, named
+after its source position. Its table depends only on the construct and its
+domains, so each distinct table is computed once and shared, read-only, by
+all the labels it serves. A variable reference is the paper's identity
+("copy") factor between the variable's node and the node its value goes to;
+the two nodes are made one instead (see _Rhs.merge), and only where they
+cannot be, because both are external or their domains differ, is the copy
+table made. `fail`'s table is all zero. A rule with an all-zero table is not
+kept, but for the start symbol's last rule when every start rule has one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .ast import (BuiltinApp, Call, Case, Expr, If, Let, Lookup,
+from .ast import (BuiltinApp, Call, Case, Expr, Fail, If, Let, Lookup,
                   Observe, Program, Sample, Var)
 from .fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                   Hypergraph, Node, Rule, rules_by_lhs)
@@ -317,6 +317,9 @@ class _Translator:
 
             return self.terminal(f"{e.param}[]@{span}", (idom, rdom), ("lookup", e.param),
                                  lambda: _graph((idom,), rdom, entry)), att
+        if isinstance(e, Fail):  # weight 0 whatever the result
+            return self.terminal(f"fail@{span}", (e.ty.result,), ("fail",),
+                                 lambda: np.zeros(len(e.ty.result))), att
         ddom = (e.arg if isinstance(e, Sample) else e.dist).ty.result  # Sample, Observe
         return self.terminal(f"density@{span}", (ddom, e.ty.result), ("density",),
                              lambda: _density_table(ddom, e.ty.result, self.params)), att
@@ -344,7 +347,7 @@ class _Translator:
 def _parts(e: Expr) -> tuple[list[tuple[str, Domain]], list[tuple[Expr, str]]]:
     """The nodes `e`'s rule has besides its external ones, and its
     subexpressions in edge order, each with the node its result goes to."""
-    if isinstance(e, Var):
+    if isinstance(e, (Var, Fail)):
         return [], []
     if isinstance(e, Let):
         return [(e.name, e.bound.ty.result)], [(e.bound, e.name), (e.body, RESULT)]

@@ -15,6 +15,21 @@ SUITE = ["const", "letchain", "branch", "casetest", "observe", "failtest",
 # constraint gives some trees weight zero)
 BRANCHING_SUITE = [n for n in SUITE if n != "pcfgw"]
 
+# `fail` as a let-bound value, a call argument (the only one of `g`), a case
+# scrutinee, an observe value, a tuple element and an if condition, each on
+# one of two paths; none of these programs can return `true`
+FAIL_POSITIONS = {
+    "let-bound": "if sample c[u] then (let x = fail in A) else B",
+    "call-argument": "fun f(x) = (x, A); if sample c[u] then f(fail) else f(B)",
+    "only-argument": "fun g(x) = A; if sample c[u] then g(fail) else B",
+    "case-scrutinee": "if sample c[u] then (case fail of inl(l) => A | inr(r) => r) else B",
+    "observe-value": "if sample c[u] then observe fail <- c[u] else false",
+    "tuple-element": "if sample c[u] then (A, fail) else (B, B)",
+    "if-condition": "if sample c[u] then (if fail then A else B) else B",
+}
+FAIL_PARAMS = {"params": {"c": {"u": {"true": 0.5, "false": 0.5}}},
+               "domains": {"atoms": ["A", "B"]}}
+
 
 def load_program(name):
     from fggc.params import load_params

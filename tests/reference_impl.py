@@ -35,8 +35,8 @@ from itertools import product
 
 import numpy as np
 
-from fggc.ast import (BuiltinApp, Call, Case, Expr, FunDef, If, Let, Lookup,
-                      Observe, Program, Sample, TypeInfo, Var)
+from fggc.ast import (BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
+                      Lookup, Observe, Program, Sample, TypeInfo, Var)
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                       Hypergraph, Node, Rule)
 from fggc.frontend import (_SET_LIMIT, DomainError, DomainInterner, _check_enumerable,
@@ -244,6 +244,12 @@ class _Translator:
                             self._edge_for("e2", arm, RESULT)])
             return lhs
 
+        if isinstance(e, Fail):
+            lab = self.terminal(f"fail@{span}", (e.ty.result,), ("fail",),
+                                lambda: np.zeros(len(e.ty.result)), origin="fail")
+            self._rule(lhs, e, [], [Edge("e0", lab, (RESULT,))])
+            return lhs
+
         if isinstance(e, Let):
             self.translate_expr(e.bound)
             self.translate_expr(e.body)
@@ -296,9 +302,11 @@ class _Translator:
 
 
 def _kind_of(e: Expr) -> str:
+    # `fail`'s nonterminal is a "failure", which leaves the name `fail@` to
+    # its terminal, as in the library's grammar
     return {Var: "var", Let: "let", Call: "call", Sample: "sample",
             Observe: "observe", If: "if", Case: "case",
-            BuiltinApp: "builtin", Lookup: "lookup"}[type(e)]
+            BuiltinApp: "builtin", Lookup: "lookup", Fail: "failure"}[type(e)]
 
 
 def translate(program: Program, params: Params) -> ReferenceUnit:
@@ -702,6 +710,8 @@ def assign_domains(p: Program, params: Params,
             index = flow(e.index, env)
             keys = set(params.lookup_keys(e.param))
             return {params.dist_value(e.param, k) for k in index & keys}
+        if isinstance(e, Fail):
+            return set()
         raise DomainError("domain assignment requires a desugared program", e.pos)
 
     for _ in range(max_passes):
@@ -790,6 +800,8 @@ def assign_domains(p: Program, params: Params,
             index = annotate(e.index, env)
             keys = set(params.lookup_keys(e.param))
             result = {params.dist_value(e.param, k) for k in index & keys}
+        elif isinstance(e, Fail):
+            result = set()
         else:
             raise DomainError("domain assignment requires a desugared program", e.pos)
         e.ty = TypeInfo(env=tuple((x, interner.intern(s)) for x, s in env),

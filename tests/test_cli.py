@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import PROGRAMS_DIR, load_program
+from conftest import FAIL_PARAMS, FAIL_POSITIONS, PROGRAMS_DIR, load_program
 from fggc import cli
 from fggc import fgg as fggmod
 from fggc.cli import main
@@ -280,13 +280,27 @@ def test_compare_trivial_program(tmp_path, capsys):
 @pytest.mark.parametrize("source", ["fail", "if true then fail else fail"])
 def test_program_that_always_fails_infers_zero(tmp_path, capsys, source):
     """Every rule of such a program has an all-zero table, and the start
-    symbol keeps one, so inference still knows the start symbol's domains."""
+    symbol keeps one, so inference still knows the start symbol's domains.
+    `fail` has no value, so that domain is the placeholder for an empty
+    set, `unit`."""
     src = tmp_path / "fails.ppl"
     src.write_text(source + "\n")
     code, out, err = run(capsys, "infer", str(src))
-    assert (code, err) == (0, "") and out.startswith("true: 0\n")
+    assert (code, err) == (0, "") and out.startswith("unit: 0\n")
     code, _, err = run(capsys, "compare", str(src))
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("source", FAIL_POSITIONS.values(), ids=FAIL_POSITIONS.keys())
+def test_fail_anywhere_agrees_with_interpreter(tmp_path, capsys, source):
+    """`fail` drops its path wherever it stands and adds no value to any
+    domain, so no start value holds `true`."""
+    src, params = tmp_path / "fail.ppl", tmp_path / "fail.params.json"
+    src.write_text(source + "\n")
+    params.write_text(json.dumps(FAIL_PARAMS))
+    code, out, err = run(capsys, "compare", str(src), "--params", str(params))
+    assert (code, err) == (0, "")
+    assert "true" not in out
 
 
 def test_compare_corrupted_grammar_exit_4(tmp_path, capsys):
@@ -370,6 +384,10 @@ def _domains_as_list(obj):
     obj["domains"] = []
 
 
+def _start_without_rule(obj):
+    obj["rules"] = [r for r in obj["rules"] if r["lhs"] != obj["start"]]
+
+
 def _truncate(path):
     path.write_text(path.read_text()[:200])
 
@@ -380,8 +398,9 @@ def _truncate(path):
     (_edit_json(_undeclared_label), "undeclared label 'nosuch'"),
     (_edit_json(_unknown_kind), "has unknown kind 'factor'"),
     (_edit_json(_domains_as_list), "bad FGG JSON"),
+    (_edit_json(_start_without_rule), "start symbol '$start' has no rule"),
 ], ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind",
-        "domains-as-list"])
+        "domains-as-list", "start-without-rule"])
 @pytest.mark.parametrize("command", ["infer", "compare"])
 def test_malformed_grammar_json_exit_2(tmp_path, capsys, command, damage, message):
     path = tmp_path / "g.json"
@@ -394,6 +413,28 @@ def test_malformed_grammar_json_exit_2(tmp_path, capsys, command, damage, messag
                            "--fgg", str(path))
     assert code == 2
     assert message in err
+    _one_line_error(err)
+
+
+def _nullary_start(obj):
+    """The start symbol takes no node, and its one rule is the empty graph."""
+    next(l for l in obj["labels"] if l["name"] == obj["start"])["arity"] = 0
+    obj["rules"] = [r for r in obj["rules"] if r["lhs"] != obj["start"]]
+    obj["rules"].append({"lhs": obj["start"], "rhs": {"nodes": [], "edges": [], "ext": []}})
+
+
+def test_compare_needs_a_start_symbol_of_arity_1(tmp_path, capsys):
+    """`infer` takes a start symbol of any arity; `compare` reads one value
+    per derivation, so it refuses another grammar."""
+    path = tmp_path / "g.json"
+    run(capsys, "compile", _p("pcfg"), "--params", _params("pcfg"), "--out", str(path))
+    _edit_json(_nullary_start)(path)
+    code, out, err = run(capsys, "infer", str(path))
+    assert (code, err) == (0, "") and out.startswith("(): 1\n")
+    code, _, err = run(capsys, "compare", _p("pcfg"), "--params", _params("pcfg"),
+                       "--fgg", str(path))
+    assert code == 2
+    assert "start symbol '$start' has arity 0" in err
     _one_line_error(err)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import SUITE, load_program
-from fggc.ast import (BuiltinApp, Call, Case, If, Observe, Sample, Var,
+from fggc.ast import (BuiltinApp, Call, Case, Fail, If, Sample, Var,
                       pp_program)
 from fggc.frontend import desugar
 from fggc.parser import ParseError, parse, parse_expr
@@ -117,11 +117,10 @@ def test_not_arity():
     assert "'not'" in str(err.value)
 
 
-def test_desugar_fail():
-    e = parse("fail").main
-    assert isinstance(e, Observe)
-    assert e.value == BuiltinApp("true", [])
-    assert e.dist == BuiltinApp("zerodist", [])
+def test_fail_is_a_core_form():
+    p = parse("fail")
+    assert p.main == Fail() and p.main.pos == (1, 1)
+    assert parse(pp_program(p)) == p
 
 
 def test_sugar_takes_the_keyword_position():
@@ -130,7 +129,7 @@ def test_sugar_takes_the_keyword_position():
     assert e.els.pos == e.els.els.pos == (2, 5)
     assert e.els.then.pos == e.els.then.then.pos == e.els.then.els.pos == (2, 9)
     f = parse_expr("let u = a in fail")
-    assert f.body.pos == f.body.value.pos == f.body.dist.pos == (1, 14)
+    assert isinstance(f.body, Fail) and f.body.pos == (1, 14)
 
 
 @pytest.mark.parametrize("name", SUITE)
@@ -156,4 +155,4 @@ def test_every_surface_form_print_parse_roundtrip():
     text = pp_program(p)
     assert parse(text) == p
     assert pp_program(parse(text)) == text
-    assert "fail" in text and "zerodist" not in text
+    assert text.count("fail") == EVERY_SURFACE_FORM.count("fail")

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import reference_impl
-from conftest import PROGRAMS_DIR, SUITE, cnf_pcfgw, load_program
+from conftest import (FAIL_PARAMS, FAIL_POSITIONS, PROGRAMS_DIR, SUITE, cnf_pcfgw,
+                      load_program)
 from fggc.ast import BuiltinApp, Expr, Var
 from fggc.fgg import fgg_to_json, rules_by_lhs
 from fggc.frontend import DomainError, assign_domains, check_program, scope_check
@@ -256,6 +257,17 @@ def _same_domains(source, params):
 @pytest.mark.parametrize("name", SUITE)
 def test_suite_domains_match_reference(name):
     _same_domains(*load_program(name))
+
+
+@pytest.mark.parametrize("source", FAIL_POSITIONS.values(), ids=FAIL_POSITIONS.keys())
+def test_fail_positions_match_reference(source):
+    """`fail` in each position: the same domains, grammar and solve as the
+    reference's empty value set and zero-table terminal."""
+    params = params_from_json(FAIL_PARAMS)
+    _same_domains(source, params)
+    cu = _compiled(source, params)
+    _same_grammar(cu, _reference(source, params))
+    _same_solve(cu.fgg)
 
 
 @pytest.mark.parametrize("seed,nfun", GENERATED)

@@ -91,7 +91,7 @@ def test_copies_merge_and_zero_rules_drop():
         g = compile_source(source, Params()).fgg
         assert [r.lhs for r in g.rules] == [g.start]
         weights = solve_fixed_point(g).tau[g.start].items()
-        assert [(v.key(), w) for (v,), w in weights] == [("true", 0.0)]
+        assert [(v.key(), w) for (v,), w in weights] == [("unit", 0.0)]
 
 
 def test_figure_style_pcfg_shape():
