@@ -10,8 +10,9 @@ function f.
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections import deque
+from functools import partial
 from itertools import product
 from typing import Optional
 
@@ -19,7 +20,6 @@ from .ast import (BuiltinApp, Call, Case, Expr, Fail, If, Let, Lookup,
                   Observe, Program, Sample, TypeInfo, Var)
 from .fgg import Diagnostic
 from .params import Params
-from .scc import strongly_connected_components
 from .values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, Domain,
                      FggcError, Inl, Inr, Pair, Unit, Value, sorted_values)
 
@@ -174,23 +174,18 @@ class DomainInterner:
         return {d.name: d for d in self._by_set.values()}
 
 
-_SET_LIMIT = 100_000  # total values across all sets; growth beyond this is diagnosed
+_SET_LIMIT = 100_000  # values in the parameter and result sets in all; more is diagnosed
 # Atom characters plus pair and sum constructors that the values built by
 # `cons`, `pair`, `inl` and `inr` may hold in all, beyond which the sets
 # are taken to grow without bound: only these built-ins make values larger
-# than their arguments. `cons` adding one character per evaluation reaches
-# it after about 2,800 evaluations.
+# than their arguments. A `cons` chain a, aa, aaa, ... reaches it after
+# about 2,800 strings.
 _WEIGHT_LIMIT = 4_000_000
-# Evaluator frames that nested body evaluations may take, when the deepest
-# body alone takes fewer (see assign_domains): well inside Python's default
-# recursion limit of 1000, and room for about twenty levels of calls to
-# bodies ten expressions deep.
-_NEST_FRAMES = 256
 # Constructors a value may nest, beyond which a value set is taken to grow
 # without bound: key() and hash() recurse once or twice per level, so far
 # deeper values would exhaust Python's stack before _WEIGHT_LIMIT is
 # reached (`fun g(x) = inr(x)` fed its own result grows one level per
-# evaluation).
+# value).
 _MAX_NESTING = 200
 # Built-ins that give distinct values for distinct arguments.
 _CONSTRUCTORS = ("pair", "inl", "inr")
@@ -204,29 +199,29 @@ _TOO_LARGE = ("value-set propagation exceeded the size limit; declare a finite "
 def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
     """Annotate every expression with env and result Domain (stored in .ty).
 
-    One abstract evaluator computes the value set of every subexpression,
-    resolves variables and checks the typing discipline, one function body
-    (or the main expression) at a time. It is semi-naive: each expression
-    keeps the set of values it has produced, which only grows because it
-    is always evaluated in the same env, and evaluating it again takes only
-    the values its inputs gained since (its variables, its operands, the
-    result of the function it calls) and returns only the values new to its
-    own set. A built-in distributes over union in each argument, so it is
-    applied to the new tuples of its argument sets alone: over all
-    evaluations, to each tuple of the final product once.
+    The value sets are the least solution of monotone set constraints,
+    solved semi-naively over cells. A cell belongs to each expression that
+    makes values (a built-in, `sample`, a lookup, the join of an `if` or a
+    `case`, an input or atom, `fail`), to each `case` binder and to each
+    function parameter and result. An expression that only passes a set on
+    shares the cell it reads: a `let` binder its bound expression's, a
+    variable its binder's, a `let` its body's, an `observe` its value's and
+    a call its callee's result cell.
 
-    Every body is evaluated once, callers first, and again whenever one of
-    its parameter sets, or the result set of a function it read, has grown
-    since. A call that finds its callee waiting so evaluates the callee on
-    the spot and then reads its result, unless the callee is already being
-    evaluated (recursion) or the evaluator's stack would grow deeper than
-    the deepest body alone, or _NEST_FRAMES frames, takes it. Other bodies
-    wait in a worklist ordered by the call graph's components, callees
-    first. So a non-recursive program whose functions each have one caller
-    evaluates each body once. When no body waits, every expression's set is
-    final, and the post-order record of (expression, env, result) of each
-    body is interned: functions in source order, then main, each distinct
-    set once.
+    One walk over each body makes its cells, resolves its variables,
+    records (expression, scope, cell) in post-order and gives each cell its
+    readers: a union into a cell (an argument into a parameter, a body into
+    its result, an arm into its join), the type check of an `if`, `sample`,
+    `observe` or `case` (then the supports of the tables a `sample` names,
+    the projections of a `case` onto its binders), a lookup or a built-in.
+    A FIFO queue holds the cells that gained values; popping one hands the
+    values new to it to each of its readers, once. A built-in takes, for
+    each argument slot that reads the popped cell, the tuples with a new
+    value in that slot and none in a later such slot, the other slots
+    holding the values already handed on: so it is applied to each tuple of
+    its final argument sets once. When the queue is empty every set is
+    final; the records are interned, functions in source order and then
+    main, each env's sets before the result's, each distinct set once.
 
     Returns the registry of interned domains. Raises DomainError on type
     errors or when value-set propagation fails to stabilize (an
@@ -239,117 +234,64 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
     _MAX_NESTING pair and sum constructors.
     """
     funs = p.functions
-    main = len(funs)
-    bodies = [f.body for f in funs] + [p.main]
     number = {f.name: i for i, f in enumerate(funs)}
-    heights, callees = [], []
-    for body in bodies:
-        height, calls = _shape(body)
-        heights.append(height)
-        callees.append(list(dict.fromkeys(number[c] for c in calls)))
-    callers: list[list[int]] = [[] for _ in bodies]
-    for b, cs in enumerate(callees):
-        for c in cs:
-            callers[c].append(b)
-    components = strongly_connected_components(range(len(bodies)), callees)
-    order = [b for members, _ in components for b in members]  # callees first
-    rank = {b: i for i, b in enumerate(order)}
-
-    param_sets: list[list[set[Value]]] = [
-        [set(params.domains.get(f"{f.name}.{x}") or ()) for x in f.params] for f in funs]
-    result_sets: list[set[Value]] = [set() for _ in funs]
-    total = sum(len(s) for ss in param_sets for s in ss)
+    done: list[set[Value]] = []  # by cell: the values handed to its readers
+    readers: list[list] = []  # by cell: callables given each set of new values
+    fresh: dict[int, set[Value]] = {}  # by queued cell: the values not yet handed on
+    queue: deque[int] = deque()
+    total = 0  # values in the parameter and result cells
     weight = 0  # of the values built by `cons` and the constructors
-    pending = set(range(len(bodies)))  # never evaluated, or inputs grew since
-    queue: list[tuple[int, int]] = []  # (rank, body) of bodies that became pending
-    active: set[int] = set()
-    frames = 0  # evaluator frames the active bodies can take
-    budget = max(max(heights) + 1, _NEST_FRAMES)
-    # The values each expression has produced so far, by id(expression). A
-    # Let or an Observe shares the set of its body or its value.
-    seen: dict[int, set[Value]] = {}
-    # By id(expression): the env of a Let's body, the envs of a Case's arms.
-    scopes: dict[int, dict | tuple[dict, dict]] = {}
-    # (expr, env, result) of each body, in post-order, made on its first
-    # evaluation: its sets are those of `seen`, `scopes` and the parameters,
-    # final once no body waits.
-    records: list[list[tuple[Expr, dict[str, set[Value]], set[Value]]]] = [[] for _ in bodies]
-    record = records[main]  # that of the body being evaluated
-    reads: list[tuple[int, int]] = []  # (callee, size of the result read) of that body
 
-    def union_into(target: set[Value], values: set[Value]) -> bool:
+    def cell() -> int:
+        done.append(set())
+        readers.append([])
+        return len(done) - 1
+
+    results = [cell() for _ in funs]
+    param_cells = [[cell() for _ in f.params] for f in funs]
+    counted = len(done)  # the parameter and result cells come first
+
+    def add(c: int, values: set[Value]) -> set[Value]:
+        """Add `values` to cell c; returns those new to it."""
         nonlocal total
-        before = len(target)
-        target |= values
-        total += len(target) - before
-        return len(target) != before
+        new = values - done[c]
+        queued = fresh.get(c)
+        if queued is None:
+            if not new:
+                return new
+            fresh[c] = new
+            queue.append(c)
+        else:
+            new -= queued
+            queued |= new
+        if c < counted:
+            total += len(new)
+            if total > _SET_LIMIT:
+                raise DomainError(_TOO_LARGE)
+        return new
 
-    def wait(b: int) -> None:
-        if b not in pending:
-            pending.add(b)
-            heapq.heappush(queue, (rank[b], b))
-
-    def run(b: int) -> None:
-        nonlocal record, reads, frames
-        pending.discard(b)
-        active.add(b)
-        frames += heights[b] + 1
-        outer = record, reads
-        record, reads = records[b], []
-        env = dict(zip(funs[b].params, param_sets[b])) if b != main else {}
-        result = evaluate(bodies[b], env)
-        stale = any(len(result_sets[g]) != size for g, size in reads)
-        record, reads = outer
-        frames -= heights[b] + 1
-        active.discard(b)
-        if b != main and union_into(result_sets[b], result):
-            for c in callers[b]:
-                if c not in active:  # an active caller checks what it read when it ends
-                    wait(c)
-        if stale:
-            wait(b)
-        if total > _SET_LIMIT:
-            raise DomainError(_TOO_LARGE)
-
-    def evaluate(e: Expr, env: dict[str, set[Value]]) -> set[Value]:
-        """The values new to e's set, from those new to its inputs."""
-        nonlocal weight
-        known = seen.get(id(e))  # None on the first evaluation of e's body
-        new: set[Value]
-        if isinstance(e, Var):
-            if e.name in env:
-                e.resolution = "var"
-                new = _unread(env[e.name], known)
-            elif e.name in params.inputs:
-                e.resolution = "input"
-                new = {params.inputs[e.name]} if known is None else set()
-            else:
-                e.resolution = "atom"
-                new = {Atom(e.name)} if known is None else set()
-        elif isinstance(e, BuiltinApp):
-            deltas = [evaluate(a, env) for a in e.args]
-            if known is not None and not any(deltas):
-                return set()
-            fulls = [seen[id(a)] for a in e.args]
+    def builtin(e: BuiltinApp, args: list[int], out: int, slots: list[int]):
+        """The reader of the argument cell that `slots` of `e` read."""
+        def read(new: set[Value]) -> None:
+            nonlocal weight
+            fulls = [done[a] for a in args]
             _check_enumerable(fulls, e.pos)
-            if known is None:
-                blocks = [fulls]
-            else:
-                # the tuples with a new value in argument i and none after it
-                blocks = [fulls[:i] + [d] + [f - g if g else f
-                                             for f, g in zip(fulls[i + 1:], deltas[i + 1:])]
-                          for i, d in enumerate(deltas) if d]
-            if e.op in _CONSTRUCTORS and (len(known or ()) + sum(
+            old = fulls[slots[0]] - new if len(slots) > 1 else None
+            blocks = [fulls[:i] + [new] + [old if j in slots else f
+                                           for j, f in enumerate(fulls[i + 1:], i + 1)]
+                      for i in slots]
+            if e.op in _CONSTRUCTORS and (len(done[out]) + len(fresh.get(out, ())) + sum(
                     math.prod(map(len, block)) for block in blocks) > _SET_LIMIT):
                 raise DomainError(_TOO_LARGE)
-            new = set()
+            values = set()
             for block in blocks:
                 for combo in product(*block):
                     v = apply_builtin(e.op, combo)
                     if v is not None:
-                        new.add(v)
+                        values.add(v)
+            built = add(out, values)
             if e.op in _BUILDERS:
-                for v in new:
+                for v in built:
                     depth, size = _measure(v)
                     if depth > _MAX_NESTING:
                         raise DomainError("value-set propagation did not stabilize: values "
@@ -358,121 +300,114 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
                     weight += size
                 if weight > _WEIGHT_LIMIT:
                     raise DomainError(_UNSTABLE)
+        return read
+
+    def join(arms: tuple[int, int]) -> int:
+        c = cell()
+        for arm in arms:
+            readers[arm].append(partial(add, c))
+        return c
+
+    # (expression, scope, cell) of each body in post-order; a scope maps
+    # each bound variable to its cell
+    records: list[list[tuple[Expr, dict[str, int], int]]] = []
+
+    def walk(e: Expr, scope: dict[str, int]) -> int:
+        """Make the cells and readers of `e`; returns its cell."""
+        if isinstance(e, Var):
+            c = scope.get(e.name)
+            if c is not None:
+                e.resolution = "var"
+            else:
+                c = cell()
+                if e.name in params.inputs:
+                    e.resolution = "input"
+                    add(c, {params.inputs[e.name]})
+                else:
+                    e.resolution = "atom"
+                    add(c, {Atom(e.name)})
+        elif isinstance(e, BuiltinApp):
+            args = [walk(a, scope) for a in e.args]
+            c = cell()
+            if not args:
+                add(c, {apply_builtin(e.op, ())})
+            for a in dict.fromkeys(args):
+                readers[a].append(builtin(e, args, c, [i for i, b in enumerate(args) if b == a]))
         elif isinstance(e, Let):
-            bound = evaluate(e.bound, env)
-            scope = scopes.get(id(e))
-            if scope is None:
-                scope = scopes[id(e)] = {**env, e.name: seen[id(e.bound)]}
-            new = evaluate(e.body, scope)
-            if known is not None:  # the body's set, which is e's, took `new`
-                return new
+            c = walk(e.body, {**scope, e.name: walk(e.bound, scope)})
         elif isinstance(e, Call):
             g = number[e.fn]
-            grew = False
-            for i, a in enumerate(e.args):
-                grew |= union_into(param_sets[g][i], evaluate(a, env))
-            if grew:
-                wait(g)
-            if g in pending and g not in active and frames + heights[g] + 1 <= budget:
-                run(g)
-            reads.append((g, len(result_sets[g])))
-            new = _unread(result_sets[g], known)
+            for a, param in zip(e.args, param_cells[g]):
+                readers[walk(a, scope)].append(partial(add, param))
+            c = results[g]
         elif isinstance(e, Sample):
-            dists = evaluate(e.arg, env)
-            _require(dists, Dist, "sample argument is not a distribution", e.pos)
-            new = set()
-            for d in dists:
-                new.update(params.dist_table(d.name))
+            arg, c = walk(e.arg, scope), cell()
+
+            def sample(new: set[Value]) -> None:
+                _require(new, Dist, "sample argument is not a distribution", e.pos)
+                add(c, {v for d in new for v in params.dist_table(d.name)})
+            readers[arg].append(sample)
         elif isinstance(e, Observe):
-            _require(evaluate(e.dist, env), Dist, "observe target is not a distribution", e.pos)
-            new = evaluate(e.value, env)
-            if known is not None:  # the value's set, which is e's, took `new`
-                return new
+            readers[walk(e.dist, scope)].append(partial(
+                _require, kind=Dist, message="observe target is not a distribution", pos=e.pos))
+            c = walk(e.value, scope)
         elif isinstance(e, If):
-            _require(evaluate(e.cond, env), Bool, "if condition is not boolean", e.pos)
-            new = evaluate(e.then, env) | evaluate(e.els, env)
+            readers[walk(e.cond, scope)].append(partial(
+                _require, kind=Bool, message="if condition is not boolean", pos=e.pos))
+            c = join((walk(e.then, scope), walk(e.els, scope)))
         elif isinstance(e, Case):
-            scrut = evaluate(e.scrutinee, env)
-            _require(scrut, (Inl, Inr), "case scrutinee is not a sum value", e.pos)
-            arms = scopes.get(id(e))
-            if arms is None:
-                arms = scopes[id(e)] = ({**env, e.left_var: set()}, {**env, e.right_var: set()})
-            left, right = arms
-            left[e.left_var].update(v.value for v in scrut if isinstance(v, Inl))
-            right[e.right_var].update(v.value for v in scrut if isinstance(v, Inr))
-            new = evaluate(e.left, left) | evaluate(e.right, right)
+            scrutinee, left, right = walk(e.scrutinee, scope), cell(), cell()
+
+            def case(new: set[Value]) -> None:
+                _require(new, (Inl, Inr), "case scrutinee is not a sum value", e.pos)
+                add(left, {v.value for v in new if isinstance(v, Inl)})
+                add(right, {v.value for v in new if isinstance(v, Inr)})
+            readers[scrutinee].append(case)
+            c = join((walk(e.left, {**scope, e.left_var: left}),
+                      walk(e.right, {**scope, e.right_var: right})))
         elif isinstance(e, Lookup):
-            index = evaluate(e.index, env)
-            keys = set(params.lookup_keys(e.param))
-            new = {params.dist_value(e.param, k) for k in index & keys}
+            index, c, keys = walk(e.index, scope), cell(), set(params.lookup_keys(e.param))
+            readers[index].append(
+                lambda new: add(c, {params.dist_value(e.param, k) for k in new & keys}))
         elif isinstance(e, Fail):
-            new = set()
+            c = cell()
         else:
             raise TypeError(f"unknown expression {e!r}")
-        if known is None:
-            seen[id(e)] = new
-            record.append((e, env, new))
-        elif new:
-            new -= known
-            known |= new
-        return new
+        records[-1].append((e, scope, c))
+        return c
 
-    for b in reversed(order):  # callers first: main, which nothing calls, leads
-        if b in pending:
-            run(b)
+    for f, cs in zip(funs, param_cells):
+        for x, c in zip(f.params, cs):
+            add(c, set(params.domains.get(f"{f.name}.{x}") or ()))
+    for f, result, cs in zip(funs, results, param_cells):
+        records.append([])
+        readers[walk(f.body, dict(zip(f.params, cs)))].append(partial(add, result))
+    records.append([])
+    walk(p.main, {})
     while queue:
-        b = heapq.heappop(queue)[1]
-        if b in pending:
-            run(b)
+        c = queue.popleft()
+        new = fresh.pop(c)
+        done[c] |= new
+        for read in readers[c]:
+            read(new)
 
     interner = DomainInterner()
-    domains: dict[int, Domain] = {}  # by id(set): `records` holds every set
-    envs: dict[int, tuple[tuple[str, Domain], ...]] = {}  # by id(env), likewise
+    domains: dict[int, Domain] = {}  # by cell
+    envs: dict[int, tuple[tuple[str, Domain], ...]] = {}  # by id(scope): `records` holds each
 
-    def intern(values: set[Value]) -> Domain:
-        dom = domains.get(id(values))
+    def intern(c: int) -> Domain:
+        dom = domains.get(c)
         if dom is None:
-            dom = domains[id(values)] = interner.intern(values)
+            dom = domains[c] = interner.intern(done[c])
         return dom
 
     for record in records:
-        for e, env, result in record:
-            ty_env = envs.get(id(env))
+        for e, scope, c in record:
+            ty_env = envs.get(id(scope))
             if ty_env is None:
-                ty_env = envs[id(env)] = tuple((x, intern(s)) for x, s in env.items())
-            e.ty = TypeInfo(env=ty_env, result=intern(result))
+                ty_env = envs[id(scope)] = tuple((x, intern(s)) for x, s in scope.items())
+            e.ty = TypeInfo(env=ty_env, result=intern(c))
     return interner.domains
-
-
-def _shape(body: Expr) -> tuple[int, list[str]]:
-    """The nesting depth of `body`, which is the evaluator's recursion depth
-    on it, and the name of every function it calls, in order."""
-    height, calls = 0, []
-    stack = [(body, 1)]
-    while stack:
-        e, depth = stack.pop()
-        height = max(height, depth)
-        if isinstance(e, Call):
-            calls.append(e.fn)
-            kids = e.args
-        elif isinstance(e, BuiltinApp):
-            kids = e.args
-        elif isinstance(e, Let):
-            kids = (e.bound, e.body)
-        elif isinstance(e, Sample):
-            kids = (e.arg,)
-        elif isinstance(e, Observe):
-            kids = (e.value, e.dist)
-        elif isinstance(e, If):
-            kids = (e.cond, e.then, e.els)
-        elif isinstance(e, Case):
-            kids = (e.scrutinee, e.left, e.right)
-        elif isinstance(e, Lookup):
-            kids = (e.index,)
-        else:
-            continue
-        stack.extend((k, depth + 1) for k in reversed(kids))
-    return height, calls
 
 
 def _require(values: set[Value], kind, message: str, pos) -> None:
@@ -511,14 +446,6 @@ def _check_enumerable(sets, pos) -> None:
         size *= max(len(s), 1)
     if size > 1_000_000:
         raise DomainError("built-in argument domains are too large to enumerate", pos)
-
-
-def _unread(values: set[Value], known: Optional[set[Value]]) -> set[Value]:
-    """The values of a set that only grows that are not in `known`, the
-    ones a reader of it has taken so far (None: it has taken none)."""
-    if known is None:
-        return set(values)
-    return values - known if len(values) != len(known) else set()
 
 
 # ---------------------------------------------------------------------------

@@ -291,9 +291,10 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
     the tensors of earlier components final, until the largest absolute
     change is below `tol` (converged), `max_iter` sweeps have run (max-iter:
     the later components are still solved from this last iterate) or an
-    entry exceeds DIVERGENCE_BOUND (divergent: the solve stops). The state
-    reports the most sweeps and the largest final delta of any component.
-    Each rule is compiled once per solve (see _Contraction).
+    entry exceeds DIVERGENCE_BOUND (divergent: the solve stops); a one-pass
+    component's entries are exact, so a large one there is not divergent.
+    The state reports the most sweeps and the largest final delta of any
+    component. Each rule is compiled once per solve (see _Contraction).
     """
     by_lhs = rules_by_lhs(g.rules)
     ext = g.ext_domains()
@@ -325,7 +326,7 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
             tau.update(new_tau)
             state.iteration = max(state.iteration, it)
             state.ops = counter.ops
-            if any(np.any(t.data > DIVERGENCE_BOUND) for t in new_tau.values()):
+            if recursive and any(np.any(t.data > DIVERGENCE_BOUND) for t in new_tau.values()):
                 status = DIVERGENT
                 break
             if delta < tol or not recursive:

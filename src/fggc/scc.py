@@ -1,6 +1,5 @@
-"""Strongly connected components of a directed graph, shared by the solver
-(the graph "a rule of X uses Y" over nonterminals) and the front end (the
-call graph over function bodies)."""
+"""Strongly connected components of a directed graph, for the solver's
+graph "a rule of X uses Y" over nonterminals."""
 
 from __future__ import annotations
 

@@ -375,9 +375,24 @@ def translate(program: Program, params: Params) -> CompilationUnit:
 
 
 def _gc(cu: CompilationUnit):
-    """Remove rules, labels, factors, and domains unreachable from the start
-    symbol, and the removed labels' provenance."""
+    """Remove the rules that use a nonterminal with no rule, which weigh 0,
+    until none is left, but for the start symbol's last rule if it would
+    lose every one (its weight is 0 either way); then the rules, labels,
+    factors, and domains unreachable from the start symbol, and the removed
+    labels' provenance."""
     g = cu.fgg
+    nonterminals = {name for name, lab in g.labels.items() if lab.is_nonterminal}
+    rules = g.rules
+    while True:
+        empty = nonterminals - {r.lhs for r in rules}
+        kept = [r for r in rules if not any(e.label in empty for e in r.rhs.edges)]
+        if len(kept) == len(rules):
+            break
+        rules = kept
+    if g.start in empty:
+        keep = {id(r) for r in rules} | {id([r for r in g.rules if r.lhs == g.start][-1])}
+        rules = [r for r in g.rules if id(r) in keep]
+    g.rules = rules
     reachable = {g.start}
     frontier = [g.start]
     by_lhs = rules_by_lhs(g.rules)

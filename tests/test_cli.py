@@ -132,6 +132,18 @@ def test_infer_divergent_exit_code(tmp_path, capsys):
     assert "divergent" in out
 
 
+def test_large_finite_weight_without_recursion_converges(tmp_path, capsys):
+    """A weight above the divergence bound in a one-pass component is exact."""
+    src, params = tmp_path / "big.ppl", tmp_path / "big.params.json"
+    src.write_text("sample p[a]")
+    params.write_text(json.dumps({"params": {"p": {"a": {"b": 1e13}}},
+                                  "domains": {"k": ["a", "b"]}}))
+    code, out, _ = run(capsys, "infer", str(src), "--params", str(params))
+    assert code == 0
+    assert "status: converged" in out
+    assert "b: 1e+13" in out
+
+
 def test_infer_from_compiled_json_matches_source(tmp_path, capsys):
     """For every suite program, inferring from the grammar `compile --out`
     wrote prints what inferring from the source prints, byte for byte:

@@ -213,15 +213,15 @@ def _call_chain(depth):
 
 @pytest.mark.parametrize("depth", [400, 1000])
 def test_deep_call_chain_compiles(depth):
-    # no recursion, so no body's evaluations are capped
+    # each body is walked on its own, so a long chain of calls adds no stack depth
     cu = compile_source(_call_chain(depth), Params())
     assert len(cu.fgg.rules) == depth + 2
 
 
-def test_callee_evaluated_inside_caller_within_one_body_stack():
-    # each body is a 250-deep let chain whose innermost expression calls the
-    # next function: evaluating each callee inside its caller would take
-    # four bodies' stack where one at a time takes one
+def test_deep_bodies_calling_each_other_type_one_body_at_a_time():
+    """Each body is a 250-deep let chain whose innermost expression calls
+    the next function. Domain assignment walks each body on its own, so the
+    four take one body's stack, not four nested ones."""
     lines = []
     for i in range(4):
         chain = "".join(f"let x{j} = x{j - 1} in " for j in range(1, 251))
@@ -232,8 +232,8 @@ def test_callee_evaluated_inside_caller_within_one_body_stack():
 
 
 def test_callee_shared_by_many_callers():
-    # each caller adds one value to g's parameter set, so g is evaluated once
-    # per caller: more often than a recursive body may be, yet not capped
+    # each caller adds one value to g's parameter set, and each value
+    # reaches g's result
     n = 600
     atoms = [f"a{i}" for i in range(n)]
     lines = ["fun g(x) = inl(x);"]

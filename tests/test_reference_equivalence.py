@@ -297,6 +297,11 @@ g(a)""",
     """fun k(x) = inl(x);
 fun r(x) = if x = c then k(b) else let u = k(c) in r(c);
 let v = k(a) in r(v)""",
+    # two mutually recursive functions, each growing the other's parameter
+    # set: f gives g b and its own a, then g gives f c, which f gives g
+    """fun f(x) = if x = a then g(b) else g(x);
+fun g(y) = if y = c then y else f(c);
+f(a)""",
 ]
 
 
@@ -334,11 +339,11 @@ def _builtin_calls(monkeypatch, source, params):
     return calls["library"], calls["reference"], once
 
 
-def test_non_recursive_program_evaluates_each_body_once(monkeypatch):
-    """A generated program's call graph is a tree, so each body is evaluated
-    once, with its final sets: each built-in runs once per tuple of its final
-    argument values. The reference, whole-program passes and then a typing
-    walk, applies built-ins five times as often on this program."""
+def test_non_recursive_program_applies_each_builtin_once_per_final_tuple(monkeypatch):
+    """On a generated program, whose call graph is a tree, each built-in
+    runs once per tuple of its final argument values. The reference,
+    whole-program passes and then a typing walk, applies built-ins five
+    times as often on this program."""
     source, params = random_program(random.Random("once"), 30)
     library, reference, once = _builtin_calls(monkeypatch, source, params_from_json(params))
     assert library == once

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import reference_impl
-from conftest import SUITE, load_program
+from conftest import FAIL_PARAMS, FAIL_POSITIONS, SUITE, load_program
 from fggc.ast import Case, Expr, If
 from fggc.fgg import Rule, dumps, validate
 from fggc.frontend import check_program
@@ -92,6 +92,21 @@ def test_copies_merge_and_zero_rules_drop():
         assert [r.lhs for r in g.rules] == [g.start]
         weights = solve_fixed_point(g).tau[g.start].items()
         assert [(v.key(), w) for (v,), w in weights] == [("unit", 0.0)]
+
+
+def test_rules_using_a_nonterminal_without_rules_drop():
+    """Both arms of the inner `if` hold the zero `fail` table, so its label
+    has no rule and the start rule whose test is that `if` goes too. When
+    that leaves the start symbol no rule, its last one stays: weight 0."""
+    params = params_from_json(FAIL_PARAMS)
+    g = compile_source(FAIL_POSITIONS["if-condition"], params).fgg
+    assert [r.lhs for r in g.rules] == [g.start]
+    assert "if@1:22" not in g.labels
+    g = compile_source("if (if fail then true else false) then A else B", params).fgg
+    assert validate(g) == []
+    assert [r.lhs for r in g.rules] == [g.start]
+    weights = [w for _, w in solve_fixed_point(g).tau[g.start].items()]
+    assert weights == [0.0, 0.0]
 
 
 def test_figure_style_pcfg_shape():
