@@ -168,8 +168,7 @@ def cmd_compare(args) -> int:
                                 f"({fmt(wi)}) missing from grammar domain")
     state = solve_fixed_point(g)
     print(f"fixed point: status={state.status} iterations={state.iteration}")
-    if state.status != DIVERGENT:
-        t = truncated_wX(g, g.start, args.depth)
+    if state.status != DIVERGENT:  # `t` is the loop's last, at args.depth
         for (v,), w in state.tau[g.start].items():
             wt = t[(v,)]
             print(f"  {v.key()}: fixpoint={fmt(w)} truncated@{args.depth}={fmt(wt)}")

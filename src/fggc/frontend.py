@@ -345,7 +345,7 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
 
             def sample(new: set[Value]) -> None:
                 _require(new, Dist, "sample argument is not a distribution", e.pos)
-                add(c, {v for d in new for v in params.dist_table(d.name)})
+                add(c, {v for d in new for v in params.dist_table(d)})
             readers[arg].append(sample)
         elif isinstance(e, Observe):
             readers[walk(e.dist, scope)].append(partial(
@@ -368,7 +368,7 @@ def assign_domains(p: Program, params: Params) -> dict[str, Domain]:
         elif isinstance(e, Lookup):
             index, c, keys = walk(e.index, scope), cell(), set(params.lookup_keys(e.param))
             readers[index].append(
-                lambda new: add(c, {params.dist_value(e.param, k) for k in new & keys}))
+                lambda new: add(c, {Dist(e.param, k) for k in new & keys}))
         elif isinstance(e, Fail):
             c = cell()
         else:

@@ -124,7 +124,7 @@ def branches(p: Program, params: Params, depth_bound: int) -> list[BranchOutcome
             for dv, w, m, p1 in ev(e.arg, env, d):
                 if not isinstance(dv, Dist):
                     raise OracleError("sample of a non-distribution")
-                for val, pw in params.dist_table(dv.name).items():
+                for val, pw in params.dist_table(dv).items():
                     if pw > 0.0:
                         yield val, w * pw, m, p1
             return
@@ -133,7 +133,7 @@ def branches(p: Program, params: Params, depth_bound: int) -> list[BranchOutcome
                 for dv, w2, m2, p2 in ev(e.dist, env, d):
                     if not isinstance(dv, Dist):
                         raise OracleError("observe against a non-distribution")
-                    pw = params.dist_table(dv.name).get(v, 0.0)
+                    pw = params.dist_table(dv).get(v, 0.0)
                     if pw > 0.0:
                         yield v, w * w2 * pw, max(m, m2), p1 + p2
             return
@@ -171,7 +171,7 @@ def branches(p: Program, params: Params, depth_bound: int) -> list[BranchOutcome
         if isinstance(e, Lookup):
             for k, w, m, p1 in ev(e.index, env, d):
                 if k in params.params.get(e.param, {}):
-                    yield Dist(f"{e.param}[{k.key()}]"), w, m, p1
+                    yield Dist(e.param, k), w, m, p1
             return
         if isinstance(e, Fail):  # no branch survives it
             return

@@ -8,12 +8,13 @@ File format (JSON):
       "inputs":  {name: value}
     }
 
-Keys and values are written in the literal syntax of fggc.values (e.g.
-"inl a", "(A,B)", "ab"). A parameter map entry params["p"]["S"] declares the
-distribution named "p[S]"; looking up p[x] at x = S evaluates to that
-distribution, and sampling it ranges over the declared support keys. These
-are the only distributions: the language has no built-in one, and `fail`
-drops a path without observing anything.
+Keys and values are written in the literal syntax that `Value.key()` prints
+and `parser.parse_value` reads (e.g. "inl a", "(A,B)", "ab"); its identifiers
+are the source language's. A parameter map entry params["p"]["S"] declares
+the distribution `dist p[S]`, the value `Dist("p", Atom("S"))`; looking up
+p[x] at x = S evaluates to it, and sampling it ranges over the declared
+support keys. These are the only distributions: the language has no
+built-in one, and `fail` drops a path without observing anything.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from __future__ import annotations
 import json
 import math
 
+from .parser import parse_value
 from .values import (Atom, Dist, FggcError, Inl, Inr, Pair, Value,
-                     parse_value, value_from_json)
+                     value_from_json)
 
 
 class ParamError(FggcError):
@@ -35,31 +37,20 @@ class Params:
         self.domains: dict[str, list[Value]] = domains or {}
         self.params: dict[str, dict[Value, dict[Value, float]]] = params or {}
         self.inputs: dict[str, Value] = inputs or {}
-        # "p[S]" -> ("p", S), filled as names are first looked up
-        self._dist_refs: dict[str, tuple[str, Value]] = {}
 
     # -- distributions ------------------------------------------------------
 
-    def dist_table(self, dist_name: str) -> dict[Value, float]:
-        """Support and weights for a named distribution like "p[S]"."""
-        ref = self._dist_refs.get(dist_name)
-        if ref is None and "[" in dist_name and dist_name.endswith("]"):
-            pname, keytext = dist_name.split("[", 1)
-            ref = self._dist_refs[dist_name] = (pname, parse_value(keytext[:-1]))
-        if ref is not None:
-            pname, key = ref
-            table = self.params.get(pname, {}).get(key)
-            if table is not None:
-                return table
-        raise ParamError(f"unknown distribution {dist_name!r}")
+    def dist_table(self, d: Dist) -> dict[Value, float]:
+        """Support and weights of the distribution `d`."""
+        table = self.params.get(d.param, {}).get(d.index)
+        if table is None:
+            raise ParamError(f"unknown distribution {d.name!r}")
+        return table
 
     def lookup_keys(self, pname: str) -> list[Value]:
         if pname not in self.params:
             raise ParamError(f"unknown parameter map {pname!r}")
         return list(self.params[pname].keys())
-
-    def dist_value(self, pname: str, key: Value) -> Dist:
-        return Dist(f"{pname}[{key.key()}]")
 
     # -- name resolution ----------------------------------------------------
 

@@ -19,10 +19,17 @@ Concrete syntax (low to high precedence):
                | IDENT "[" expr "]"                  -- parameter lookup
                | IDENT
 
-Comments run from '#' to end of line. `a and b` parses to
-`if a then b else false`, `a or b` to `if a then true else b` and `not(e)`
-to `if e then false else true`; each form, and each constant it adds,
-takes the position of its keyword. `fail` is a core form of its own
+    value    ::= "(" value ")" | "(" value "," value ")"
+               | "true" | "false" | "unit" | "nil"
+               | ("inl" | "inr") value
+               | "dist" IDENT "[" value "]"
+               | IDENT | KEYWORD                     -- an atom
+
+`value` is the literal syntax that `Value.key()` prints and parameter files
+use (see parse_value). Comments run from '#' to end of line. `a and b`
+parses to `if a then b else false`, `a or b` to `if a then true else b` and
+`not(e)` to `if e then false else true`; each form, and each constant it
+adds, takes the position of its keyword. `fail` is a core form of its own
 (`ast.Fail`), which has no value.
 """
 
@@ -34,7 +41,8 @@ from dataclasses import dataclass
 from . import ast
 from .ast import (BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
                   Lookup, Observe, Program, Sample, Var)
-from .values import FggcError
+from .values import (FALSE, NIL, TRUE, UNIT, Atom, Dist, FggcError, Inl,
+                     Inr, Pair, Value, ValueSyntaxError)
 
 KEYWORDS = {
     "fun", "let", "in", "sample", "observe", "if", "then", "else", "case",
@@ -42,6 +50,9 @@ KEYWORDS = {
 }
 
 SYMBOLS = ["<-", "=>", "!=", "(", ")", "[", "]", ",", ";", "=", "|"]
+
+
+_CONSTANTS = {"true": TRUE, "false": FALSE, "unit": UNIT, "nil": NIL}
 
 
 class ParseError(FggcError):
@@ -264,6 +275,29 @@ class _Parser:
             return Var(name.text, pos=name.pos)
         raise ParseError(f"expected expression, found {t.text or 'end of input'!r}", t.pos)
 
+    def value(self) -> Value:
+        t = self.advance()
+        if t.kind == "sym" and t.text == "(":
+            v = self.value()
+            if self.at("sym", ","):
+                self.advance()
+                v = Pair(v, self.value())
+            self.expect("sym", ")")
+            return v
+        if t.kind == "kw" and t.text in _CONSTANTS:
+            return _CONSTANTS[t.text]
+        if t.kind == "kw" and t.text in ("inl", "inr"):
+            return (Inl if t.text == "inl" else Inr)(self.value())
+        if t.text == "dist" and self.at("ident"):
+            param = self.advance().text
+            self.expect("sym", "[")
+            index = self.value()
+            self.expect("sym", "]")
+            return Dist(param, index)
+        if t.kind in ("ident", "kw"):
+            return Atom(t.text)
+        raise ParseError(f"expected value, found {t.text or 'end of input'!r}", t.pos)
+
 
 def _const(op: str, pos: tuple[int, int]) -> BuiltinApp:
     return BuiltinApp(op, [], pos=pos)
@@ -278,3 +312,17 @@ def parse_expr(source: str) -> Expr:
     e = p.expr()
     p.expect("eof")
     return e
+
+
+def parse_value(text: str) -> Value:
+    """The value that the literal `text` spells, in the syntax Value.key()
+    prints; raises ValueSyntaxError if it spells none."""
+    try:
+        if "#" in text:  # tokenize would drop the rest of the line as a comment
+            raise ParseError("unexpected character '#'")
+        p = _Parser(tokenize(text))
+        v = p.value()
+        p.expect("eof")
+        return v
+    except ParseError as e:
+        raise ValueSyntaxError(f"bad value literal {text!r}: {e}") from None

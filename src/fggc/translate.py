@@ -79,7 +79,7 @@ def _density_table(dist_dom: Domain, val_dom: Domain, params: Params) -> np.ndar
     for i, d in enumerate(dist_dom.values):
         if not isinstance(d, Dist):
             continue
-        table = params.dist_table(d.name)
+        table = params.dist_table(d)
         for j, v in enumerate(val_dom.values):
             t[i, j] = table.get(v, 0.0)
     return t
@@ -313,7 +313,7 @@ class _Translator:
             keys = set(self.params.lookup_keys(e.param))
 
             def entry(v):
-                return self.params.dist_value(e.param, v[0]) if v[0] in keys else None
+                return Dist(e.param, v[0]) if v[0] in keys else None
 
             return self.terminal(f"{e.param}[]@{span}", (idom, rdom), ("lookup", e.param),
                                  lambda: _graph((idom,), rdom, entry)), att

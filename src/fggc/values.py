@@ -2,12 +2,12 @@
 
 Values are the things variables range over: atoms (which double as finite
 strings, with the empty atom playing the role of nil), booleans, unit,
-pairs, tagged sums, and references to named distribution tables.
+pairs, tagged sums, and distributions, each the table of one key of a
+parameter map.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 
@@ -81,9 +81,15 @@ class Inr(Value):
 
 @dataclass(frozen=True)
 class Dist(Value):
-    """Reference to a named distribution table (e.g. "p[S]")."""
+    """The distribution `param[index]` of the parameter map `param`."""
 
-    name: str
+    param: str
+    index: Value
+
+    @property
+    def name(self) -> str:
+        """The name the parameter file gives the table, e.g. "p[S]"."""
+        return f"{self.param}[{self.index.key()}]"
 
     def key(self) -> str:
         return f"dist {self.name}"
@@ -102,65 +108,8 @@ UNIT = Unit()
 NIL = Atom("")
 
 
-# ---------------------------------------------------------------------------
-# Literal syntax: used for params-file keys/values and human-readable output.
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-
-
 class ValueSyntaxError(FggcError, ValueError):
-    pass
-
-
-def parse_value(text: str) -> Value:
-    """Parse the canonical literal syntax produced by Value.key()."""
-    v, rest = _parse(text.strip())
-    if rest.strip():
-        raise ValueSyntaxError(f"trailing text in value literal: {rest!r}")
-    return v
-
-
-def _parse(s: str) -> tuple[Value, str]:
-    s = s.lstrip()
-    if not s:
-        raise ValueSyntaxError("empty value literal")
-    if s.startswith("("):
-        first, rest = _parse(s[1:])
-        rest = rest.lstrip()
-        if rest.startswith(","):
-            second, rest = _parse(rest[1:])
-            rest = rest.lstrip()
-            if not rest.startswith(")"):
-                raise ValueSyntaxError(f"expected ')' in pair: {s!r}")
-            return Pair(first, second), rest[1:]
-        if rest.startswith(")"):
-            return first, rest[1:]
-        raise ValueSyntaxError(f"expected ',' or ')': {s!r}")
-    m = _IDENT.match(s)
-    if not m:
-        raise ValueSyntaxError(f"bad value literal: {s!r}")
-    word, rest = m.group(0), s[m.end():]
-    if word == "true":
-        return TRUE, rest
-    if word == "false":
-        return FALSE, rest
-    if word == "unit":
-        return UNIT, rest
-    if word == "nil":
-        return NIL, rest
-    if word == "inl":
-        v, rest = _parse(rest)
-        return Inl(v), rest
-    if word == "inr":
-        v, rest = _parse(rest)
-        return Inr(v), rest
-    if word == "dist":
-        rest = rest.lstrip()
-        m2 = re.match(r"[A-Za-z_][A-Za-z0-9_'\[\]]*", rest)
-        if not m2:
-            raise ValueSyntaxError(f"bad distribution name: {rest!r}")
-        return Dist(m2.group(0)), rest[m2.end():]
-    return Atom(word), rest
+    """A value literal or JSON value encoding that does not read as a value."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +134,7 @@ def value_to_json(v: Value):
 
 
 def value_from_json(obj) -> Value:
+    from .parser import parse_value  # the parser imports this module
     if obj == "unit":
         return UNIT
     if isinstance(obj, str):
@@ -196,8 +146,8 @@ def value_from_json(obj) -> Value:
         (tag, body), = obj.items()
         if tag == "atom" and isinstance(body, str):
             return Atom(body)
-        if tag == "bool":
-            return Bool(bool(body))
+        if tag == "bool" and isinstance(body, bool):
+            return Bool(body)
         if tag == "pair" and isinstance(body, list) and len(body) == 2:
             return Pair(value_from_json(body[0]), value_from_json(body[1]))
         if tag == "inl":
@@ -205,7 +155,9 @@ def value_from_json(obj) -> Value:
         if tag == "inr":
             return Inr(value_from_json(body))
         if tag == "dist" and isinstance(body, str):
-            return Dist(body)
+            v = parse_value(f"dist {body}")
+            if isinstance(v, Dist):  # not the atom `dist` of an empty body
+                return v
     raise ValueSyntaxError(f"bad value encoding: {obj!r}")
 
 

@@ -179,7 +179,7 @@ class _Translator:
             keys = set(self.params.lookup_keys(e.param))
 
             def entry(v):
-                return self.params.dist_value(e.param, v[0]) if v[0] in keys else None
+                return Dist(e.param, v[0]) if v[0] in keys else None
 
             lab = self.terminal(f"{e.param}[]@{span}", (idom, rdom), ("lookup", e.param),
                                 lambda: _graph((idom,), rdom, entry), origin="lookup")
@@ -683,7 +683,7 @@ def assign_domains(p: Program, params: Params,
             out: set[Value] = set()
             for d in dists:
                 if isinstance(d, Dist):
-                    out |= set(params.dist_table(d.name).keys())
+                    out |= set(params.dist_table(d).keys())
             return out
         if isinstance(e, Observe):
             flow(e.dist, env)
@@ -709,7 +709,7 @@ def assign_domains(p: Program, params: Params,
         if isinstance(e, Lookup):
             index = flow(e.index, env)
             keys = set(params.lookup_keys(e.param))
-            return {params.dist_value(e.param, k) for k in index & keys}
+            return {Dist(e.param, k) for k in index & keys}
         if isinstance(e, Fail):
             return set()
         raise DomainError("domain assignment requires a desugared program", e.pos)
@@ -764,7 +764,7 @@ def assign_domains(p: Program, params: Params,
                     f"sample argument is not a distribution (can be {bad[0].key()})", e.pos)
             result = set()
             for d in dists:
-                result |= set(params.dist_table(d.name).keys())
+                result |= set(params.dist_table(d).keys())
         elif isinstance(e, Observe):
             dists = annotate(e.dist, env)
             bad = [v for v in dists if not isinstance(v, Dist)]
@@ -799,7 +799,7 @@ def assign_domains(p: Program, params: Params,
         elif isinstance(e, Lookup):
             index = annotate(e.index, env)
             keys = set(params.lookup_keys(e.param))
-            result = {params.dist_value(e.param, k) for k in index & keys}
+            result = {Dist(e.param, k) for k in index & keys}
         elif isinstance(e, Fail):
             result = set()
         else:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,35 @@ def test_compare_assigns_domains_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "compare", _p("pcfg"), "--params", _params("pcfg"))
     assert code == 0
     assert len(calls) == 1
+
+
+def test_compare_truncates_each_depth_once(capsys, monkeypatch):
+    """The fixed point is checked against the truncation at --depth that the
+    depth loop's last pass made, not against a second one."""
+    depths = []
+    truncate = cli.truncated_wX
+    monkeypatch.setattr(cli, "truncated_wX",
+                        lambda g, start, d: depths.append(d) or truncate(g, start, d))
+    code, out, _ = run(capsys, "compare", _p("casetest"), "--params", _params("casetest"),
+                       "--depth", "3")
+    assert code == 0 and depths == [1, 2, 3]
+    last = out.split("depth 3:\n")[1].split("fixed point:")[0]
+    truncated = re.findall(r"(\S+): interpret=\S+ truncated=(\S+)", last)
+    assert len(truncated) == 5
+    assert re.findall(r"(\S+): fixpoint=\S+ truncated@3=(\S+)", out) == truncated
+
+
+def test_non_ascii_identifier_names_a_distribution(tmp_path, capsys):
+    """A lookup key that the source spells as an atom, `é`, is spelt the
+    same way in the parameter file."""
+    src = tmp_path / "accent.ppl"
+    src.write_text("sample p[é]\n")
+    params = tmp_path / "accent.json"
+    params.write_text(json.dumps({"params": {"p": {"é": {"a": 0.5, "b": 0.5}}}}),
+                      encoding="utf-8")
+    code, out, err = run(capsys, "infer", str(src), "--params", str(params))
+    assert code == 0, err
+    assert "a: 0.5\n" in out and "b: 0.5\n" in out
 
 
 def test_compare_trivial_program(tmp_path, capsys):
@@ -639,8 +669,9 @@ _BAD_VALUE_GRAMMAR = json.dumps({"labels": [], "domains": {"d": [{"pair": 5}]},
     (lambda: params_from_json({"params": {"p": {"S": {"a": None}}}}), ParamError),
     (lambda: params_from_json({"params": {"p": {"(S": {}}}}), ValueSyntaxError),
     (lambda: fggmod.loads(_BAD_VALUE_GRAMMAR), ValueSyntaxError),
+    (lambda: params_from_json({"domains": {"d": [{"bool": "false"}]}}), ValueSyntaxError),
 ], ids=["parse", "check_program-scope", "check_program-parse", "params-shape",
-        "params-weight", "params-key", "fgg-loads"])
+        "params-weight", "params-key", "fgg-loads", "params-bool"])
 def test_library_entry_points_raise_their_own_error(bad_input, error):
     with pytest.raises(error):
         bad_input()

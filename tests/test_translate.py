@@ -11,7 +11,7 @@ from fggc.frontend import check_program
 from fggc.inference import solve_fixed_point
 from fggc.params import Params, params_from_json
 from fggc.translate import ALL_PASSES, compile_source, simplify, translate
-from fggc.values import Bool, Dist
+from fggc.values import Atom, Bool, Dist
 from genprog import random_program
 
 
@@ -182,7 +182,7 @@ def test_density_table_matches_params():
     tab = g.factors[name]
     dist_dom = g.domains[tab.domains[0]]
     val_dom = g.domains[tab.domains[1]]
-    i = dist_dom.index(Dist("c[u]"))
+    i = dist_dom.index(Dist("c", Atom("u")))
     assert tab.weights[i, val_dom.index(Bool(True))] == pytest.approx(0.4)
     assert tab.weights[i, val_dom.index(Bool(False))] == pytest.approx(0.6)
 

@@ -1,7 +1,8 @@
 import pytest
 
+from fggc.parser import parse_value
 from fggc.values import (Atom, Bool, Dist, Domain, Inl, Inr, Pair, Unit,
-                         parse_value, sorted_values, value_from_json,
+                         ValueSyntaxError, sorted_values, value_from_json,
                          value_to_json)
 
 EXAMPLES = [
@@ -13,8 +14,11 @@ EXAMPLES = [
     Pair(Atom("a"), Atom("b")),
     Inl(Atom("a")),
     Inr(Pair(Atom("S"), Atom("S"))),
-    Dist("p[S]"),
+    Dist("p", Atom("S")),
     Pair(Inl(Unit()), Inr(Bool(False))),
+    Dist("p", Pair(Atom("A"), Inl(Atom("b")))),
+    Inl(Dist("p", Atom("S"))),
+    Atom("é"),
 ]
 
 
@@ -36,6 +40,22 @@ def test_parse_value_literals():
     assert parse_value("inl a") == Inl(Atom("a"))
     assert parse_value("(A,B)") == Pair(Atom("A"), Atom("B"))
     assert parse_value("inr (S,S)") == Inr(Pair(Atom("S"), Atom("S")))
+    assert parse_value(" dist p[(A, inl b)] ") == Dist("p", Pair(Atom("A"), Inl(Atom("b"))))
+    # keywords of the source language other than the constants are atoms
+    assert parse_value("let") == Atom("let")
+    assert parse_value("dist") == Atom("dist")
+
+
+@pytest.mark.parametrize("text", ["", "a#2", "(A,B", "a b", "1", "dist p", "dist p[S"])
+def test_parse_value_rejects(text):
+    with pytest.raises(ValueSyntaxError):
+        parse_value(text)
+
+
+@pytest.mark.parametrize("obj", [{"dist": ""}, {"dist": "p"}, {"dist": "p[S] x"}])
+def test_value_from_json_rejects(obj):
+    with pytest.raises(ValueSyntaxError):
+        value_from_json(obj)
 
 
 def test_sorted_values_deterministic():
