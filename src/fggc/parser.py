@@ -23,10 +23,12 @@ Concrete syntax (low to high precedence):
                | "true" | "false" | "unit" | "nil"
                | ("inl" | "inr") value
                | "dist" IDENT "[" value "]"
+               | "atom" KEYWORD                      -- the atom named KEYWORD
                | IDENT | KEYWORD                     -- an atom
 
 `value` is the literal syntax that `Value.key()` prints and parameter files
-use (see parse_value). Comments run from '#' to end of line. `a and b`
+use (see parse_value); an atom named `true`, `false`, `unit`, `nil`, `inl`
+or `inr` prints as `atom NAME`. Comments run from '#' to end of line. `a and b`
 parses to `if a then b else false`, `a or b` to `if a then true else b` and
 `not(e)` to `if e then false else true`; each form, and each constant it
 adds, takes the position of its keyword. `fail` is a core form of its own
@@ -118,8 +120,8 @@ class _Parser:
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         if not self.at(kind, text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {self.tok.text or 'end of input'!r}",
+            want = "end of input" if kind == "eof" else repr(text)
+            raise ParseError(f"expected {want}, found {self.tok.text or 'end of input'!r}",
                              self.tok.pos)
         return self.advance()
 
@@ -294,6 +296,8 @@ class _Parser:
             index = self.value()
             self.expect("sym", "]")
             return Dist(param, index)
+        if t.text == "atom" and self.at("kw"):
+            return Atom(self.advance().text)
         if t.kind in ("ident", "kw"):
             return Atom(t.text)
         raise ParseError(f"expected value, found {t.text or 'end of input'!r}", t.pos)

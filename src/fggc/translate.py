@@ -17,8 +17,9 @@ all the labels it serves. A variable reference is the paper's identity
 ("copy") factor between the variable's node and the node its value goes to;
 the two nodes are made one instead (see _Rhs.merge), and only where they
 cannot be, because both are external or their domains differ, is the copy
-table made. `fail`'s table is all zero. A rule with an all-zero table is not
-kept, but for the start symbol's last rule when every start rule has one.
+table made. `fail`'s table is all zero. One pass after translation (_gc)
+drops the rules that weigh 0: those with an all-zero table, or that use a
+nonterminal no kept rule derives.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .ast import (BuiltinApp, Call, Case, Expr, Fail, If, Let, Lookup,
                   Observe, Program, Sample, Var)
 from .fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
-                  Hypergraph, Node, Rule, rules_by_lhs)
+                  Hypergraph, Node, Rule)
 from .frontend import apply_builtin
 from .params import Params
 from .values import Atom, Bool, Dist, Domain, Inl, Inr
@@ -138,13 +139,12 @@ class _Translator:
         self.params = params
         self.names = _Names()
         self.labels: dict[str, EdgeLabel] = {}
-        self.rules: list[Rule] = []
+        self.rules: list[tuple[str, _Rhs]] = []  # every rule as built (see _gc)
         self.factors: dict[str, FactorTable] = {}
         self.domains: dict[str, Domain] = {}
         self.provenance: dict[str, str] = {}
         self._tables: dict[tuple, tuple[np.ndarray, bool]] = {}  # see terminal()
         self._zero: set[str] = set()  # terminal labels whose tables are all zero
-        self._last_zero: tuple[str, _Rhs] | None = None  # the last rule not kept
 
     def _dom(self, d: Domain) -> str:
         self.domains[d.name] = d
@@ -167,14 +167,6 @@ class _Translator:
             self._zero.add(name)
         return name
 
-    def _rule(self, lhs: str, rhs: _Rhs):
-        """Add a rule, unless one of its tables is all zero: such a rule adds
-        nothing to any weight."""
-        if any(e.label in self._zero for e in rhs.edges):
-            self._last_zero = lhs, rhs
-        else:
-            self.rules.append(Rule(lhs, rhs.graph()))
-
     def _head(self, e: Expr) -> tuple[list[Node], tuple[str, ...]]:
         """The nodes of a rule for `e` that are its external nodes: the
         environment's, in binding order, then the result."""
@@ -190,7 +182,7 @@ class _Translator:
             return
         rhs = _Rhs(*self._head(e))
         self._fragment(e, "e0.", dict(zip(rhs.ext, rhs.ext)), rhs)
-        self._rule(lhs, rhs)
+        self.rules.append((lhs, rhs))
 
     def branch(self, e: If | Case, lhs: str | None = None) -> str:
         """One rule per arm of `e`, under `lhs` or else under a new label
@@ -243,7 +235,7 @@ class _Translator:
             own = [edge for edge in (test_edge, Edge("e1", lab, ("%1",) + binder), arm_edge)
                    if edge is not None]
             rhs.edges[:0] = own + shared.edges
-            self._rule(lhs, rhs)
+            self.rules.append((lhs, rhs))
         return lhs
 
     def _fragment(self, e: Expr, prefix: str, ren: dict[str, str], rhs: _Rhs):
@@ -331,16 +323,11 @@ class _Translator:
             self.provenance[f.name] = f"{f.pos[0]}:{f.pos[1]}"
         start = self.names.fresh(START)
         self.body(start, self.program.main)
-        if not any(r.lhs == start for r in self.rules):
-            # every start rule has an all-zero table: keep the last one built,
-            # for the start symbol's domain (its weight is 0 either way)
-            lhs, rhs = self._last_zero
-            self.rules.append(Rule(lhs, rhs.graph()))
         self.labels[start] = EdgeLabel(start, 1, NONTERMINAL)
-        g = FGG(labels=self.labels, rules=self.rules, start=start,
+        g = FGG(labels=self.labels, rules=[], start=start,
                 domains=self.domains, factors=self.factors)
         cu = CompilationUnit(fgg=g, provenance=self.provenance)
-        _gc(cu)
+        _gc(cu, self.rules, self._zero)
         return cu
 
 
@@ -374,51 +361,58 @@ def translate(program: Program, params: Params) -> CompilationUnit:
     return _Translator(program, params).translate_program()
 
 
-def _gc(cu: CompilationUnit):
-    """Remove the rules that use a nonterminal with no rule, which weigh 0,
-    until none is left, but for the start symbol's last rule if it would
-    lose every one (its weight is 0 either way); then the rules, labels,
-    factors, and domains unreachable from the start symbol, and the removed
-    labels' provenance."""
+def _gc(cu: CompilationUnit, built: list[tuple[str, _Rhs]], zero: set[str]):
+    """Give `cu`'s grammar the live rules of `built` that the start symbol
+    reaches, in the order built, and drop the labels, factors, domains and
+    provenance they do not use. A rule is live when it holds no all-zero
+    table (a label in `zero`) and every nonterminal it uses is productive,
+    that is, has a live rule. Each rule counts what it waits for, the
+    nonterminals it uses and an all-zero table, which never comes, and one
+    worklist of live rules makes their nonterminals productive. A start
+    symbol that is not keeps its last rule with no all-zero table, or else
+    its last rule (its weight is 0 either way). Only kept rules get a
+    hypergraph."""
     g = cu.fgg
-    nonterminals = {name for name, lab in g.labels.items() if lab.is_nonterminal}
-    rules = g.rules
-    while True:
-        empty = nonterminals - {r.lhs for r in rules}
-        kept = [r for r in rules if not any(e.label in empty for e in r.rhs.edges)]
-        if len(kept) == len(rules):
-            break
-        rules = kept
-    if g.start in empty:
-        keep = {id(r) for r in rules} | {id([r for r in g.rules if r.lhs == g.start][-1])}
-        rules = [r for r in g.rules if id(r) in keep]
-    g.rules = rules
-    reachable = {g.start}
-    frontier = [g.start]
-    by_lhs = rules_by_lhs(g.rules)
+    waiting, users = [], {}  # users: nonterminal -> the rules that use it
+    for i, (_, rhs) in enumerate(built):
+        labels = {e.label for e in rhs.edges}
+        uses = [x for x in labels if g.labels[x].is_nonterminal]
+        waiting.append(len(uses) + (not zero.isdisjoint(labels)))
+        for x in uses:
+            users.setdefault(x, []).append(i)
+    ready, productive = [i for i, n in enumerate(waiting) if n == 0], set()
+    while ready:
+        lhs = built[ready.pop()][0]
+        productive.add(lhs)
+        for i in users.pop(lhs, ()):
+            waiting[i] -= 1
+            if waiting[i] == 0:
+                ready.append(i)
+    live = [n == 0 for n in waiting]
+    if g.start not in productive:
+        starts = [i for i, (lhs, _) in enumerate(built) if lhs == g.start]
+        clean = [i for i in starts if zero.isdisjoint(e.label for e in built[i][1].edges)]
+        live[(clean or starts)[-1]] = True
+    by_lhs: dict[str, list[_Rhs]] = {}
+    for (lhs, rhs), ok in zip(built, live):
+        if ok:
+            by_lhs.setdefault(lhs, []).append(rhs)
+    reachable, frontier = {g.start}, [g.start]
     while frontier:
-        for r in by_lhs.get(frontier.pop(), ()):
-            for e in r.rhs.edges:
-                lab = g.labels.get(e.label)
-                if lab is not None and lab.is_nonterminal and e.label not in reachable:
+        for rhs in by_lhs.get(frontier.pop(), ()):
+            for e in rhs.edges:
+                if e.label not in reachable and g.labels[e.label].is_nonterminal:
                     reachable.add(e.label)
                     frontier.append(e.label)
-    g.rules = [r for r in g.rules if r.lhs in reachable]
-    used_labels = {g.start} | {r.lhs for r in g.rules}
-    used_domains = set()
-    for r in g.rules:
-        for e in r.rhs.edges:
-            used_labels.add(e.label)
-        for n in r.rhs.nodes:
-            used_domains.add(n.domain)
-    for t in list(g.factors.values()):
-        if t.label in used_labels:
-            used_domains.update(t.domains)
-    g.labels = {k: v for k, v in g.labels.items() if k in used_labels}
-    g.factors = {k: v for k, v in g.factors.items() if k in used_labels}
-    g.domains = {k: v for k, v in g.domains.items() if k in used_domains}
-    for k in [k for k in cu.provenance if k not in g.labels]:
-        del cu.provenance[k]
+    g.rules = [Rule(lhs, rhs.graph()) for (lhs, rhs), ok in zip(built, live)
+               if ok and lhs in reachable]
+    used = {g.start} | {e.label for r in g.rules for e in r.rhs.edges}
+    g.labels = {k: v for k, v in g.labels.items() if k in used}
+    g.factors = {k: v for k, v in g.factors.items() if k in used}
+    domains = {n.domain for r in g.rules for n in r.rhs.nodes}
+    domains.update(d for t in g.factors.values() for d in t.domains)
+    g.domains = {k: v for k, v in g.domains.items() if k in domains}
+    cu.provenance = {k: v for k, v in cu.provenance.items() if k in g.labels}
 
 
 # ---------------------------------------------------------------------------

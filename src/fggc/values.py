@@ -37,7 +37,9 @@ class Atom(Value):
     name: str
 
     def key(self) -> str:
-        return self.name if self.name else "nil"
+        if self.name in ("true", "false", "unit", "nil", "inl", "inr"):
+            return f"atom {self.name}"  # the bare word reads as another value
+        return self.name or "nil"
 
 
 @dataclass(frozen=True)

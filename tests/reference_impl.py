@@ -11,9 +11,10 @@ These are the straightforward forms of four paths:
   `pass_contract`, which merges the two nodes of a copy edge (rescanning a
   rule from its first edge after every firing and rebuilding it each time);
   and `pass_prune`, which drops the rules with an all-zero table.
-  `compile_program` runs the four and the library's `_gc`: the library's
-  translator must build that grammar, and the grammar before the passes
-  must give the same start weights;
+  `compile_program` runs the four and `_gc`, which drops the rules that
+  use a nonterminal with no live rule by sweeping the whole grammar until
+  nothing changes: the library's translator must build that grammar, and
+  the grammar before the passes must give the same start weights;
 - the Jacobi solver that scans all rules for every nonterminal and rebuilds
   every rule's factors on every iteration;
 - variable elimination as hand-written tensor algebra that re-derives every
@@ -38,7 +39,7 @@ import numpy as np
 from fggc.ast import (BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
                       Lookup, Observe, Program, Sample, TypeInfo, Var)
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
-                      Hypergraph, Node, Rule)
+                      Hypergraph, Node, Rule, rules_by_lhs)
 from fggc.frontend import (_SET_LIMIT, DomainError, DomainInterner, _check_enumerable,
                            apply_builtin)
 from fggc import inference
@@ -46,7 +47,7 @@ from fggc.inference import (CONVERGED, DIVERGENCE_BOUND, DIVERGENT, MAX_ITER,
                             InferenceError, OpCounter, SolverState, WeightTensor,
                             align, plan_elimination)
 from fggc.params import Params
-from fggc.translate import (RESULT, START, CompilationUnit, _density_table, _gc, _graph,
+from fggc.translate import (RESULT, START, CompilationUnit, _density_table, _graph,
                             _Names)
 from fggc.values import Atom, Bool, Dist, Domain, Inl, Inr, Value
 
@@ -457,6 +458,56 @@ def pass_prune(cu: CompilationUnit) -> int:
     before = len(g.rules)
     g.rules = [r for r, d in zip(g.rules, dead) if not d]
     return before - len(g.rules)
+
+
+def _gc(cu: CompilationUnit):
+    """Keep the live rules, those whose nonterminals all have a live rule,
+    found by sweeping every rule again until a sweep adds none (the first
+    finds the rules that use no nonterminal), but for the start symbol's
+    last rule if it has no live one (its weight is 0 either way); then the
+    rules, labels, factors, and domains unreachable from the start symbol,
+    and the removed labels' provenance. Run after pass_prune, so no rule
+    holds an all-zero table but a start rule that pass_prune kept."""
+    g = cu.fgg
+    nonterminals = {name for name, lab in g.labels.items() if lab.is_nonterminal}
+    rules = []
+    while True:
+        productive = {r.lhs for r in rules}
+        kept = [r for r in g.rules
+                if all(e.label in productive for e in r.rhs.edges if e.label in nonterminals)]
+        if len(kept) == len(rules):
+            break
+        rules = kept
+    if g.start not in productive:
+        keep = {id(r) for r in rules} | {id([r for r in g.rules if r.lhs == g.start][-1])}
+        rules = [r for r in g.rules if id(r) in keep]
+    g.rules = rules
+    reachable = {g.start}
+    frontier = [g.start]
+    by_lhs = rules_by_lhs(g.rules)
+    while frontier:
+        for r in by_lhs.get(frontier.pop(), ()):
+            for e in r.rhs.edges:
+                lab = g.labels.get(e.label)
+                if lab is not None and lab.is_nonterminal and e.label not in reachable:
+                    reachable.add(e.label)
+                    frontier.append(e.label)
+    g.rules = [r for r in g.rules if r.lhs in reachable]
+    used_labels = {g.start} | {r.lhs for r in g.rules}
+    used_domains = set()
+    for r in g.rules:
+        for e in r.rhs.edges:
+            used_labels.add(e.label)
+        for n in r.rhs.nodes:
+            used_domains.add(n.domain)
+    for t in list(g.factors.values()):
+        if t.label in used_labels:
+            used_domains.update(t.domains)
+    g.labels = {k: v for k, v in g.labels.items() if k in used_labels}
+    g.factors = {k: v for k, v in g.factors.items() if k in used_labels}
+    g.domains = {k: v for k, v in g.domains.items() if k in used_domains}
+    for k in [k for k in cu.provenance if k not in g.labels]:
+        del cu.provenance[k]
 
 
 def compile_program(program: Program, params: Params) -> ReferenceUnit:

@@ -312,6 +312,20 @@ def test_non_ascii_identifier_names_a_distribution(tmp_path, capsys):
     assert "a: 0.5\n" in out and "b: 0.5\n" in out
 
 
+def test_keyword_named_atom_prints_apart_from_the_boolean(tmp_path, capsys):
+    """`cons` builds the atom `true`, which infer prints as `atom true`, not
+    as the boolean that the other branch returns."""
+    src = tmp_path / "kw.ppl"
+    src.write_text("if sample c[u] then cons(t, cons(r, cons(u, cons(e, nil))))"
+                   " else sample c[u]\n")
+    params = tmp_path / "kw.json"
+    params.write_text(json.dumps({"params": {"c": {"u": {"true": 0.75, "false": 0.25}}},
+                                  "domains": {"atoms": ["t", "r", "u", "e"]}}))
+    code, out, err = run(capsys, "infer", str(src), "--params", str(params))
+    assert code == 0, err
+    assert out.startswith("atom true: 0.75\nfalse: 0.0625\ntrue: 0.1875\n")
+
+
 def test_compare_trivial_program(tmp_path, capsys):
     src = tmp_path / "t.ppl"
     src.write_text("true\n")

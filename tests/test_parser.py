@@ -4,7 +4,8 @@ from conftest import SUITE, load_program
 from fggc.ast import (BuiltinApp, Call, Case, Fail, If, Sample, Var,
                       pp_program)
 from fggc.frontend import desugar
-from fggc.parser import ParseError, parse, parse_expr
+from fggc.parser import ParseError, parse, parse_expr, parse_value
+from fggc.values import ValueSyntaxError
 
 
 @pytest.mark.parametrize("name", SUITE)
@@ -62,6 +63,15 @@ def test_syntax_errors():
     with pytest.raises(ParseError) as err:
         parse("if a then b")
     assert "else" in str(err.value)
+
+
+def test_trailing_input_is_named_end_of_input():
+    with pytest.raises(ParseError) as err:
+        parse("a b")
+    assert str(err.value) == "1:3: expected end of input, found 'b'"
+    with pytest.raises(ValueSyntaxError) as err:
+        parse_value("a b")
+    assert str(err.value) == "bad value literal 'a b': 1:3: expected end of input, found 'b'"
 
 
 def test_comments_ignored():

@@ -20,12 +20,13 @@ import reference_impl
 from conftest import (FAIL_PARAMS, FAIL_POSITIONS, PROGRAMS_DIR, SUITE, cnf_pcfgw,
                       load_program)
 from fggc.ast import BuiltinApp, Expr, Var
-from fggc.fgg import fgg_to_json, rules_by_lhs
+from fggc.fgg import FGG, Rule, fgg_to_json, rules_by_lhs, validate
 from fggc.frontend import DomainError, assign_domains, check_program, scope_check
 from fggc.inference import dependency_components, rule_contribution, solve_fixed_point
 from fggc.params import params_from_json
 from fggc.parser import parse
-from fggc.translate import ALL_PASSES, compile_source, simplify, translate
+from fggc.translate import (ALL_PASSES, CompilationUnit, _Translator, compile_source,
+                            simplify, translate)
 from genprog import random_program
 
 frontend_module = importlib.import_module("fggc.frontend")
@@ -381,3 +382,74 @@ def test_domain_errors_match_reference(source, params):
             assign(parse(source), params)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+# Rules that weigh 0 and the nonterminals only they derive: a chain of calls
+# that ends in `fail`, and cycles with and without a way out.
+DEAD_CHAIN = "".join(f"fun f{i}(x) = f{i + 1}(x);\n" for i in range(3000)) + \
+    "fun f3000(x) = fail;\nf0(a)"
+DEAD_RULES = {
+    "chain": DEAD_CHAIN,
+    "self-loop": "fun f(x) = f(x); f(a)",
+    "mutual-productive": "fun f(x) = if sample c[u] then g(x) else x; fun g(x) = f(x); f(a)",
+    "mutual-unproductive":
+        "fun f(x) = if sample c[u] then g(x) else f(x); fun g(x) = f(x); g(a)",
+    # the start symbol keeps its last rule with no all-zero table, the first
+    "start-restore": "fun f(x) = f(x); if sample c[u] then f(a) else fail",
+}
+DEAD_PARAMS = {"params": {"c": {"u": {"true": 0.5, "false": 0.5}}},
+               "domains": {"atoms": ["a"]}}
+
+
+def _dead_rule_input(name):
+    if name in DEAD_RULES:
+        return DEAD_RULES[name], params_from_json(DEAD_PARAMS)
+    if name in FAIL_POSITIONS:
+        return FAIL_POSITIONS[name], params_from_json(FAIL_PARAMS)
+    return _program(name)
+
+
+@pytest.mark.parametrize("name", list(DEAD_RULES) + list(FAIL_POSITIONS)
+                         + SUITE + GENERATED_NAMES)
+def test_dead_rule_pass_matches_reference(name):
+    """The translator's one-worklist pass keeps the grammar that
+    reference_impl's pass_prune and sweep-until-stable _gc keep of every
+    rule it built: the same rules in the same order, labels, tables,
+    domains and provenance."""
+    source, params = _dead_rule_input(name)
+    program, _ = check_program(source, params)
+    t = _Translator(program, params)
+    cu = t.translate_program()
+    every = FGG(labels=dict(t.labels), rules=[Rule(lhs, rhs.graph()) for lhs, rhs in t.rules],
+                start=cu.fgg.start, domains=dict(t.domains), factors=dict(t.factors))
+    ref = CompilationUnit(fgg=every, provenance=dict(t.provenance))
+    reference_impl.pass_prune(ref)
+    reference_impl._gc(ref)
+    assert json.dumps(fgg_to_json(cu.fgg)) == json.dumps(fgg_to_json(ref.fgg))
+    assert cu.provenance == ref.provenance
+
+
+@pytest.mark.parametrize("name", [name for name in DEAD_RULES if name != "chain"])
+def test_dead_rule_programs_match_reference(name):
+    source, params = _dead_rule_input(name)
+    cu = _compiled(source, params)
+    _same_grammar(cu, _reference(source, params))
+    _same_solve(cu.fgg)
+
+
+@pytest.mark.parametrize("name", ["chain", "self-loop", "mutual-unproductive",
+                                  "start-restore"])
+def test_weightless_program_keeps_one_start_rule(name):
+    """When no derivation of the start symbol has weight, whether a call
+    chain ends in `fail` or a cycle never leaves, only the start symbol's
+    rule is left: weight 0, and a grammar that validates."""
+    g = _compiled(*_dead_rule_input(name)).fgg
+    assert [r.lhs for r in g.rules] == [g.start]
+    assert validate(g) == []
+    assert not solve_fixed_point(g).tau[g.start].data.any()
+
+
+def test_cycle_with_a_way_out_keeps_its_rules():
+    g = _compiled(*_dead_rule_input("mutual-productive")).fgg
+    assert sorted(r.lhs for r in g.rules) == ["$start", "f", "f", "g"]
+    np.testing.assert_allclose(solve_fixed_point(g, tol=1e-14).tau[g.start].data, [1.0])

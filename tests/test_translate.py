@@ -396,21 +396,21 @@ def _pruned_reference(nfun):
 
 
 def test_translation_builds_each_rule_once(monkeypatch):
-    """The translator builds one hypergraph per rule it keeps: the rules
-    pruning keeps, some of which only pruned rules reach, so that the
-    grammar has fewer."""
+    """The translator builds one hypergraph per rule it keeps, and none
+    for the rules it drops: fewer than the rules pruning keeps, some of
+    which only pruned rules reach."""
     program, params, ref, _ = _pruned_reference(24)
     built = _count_hypergraph_builds(monkeypatch)
     g = translate(program, params).fgg
-    assert len(built) == len(ref.rules) > len(g.rules)
+    assert len(built) == len(g.rules) < len(ref.rules)
 
 
 def test_contract_builds_each_changed_rule_once(monkeypatch):
     """The translator merges a variable's nodes as it builds the rule, so
-    it builds one hypergraph per rule however many merges it made there: on
-    this program contracting the reference's grammar fires more often than
-    the translator builds rules."""
+    it builds one hypergraph per rule it keeps however many merges it made
+    there: on this program contracting the reference's grammar fires more
+    often than the translator builds rules."""
     program, params, ref, fired = _pruned_reference(48)
     built = _count_hypergraph_builds(monkeypatch)
-    translate(program, params)
-    assert fired > len(built) == len(ref.rules) > 0
+    g = translate(program, params).fgg
+    assert fired > len(built) == len(g.rules) > 0

@@ -1,9 +1,9 @@
 import pytest
 
-from fggc.parser import parse_value
-from fggc.values import (Atom, Bool, Dist, Domain, Inl, Inr, Pair, Unit,
-                         ValueSyntaxError, sorted_values, value_from_json,
-                         value_to_json)
+from fggc.parser import KEYWORDS, parse_value
+from fggc.values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, Domain, Inl,
+                         Inr, Pair, Unit, ValueSyntaxError, sorted_values,
+                         value_from_json, value_to_json)
 
 EXAMPLES = [
     Atom("S"),
@@ -19,6 +19,10 @@ EXAMPLES = [
     Dist("p", Pair(Atom("A"), Inl(Atom("b")))),
     Inl(Dist("p", Atom("S"))),
     Atom("é"),
+    # `cons` can build an atom named after a keyword
+    *(Atom(k) for k in sorted(KEYWORDS)),
+    Inl(Atom("true")),
+    Dist("p", Atom("inr")),
 ]
 
 
@@ -44,6 +48,18 @@ def test_parse_value_literals():
     # keywords of the source language other than the constants are atoms
     assert parse_value("let") == Atom("let")
     assert parse_value("dist") == Atom("dist")
+
+
+def test_keyword_named_atoms_print_apart_from_constants():
+    constants = {"nil": NIL, "true": TRUE, "false": FALSE, "unit": UNIT}
+    for k, v in constants.items():
+        assert Atom(k).key() != v.key()
+        assert parse_value(v.key()) == v
+    assert Atom("nil").key() == "atom nil"
+    # `atom` alone, or before a name that is no keyword, is no prefix
+    assert parse_value("atom") == Atom("atom")
+    with pytest.raises(ValueSyntaxError):
+        parse_value("atom a")
 
 
 @pytest.mark.parametrize("text", ["", "a#2", "(A,B", "a b", "1", "dist p", "dist p[S"])
