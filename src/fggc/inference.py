@@ -3,6 +3,13 @@ nonterminal weight tensors as the least fixed point of tau = F(tau), solved
 one strongly connected component of the nonterminal dependency graph at a
 time, callees first: one exact pass for a non-recursive component, Kleene
 iteration for a recursive one.
+
+Each rule's elimination is compiled once per solve into a list of steps:
+large two-operand steps run as batched BLAS matrix products (np.matmul),
+the rest as np.einsum. The steps and the op counts do not depend on that
+choice. The answers, and so the deltas, can differ from all-einsum
+execution in the last bits, as can runs with different BLAS thread counts;
+the iterations change only if such a difference moves a delta across `tol`.
 """
 
 from __future__ import annotations
@@ -48,10 +55,45 @@ class WeightTensor:
 
 class OpCounter:
     """Counts elementary table operations: the size of the product that each
-    einsum step of a contraction ranges over, summed."""
+    step of a contraction ranges over (einsum or matmul alike), summed."""
 
     def __init__(self):
         self.ops = 0
+
+
+def alignment(table_domains, node_domains) -> tuple:
+    """How to reindex a table from its own per-axis domains onto the
+    attachment nodes' domains: for each axis whose domains differ, the
+    axis, the index into the table's domain of each node value, and a mask
+    that zeroes the node values the table's domain lacks (None if it lacks
+    none). Values of the table's domain absent from a node's domain are
+    dropped. See `align`."""
+    moved = []
+    for ax, (td, nd) in enumerate(zip(table_domains, node_domains)):
+        if td is nd or td == nd:
+            continue
+        idx = np.zeros(len(nd), dtype=int)
+        hit = np.zeros(len(nd), dtype=bool)
+        for i, v in enumerate(nd.values):
+            if v in td:
+                idx[i] = td.index(v)
+                hit[i] = True
+        mask = None
+        if not hit.all():
+            shape = [1] * len(table_domains)
+            shape[ax] = len(nd)
+            mask = hit.reshape(shape)
+        moved.append((ax, idx, mask))
+    return tuple(moved)
+
+
+def _realign(arr: np.ndarray, moved) -> np.ndarray:
+    """Apply an `alignment` to an array of the table's shape."""
+    for ax, idx, mask in moved:
+        arr = np.take(arr, idx, axis=ax)
+        if mask is not None:
+            arr = arr * mask
+    return arr
 
 
 def align(arr: np.ndarray, table_domains, node_domains) -> np.ndarray:
@@ -59,20 +101,7 @@ def align(arr: np.ndarray, table_domains, node_domains) -> np.ndarray:
     nodes' domains. Values missing from the table's domain contribute 0;
     values of the table's domain absent from a node's domain are dropped.
     """
-    for ax, (td, nd) in enumerate(zip(table_domains, node_domains)):
-        if td is nd or td == nd:
-            continue
-        idx = np.zeros(len(nd), dtype=int)
-        mask = np.zeros(len(nd), dtype=bool)
-        for i, v in enumerate(nd.values):
-            if v in td:
-                idx[i] = td.index(v)
-                mask[i] = True
-        arr = np.take(arr, idx, axis=ax)
-        shape = [1] * arr.ndim
-        shape[ax] = len(nd)
-        arr = arr * mask.reshape(shape)
-    return arr
+    return _realign(arr, alignment(table_domains, node_domains))
 
 
 # ---------------------------------------------------------------------------
@@ -142,42 +171,91 @@ def external_marginal(g: Hypergraph, domains: dict[str, Domain], factors,
 
 # np.einsum takes < 32 operands on numpy 1.x (< 64 on numpy 2), labels in range(52)
 _MAX_OPERANDS = 31
+# a two-operand step over fewer products stays on np.einsum: there its cost
+# per call is about that of the matmul plan's reshapes, and building the plan
+# costs more than it saves in rules that are applied once (lowering every
+# step that qualifies made the solves of generated non-recursive programs
+# about a tenth slower)
+_MIN_MATMUL = 4096
+
+
+def matmul_plan(a: list, b: list, out: list, sizes: list):
+    """The einsum step `a, b -> out` (label lists; `sizes[m]` the length of
+    label m) as one batched np.matmul: a function of the two operands, or
+    None when the step does not qualify. It qualifies when no operand
+    repeats a label, every label of an operand is either summed by both
+    operands or in `out`, and some label is summed. Labels kept from both
+    operands are the batch, those kept from one operand its rows or
+    columns, and the summed ones the inner dimension; the products are
+    those of the einsum, summed in BLAS's order."""
+    inner = [m for m in a if m in b and m not in out]
+    if (not inner or any(len(set(x)) < len(x) for x in (a, b))
+            or any(m not in out and m not in inner for m in a + b)):
+        return None
+    batch = [m for m in out if m in a and m in b]
+    rows = [m for m in out if m not in b]
+    cols = [m for m in out if m not in a]
+    mid = batch + rows + cols
+    ta = [a.index(m) for m in batch + rows + inner]
+    tb = [b.index(m) for m in batch + inner + cols]
+    nb, nr, ni, nc = (math.prod(sizes[m] for m in x) for x in (batch, rows, inner, cols))
+    shape = [sizes[m] for m in mid]
+    to = [mid.index(m) for m in out]
+
+    def run(x, y):
+        z = np.matmul(x.transpose(ta).reshape(nb, nr, ni), y.transpose(tb).reshape(nb, ni, nc))
+        return z.reshape(shape).transpose(to)
+    return run
 
 
 class _Contraction:
     """A hypergraph's sum-product onto its external nodes, compiled once into
-    a fixed list of np.einsum steps; only the nonterminal edges' tensors
-    change between applications.
+    a fixed list of steps; only the nonterminal edges' tensors change
+    between applications.
 
-    Terminal tables are aligned onto their nodes here. Each node of the
-    elimination order gets one step over the operands that mention it, and a
-    last step maps what remains onto `ext`. A repeated attachment is a
-    repeated label (a diagonal), an unattached external node a vector of
+    Terminal tables are aligned onto their nodes here, and each nonterminal
+    edge's `alignment` is built here from the domains its tensor will have
+    (`tau_domains`), so that `apply` only indexes the tensors. Each node of
+    the elimination order gets one step over the operands that mention it,
+    and a last step maps what remains onto `ext`. A repeated attachment is
+    a repeated label (a diagonal), an unattached external node a vector of
     ones, an unattached internal node a constant scale. A node with one
     value carries no label (its axes are reshaped away), and labels are
     numbered within each step, so a step's labels are its nodes of size > 1.
+
+    A step runs as np.einsum, except a two-operand step of at least
+    `_MIN_MATMUL` products that `matmul_plan` can lower: that one runs as
+    one batched BLAS matrix product (the pairwise lowering of opt_einsum,
+    Smith & Gray, JOSS 2018). The steps and their op counts are the same
+    either way. The products are summed in another order, so a result can
+    differ from all-einsum execution in the last bits, and the BLAS build
+    and thread count can move those bits too.
     """
 
     def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
-                 is_terminal=lambda label: True, order=None):
+                 tau_domains=None, order=None):
         node_domains = {n.id: domains[n.domain] for n in graph.nodes}
         self.sizes = {n: len(d) for n, d in node_domains.items()}
         self.ext_domains = tuple(node_domains[n] for n in graph.ext)
         if order is None:
             order = plan_order(node_domains, [e.att for e in graph.edges], set(graph.ext)).order
         self.operands: list = []  # arrays; None where apply puts a tau tensor
-        self.tau_slots: list = []  # (position, edge, node domains, shape)
+        self.tau_slots: list = []  # (position, label, alignment, shape)
         work = []  # (labelled nodes, operand position)
         for e in graph.edges:
             nds = tuple(node_domains[a] for a in e.att)
             shape = tuple(len(d) for d in nds if len(d) > 1)
             arr = None
-            if is_terminal(e.label):
+            if tau_domains and e.label in tau_domains:
+                tds = tau_domains[e.label]
+                if len(tds) != len(e.att):
+                    raise InferenceError(
+                        f"tensor for {e.label} has rank {len(tds)}, edge arity {len(e.att)}")
+                self.tau_slots.append((len(self.operands), e.label, alignment(tds, nds), shape))
+            else:
                 tab = factors[e.label]
                 tds = tuple(domains[d] for d in tab.domains)
                 arr = align(np.asarray(tab.weights, dtype=float), tds, nds).reshape(shape)
-            else:
-                self.tau_slots.append((len(self.operands), e, nds, shape))
             work.append((self._labelled(e.att), self._operand(arr)))
         attached = {a for e in graph.edges for a in e.att}
         out = self._labelled(graph.ext)
@@ -186,7 +264,7 @@ class _Contraction:
                                 if n not in attached and n not in graph.ext))
         if scale != 1.0 or not work:
             work.append(((), self._operand(np.array(scale))))
-        self.steps: list = []  # ([(operand position, labels)], output labels)
+        self.steps: list = []  # ([(operand position, labels)], output labels, matmul plan)
         self.ops = 0
         for n in order:
             group = [w for w in work if n in w[0]]
@@ -213,21 +291,27 @@ class _Contraction:
             keep = tuple(dict.fromkeys(m for s, _ in chunk for m in s))
             group.insert(0, (keep, self._step(chunk, keep)))
         label = {m: i for i, m in enumerate(dict.fromkeys(m for s, _ in group for m in s))}
-        self.steps.append(([(pos, [label[m] for m in s]) for s, pos in group],
-                           [label[m] for m in out]))
-        self.ops += math.prod(self.sizes[m] for m in label)
+        operands = [(pos, [label[m] for m in s]) for s, pos in group]
+        labels_out = [label[m] for m in out]
+        size = math.prod(self.sizes[m] for m in label)
+        plan = None
+        if len(group) == 2 and size >= _MIN_MATMUL:
+            plan = matmul_plan(operands[0][1], operands[1][1], labels_out,
+                               [self.sizes[m] for m in label])
+        self.steps.append((operands, labels_out, plan))
+        self.ops += size
         return len(self.operands) + len(self.steps) - 1
 
     def apply(self, tau: dict[str, WeightTensor],
               counter: OpCounter | None = None) -> WeightTensor:
         vals = list(self.operands)
-        for i, e, nds, shape in self.tau_slots:
-            t = tau[e.label]
-            if len(t.domains) != len(e.att):
-                raise InferenceError(
-                    f"tensor for {e.label} has rank {len(t.domains)}, edge arity {len(e.att)}")
-            vals[i] = align(t.data, t.domains, nds).reshape(shape)
-        for operands, out in self.steps:
+        for i, label, moved, shape in self.tau_slots:
+            vals[i] = _realign(tau[label].data, moved).reshape(shape)
+        for operands, out, plan in self.steps:
+            if plan is not None:
+                (a, _), (b, _) = operands
+                vals.append(plan(vals[a], vals[b]))
+                continue
             args = []
             for pos, labels in operands:
                 args += (vals[pos], labels)
@@ -244,15 +328,12 @@ class _Contraction:
 # Fixed-point solver
 
 
-def _rule_contraction(g: FGG, rule: Rule, order=None) -> _Contraction:
-    return _Contraction(rule.rhs, g.domains, g.factors,
-                        lambda label: g.labels[label].is_terminal, order)
-
-
 def rule_contribution(g: FGG, rule: Rule, tau: dict[str, WeightTensor],
                       order=None, counter: OpCounter | None = None) -> WeightTensor:
     """One-level unrolling: nonterminal edges act as factors with table tau[X]."""
-    return _rule_contraction(g, rule, order).apply(tau, counter)
+    tau_domains = {e.label: tau[e.label].domains for e in rule.rhs.edges
+                   if g.labels[e.label].is_nonterminal}
+    return _Contraction(rule.rhs, g.domains, g.factors, tau_domains, order).apply(tau, counter)
 
 
 CONVERGED = "converged"
@@ -306,7 +387,8 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
             tau[n] = WeightTensor.zeros(shapes[n])
         except ValueError as e:  # numpy's limit on the number of axes
             raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: {e}") from None
-    prepared = {n: [_rule_contraction(g, r) for r in by_lhs.get(n, ())] for n in nts}
+    prepared = {n: [_Contraction(r.rhs, g.domains, g.factors, shapes) for r in by_lhs.get(n, ())]
+                for n in nts}
     counter = OpCounter()
     state = SolverState(tau=tau, iteration=0, delta=0.0, status=CONVERGED)
     for members, recursive in dependency_components(by_lhs, nts):

@@ -138,6 +138,81 @@ def test_chunked_contraction_matches_one_call(name, monkeypatch):
         np.testing.assert_allclose(chunked.tau[label].data, t.data, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("a,b,out", [
+    ([0, 1], [1, 2], [0, 2]),              # a matrix product
+    ([0, 1, 2], [0, 2, 3], [0, 1, 3]),     # label 0 is a batch label
+    ([0, 1, 2], [3, 0, 2], [3, 1, 0]),     # the output order needs a transpose
+    ([1, 2, 0], [0, 2], [1]),              # two summed labels, no columns
+    ([0], [0], []),                        # a dot product
+])
+def test_matmul_plan_matches_einsum(a, b, out):
+    sizes = [3, 4, 5, 2]
+    rng = np.random.default_rng(7)
+    x = rng.random([sizes[m] for m in a])
+    y = rng.random([sizes[m] for m in b])
+    plan = inference.matmul_plan(a, b, out, sizes)
+    assert plan is not None
+    np.testing.assert_allclose(plan(x, y), np.einsum(x, a, y, b, out), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("a,b,out", [
+    ([0, 0], [0, 1], [1]),       # a repeated label: a diagonal
+    ([0, 1], [1, 2], [0, 1, 2]), # no summed label: an outer product
+    ([0, 1], [1, 2], [2]),       # label 0 is summed by one operand only
+])
+def test_matmul_plan_leaves_other_steps_to_einsum(a, b, out):
+    assert inference.matmul_plan(a, b, out, [3, 4, 5]) is None
+
+
+def test_lowered_steps_of_string_scoring_match_einsum():
+    """Every step the size rule lowers, on a length-64 string, gives what
+    np.einsum gives on the same operands."""
+    source, params = cnf_pcfgw(64)
+    g = compile_source(source, params).fgg
+    tau = solve_fixed_point(g).tau
+    shapes = {n: t.domains for n, t in tau.items()}
+    lowered = {}
+
+    def checked(plan, operands, out, rule):
+        (_, la), (_, lb) = operands
+
+        def run(x, y):
+            got = plan(x, y)
+            np.testing.assert_allclose(got, np.einsum(x, la, y, lb, out), rtol=1e-12, atol=0)
+            lowered[rule] += 1
+            return got
+        return run
+
+    for i, rule in enumerate(g.rules):
+        c = inference._Contraction(rule.rhs, g.domains, g.factors, shapes)
+        c.steps = [(ops, out, plan and checked(plan, ops, out, i)) for ops, out, plan in c.steps]
+        lowered[i] = 0
+        c.apply(tau)
+    # the rule for `inr(yz) => ...`, which calls d twice
+    (binary,) = [i for i, r in enumerate(g.rules)
+                 if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
+    assert lowered[binary] >= 1
+
+
+def test_alignment_is_built_once_per_solve(monkeypatch):
+    """Each edge's alignment onto its nodes (a terminal table's, and the
+    index and mask of a nonterminal edge's tensor) is built when its rule
+    is compiled, never per sweep."""
+    source, params = cnf_pcfgw(23)
+    g = compile_source(source, params).fgg
+    built = []
+    real = inference.alignment
+    monkeypatch.setattr(inference, "alignment", lambda *args: built.append(1) or real(*args))
+    edges = sum(len(r.rhs.edges) for r in g.rules)
+    assert any(g.labels[e.label].is_nonterminal for r in g.rules for e in r.rhs.edges)
+    iterations = set()
+    for max_iter in (2, 10000):
+        built.clear()
+        iterations.add(solve_fixed_point(g, max_iter=max_iter).iteration)
+        assert len(built) == edges
+    assert len(iterations) == 2
+
+
 def test_repeated_attachment_diagonal():
     d = Domain("D2", (Atom("a"), Atom("b")))
     tab = np.array([[1.0, 2.0], [3.0, 4.0]])
