@@ -6,10 +6,14 @@ iteration for a recursive one.
 
 Each rule's elimination is compiled once per solve into a list of steps:
 large two-operand steps run as batched BLAS matrix products (np.matmul),
-the rest as np.einsum. The steps and the op counts do not depend on that
-choice. The answers, and so the deltas, can differ from all-einsum
-execution in the last bits, as can runs with different BLAS thread counts;
-the iterations change only if such a difference moves a delta across `tol`.
+with operands ordered so that BLAS reads them without a copy, the rest as
+np.einsum. The steps and the op counts do not depend on that choice. The
+answers, and so the deltas, can differ from all-einsum execution in the
+last bits, as can runs with different BLAS thread counts; the iterations
+change only if such a difference moves a delta across `tol`. Before a
+recursive component's first sweep, each of its rules runs once the steps
+that read no member's tensor, so a sweep runs only the rest; that changes
+no bit of the answers.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ class WeightTensor:
 
 class OpCounter:
     """Counts elementary table operations: the size of the product that each
-    step of a contraction ranges over (einsum or matmul alike), summed."""
+    step of a contraction ranges over (einsum or matmul alike), summed over
+    the steps that actually run, so a step that a recursive component's
+    solve freezes (runs once, before its sweeps) counts once."""
 
     def __init__(self):
         self.ops = 0
@@ -115,38 +121,54 @@ class EliminationPlan:
 
 
 def plan_order(node_domains: dict[str, Domain], scopes, ext) -> EliminationPlan:
-    """Min-fill ordering over the interaction graph induced by factor scopes."""
-    neighbors: dict[str, set[str]] = {n: set() for n in node_domains}
+    """Min-fill ordering over the interaction graph induced by factor scopes:
+    each step eliminates the internal node whose remaining neighbours lack
+    the fewest edges among themselves, the first by name on a tie, and the
+    scan stops at the first node that lacks none. Nodes are numbered in
+    name order, and each node's neighbourhood is a bit mask that includes
+    the node itself."""
+    names = sorted(node_domains)
+    index = {n: i for i, n in enumerate(names)}
+    adj = [1 << i for i in range(len(names))]
     for scope in scopes:
-        for a in scope:
-            for b in scope:
-                if a != b:
-                    neighbors[a].add(b)
-    internal = sorted(n for n in node_domains if n not in ext)
-    remaining = set(node_domains)
+        if len(scope) > 1:
+            mask = 0
+            for a in scope:
+                mask |= 1 << index[a]
+            for a in scope:
+                adj[index[a]] |= mask
+    sizes = [len(node_domains[n]) for n in names]
+    pending = [i for i, n in enumerate(names) if n not in ext]
+    remaining = (1 << len(names)) - 1
     order: list[str] = []
     cost = 0.0
-    pending = set(internal)
     while pending:
         best = None
-        for n in sorted(pending):
-            nbrs = [m for m in neighbors[n] if m in remaining]
-            fill = sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
-                       if b not in neighbors[a])
+        for i in pending:
+            nbrs = (adj[i] & remaining) ^ (1 << i)
+            fill = 0
+            rest = nbrs
+            while rest:  # each neighbour's missing edges to the neighbours above it
+                low = rest & -rest
+                fill += (rest & ~adj[low.bit_length() - 1]).bit_count()
+                rest ^= low
             if best is None or fill < best[0]:
-                best = (fill, n, nbrs)
-        _, n, nbrs = best
-        clique = 1.0
-        for m in nbrs + [n]:
-            clique *= len(node_domains[m])
-        cost += clique
-        for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    neighbors[a].add(b)
-        order.append(n)
-        pending.discard(n)
-        remaining.discard(n)
+                best = (fill, i, nbrs)
+                if not fill:
+                    break
+        _, i, nbrs = best
+        clique = sizes[i]
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            clique *= sizes[a]
+            adj[a] |= nbrs
+            rest ^= low
+        cost += float(clique)
+        order.append(names[i])
+        pending.remove(i)
+        remaining ^= 1 << i
     return EliminationPlan(order=order, cost=cost)
 
 
@@ -179,18 +201,30 @@ _MAX_OPERANDS = 31
 _MIN_MATMUL = 4096
 
 
-def matmul_plan(a: list, b: list, out: list, sizes: list):
-    """The einsum step `a, b -> out` (label lists; `sizes[m]` the length of
-    label m) as one batched np.matmul: a function of the two operands, or
-    None when the step does not qualify. It qualifies when no operand
+def _summed(a, b, out):
+    """The labels that the step `a, b -> out` sums, in `a`'s order, if the
+    step can run as one batched matrix product, else None: no operand
     repeats a label, every label of an operand is either summed by both
-    operands or in `out`, and some label is summed. Labels kept from both
-    operands are the batch, those kept from one operand its rows or
-    columns, and the summed ones the inner dimension; the products are
-    those of the einsum, summed in BLAS's order."""
+    operands or in `out`, and some label is summed."""
     inner = [m for m in a if m in b and m not in out]
     if (not inner or any(len(set(x)) < len(x) for x in (a, b))
             or any(m not in out and m not in inner for m in a + b)):
+        return None
+    return inner
+
+
+def matmul_plan(a: list, b: list, out: list, sizes: list):
+    """The einsum step `a, b -> out` (label lists; `sizes[m]` the length of
+    label m) as one batched np.matmul: a function of the two operands, or
+    None when the step does not qualify (see `_summed`). Labels kept from
+    both operands are the batch, those kept from one operand its rows or
+    columns, and the summed ones the inner dimension; the products are
+    those of the einsum, summed in BLAS's order. Each operand is viewed as
+    (batch, rows, inner) or (batch, inner, columns), with the batch, rows
+    and columns in `out`'s order and the inner labels in `a`'s, and the
+    result, made in (batch, rows, columns) order, is viewed in `out`'s."""
+    inner = _summed(a, b, out)
+    if inner is None:
         return None
     batch = [m for m in out if m in a and m in b]
     rows = [m for m in out if m not in b]
@@ -208,20 +242,34 @@ def matmul_plan(a: list, b: list, out: list, sizes: list):
     return run
 
 
+def _viewable(mem, batch, x, y) -> bool:
+    """Whether an array laid out in C order over the labels `mem` is, with
+    no copy, a stack over `batch` of matrices over `x` by `y` (each a list
+    of labels of `mem`, merged in that order) that BLAS can read: each
+    list's labels are adjacent in `mem`, and unless one of the three is
+    empty the innermost label is not a batch label."""
+    at = {m: i for i, m in enumerate(mem)}
+    if any(at[m] + 1 != at[n] for block in (batch, x, y) for m, n in zip(block, block[1:])):
+        return False
+    return not (batch and x and y) or mem[-1] not in batch
+
+
 class _Contraction:
     """A hypergraph's sum-product onto its external nodes, compiled once into
     a fixed list of steps; only the nonterminal edges' tensors change
     between applications.
 
-    Terminal tables are aligned onto their nodes here, and each nonterminal
-    edge's `alignment` is built here from the domains its tensor will have
-    (`tau_domains`), so that `apply` only indexes the tensors. Each node of
-    the elimination order gets one step over the operands that mention it,
-    and a last step maps what remains onto `ext`. A repeated attachment is
-    a repeated label (a diagonal), an unattached external node a vector of
-    ones, an unattached internal node a constant scale. A node with one
-    value carries no label (its axes are reshaped away), and labels are
-    numbered within each step, so a step's labels are its nodes of size > 1.
+    Terminal tables are aligned onto their nodes here (once per array and
+    node domains when several contractions share an `aligned` cache), and
+    each nonterminal edge's `alignment` is built here from the domains its
+    tensor will have (`tau_domains`), so that `apply` only indexes the
+    tensors. Each node of the elimination order gets one step over the
+    operands that mention it, and a last step maps what remains onto `ext`.
+    A repeated attachment is a repeated label (a diagonal), an unattached
+    external node a vector of ones, an unattached internal node a constant
+    scale. A node with one value carries no label (its axes are reshaped
+    away), and labels are numbered within each step, so a step's labels are
+    its nodes of size > 1.
 
     A step runs as np.einsum, except a two-operand step of at least
     `_MIN_MATMUL` products that `matmul_plan` can lower: that one runs as
@@ -230,20 +278,38 @@ class _Contraction:
     either way. The products are summed in another order, so a result can
     differ from all-einsum execution in the last bits, and the BLAS build
     and thread count can move those bits too.
+
+    A lowered step whose result another step reads is compiled when that
+    step is, so that it can choose which operand goes on the left: the
+    order that leaves fewer arrays needing a copy before BLAS can read
+    them, counting its two operands and, when the reading step is lowered
+    too, its own result as that step reads it (the given order on a tie).
+    Each array is taken to be laid out in C order over its labels, and the
+    result's labels are put in the (batch, rows, columns) order in which
+    np.matmul lays it out, so the next step sees it as it is.
+
+    `freeze` runs, once, the steps that read none of a given set of
+    labels' tensors and keeps their results as operands; `apply` runs the
+    steps still to do (all of them in a contraction never frozen). `ops`
+    is the product size of those steps, so an OpCounter counts each step
+    each time it runs.
     """
 
     def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
-                 tau_domains=None, order=None):
+                 tau_domains=None, order=None, aligned: dict | None = None):
         node_domains = {n.id: domains[n.domain] for n in graph.nodes}
         self.sizes = {n: len(d) for n, d in node_domains.items()}
         self.ext_domains = tuple(node_domains[n] for n in graph.ext)
         if order is None:
             order = plan_order(node_domains, [e.att for e in graph.edges], set(graph.ext)).order
+        if aligned is None:
+            aligned = {}
+        node_names = {n.id: n.domain for n in graph.nodes}
         self.operands: list = []  # arrays; None where apply puts a tau tensor
         self.tau_slots: list = []  # (position, label, alignment, shape)
         work = []  # (labelled nodes, operand position)
         for e in graph.edges:
-            nds = tuple(node_domains[a] for a in e.att)
+            nds = tuple(map(node_domains.__getitem__, e.att))
             shape = tuple(len(d) for d in nds if len(d) > 1)
             arr = None
             if tau_domains and e.label in tau_domains:
@@ -254,8 +320,12 @@ class _Contraction:
                 self.tau_slots.append((len(self.operands), e.label, alignment(tds, nds), shape))
             else:
                 tab = factors[e.label]
-                tds = tuple(domains[d] for d in tab.domains)
-                arr = align(np.asarray(tab.weights, dtype=float), tds, nds).reshape(shape)
+                key = (id(tab.weights), tab.domains, tuple(map(node_names.__getitem__, e.att)))
+                arr = aligned.get(key)
+                if arr is None:
+                    tds = tuple(domains[d] for d in tab.domains)
+                    arr = aligned[key] = align(np.asarray(tab.weights, dtype=float),
+                                               tds, nds).reshape(shape)
             work.append((self._labelled(e.att), self._operand(arr)))
         attached = {a for e in graph.edges for a in e.att}
         out = self._labelled(graph.ext)
@@ -265,14 +335,16 @@ class _Contraction:
         if scale != 1.0 or not work:
             work.append(((), self._operand(np.array(scale))))
         self.steps: list = []  # ([(operand position, labels)], output labels, matmul plan)
-        self.ops = 0
+        self.costs: list = []  # each step's product size
+        self._pending: dict = {}  # lowered steps compiled when their reader is
         for n in order:
             group = [w for w in work if n in w[0]]
             if group:
                 work = [w for w in work if n not in w[0]]
                 keep = tuple(dict.fromkeys(m for s, _ in group for m in s if m != n))
                 work.append((keep, self._step(group, keep)))
-        self._step(work, out)  # also sums any internal node `order` left out
+        self._step(work, out, last=True)  # also sums any internal node `order` left out
+        self.ops = sum(self.costs)
         self.shape = tuple(len(d) for d in self.ext_domains)
 
     def _labelled(self, nodes) -> tuple:
@@ -282,40 +354,127 @@ class _Contraction:
         self.operands.append(arr)
         return len(self.operands) - 1
 
-    def _step(self, group, out) -> int:
+    def _step(self, group, out, last=False) -> int:
         """Add the steps contracting `group` onto `out`; return the position
         of the result. A group too large for one call is multiplied in
-        chunks that keep all their labels, and summed by the last call."""
+        chunks that keep all their labels, and summed by the last call. A
+        lowered step that is not the `last` waits in `_pending` for the
+        step that reads its result."""
         while len(group) > _MAX_OPERANDS:
             chunk, group = group[:_MAX_OPERANDS], group[_MAX_OPERANDS:]
             keep = tuple(dict.fromkeys(m for s, _ in chunk for m in s))
             group.insert(0, (keep, self._step(chunk, keep)))
-        label = {m: i for i, m in enumerate(dict.fromkeys(m for s, _ in group for m in s))}
+        names = dict.fromkeys(m for s, _ in group for m in s)
+        size = math.prod(self.sizes[m] for m in names)
+        lowered = (len(group) == 2 and size >= _MIN_MATMUL
+                   and _summed(group[0][0], group[1][0], out) is not None)
+        if self._pending and any(pos in self._pending for _, pos in group):
+            group = [(self._settle(pos, lowered and (group[1 - i][0], out)), pos)
+                     if pos in self._pending else (s, pos) for i, (s, pos) in enumerate(group)]
+            names = dict.fromkeys(m for s, _ in group for m in s)
+        self.costs.append(size)
+        if lowered and not last:
+            self.steps.append(None)
+            self._pending[len(self.operands) + len(self.steps) - 1] = group, out
+        else:
+            self.steps.append(self._compile(group, out, names, lowered))
+        return len(self.operands) + len(self.steps) - 1
+
+    def _compile(self, group, out, names, lowered) -> tuple:
+        """The step `group -> out`, its labels numbered in `names`' order."""
+        label = {m: i for i, m in enumerate(names)}
         operands = [(pos, [label[m] for m in s]) for s, pos in group]
         labels_out = [label[m] for m in out]
-        size = math.prod(self.sizes[m] for m in label)
         plan = None
-        if len(group) == 2 and size >= _MIN_MATMUL:
+        if lowered:
             plan = matmul_plan(operands[0][1], operands[1][1], labels_out,
                                [self.sizes[m] for m in label])
-        self.steps.append((operands, labels_out, plan))
-        self.ops += size
-        return len(self.operands) + len(self.steps) - 1
+        return operands, labels_out, plan
+
+    def _settle(self, pos, reader) -> tuple:
+        """Compile the lowered step whose result is at `pos`, now that the
+        step reading it is known, and return the result's labels. `reader`
+        is, when that step is lowered too, its other operand's labels and
+        its output labels, else False."""
+        group, keep = self._pending.pop(pos)
+        best = None
+        for (x, px), (y, py) in (group, group[::-1]):
+            batch = [m for m in x if m in y and m in keep]
+            rows = [m for m in x if m not in y]
+            inner = [m for m in x if m in y and m not in keep]
+            cols = [m for m in y if m not in x]
+            mid = tuple(batch + rows + cols)
+            copies = (not _viewable(x, batch, rows, inner)) + (not _viewable(y, batch, inner, cols))
+            if reader:
+                other, out = reader
+                copies += not _viewable(mid, [m for m in mid if m in other and m in out],
+                                        [m for m in mid if m in out and m not in other],
+                                        [m for m in mid if m not in out])
+            if best is None or copies < best[0]:
+                best = (copies, [(x, px), (y, py)], mid)
+        _, group, mid = best
+        names = dict.fromkeys(m for s, _ in group for m in s)
+        self.steps[pos - len(self.operands)] = self._compile(group, mid, names, True)
+        return mid
+
+    @staticmethod
+    def _run(step, vals):
+        """The value of one compiled step, its operands taken from `vals`."""
+        operands, out, plan = step
+        if plan is not None:
+            (a, _), (b, _) = operands
+            return plan(vals[a], vals[b])
+        args = []
+        for pos, labels in operands:
+            args += (vals[pos], labels)
+        return np.einsum(*args, out)
+
+    def freeze(self, tau: dict[str, WeightTensor], live, counter: OpCounter | None = None):
+        """Run, once, every step that reads no tensor of a label in `live`
+        (each other tensor from `tau`), and keep the results that the other
+        steps read as operands, so that `apply` runs only those steps; with
+        no such step the result itself is kept. The steps run here are
+        counted in `counter` once."""
+        n = len(self.operands)
+        vals = list(self.operands)
+        moving = set()
+        for i, label, moved, shape in self.tau_slots:
+            if label in live:
+                moving.add(i)
+            else:
+                vals[i] = _realign(tau[label].data, moved).reshape(shape)
+        todo = []
+        for k, step in enumerate(self.steps):
+            if any(pos in moving for pos, _ in step[0]):
+                moving.add(n + k)
+                todo.append(k)
+                vals.append(None)
+            else:
+                vals.append(self._run(step, vals))
+                if counter is not None:
+                    counter.ops += self.costs[k]
+        if not todo:
+            self.operands, self.tau_slots, self.steps, self.costs = [vals[-1]], [], [], []
+            self.ops = 0
+            return
+        read = sorted({pos for k in todo for pos, _ in self.steps[k][0] if pos not in moving}
+                      | {i for i, *_ in self.tau_slots if i in moving})
+        at = {pos: j for j, pos in enumerate(read)}
+        at.update((n + k, len(read) + j) for j, k in enumerate(todo))
+        self.operands = [vals[pos] for pos in read]
+        self.tau_slots = [(at[i], *rest) for i, *rest in self.tau_slots if i in moving]
+        self.steps = [([(at[pos], labels) for pos, labels in self.steps[k][0]], *self.steps[k][1:])
+                      for k in todo]
+        self.costs = [self.costs[k] for k in todo]
+        self.ops = sum(self.costs)
 
     def apply(self, tau: dict[str, WeightTensor],
               counter: OpCounter | None = None) -> WeightTensor:
         vals = list(self.operands)
         for i, label, moved, shape in self.tau_slots:
             vals[i] = _realign(tau[label].data, moved).reshape(shape)
-        for operands, out, plan in self.steps:
-            if plan is not None:
-                (a, _), (b, _) = operands
-                vals.append(plan(vals[a], vals[b]))
-                continue
-            args = []
-            for pos, labels in operands:
-                args += (vals[pos], labels)
-            vals.append(np.einsum(*args, out))
+        for step in self.steps:
+            vals.append(self._run(step, vals))
         if counter is not None:
             counter.ops += self.ops
         result = np.array(vals[-1], dtype=float, order="C").reshape(self.shape)
@@ -375,7 +534,13 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
     entry exceeds DIVERGENCE_BOUND (divergent: the solve stops); a one-pass
     component's entries are exact, so a large one there is not divergent.
     The state reports the most sweeps and the largest final delta of any
-    component. Each rule is compiled once per solve (see _Contraction).
+    component. Each rule is compiled once per solve (see _Contraction),
+    with each shared terminal array aligned once. Before the first sweep of
+    a recursive component, each of its rules runs once the steps that read
+    no member's tensor (`_Contraction.freeze`), so a sweep runs only the
+    rest, and a rule that uses no member is a constant. Each rule's result
+    is still added in grammar order, so the tensors are those of running
+    every step in every sweep; `ops` counts the frozen steps once.
     """
     by_lhs = rules_by_lhs(g.rules)
     ext = g.ext_domains()
@@ -387,11 +552,18 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
             tau[n] = WeightTensor.zeros(shapes[n])
         except ValueError as e:  # numpy's limit on the number of axes
             raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: {e}") from None
-    prepared = {n: [_Contraction(r.rhs, g.domains, g.factors, shapes) for r in by_lhs.get(n, ())]
+    aligned: dict = {}
+    prepared = {n: [_Contraction(r.rhs, g.domains, g.factors, shapes, aligned=aligned)
+                    for r in by_lhs.get(n, ())]
                 for n in nts}
     counter = OpCounter()
     state = SolverState(tau=tau, iteration=0, delta=0.0, status=CONVERGED)
     for members, recursive in dependency_components(by_lhs, nts):
+        if recursive:
+            live = set(members)
+            for n in members:
+                for rule in prepared[n]:
+                    rule.freeze(tau, live, counter)
         delta, status = float("inf"), MAX_ITER
         for it in range(1, (max_iter if recursive else min(max_iter, 1)) + 1):
             new_tau = {}

@@ -18,12 +18,13 @@ These are the straightforward forms of four paths:
 - the Jacobi solver that scans all rules for every nonterminal and rebuilds
   every rule's factors on every iteration;
 - variable elimination as hand-written tensor algebra that re-derives every
-  scope on every application;
+  scope on every application, and min-fill ordering over sets of node
+  names that counts every candidate's fill in full;
 - domain assignment as two traversals (a value-set fixpoint, then a typing
   walk that interns the final sets).
 
-The library's versions must produce identical grammars, bit-identical solver
-states, rule contributions equal to 1e-12 relative and identical domain
+The library's versions must produce identical grammars, identical
+elimination orders and costs, bit-identical solver states, rule contributions equal to 1e-12 relative and identical domain
 annotations (see test_reference_equivalence.py). `assignment_weight`, the
 weight of one total assignment of a terminal-only graph, is the brute-force
 oracle for variable elimination (see test_inference.py).
@@ -44,8 +45,8 @@ from fggc.frontend import (_SET_LIMIT, DomainError, DomainInterner, _check_enume
                            apply_builtin)
 from fggc import inference
 from fggc.inference import (CONVERGED, DIVERGENCE_BOUND, DIVERGENT, MAX_ITER,
-                            InferenceError, OpCounter, SolverState, WeightTensor,
-                            align, plan_elimination)
+                            EliminationPlan, InferenceError, OpCounter, SolverState,
+                            WeightTensor, align, plan_elimination)
 from fggc.params import Params
 from fggc.translate import (RESULT, START, CompilationUnit, _density_table, _graph,
                             _Names)
@@ -562,6 +563,43 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
             return state
     state.status = MAX_ITER
     return state
+
+
+def plan_order(node_domains: dict[str, Domain], scopes, ext) -> EliminationPlan:
+    """Min-fill ordering over the interaction graph induced by factor scopes:
+    the node of least fill, the first by name on a tie."""
+    neighbors: dict[str, set[str]] = {n: set() for n in node_domains}
+    for scope in scopes:
+        for a in scope:
+            for b in scope:
+                if a != b:
+                    neighbors[a].add(b)
+    internal = sorted(n for n in node_domains if n not in ext)
+    remaining = set(node_domains)
+    order: list[str] = []
+    cost = 0.0
+    pending = set(internal)
+    while pending:
+        best = None
+        for n in sorted(pending):
+            nbrs = [m for m in neighbors[n] if m in remaining]
+            fill = sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
+                       if b not in neighbors[a])
+            if best is None or fill < best[0]:
+                best = (fill, n, nbrs)
+        _, n, nbrs = best
+        clique = 1.0
+        for m in nbrs + [n]:
+            clique *= len(node_domains[m])
+        cost += clique
+        for a in nbrs:
+            for b in nbrs:
+                if a != b:
+                    neighbors[a].add(b)
+        order.append(n)
+        pending.discard(n)
+        remaining.discard(n)
+    return EliminationPlan(order=order, cost=cost)
 
 
 def _multiply(scope1, arr1, scope2, arr2, sizes, counter):

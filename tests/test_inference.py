@@ -194,17 +194,59 @@ def test_lowered_steps_of_string_scoring_match_einsum():
     assert lowered[binary] >= 1
 
 
+def test_lowered_steps_of_binary_rule_copy_no_operand(monkeypatch):
+    """In the sweeps of a length-64 string, each matrix product of the rule
+    that calls d twice reads its operands where they are: np.matmul gets
+    views of them, each with a unit-stride matrix axis, as BLAS reads it."""
+    source, params = cnf_pcfgw(64)
+    g = compile_source(source, params).fgg
+    tau = solve_fixed_point(g).tau
+    shapes = {n: t.domains for n, t in tau.items()}
+    (rule,) = [r for r in g.rules if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
+    c = inference._Contraction(rule.rhs, g.domains, g.factors, shapes)
+    c.freeze(tau, {"d"})
+    calls = []
+    real_matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda x, y: calls.append((x, y)) or real_matmul(x, y))
+    checked = []
+
+    def checking(plan):
+        def run(x, y):
+            calls.clear()
+            z = plan(x, y)
+            ((vx, vy),) = calls
+            for view, operand in ((vx, x), (vy, y)):
+                assert np.shares_memory(view, operand)
+                assert view.itemsize in view.strides[-2:]
+            checked.append(1)
+            return z
+        return run
+
+    c.steps = [(ops, out, plan and checking(plan)) for ops, out, plan in c.steps]
+    want = rule_contribution(g, rule, tau)
+    np.testing.assert_allclose(c.apply(tau).data, want.data, rtol=1e-12, atol=0)
+    assert len(checked) == sum(plan is not None for _, _, plan in c.steps) >= 3
+
+
 def test_alignment_is_built_once_per_solve(monkeypatch):
-    """Each edge's alignment onto its nodes (a terminal table's, and the
-    index and mask of a nonterminal edge's tensor) is built when its rule
-    is compiled, never per sweep."""
+    """Each edge's alignment onto its nodes (the index and mask of a
+    nonterminal edge's tensor, and a terminal table's, once per shared
+    array and node domains) is built when its rule is compiled, never per
+    sweep."""
     source, params = cnf_pcfgw(23)
     g = compile_source(source, params).fgg
     built = []
     real = inference.alignment
     monkeypatch.setattr(inference, "alignment", lambda *args: built.append(1) or real(*args))
-    edges = sum(len(r.rhs.edges) for r in g.rules)
-    assert any(g.labels[e.label].is_nonterminal for r in g.rules for e in r.rhs.edges)
+    nonterminal = [e for r in g.rules for e in r.rhs.edges if g.labels[e.label].is_nonterminal]
+    terminal = set()
+    for r in g.rules:
+        nodes = {n.id: n.domain for n in r.rhs.nodes}
+        terminal |= {(id(g.factors[e.label].weights), g.factors[e.label].domains,
+                      tuple(nodes[a] for a in e.att))
+                     for e in r.rhs.edges if g.labels[e.label].is_terminal}
+    edges = len(nonterminal) + len(terminal)
+    assert nonterminal and len(terminal) < sum(len(r.rhs.edges) for r in g.rules) - len(nonterminal)
     iterations = set()
     for max_iter in (2, 10000):
         built.clear()
@@ -247,6 +289,31 @@ def test_plan_clique_cost():
     scopes = [("a", "b"), ("b", "c"), ("a", "c")]
     plan = plan_order(node_domains, scopes, ext=set())
     assert plan.cost >= len(d) ** 3
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_plan_order_matches_reference_on_random_graphs(seed):
+    """The bit-mask planner gives the order and cost of the set-based one,
+    ties between equal fills included."""
+    rng = random.Random(f"plan-{seed}")
+    domains = [Domain(f"D{k}", tuple(Atom(f"v{i}") for i in range(k))) for k in range(1, 5)]
+    names = [f"n{i}" for i in range(rng.randint(1, 16))]
+    node_domains = {n: rng.choice(domains) for n in names}
+    scopes = [tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
+              for _ in range(rng.randint(0, 2 * len(names)))]
+    ext = set(rng.sample(names, rng.randint(0, min(3, len(names)))))
+    assert plan_order(node_domains, scopes, ext) == reference_impl.plan_order(node_domains, scopes, ext)
+
+
+@pytest.mark.parametrize("name", SUITE + ["cnf-64"])
+def test_plan_order_matches_reference_on_rules(name):
+    source, params = cnf_pcfgw(64) if name == "cnf-64" else load_program(name)
+    g = compile_source(source, params).fgg
+    for rule in g.rules:
+        node_domains = {n.id: g.domains[n.domain] for n in rule.rhs.nodes}
+        scopes = [e.att for e in rule.rhs.edges]
+        ext = set(rule.rhs.ext)
+        assert plan_order(node_domains, scopes, ext) == reference_impl.plan_order(node_domains, scopes, ext)
 
 
 def test_rule_contribution_no_nonterminals():
@@ -429,6 +496,70 @@ def test_mixed_components_agree_with_whole_grammar_iteration():
     assert got.ops < want.ops
     for label, t in want.tau.items():
         np.testing.assert_allclose(got.tau[label].data, t.data, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("name", ["pcfg", "mutual", "mixed", "cnf-8", "cnf-23", "cnf-64"])
+def test_frozen_steps_change_nothing_but_ops(name, monkeypatch):
+    """Freezing a recursive component's sweep-invariant steps leaves the
+    solve as it is bit for bit; each frozen step runs once instead of once
+    per sweep."""
+    if name == "mixed":
+        g = _mixed_fgg()
+    else:
+        source, params = cnf_pcfgw(int(name[4:])) if name.startswith("cnf-") else load_program(name)
+        g = compile_source(source, params).fgg
+    frozen, applies = {}, {}
+    real_freeze, real_apply = inference._Contraction.freeze, inference._Contraction.apply
+
+    def freeze(self, tau, live, counter=None):
+        before = counter.ops
+        real_freeze(self, tau, live, counter)
+        frozen[self] = counter.ops - before
+
+    def apply(self, tau, counter=None):
+        applies[self] = applies.get(self, 0) + 1
+        return real_apply(self, tau, counter)
+
+    monkeypatch.setattr(inference._Contraction, "freeze", freeze)
+    monkeypatch.setattr(inference._Contraction, "apply", apply)
+    got = solve_fixed_point(g)
+    monkeypatch.setattr(inference._Contraction, "freeze", lambda *args, **kwargs: None)
+    want = solve_fixed_point(g)
+    assert (got.status, got.iteration, got.delta) == (want.status, want.iteration, want.delta)
+    assert list(got.tau) == list(want.tau)
+    for label, t in want.tau.items():
+        assert got.tau[label].data.tobytes() == t.data.tobytes()
+    assert any(frozen.values())
+    assert got.ops == want.ops - sum(ops * (applies[c] - 1) for c, ops in frozen.items())
+    if name != "mixed":  # one recursive component: its sweeps are the solve's
+        assert got.ops == want.ops - (got.iteration - 1) * sum(frozen.values())
+
+
+def test_rule_without_member_edge_runs_once(monkeypatch):
+    """A recursive component's rule that uses none of its members is run
+    before the first sweep and never again."""
+    runs = {}
+    real_run = inference._Contraction._run
+
+    def run(step, vals):
+        runs[id(step)] = runs.get(id(step), 0) + 1
+        return real_run(step, vals)
+
+    constant = []
+    real_freeze = inference._Contraction.freeze
+
+    def freeze(self, tau, live, counter=None):
+        if not any(label in live for _, label, _, _ in self.tau_slots):
+            constant.append(list(self.steps))
+        real_freeze(self, tau, live, counter)
+
+    monkeypatch.setattr(inference._Contraction, "_run", staticmethod(run))
+    monkeypatch.setattr(inference._Contraction, "freeze", freeze)
+    st = solve_fixed_point(_mixed_fgg())
+    assert st.iteration > 2
+    assert len(constant) == 3  # the rules A -> w, B -> w and C -> w
+    for steps in constant:
+        assert steps and all(runs[id(step)] == 1 for step in steps)
 
 
 def test_nonterminal_without_rules_stays_zero():
