@@ -330,20 +330,34 @@ def fgg_to_json(g: FGG) -> dict:
     }
 
 
+def _name(x, what: str) -> str:
+    """`x`, a name read from FGG JSON, if it is a string; else ValueError."""
+    if not isinstance(x, str):
+        raise ValueError(f"{what} must be a string, not {type(x).__name__}")
+    return x
+
+
 def fgg_from_json(obj: dict) -> FGG:
-    labels = {l["name"]: EdgeLabel(l["name"], int(l["arity"]), l["kind"])
-              for l in obj["labels"]}
+    """The FGG that `fgg_to_json` wrote. Every name in it (of a label, kind,
+    rule lhs, node, domain, edge and attached or external node, and the
+    start symbol) must be a string, else ValueError."""
+    labels = [EdgeLabel(_name(l["name"], "label name"), int(l["arity"]),
+                        _name(l["kind"], "label kind")) for l in obj["labels"]]
     domains = {name: Domain(name, [value_from_json(v) for v in vals])
                for name, vals in obj["domains"].items()}
-    rules = [Rule(r["lhs"], Hypergraph(
-        nodes=[Node(n["id"], n["domain"]) for n in r["rhs"]["nodes"]],
-        edges=[Edge(e["id"], e["label"], tuple(e["att"])) for e in r["rhs"]["edges"]],
-        ext=tuple(r["rhs"]["ext"]),
+    rules = [Rule(_name(r["lhs"], "rule lhs"), Hypergraph(
+        nodes=[Node(_name(n["id"], "node id"), _name(n["domain"], "node domain"))
+               for n in r["rhs"]["nodes"]],
+        edges=[Edge(_name(e["id"], "edge id"), _name(e["label"], "edge label"),
+                    tuple(_name(a, "edge att entry") for a in e["att"]))
+               for e in r["rhs"]["edges"]],
+        ext=tuple(_name(x, "ext entry") for x in r["rhs"]["ext"]),
     )) for r in obj["rules"]]
-    factors = {name: FactorTable(name, tuple(body["domains"]),
+    factors = {name: FactorTable(name, tuple(_name(d, "factor domain") for d in body["domains"]),
                                  np.asarray(body["table"], dtype=float))
                for name, body in obj["factors"].items()}
-    return FGG(labels=labels, rules=rules, start=obj["start"], domains=domains, factors=factors)
+    return FGG(labels={l.name: l for l in labels}, rules=rules,
+               start=_name(obj["start"], "start"), domains=domains, factors=factors)
 
 
 def dumps(g: FGG) -> str:

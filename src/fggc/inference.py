@@ -201,38 +201,39 @@ _MAX_OPERANDS = 31
 _MIN_MATMUL = 4096
 
 
-def _summed(a, b, out):
-    """The labels that the step `a, b -> out` sums, in `a`'s order, if the
-    step can run as one batched matrix product, else None: no operand
-    repeats a label, every label of an operand is either summed by both
-    operands or in `out`, and some label is summed."""
-    inner = [m for m in a if m in b and m not in out]
-    if (not inner or any(len(set(x)) < len(x) for x in (a, b))
-            or any(m not in out and m not in inner for m in a + b)):
+def _split(a, b, out):
+    """The labels of the step `a, b -> out` split as one batched matrix
+    product: (batch, rows, inner, cols), the labels kept from both operands,
+    kept from `a` only, summed, and kept from `b` only, the first three in
+    `a`'s order and the columns in `b`'s. None when the step does not
+    qualify: an operand repeats a label, a label of one operand only is
+    summed, or no label is summed."""
+    batch, rows, inner = [], [], []
+    for m in a:
+        (rows if m not in b else batch if m in out else inner).append(m)
+    cols = [m for m in b if m not in a]
+    if (not inner or len(set(a)) < len(a) or len(set(b)) < len(b)
+            or any(m not in out for m in rows + cols)):
         return None
-    return inner
+    return batch, rows, inner, cols
 
 
 def matmul_plan(a: list, b: list, out: list, sizes: list):
     """The einsum step `a, b -> out` (label lists; `sizes[m]` the length of
     label m) as one batched np.matmul: a function of the two operands, or
-    None when the step does not qualify (see `_summed`). Labels kept from
-    both operands are the batch, those kept from one operand its rows or
-    columns, and the summed ones the inner dimension; the products are
-    those of the einsum, summed in BLAS's order. Each operand is viewed as
-    (batch, rows, inner) or (batch, inner, columns), with the batch, rows
-    and columns in `out`'s order and the inner labels in `a`'s, and the
-    result, made in (batch, rows, columns) order, is viewed in `out`'s."""
-    inner = _summed(a, b, out)
-    if inner is None:
+    None when the step does not qualify (see `_split`). The operands are
+    viewed as (batch, rows, inner) and (batch, inner, columns), each part's
+    labels in `_split`'s order, so the products are those of the einsum,
+    summed in BLAS's order; the result, made in (batch, rows, columns)
+    order, is viewed in `out`'s."""
+    split = _split(a, b, out)
+    if split is None:
         return None
-    batch = [m for m in out if m in a and m in b]
-    rows = [m for m in out if m not in b]
-    cols = [m for m in out if m not in a]
+    batch, rows, inner, cols = split
     mid = batch + rows + cols
     ta = [a.index(m) for m in batch + rows + inner]
     tb = [b.index(m) for m in batch + inner + cols]
-    nb, nr, ni, nc = (math.prod(sizes[m] for m in x) for x in (batch, rows, inner, cols))
+    nb, nr, ni, nc = (math.prod(sizes[m] for m in x) for x in split)
     shape = [sizes[m] for m in mid]
     to = [mid.index(m) for m in out]
 
@@ -285,14 +286,15 @@ class _Contraction:
     them, counting its two operands and, when the reading step is lowered
     too, its own result as that step reads it (the given order on a tie).
     Each array is taken to be laid out in C order over its labels, and the
-    result's labels are put in the (batch, rows, columns) order in which
-    np.matmul lays it out, so the next step sees it as it is.
+    result's labels are put in `_split`'s (batch, rows, columns) order, in
+    which np.matmul lays it out, so the next step sees it as it is.
 
-    `freeze` runs, once, the steps that read none of a given set of
-    labels' tensors and keeps their results as operands; `apply` runs the
-    steps still to do (all of them in a contraction never frozen). `ops`
-    is the product size of those steps, so an OpCounter counts each step
-    each time it runs.
+    `values` holds the operands and then one slot per step, by position.
+    `freeze` runs, once, the steps that read none of a given set of labels'
+    tensors and writes each result into its step's slot; `apply` runs the
+    steps still to do (`todo`, all of them in a contraction never frozen)
+    into a copy of `values`. `ops` is the product size of those steps, so
+    an OpCounter counts each step each time it runs.
     """
 
     def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
@@ -305,7 +307,7 @@ class _Contraction:
         if aligned is None:
             aligned = {}
         node_names = {n.id: n.domain for n in graph.nodes}
-        self.operands: list = []  # arrays; None where apply puts a tau tensor
+        self.values: list = []  # by position: the operands, then one per step
         self.tau_slots: list = []  # (position, label, alignment, shape)
         work = []  # (labelled nodes, operand position)
         for e in graph.edges:
@@ -317,7 +319,7 @@ class _Contraction:
                 if len(tds) != len(e.att):
                     raise InferenceError(
                         f"tensor for {e.label} has rank {len(tds)}, edge arity {len(e.att)}")
-                self.tau_slots.append((len(self.operands), e.label, alignment(tds, nds), shape))
+                self.tau_slots.append((len(self.values), e.label, alignment(tds, nds), shape))
             else:
                 tab = factors[e.label]
                 key = (id(tab.weights), tab.domains, tuple(map(node_names.__getitem__, e.att)))
@@ -344,6 +346,7 @@ class _Contraction:
                 keep = tuple(dict.fromkeys(m for s, _ in group for m in s if m != n))
                 work.append((keep, self._step(group, keep)))
         self._step(work, out, last=True)  # also sums any internal node `order` left out
+        self.todo = list(range(len(self.steps)))  # the steps that apply runs
         self.ops = sum(self.costs)
         self.shape = tuple(len(d) for d in self.ext_domains)
 
@@ -351,8 +354,8 @@ class _Contraction:
         return tuple(n for n in nodes if self.sizes[n] > 1)
 
     def _operand(self, arr) -> int:
-        self.operands.append(arr)
-        return len(self.operands) - 1
+        self.values.append(arr)
+        return len(self.values) - 1
 
     def _step(self, group, out, last=False) -> int:
         """Add the steps contracting `group` onto `out`; return the position
@@ -367,28 +370,27 @@ class _Contraction:
         names = dict.fromkeys(m for s, _ in group for m in s)
         size = math.prod(self.sizes[m] for m in names)
         lowered = (len(group) == 2 and size >= _MIN_MATMUL
-                   and _summed(group[0][0], group[1][0], out) is not None)
+                   and _split(group[0][0], group[1][0], out) is not None)
         if self._pending and any(pos in self._pending for _, pos in group):
             group = [(self._settle(pos, lowered and (group[1 - i][0], out)), pos)
                      if pos in self._pending else (s, pos) for i, (s, pos) in enumerate(group)]
             names = dict.fromkeys(m for s, _ in group for m in s)
         self.costs.append(size)
+        self.values.append(None)
         if lowered and not last:
             self.steps.append(None)
-            self._pending[len(self.operands) + len(self.steps) - 1] = group, out
+            self._pending[len(self.values) - 1] = len(self.steps) - 1, group, out
         else:
             self.steps.append(self._compile(group, out, names, lowered))
-        return len(self.operands) + len(self.steps) - 1
+        return len(self.values) - 1
 
     def _compile(self, group, out, names, lowered) -> tuple:
         """The step `group -> out`, its labels numbered in `names`' order."""
         label = {m: i for i, m in enumerate(names)}
         operands = [(pos, [label[m] for m in s]) for s, pos in group]
         labels_out = [label[m] for m in out]
-        plan = None
-        if lowered:
-            plan = matmul_plan(operands[0][1], operands[1][1], labels_out,
-                               [self.sizes[m] for m in label])
+        plan = matmul_plan(operands[0][1], operands[1][1], labels_out,
+                           [self.sizes[m] for m in label]) if lowered else None
         return operands, labels_out, plan
 
     def _settle(self, pos, reader) -> tuple:
@@ -396,25 +398,19 @@ class _Contraction:
         step reading it is known, and return the result's labels. `reader`
         is, when that step is lowered too, its other operand's labels and
         its output labels, else False."""
-        group, keep = self._pending.pop(pos)
-        best = None
-        for (x, px), (y, py) in (group, group[::-1]):
-            batch = [m for m in x if m in y and m in keep]
-            rows = [m for m in x if m not in y]
-            inner = [m for m in x if m in y and m not in keep]
-            cols = [m for m in y if m not in x]
+        k, group, keep = self._pending.pop(pos)
+        options = []
+        for pair in (group, group[::-1]):
+            (x, _), (y, _) = pair
+            batch, rows, inner, cols = _split(x, y, keep)
             mid = tuple(batch + rows + cols)
             copies = (not _viewable(x, batch, rows, inner)) + (not _viewable(y, batch, inner, cols))
             if reader:
-                other, out = reader
-                copies += not _viewable(mid, [m for m in mid if m in other and m in out],
-                                        [m for m in mid if m in out and m not in other],
-                                        [m for m in mid if m not in out])
-            if best is None or copies < best[0]:
-                best = (copies, [(x, px), (y, py)], mid)
-        _, group, mid = best
+                copies += not _viewable(mid, *_split(mid, *reader)[:3])
+            options.append((copies, pair, mid))
+        _, group, mid = min(options, key=lambda o: o[0])
         names = dict.fromkeys(m for s, _ in group for m in s)
-        self.steps[pos - len(self.operands)] = self._compile(group, mid, names, True)
+        self.steps[k] = self._compile(group, mid, names, True)
         return mid
 
     @staticmethod
@@ -431,50 +427,38 @@ class _Contraction:
 
     def freeze(self, tau: dict[str, WeightTensor], live, counter: OpCounter | None = None):
         """Run, once, every step that reads no tensor of a label in `live`
-        (each other tensor from `tau`), and keep the results that the other
-        steps read as operands, so that `apply` runs only those steps; with
-        no such step the result itself is kept. The steps run here are
+        (each other tensor from `tau`), and write its result into its
+        position of `values`, so that `apply` runs only the other steps;
+        every value that none of those reads is dropped, except the last,
+        which is the result when no step is left. The steps run here are
         counted in `counter` once."""
-        n = len(self.operands)
-        vals = list(self.operands)
-        moving = set()
+        vals = self.values
+        n = len(vals) - len(self.steps)
         for i, label, moved, shape in self.tau_slots:
-            if label in live:
-                moving.add(i)
-            else:
+            if label not in live:
                 vals[i] = _realign(tau[label].data, moved).reshape(shape)
-        todo = []
-        for k, step in enumerate(self.steps):
-            if any(pos in moving for pos, _ in step[0]):
+        self.tau_slots = [slot for slot in self.tau_slots if slot[1] in live]
+        moving = {slot[0] for slot in self.tau_slots}
+        for k in self.todo:
+            if any(pos in moving for pos, _ in self.steps[k][0]):
                 moving.add(n + k)
-                todo.append(k)
-                vals.append(None)
             else:
-                vals.append(self._run(step, vals))
+                vals[n + k] = self._run(self.steps[k], vals)
                 if counter is not None:
                     counter.ops += self.costs[k]
-        if not todo:
-            self.operands, self.tau_slots, self.steps, self.costs = [vals[-1]], [], [], []
-            self.ops = 0
-            return
-        read = sorted({pos for k in todo for pos, _ in self.steps[k][0] if pos not in moving}
-                      | {i for i, *_ in self.tau_slots if i in moving})
-        at = {pos: j for j, pos in enumerate(read)}
-        at.update((n + k, len(read) + j) for j, k in enumerate(todo))
-        self.operands = [vals[pos] for pos in read]
-        self.tau_slots = [(at[i], *rest) for i, *rest in self.tau_slots if i in moving]
-        self.steps = [([(at[pos], labels) for pos, labels in self.steps[k][0]], *self.steps[k][1:])
-                      for k in todo]
-        self.costs = [self.costs[k] for k in todo]
-        self.ops = sum(self.costs)
+        self.todo = [k for k in self.todo if n + k in moving]
+        read = {pos for k in self.todo for pos, _ in self.steps[k][0]} | {len(vals) - 1}
+        self.values = [v if i in read else None for i, v in enumerate(vals)]
+        self.ops = sum(self.costs[k] for k in self.todo)
 
     def apply(self, tau: dict[str, WeightTensor],
               counter: OpCounter | None = None) -> WeightTensor:
-        vals = list(self.operands)
+        vals = list(self.values)
         for i, label, moved, shape in self.tau_slots:
             vals[i] = _realign(tau[label].data, moved).reshape(shape)
-        for step in self.steps:
-            vals.append(self._run(step, vals))
+        n = len(vals) - len(self.steps)
+        for k in self.todo:
+            vals[n + k] = self._run(self.steps[k], vals)
         if counter is not None:
             counter.ops += self.ops
         result = np.array(vals[-1], dtype=float, order="C").reshape(self.shape)

@@ -421,7 +421,8 @@ def _gc(cu: CompilationUnit, built: list[tuple[str, _Rhs]], zero: set[str]):
 # perfbench/ calls compile_source(source, params, ALL_PASSES) and
 # simplify(cu, (name,)) and reads cu.pass_log. The translator builds the final
 # grammar itself, so these only keep that surface; the change that may edit
-# perfbench/ deletes them (ROADMAP item 8).
+# perfbench/ deletes them (the ROADMAP item "Run stats, the benchmark
+# trajectory, and syncing `perfbench/`").
 ALL_PASSES = ("inline", "compose", "contract", "prune")
 
 

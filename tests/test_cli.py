@@ -448,6 +448,30 @@ def _truncate(path):
     path.write_text(path.read_text()[:200])
 
 
+# where each kind of name sits in a grammar: (the object that holds it, its key);
+# a list there once passed the reader and ended in a TypeError traceback
+_NAMES = {
+    "label name": lambda g: (g["labels"][0], "name"),
+    "label kind": lambda g: (g["labels"][0], "kind"),
+    "start": lambda g: (g, "start"),
+    "rule lhs": lambda g: (g["rules"][0], "lhs"),
+    "node id": lambda g: (g["rules"][0]["rhs"]["nodes"][0], "id"),
+    "node domain": lambda g: (g["rules"][0]["rhs"]["nodes"][0], "domain"),
+    "edge id": lambda g: (g["rules"][0]["rhs"]["edges"][0], "id"),
+    "edge label": lambda g: (g["rules"][0]["rhs"]["edges"][0], "label"),
+    "edge att entry": lambda g: (g["rules"][0]["rhs"]["edges"][0]["att"], 0),
+    "ext entry": lambda g: (g["rules"][0]["rhs"]["ext"], 0),
+    "factor domain": lambda g: (next(iter(g["factors"].values()))["domains"], 0),
+}
+
+
+def _listed(where):
+    def edit(obj):
+        holder, key = where(obj)
+        holder[key] = [holder[key]]
+    return _edit_json(edit)
+
+
 @pytest.mark.parametrize("damage,message", [
     (_truncate, "bad FGG JSON"),
     (_edit_json(_drop_factor_domains), "bad FGG JSON"),
@@ -455,8 +479,10 @@ def _truncate(path):
     (_edit_json(_unknown_kind), "has unknown kind 'factor'"),
     (_edit_json(_domains_as_list), "bad FGG JSON"),
     (_edit_json(_start_without_rule), "start symbol '$start' has no rule"),
-], ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind",
-        "domains-as-list", "start-without-rule"])
+] + [(_listed(where), f"bad FGG JSON: {name} must be a string") for name, where in _NAMES.items()],
+    ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind",
+         "domains-as-list", "start-without-rule"]
+    + ["listed-" + name.replace(" ", "-") for name in _NAMES])
 @pytest.mark.parametrize("command", ["infer", "compare"])
 def test_malformed_grammar_json_exit_2(tmp_path, capsys, command, damage, message):
     path = tmp_path / "g.json"
