@@ -337,11 +337,20 @@ def _name(x, what: str) -> str:
     return x
 
 
+def _arity(x) -> int:
+    """`x`, a label's arity read from FGG JSON, if it is an integer (a JSON
+    number without a fraction or exponent, not a boolean); else ValueError."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"label arity must be an integer, not {type(x).__name__}")
+    return x
+
+
 def fgg_from_json(obj: dict) -> FGG:
     """The FGG that `fgg_to_json` wrote. Every name in it (of a label, kind,
     rule lhs, node, domain, edge and attached or external node, and the
-    start symbol) must be a string, else ValueError."""
-    labels = [EdgeLabel(_name(l["name"], "label name"), int(l["arity"]),
+    start symbol) must be a string, and every label's arity an integer,
+    else ValueError."""
+    labels = [EdgeLabel(_name(l["name"], "label name"), _arity(l["arity"]),
                         _name(l["kind"], "label kind")) for l in obj["labels"]]
     domains = {name: Domain(name, [value_from_json(v) for v in vals])
                for name, vals in obj["domains"].items()}

@@ -4,16 +4,17 @@ one strongly connected component of the nonterminal dependency graph at a
 time, callees first: one exact pass for a non-recursive component, Kleene
 iteration for a recursive one.
 
-Each rule's elimination is compiled once per solve into a list of steps:
-large two-operand steps run as batched BLAS matrix products (np.matmul),
-with operands ordered so that BLAS reads them without a copy, the rest as
-np.einsum. The steps and the op counts do not depend on that choice. The
-answers, and so the deltas, can differ from all-einsum execution in the
-last bits, as can runs with different BLAS thread counts; the iterations
-change only if such a difference moves a delta across `tol`. Before a
-recursive component's first sweep, each of its rules runs once the steps
-that read no member's tensor, so a sweep runs only the rest; that changes
-no bit of the answers.
+Each rule's elimination is compiled once per solve, when the tensors of
+its component's callees are final, into a list of steps: large two-operand
+steps run as batched BLAS matrix products (np.matmul), with operands
+ordered so that BLAS reads them without a copy, the rest as np.einsum. The
+steps and the op counts do not depend on that choice. The answers, and so
+the deltas, can differ from all-einsum execution in the last bits, as can
+runs with different BLAS thread counts; the iterations change only if such
+a difference moves a delta across `tol`. A step that reads no tensor of
+the component's own nonterminals runs there, once, so a sweep runs only
+the steps that do, and a rule with none is a constant; that changes no
+bit of the answers.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class WeightTensor:
 class OpCounter:
     """Counts elementary table operations: the size of the product that each
     step of a contraction ranges over (einsum or matmul alike), summed over
-    the steps that actually run, so a step that a recursive component's
-    solve freezes (runs once, before its sweeps) counts once."""
+    the steps that actually run, so a step run when its rule is built
+    counts once, and a step kept for the sweeps once per sweep."""
 
     def __init__(self):
         self.ops = 0
@@ -185,7 +186,7 @@ def plan_elimination(g: FGG, rule: Rule) -> EliminationPlan:
 def external_marginal(g: Hypergraph, domains: dict[str, Domain], factors,
                       order=None, counter: OpCounter | None = None) -> WeightTensor:
     """Marginal weight tensor over the external nodes of a terminal-only graph."""
-    return _Contraction(g, domains, factors, order=order).apply({}, counter)
+    return _Contraction(g, domains, factors, {}, (), order, counter=counter).result
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +219,14 @@ def _split(a, b, out):
     return batch, rows, inner, cols
 
 
-def matmul_plan(a: list, b: list, out: list, sizes: list):
+def matmul_plan(a: list, b: list, out: list, sizes: list, split):
     """The einsum step `a, b -> out` (label lists; `sizes[m]` the length of
-    label m) as one batched np.matmul: a function of the two operands, or
-    None when the step does not qualify (see `_split`). The operands are
-    viewed as (batch, rows, inner) and (batch, inner, columns), each part's
-    labels in `_split`'s order, so the products are those of the einsum,
-    summed in BLAS's order; the result, made in (batch, rows, columns)
-    order, is viewed in `out`'s."""
-    split = _split(a, b, out)
-    if split is None:
-        return None
+    label m) as one batched np.matmul, given `split = _split(a, b, out)`: a
+    function of the two operands. The operands are viewed as (batch, rows,
+    inner) and (batch, inner, columns), each part's labels in the split's
+    order, so the products are those of the einsum, summed in BLAS's order;
+    the result, made in (batch, rows, columns) order, is viewed in
+    `out`'s."""
     batch, rows, inner, cols = split
     mid = batch + rows + cols
     ta = [a.index(m) for m in batch + rows + inner]
@@ -256,29 +254,28 @@ def _viewable(mem, batch, x, y) -> bool:
 
 
 class _Contraction:
-    """A hypergraph's sum-product onto its external nodes, compiled once into
-    a fixed list of steps; only the nonterminal edges' tensors change
-    between applications.
+    """A hypergraph's sum-product onto its external nodes, built once the
+    tensors of every label but those in `live` are final: `tau` holds the
+    nonterminal edges' tensors, terminal tables come from `factors`.
 
     Terminal tables are aligned onto their nodes here (once per array and
     node domains when several contractions share an `aligned` cache), and
-    each nonterminal edge's `alignment` is built here from the domains its
-    tensor will have (`tau_domains`), so that `apply` only indexes the
-    tensors. Each node of the elimination order gets one step over the
-    operands that mention it, and a last step maps what remains onto `ext`.
-    A repeated attachment is a repeated label (a diagonal), an unattached
-    external node a vector of ones, an unattached internal node a constant
-    scale. A node with one value carries no label (its axes are reshaped
-    away), and labels are numbered within each step, so a step's labels are
-    its nodes of size > 1.
+    so is each nonterminal edge's tensor: a known one's data at once, a
+    live one's `alignment` for `apply` to index with. Each node of the
+    elimination order gets one step over the operands that mention it, and
+    a last step maps what remains onto `ext`. A repeated attachment is a
+    repeated label (a diagonal), an unattached external node a vector of
+    ones, an unattached internal node a constant scale. A node with one
+    value carries no label (its axes are reshaped away), and labels are
+    numbered within each step, so a step's labels are its nodes of size > 1.
 
     A step runs as np.einsum, except a two-operand step of at least
-    `_MIN_MATMUL` products that `matmul_plan` can lower: that one runs as
-    one batched BLAS matrix product (the pairwise lowering of opt_einsum,
-    Smith & Gray, JOSS 2018). The steps and their op counts are the same
-    either way. The products are summed in another order, so a result can
-    differ from all-einsum execution in the last bits, and the BLAS build
-    and thread count can move those bits too.
+    `_MIN_MATMUL` products that `_split` can lower: that one runs as one
+    batched BLAS matrix product (`matmul_plan`; the pairwise lowering of
+    opt_einsum, Smith & Gray, JOSS 2018). The steps and their op counts are
+    the same either way. The products are summed in another order, so a
+    result can differ from all-einsum execution in the last bits, and the
+    BLAS build and thread count can move those bits too.
 
     A lowered step whose result another step reads is compiled when that
     step is, so that it can choose which operand goes on the left: the
@@ -289,37 +286,46 @@ class _Contraction:
     result's labels are put in `_split`'s (batch, rows, columns) order, in
     which np.matmul lays it out, so the next step sees it as it is.
 
-    `values` holds the operands and then one slot per step, by position.
-    `freeze` runs, once, the steps that read none of a given set of labels'
-    tensors and writes each result into its step's slot; `apply` runs the
-    steps still to do (`todo`, all of them in a contraction never frozen)
-    into a copy of `values`. `ops` is the product size of those steps, so
-    an OpCounter counts each step each time it runs.
+    `values` holds the operands and then one slot per step, by position,
+    None where the value depends on a live tensor. A step whose operands
+    are all known runs as soon as it is compiled, its product size counted
+    in `counter`; `steps` keeps the others, in an order that computes each
+    operand before it is read, each with its slot. `apply` runs them on
+    the live tensors, counting `ops`, their product size, each time; with
+    no live step, `result` is the finished tensor and `apply` returns it.
     """
 
     def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
-                 tau_domains=None, order=None, aligned: dict | None = None):
+                 tau: dict[str, WeightTensor], live, order=None,
+                 aligned: dict | None = None, counter: OpCounter | None = None):
         node_domains = {n.id: domains[n.domain] for n in graph.nodes}
         self.sizes = {n: len(d) for n, d in node_domains.items()}
         self.ext_domains = tuple(node_domains[n] for n in graph.ext)
+        self.shape = tuple(map(self.sizes.__getitem__, graph.ext))
         if order is None:
             order = plan_order(node_domains, [e.att for e in graph.edges], set(graph.ext)).order
         if aligned is None:
             aligned = {}
+        self._counter = counter if counter is not None else OpCounter()
         node_names = {n.id: n.domain for n in graph.nodes}
-        self.values: list = []  # by position: the operands, then one per step
+        self.values: list = []
         self.tau_slots: list = []  # (position, label, alignment, shape)
         work = []  # (labelled nodes, operand position)
         for e in graph.edges:
             nds = tuple(map(node_domains.__getitem__, e.att))
-            shape = tuple(len(d) for d in nds if len(d) > 1)
-            arr = None
-            if tau_domains and e.label in tau_domains:
-                tds = tau_domains[e.label]
-                if len(tds) != len(e.att):
+            labels = self._labelled(e.att)
+            shape = tuple(map(self.sizes.__getitem__, labels))
+            if e.label in tau:
+                t = tau[e.label]
+                if len(t.domains) != len(e.att):
                     raise InferenceError(
-                        f"tensor for {e.label} has rank {len(tds)}, edge arity {len(e.att)}")
-                self.tau_slots.append((len(self.values), e.label, alignment(tds, nds), shape))
+                        f"tensor for {e.label} has rank {len(t.domains)}, edge arity {len(e.att)}")
+                moved = alignment(t.domains, nds)
+                if e.label in live:
+                    arr = None
+                    self.tau_slots.append((len(self.values), e.label, moved, shape))
+                else:
+                    arr = _realign(t.data, moved).reshape(shape)
             else:
                 tab = factors[e.label]
                 key = (id(tab.weights), tab.domains, tuple(map(node_names.__getitem__, e.att)))
@@ -328,16 +334,16 @@ class _Contraction:
                     tds = tuple(domains[d] for d in tab.domains)
                     arr = aligned[key] = align(np.asarray(tab.weights, dtype=float),
                                                tds, nds).reshape(shape)
-            work.append((self._labelled(e.att), self._operand(arr)))
+            work.append((labels, self._operand(arr)))
         attached = {a for e in graph.edges for a in e.att}
         out = self._labelled(graph.ext)
         work += [((n,), self._operand(np.ones(self.sizes[n]))) for n in out if n not in attached]
-        scale = float(math.prod(len(d) for n, d in node_domains.items()
+        scale = float(math.prod(size for n, size in self.sizes.items()
                                 if n not in attached and n not in graph.ext))
         if scale != 1.0 or not work:
             work.append(((), self._operand(np.array(scale))))
-        self.steps: list = []  # ([(operand position, labels)], output labels, matmul plan)
-        self.costs: list = []  # each step's product size
+        self.steps: list = []  # ([(operand position, labels)], output labels, matmul plan, slot)
+        self.ops = 0
         self._pending: dict = {}  # lowered steps compiled when their reader is
         for n in order:
             group = [w for w in work if n in w[0]]
@@ -346,9 +352,7 @@ class _Contraction:
                 keep = tuple(dict.fromkeys(m for s, _ in group for m in s if m != n))
                 work.append((keep, self._step(group, keep)))
         self._step(work, out, last=True)  # also sums any internal node `order` left out
-        self.todo = list(range(len(self.steps)))  # the steps that apply runs
-        self.ops = sum(self.costs)
-        self.shape = tuple(len(d) for d in self.ext_domains)
+        self.result = None if self.steps else self._finish(self.values[-1])
 
     def _labelled(self, nodes) -> tuple:
         return tuple(n for n in nodes if self.sizes[n] > 1)
@@ -369,54 +373,66 @@ class _Contraction:
             group.insert(0, (keep, self._step(chunk, keep)))
         names = dict.fromkeys(m for s, _ in group for m in s)
         size = math.prod(self.sizes[m] for m in names)
-        lowered = (len(group) == 2 and size >= _MIN_MATMUL
-                   and _split(group[0][0], group[1][0], out) is not None)
+        split = (_split(group[0][0], group[1][0], out)
+                 if len(group) == 2 and size >= _MIN_MATMUL else None)
         if self._pending and any(pos in self._pending for _, pos in group):
-            group = [(self._settle(pos, lowered and (group[1 - i][0], out)), pos)
-                     if pos in self._pending else (s, pos) for i, (s, pos) in enumerate(group)]
-            names = dict.fromkeys(m for s, _ in group for m in s)
-        self.costs.append(size)
-        self.values.append(None)
-        if lowered and not last:
-            self.steps.append(None)
-            self._pending[len(self.values) - 1] = len(self.steps) - 1, group, out
+            settled = [(self._settle(pos, split is not None and (group[1 - i][0], out)), pos)
+                       if pos in self._pending else (s, pos) for i, (s, pos) in enumerate(group)]
+            if settled != group:  # a settled operand's labels moved
+                names = dict.fromkeys(m for s, _ in settled for m in s)
+                if split is not None:
+                    split = _split(settled[0][0], settled[1][0], out)
+            group = settled
+        pos = self._operand(None)
+        if split is not None and not last:
+            self._pending[pos] = group, out, split, size
         else:
-            self.steps.append(self._compile(group, out, names, lowered))
-        return len(self.values) - 1
+            self._compile(pos, group, out, names, split, size)
+        return pos
 
-    def _compile(self, group, out, names, lowered) -> tuple:
-        """The step `group -> out`, its labels numbered in `names`' order."""
+    def _compile(self, pos, group, out, names, split, size):
+        """Compile the step `group -> out` into slot `pos`, its labels
+        numbered in `names`' order, and run it now if it reads no live
+        value; `split` is `_split`'s of its labels if it is lowered."""
         label = {m: i for i, m in enumerate(names)}
-        operands = [(pos, [label[m] for m in s]) for s, pos in group]
+        operands = [(p, [label[m] for m in s]) for s, p in group]
         labels_out = [label[m] for m in out]
-        plan = matmul_plan(operands[0][1], operands[1][1], labels_out,
-                           [self.sizes[m] for m in label]) if lowered else None
-        return operands, labels_out, plan
+        plan = None if split is None else matmul_plan(
+            operands[0][1], operands[1][1], labels_out, [self.sizes[m] for m in names],
+            [[label[m] for m in part] for part in split])
+        step = operands, labels_out, plan, pos
+        if any(self.values[p] is None for p, _ in operands):
+            self.steps.append(step)
+            self.ops += size
+        else:
+            self.values[pos] = self._run(step, self.values)
+            self._counter.ops += size
 
     def _settle(self, pos, reader) -> tuple:
         """Compile the lowered step whose result is at `pos`, now that the
         step reading it is known, and return the result's labels. `reader`
         is, when that step is lowered too, its other operand's labels and
         its output labels, else False."""
-        k, group, keep = self._pending.pop(pos)
+        group, keep, split, size = self._pending.pop(pos)
         options = []
-        for pair in (group, group[::-1]):
+        (a, _), (b, _) = group
+        for pair, s in ((group, split), (group[::-1], _split(b, a, keep))):
             (x, _), (y, _) = pair
-            batch, rows, inner, cols = _split(x, y, keep)
+            batch, rows, inner, cols = s
             mid = tuple(batch + rows + cols)
             copies = (not _viewable(x, batch, rows, inner)) + (not _viewable(y, batch, inner, cols))
             if reader:
                 copies += not _viewable(mid, *_split(mid, *reader)[:3])
-            options.append((copies, pair, mid))
-        _, group, mid = min(options, key=lambda o: o[0])
+            options.append((copies, pair, mid, s))
+        _, group, mid, split = min(options, key=lambda o: o[0])
         names = dict.fromkeys(m for s, _ in group for m in s)
-        self.steps[k] = self._compile(group, mid, names, True)
+        self._compile(pos, group, mid, names, split, size)
         return mid
 
     @staticmethod
     def _run(step, vals):
         """The value of one compiled step, its operands taken from `vals`."""
-        operands, out, plan = step
+        operands, out, plan, _ = step
         if plan is not None:
             (a, _), (b, _) = operands
             return plan(vals[a], vals[b])
@@ -425,46 +441,26 @@ class _Contraction:
             args += (vals[pos], labels)
         return np.einsum(*args, out)
 
-    def freeze(self, tau: dict[str, WeightTensor], live, counter: OpCounter | None = None):
-        """Run, once, every step that reads no tensor of a label in `live`
-        (each other tensor from `tau`), and write its result into its
-        position of `values`, so that `apply` runs only the other steps;
-        every value that none of those reads is dropped, except the last,
-        which is the result when no step is left. The steps run here are
-        counted in `counter` once."""
-        vals = self.values
-        n = len(vals) - len(self.steps)
-        for i, label, moved, shape in self.tau_slots:
-            if label not in live:
-                vals[i] = _realign(tau[label].data, moved).reshape(shape)
-        self.tau_slots = [slot for slot in self.tau_slots if slot[1] in live]
-        moving = {slot[0] for slot in self.tau_slots}
-        for k in self.todo:
-            if any(pos in moving for pos, _ in self.steps[k][0]):
-                moving.add(n + k)
-            else:
-                vals[n + k] = self._run(self.steps[k], vals)
-                if counter is not None:
-                    counter.ops += self.costs[k]
-        self.todo = [k for k in self.todo if n + k in moving]
-        read = {pos for k in self.todo for pos, _ in self.steps[k][0]} | {len(vals) - 1}
-        self.values = [v if i in read else None for i, v in enumerate(vals)]
-        self.ops = sum(self.costs[k] for k in self.todo)
-
-    def apply(self, tau: dict[str, WeightTensor],
-              counter: OpCounter | None = None) -> WeightTensor:
-        vals = list(self.values)
-        for i, label, moved, shape in self.tau_slots:
-            vals[i] = _realign(tau[label].data, moved).reshape(shape)
-        n = len(vals) - len(self.steps)
-        for k in self.todo:
-            vals[n + k] = self._run(self.steps[k], vals)
-        if counter is not None:
-            counter.ops += self.ops
-        result = np.array(vals[-1], dtype=float, order="C").reshape(self.shape)
+    def _finish(self, arr) -> WeightTensor:
+        """The tensor over `ext` that the last step's value `arr` holds."""
+        result = np.array(arr, dtype=float, order="C").reshape(self.shape)
         if not np.all(np.isfinite(result)):
             raise InferenceError("non-finite result in external marginal (overflow)")
         return WeightTensor(self.ext_domains, result)
+
+    def apply(self, tau: dict[str, WeightTensor],
+              counter: OpCounter | None = None) -> WeightTensor:
+        """The sum-product with the live labels' tensors taken from `tau`."""
+        if self.result is not None:
+            return self.result
+        vals = list(self.values)
+        for i, label, moved, shape in self.tau_slots:
+            vals[i] = _realign(tau[label].data, moved).reshape(shape)
+        for step in self.steps:
+            vals[step[3]] = self._run(step, vals)
+        if counter is not None:
+            counter.ops += self.ops
+        return self._finish(vals[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +470,7 @@ class _Contraction:
 def rule_contribution(g: FGG, rule: Rule, tau: dict[str, WeightTensor],
                       order=None, counter: OpCounter | None = None) -> WeightTensor:
     """One-level unrolling: nonterminal edges act as factors with table tau[X]."""
-    tau_domains = {e.label: tau[e.label].domains for e in rule.rhs.edges
-                   if g.labels[e.label].is_nonterminal}
-    return _Contraction(rule.rhs, g.domains, g.factors, tau_domains, order).apply(tau, counter)
+    return _Contraction(rule.rhs, g.domains, g.factors, tau, (), order, counter=counter).result
 
 
 CONVERGED = "converged"
@@ -518,13 +512,14 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
     entry exceeds DIVERGENCE_BOUND (divergent: the solve stops); a one-pass
     component's entries are exact, so a large one there is not divergent.
     The state reports the most sweeps and the largest final delta of any
-    component. Each rule is compiled once per solve (see _Contraction),
-    with each shared terminal array aligned once. Before the first sweep of
-    a recursive component, each of its rules runs once the steps that read
-    no member's tensor (`_Contraction.freeze`), so a sweep runs only the
-    rest, and a rule that uses no member is a constant. Each rule's result
-    is still added in grammar order, so the tensors are those of running
-    every step in every sweep; `ops` counts the frozen steps once.
+    component. Each rule is compiled once per solve, when its component is
+    reached and its callees' tensors are final (see _Contraction), with
+    each shared terminal array aligned once per solve. Its steps that read
+    no member's tensor run there, once, so a sweep runs only the rest, and
+    a rule that uses no member (every rule of a one-pass component) is a
+    constant. Each rule's result is still added in grammar order, so the
+    tensors are those of running every step in every sweep; `ops` counts
+    the steps run at build time once.
     """
     by_lhs = rules_by_lhs(g.rules)
     ext = g.ext_domains()
@@ -537,17 +532,14 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
         except ValueError as e:  # numpy's limit on the number of axes
             raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: {e}") from None
     aligned: dict = {}
-    prepared = {n: [_Contraction(r.rhs, g.domains, g.factors, shapes, aligned=aligned)
-                    for r in by_lhs.get(n, ())]
-                for n in nts}
     counter = OpCounter()
     state = SolverState(tau=tau, iteration=0, delta=0.0, status=CONVERGED)
     for members, recursive in dependency_components(by_lhs, nts):
-        if recursive:
-            live = set(members)
-            for n in members:
-                for rule in prepared[n]:
-                    rule.freeze(tau, live, counter)
+        live = set(members)
+        prepared = {n: [_Contraction(r.rhs, g.domains, g.factors, tau, live,
+                                     aligned=aligned, counter=counter)
+                        for r in by_lhs.get(n, ())]
+                    for n in members}
         delta, status = float("inf"), MAX_ITER
         for it in range(1, (max_iter if recursive else min(max_iter, 1)) + 1):
             new_tau = {}

@@ -472,6 +472,17 @@ def _listed(where):
     return _edit_json(edit)
 
 
+# an arity that is not a JSON integer once loaded as int(arity): 1.7, true
+# and "1" all as 1
+_ARITIES = {"float": 1.7, "bool": True, "string": "1"}
+
+
+def _bad_arity(value):
+    def edit(obj):
+        next(l for l in obj["labels"] if l["arity"] == 1)["arity"] = value
+    return _edit_json(edit)
+
+
 @pytest.mark.parametrize("damage,message", [
     (_truncate, "bad FGG JSON"),
     (_edit_json(_drop_factor_domains), "bad FGG JSON"),
@@ -479,10 +490,13 @@ def _listed(where):
     (_edit_json(_unknown_kind), "has unknown kind 'factor'"),
     (_edit_json(_domains_as_list), "bad FGG JSON"),
     (_edit_json(_start_without_rule), "start symbol '$start' has no rule"),
-] + [(_listed(where), f"bad FGG JSON: {name} must be a string") for name, where in _NAMES.items()],
+] + [(_listed(where), f"bad FGG JSON: {name} must be a string") for name, where in _NAMES.items()]
+    + [(_bad_arity(value), f"bad FGG JSON: label arity must be an integer, not {type(value).__name__}")
+       for value in _ARITIES.values()],
     ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind",
          "domains-as-list", "start-without-rule"]
-    + ["listed-" + name.replace(" ", "-") for name in _NAMES])
+    + ["listed-" + name.replace(" ", "-") for name in _NAMES]
+    + ["arity-" + kind for kind in _ARITIES])
 @pytest.mark.parametrize("command", ["infer", "compare"])
 def test_malformed_grammar_json_exit_2(tmp_path, capsys, command, damage, message):
     path = tmp_path / "g.json"

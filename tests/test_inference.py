@@ -150,8 +150,7 @@ def test_matmul_plan_matches_einsum(a, b, out):
     rng = np.random.default_rng(7)
     x = rng.random([sizes[m] for m in a])
     y = rng.random([sizes[m] for m in b])
-    plan = inference.matmul_plan(a, b, out, sizes)
-    assert plan is not None
+    plan = inference.matmul_plan(a, b, out, sizes, inference._split(a, b, out))
     np.testing.assert_allclose(plan(x, y), np.einsum(x, a, y, b, out), rtol=1e-12, atol=0)
 
 
@@ -161,33 +160,34 @@ def test_matmul_plan_matches_einsum(a, b, out):
     ([0, 1], [1, 2], [2]),       # label 0 is summed by one operand only
 ])
 def test_matmul_plan_leaves_other_steps_to_einsum(a, b, out):
-    assert inference.matmul_plan(a, b, out, [3, 4, 5]) is None
+    assert inference._split(a, b, out) is None
 
 
-def test_lowered_steps_of_string_scoring_match_einsum():
+def test_lowered_steps_of_string_scoring_match_einsum(monkeypatch):
     """Every step the size rule lowers, on a length-64 string, gives what
-    np.einsum gives on the same operands."""
+    np.einsum gives on the same operands, whether it runs while its rule is
+    built or in `apply`."""
     source, params = cnf_pcfgw(64)
     g = compile_source(source, params).fgg
     tau = solve_fixed_point(g).tau
-    shapes = {n: t.domains for n, t in tau.items()}
     lowered = {}
+    index = None  # of the rule being built and applied
+    real_plan = inference.matmul_plan
 
-    def checked(plan, operands, out, rule):
-        (_, la), (_, lb) = operands
+    def checked(la, lb, out, *args):
+        plan = real_plan(la, lb, out, *args)
 
         def run(x, y):
             got = plan(x, y)
             np.testing.assert_allclose(got, np.einsum(x, la, y, lb, out), rtol=1e-12, atol=0)
-            lowered[rule] += 1
+            lowered[index] += 1
             return got
         return run
 
-    for i, rule in enumerate(g.rules):
-        c = inference._Contraction(rule.rhs, g.domains, g.factors, shapes)
-        c.steps = [(ops, out, plan and checked(plan, ops, out, i)) for ops, out, plan in c.steps]
-        lowered[i] = 0
-        c.apply(tau)
+    monkeypatch.setattr(inference, "matmul_plan", checked)
+    for index, rule in enumerate(g.rules):
+        lowered[index] = 0
+        inference._Contraction(rule.rhs, g.domains, g.factors, tau, {rule.lhs}).apply(tau)
     # the rule for `inr(yz) => ...`, which calls d twice
     (binary,) = [i for i, r in enumerate(g.rules)
                  if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
@@ -201,31 +201,34 @@ def test_lowered_steps_of_binary_rule_copy_no_operand(monkeypatch):
     source, params = cnf_pcfgw(64)
     g = compile_source(source, params).fgg
     tau = solve_fixed_point(g).tau
-    shapes = {n: t.domains for n, t in tau.items()}
     (rule,) = [r for r in g.rules if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
-    c = inference._Contraction(rule.rhs, g.domains, g.factors, shapes)
-    c.freeze(tau, {"d"})
     calls = []
-    real_matmul = np.matmul
+    real_matmul, real_plan = np.matmul, inference.matmul_plan
     monkeypatch.setattr(np, "matmul", lambda x, y: calls.append((x, y)) or real_matmul(x, y))
     checked = []
+    sweeping = False
 
-    def checking(plan):
+    def checking(*args):
+        plan = real_plan(*args)
+
         def run(x, y):
             calls.clear()
             z = plan(x, y)
-            ((vx, vy),) = calls
-            for view, operand in ((vx, x), (vy, y)):
-                assert np.shares_memory(view, operand)
-                assert view.itemsize in view.strides[-2:]
-            checked.append(1)
+            if sweeping:
+                ((vx, vy),) = calls
+                for view, operand in ((vx, x), (vy, y)):
+                    assert np.shares_memory(view, operand)
+                    assert view.itemsize in view.strides[-2:]
+                checked.append(1)
             return z
         return run
 
-    c.steps = [(ops, out, plan and checking(plan)) for ops, out, plan in c.steps]
+    monkeypatch.setattr(inference, "matmul_plan", checking)
+    c = inference._Contraction(rule.rhs, g.domains, g.factors, tau, {"d"})
     want = rule_contribution(g, rule, tau)
+    sweeping = True
     np.testing.assert_allclose(c.apply(tau).data, want.data, rtol=1e-12, atol=0)
-    assert len(checked) == sum(plan is not None for _, _, plan in c.steps) >= 3
+    assert len(checked) == sum(plan is not None for _, _, plan, _ in c.steps) >= 3
 
 
 def test_alignment_is_built_once_per_solve(monkeypatch):
@@ -500,66 +503,102 @@ def test_mixed_components_agree_with_whole_grammar_iteration():
 
 @pytest.mark.parametrize("name", ["pcfg", "mutual", "mixed", "cnf-8", "cnf-23", "cnf-64"])
 def test_frozen_steps_change_nothing_but_ops(name, monkeypatch):
-    """Freezing a recursive component's sweep-invariant steps leaves the
-    solve as it is bit for bit; each frozen step runs once instead of once
-    per sweep."""
+    """Running each rule's known steps once, when its component's rules are
+    built, leaves the solve as it is bit for bit; each such step runs once
+    instead of once per sweep."""
     if name == "mixed":
         g = _mixed_fgg()
     else:
         source, params = cnf_pcfgw(int(name[4:])) if name.startswith("cnf-") else load_program(name)
         g = compile_source(source, params).fgg
-    frozen, applies = {}, {}
-    real_freeze, real_apply = inference._Contraction.freeze, inference._Contraction.apply
+    folded, applies = {}, {}
+    real = inference._Contraction
 
-    def freeze(self, tau, live, counter=None):
-        before = counter.ops
-        real_freeze(self, tau, live, counter)
-        frozen[self] = counter.ops - before
+    class Counted(real):
+        def __init__(self, *args, counter, **kwargs):
+            before = counter.ops
+            super().__init__(*args, counter=counter, **kwargs)
+            folded[self] = counter.ops - before
 
-    def apply(self, tau, counter=None):
-        applies[self] = applies.get(self, 0) + 1
-        return real_apply(self, tau, counter)
+        def apply(self, tau, counter=None):
+            applies[self] = applies.get(self, 0) + 1
+            return super().apply(tau, counter)
 
-    monkeypatch.setattr(inference._Contraction, "freeze", freeze)
-    monkeypatch.setattr(inference._Contraction, "apply", apply)
+    class Unfolded:
+        """A rule built anew, every tensor known, each time it is applied,
+        so that every step runs in every sweep."""
+
+        def __init__(self, graph, domains, factors, tau, live, **kwargs):
+            self.args = graph, domains, factors
+
+        def apply(self, tau, counter=None):
+            return real(*self.args, tau, (), counter=counter).result
+
+    monkeypatch.setattr(inference, "_Contraction", Counted)
     got = solve_fixed_point(g)
-    monkeypatch.setattr(inference._Contraction, "freeze", lambda *args, **kwargs: None)
+    monkeypatch.setattr(inference, "_Contraction", Unfolded)
     want = solve_fixed_point(g)
     assert (got.status, got.iteration, got.delta) == (want.status, want.iteration, want.delta)
     assert list(got.tau) == list(want.tau)
     for label, t in want.tau.items():
         assert got.tau[label].data.tobytes() == t.data.tobytes()
-    assert any(frozen.values())
-    assert got.ops == want.ops - sum(ops * (applies[c] - 1) for c, ops in frozen.items())
+    swept = [c for c in applies if applies[c] > 1]
+    assert any(folded[c] for c in swept)
+    assert got.ops == want.ops - sum(ops * (applies[c] - 1) for c, ops in folded.items())
     if name != "mixed":  # one recursive component: its sweeps are the solve's
-        assert got.ops == want.ops - (got.iteration - 1) * sum(frozen.values())
+        assert got.ops == want.ops - (got.iteration - 1) * sum(folded[c] for c in swept)
 
 
 def test_rule_without_member_edge_runs_once(monkeypatch):
-    """A recursive component's rule that uses none of its members is run
-    before the first sweep and never again."""
-    runs = {}
+    """A recursive component's rule that uses none of its members runs its
+    steps once, when it is built, and none in any sweep."""
+    runs = []
     real_run = inference._Contraction._run
+    monkeypatch.setattr(inference._Contraction, "_run",
+                        staticmethod(lambda step, vals: runs.append(1) or real_run(step, vals)))
+    built, applied = {}, {}
+    real = inference._Contraction
 
-    def run(step, vals):
-        runs[id(step)] = runs.get(id(step), 0) + 1
-        return real_run(step, vals)
+    class Counted(real):
+        def __init__(self, *args, **kwargs):
+            before = len(runs)
+            super().__init__(*args, **kwargs)
+            built[self] = len(runs) - before
 
-    constant = []
-    real_freeze = inference._Contraction.freeze
+        def apply(self, tau, counter=None):
+            before = len(runs)
+            result = super().apply(tau, counter)
+            applied.setdefault(self, []).append(len(runs) - before)
+            return result
 
-    def freeze(self, tau, live, counter=None):
-        if not any(label in live for _, label, _, _ in self.tau_slots):
-            constant.append(list(self.steps))
-        real_freeze(self, tau, live, counter)
-
-    monkeypatch.setattr(inference._Contraction, "_run", staticmethod(run))
-    monkeypatch.setattr(inference._Contraction, "freeze", freeze)
+    monkeypatch.setattr(inference, "_Contraction", Counted)
     st = solve_fixed_point(_mixed_fgg())
     assert st.iteration > 2
+    constant = [c for c in built if not c.tau_slots and len(applied[c]) > 1]
     assert len(constant) == 3  # the rules A -> w, B -> w and C -> w
-    for steps in constant:
-        assert steps and all(runs[id(step)] == 1 for step in steps)
+    for c in constant:
+        assert built[c] >= 1 and not c.steps and set(applied[c]) == {0}
+
+
+def test_contraction_without_live_label_is_finished_when_built(monkeypatch):
+    """With no live label, every step runs when the rule is built: no step
+    is kept, and `apply` returns the finished tensor without running one."""
+    source, params = cnf_pcfgw(8)
+    g = compile_source(source, params).fgg
+    tau = solve_fixed_point(g).tau
+    (rule,) = [r for r in g.rules if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
+    folded = OpCounter()
+    swept = inference._Contraction(rule.rhs, g.domains, g.factors, tau, {"d"}, counter=folded)
+    want = swept.apply(tau).data.tobytes()
+    counter = OpCounter()
+    c = inference._Contraction(rule.rhs, g.domains, g.factors, tau, (), counter=counter)
+    assert swept.steps and not c.steps and not c.tau_slots and c.ops == 0
+    assert counter.ops == folded.ops + swept.ops
+    monkeypatch.setattr(inference._Contraction, "_run",
+                        staticmethod(lambda *args: pytest.fail("a step ran in apply")))
+    assert c.apply(tau, counter) is c.result
+    assert counter.ops == folded.ops + swept.ops
+    assert c.result.data.tobytes() == want
 
 
 def test_nonterminal_without_rules_stays_zero():
