@@ -345,25 +345,52 @@ def _arity(x) -> int:
     return x
 
 
+def _list(x, what: str) -> list:
+    """`x`, read from FGG JSON, if it is a list; else ValueError (a string
+    or an object would be read as its characters or keys)."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, not {type(x).__name__}")
+    return x
+
+
+def _table(x) -> np.ndarray:
+    """`x`, a factor's table read from FGG JSON, as an array if it is a
+    number (not a boolean) or nested lists of them; else ValueError, also
+    for an integer too large for a float."""
+    todo = [x]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            todo += v
+        elif not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"factor table entry must be a number, not {type(v).__name__}")
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:
+        raise ValueError("factor table entry is too large for a float") from None
+
+
 def fgg_from_json(obj: dict) -> FGG:
     """The FGG that `fgg_to_json` wrote. Every name in it (of a label, kind,
     rule lhs, node, domain, edge and attached or external node, and the
-    start symbol) must be a string, and every label's arity an integer,
-    else ValueError."""
+    start symbol) must be a string, every label's arity an integer, every
+    edge's `att`, rule's `ext`, domain's values and factor's `domains` a
+    list, and every table entry a number, else ValueError."""
     labels = [EdgeLabel(_name(l["name"], "label name"), _arity(l["arity"]),
                         _name(l["kind"], "label kind")) for l in obj["labels"]]
-    domains = {name: Domain(name, [value_from_json(v) for v in vals])
+    domains = {name: Domain(name, [value_from_json(v) for v in _list(vals, "domain values")])
                for name, vals in obj["domains"].items()}
     rules = [Rule(_name(r["lhs"], "rule lhs"), Hypergraph(
         nodes=[Node(_name(n["id"], "node id"), _name(n["domain"], "node domain"))
                for n in r["rhs"]["nodes"]],
         edges=[Edge(_name(e["id"], "edge id"), _name(e["label"], "edge label"),
-                    tuple(_name(a, "edge att entry") for a in e["att"]))
+                    tuple(_name(a, "edge att entry") for a in _list(e["att"], "edge att")))
                for e in r["rhs"]["edges"]],
-        ext=tuple(_name(x, "ext entry") for x in r["rhs"]["ext"]),
+        ext=tuple(_name(x, "ext entry") for x in _list(r["rhs"]["ext"], "ext")),
     )) for r in obj["rules"]]
-    factors = {name: FactorTable(name, tuple(_name(d, "factor domain") for d in body["domains"]),
-                                 np.asarray(body["table"], dtype=float))
+    factors = {name: FactorTable(name, tuple(_name(d, "factor domain")
+                                             for d in _list(body["domains"], "factor domains")),
+                                 _table(body["table"]))
                for name, body in obj["factors"].items()}
     return FGG(labels={l.name: l for l in labels}, rules=rules,
                start=_name(obj["start"], "start"), domains=domains, factors=factors)

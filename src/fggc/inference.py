@@ -258,12 +258,12 @@ class _Contraction:
     tensors of every label but those in `live` are final: `tau` holds the
     nonterminal edges' tensors, terminal tables come from `factors`.
 
-    Terminal tables are aligned onto their nodes here (once per array and
-    node domains when several contractions share an `aligned` cache), and
-    so is each nonterminal edge's tensor: a known one's data at once, a
-    live one's `alignment` for `apply` to index with. Each node of the
-    elimination order gets one step over the operands that mention it, and
-    a last step maps what remains onto `ext`. A repeated attachment is a
+    Terminal tables are aligned onto their nodes here (once per terminal
+    label and node domains when several contractions share an `aligned`
+    cache), and so is each nonterminal edge's tensor: a known one's data at
+    once, a live one's `alignment` for `apply` to index with. Each node of
+    the elimination order gets one step over the operands that mention it,
+    and a last step maps what remains onto `ext`. A repeated attachment is a
     repeated label (a diagonal), an unattached external node a vector of
     ones, an unattached internal node a constant scale. A node with one
     value carries no label (its axes are reshaped away), and labels are
@@ -291,8 +291,9 @@ class _Contraction:
     are all known runs as soon as it is compiled, its product size counted
     in `counter`; `steps` keeps the others, in an order that computes each
     operand before it is read, each with its slot. `apply` runs them on
-    the live tensors, counting `ops`, their product size, each time; with
-    no live step, `result` is the finished tensor and `apply` returns it.
+    the live tensors and counts `ops`, their product size, in `counter`
+    each time; with no live step, `result` is the finished tensor and
+    `apply` returns it.
     """
 
     def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
@@ -327,10 +328,10 @@ class _Contraction:
                 else:
                     arr = _realign(t.data, moved).reshape(shape)
             else:
-                tab = factors[e.label]
-                key = (id(tab.weights), tab.domains, tuple(map(node_names.__getitem__, e.att)))
+                key = (e.label, tuple(map(node_names.__getitem__, e.att)))
                 arr = aligned.get(key)
                 if arr is None:
+                    tab = factors[e.label]
                     tds = tuple(domains[d] for d in tab.domains)
                     arr = aligned[key] = align(np.asarray(tab.weights, dtype=float),
                                                tds, nds).reshape(shape)
@@ -448,8 +449,7 @@ class _Contraction:
             raise InferenceError("non-finite result in external marginal (overflow)")
         return WeightTensor(self.ext_domains, result)
 
-    def apply(self, tau: dict[str, WeightTensor],
-              counter: OpCounter | None = None) -> WeightTensor:
+    def apply(self, tau: dict[str, WeightTensor]) -> WeightTensor:
         """The sum-product with the live labels' tensors taken from `tau`."""
         if self.result is not None:
             return self.result
@@ -458,8 +458,7 @@ class _Contraction:
             vals[i] = _realign(tau[label].data, moved).reshape(shape)
         for step in self.steps:
             vals[step[3]] = self._run(step, vals)
-        if counter is not None:
-            counter.ops += self.ops
+        self._counter.ops += self.ops
         return self._finish(vals[-1])
 
 
@@ -514,12 +513,13 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
     The state reports the most sweeps and the largest final delta of any
     component. Each rule is compiled once per solve, when its component is
     reached and its callees' tensors are final (see _Contraction), with
-    each shared terminal array aligned once per solve. Its steps that read
-    no member's tensor run there, once, so a sweep runs only the rest, and
-    a rule that uses no member (every rule of a one-pass component) is a
-    constant. Each rule's result is still added in grammar order, so the
-    tensors are those of running every step in every sweep; `ops` counts
-    the steps run at build time once.
+    each terminal label aligned once per solve onto each tuple of node
+    domains it meets. Its steps that read no member's tensor run there,
+    once, so a sweep runs only the rest, and a rule that uses no member
+    (every rule of a one-pass component) is a constant. Each rule's result
+    is still added in grammar order, so the tensors are those of running
+    every step in every sweep; `ops` counts the steps run at build time
+    once.
     """
     by_lhs = rules_by_lhs(g.rules)
     ext = g.ext_domains()
@@ -546,7 +546,7 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
             for n in members:
                 acc = WeightTensor.zeros(shapes[n])
                 for rule in prepared[n]:
-                    acc.data += rule.apply(tau, counter).data
+                    acc.data += rule.apply(tau).data
                 new_tau[n] = acc
             delta = 0.0
             if recursive:

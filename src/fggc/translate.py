@@ -9,17 +9,18 @@ Every other subexpression adds its nodes and edges to the rule that holds
 it, under the ids that inlining the paper's one-nonterminal-per-subexpression
 grammar would give them (tests/reference_impl.py keeps that translation).
 
-Every primitive occurrence (a constant, built-in, parameter lookup,
-density, branch test or `fail`) gets a terminal label of its own, named
-after its source position. Its table depends only on the construct and its
-domains, so each distinct table is computed once and shared, read-only, by
-all the labels it serves. A variable reference is the paper's identity
-("copy") factor between the variable's node and the node its value goes to;
-the two nodes are made one instead (see _Rhs.merge), and only where they
-cannot be, because both are external or their domains differ, is the copy
-table made. `fail`'s table is all zero. One pass after translation (_gc)
-drops the rules that weigh 0: those with an all-zero table, or that use a
-nonterminal no kept rule derives.
+A primitive occurrence (a constant, built-in, parameter lookup, density,
+branch test or `fail`) is an edge with a terminal label. A table depends
+only on the construct and its domains, so there is one label per distinct
+table: it is made, named after the source position of its first
+occurrence and tabled when that occurrence is met, and every later
+occurrence's edge carries it too. A variable reference is the paper's
+identity ("copy") factor between the variable's node and the node its
+value goes to; the two nodes are made one instead (see _Rhs.merge), and
+only where they cannot be, because both are external or their domains
+differ, is the copy table made. `fail`'s table is all zero. One pass after
+translation (_gc) drops the rules that weigh 0: those with an all-zero
+table, or that use a nonterminal no kept rule derives.
 """
 
 from __future__ import annotations
@@ -143,28 +144,24 @@ class _Translator:
         self.factors: dict[str, FactorTable] = {}
         self.domains: dict[str, Domain] = {}
         self.provenance: dict[str, str] = {}
-        self._tables: dict[tuple, tuple[np.ndarray, bool]] = {}  # see terminal()
-        self._zero: set[str] = set()  # terminal labels whose tables are all zero
+        self._terminals: dict[tuple, str] = {}  # see terminal()
 
     def _dom(self, d: Domain) -> str:
         self.domains[d.name] = d
         return d.name
 
     def terminal(self, base: str, doms: tuple[Domain, ...], key: tuple, make) -> str:
-        """A fresh terminal label over `doms`. Its table, `make()`, is
-        computed once per `key` and domains and shared, read-only, by every
-        label with the same key and domains."""
+        """The terminal label over `doms` of the construct `key`: made, named
+        after `base` and given the read-only table `make()` the first time
+        the key and domains are met, and the same label every later time."""
         key += tuple(d.name for d in doms)
-        if key not in self._tables:
+        name = self._terminals.get(key)
+        if name is None:
             table = make()
             table.flags.writeable = False
-            self._tables[key] = table, not table.any()
-        table, zero = self._tables[key]
-        name = self.names.fresh(base)
-        self.labels[name] = EdgeLabel(name, len(doms), TERMINAL)
-        self.factors[name] = FactorTable(name, tuple(self._dom(d) for d in doms), table)
-        if zero:
-            self._zero.add(name)
+            name = self._terminals[key] = self.names.fresh(base)
+            self.labels[name] = EdgeLabel(name, len(doms), TERMINAL)
+            self.factors[name] = FactorTable(name, tuple(self._dom(d) for d in doms), table)
         return name
 
     def _head(self, e: Expr) -> tuple[list[Node], tuple[str, ...]]:
@@ -327,7 +324,7 @@ class _Translator:
         g = FGG(labels=self.labels, rules=[], start=start,
                 domains=self.domains, factors=self.factors)
         cu = CompilationUnit(fgg=g, provenance=self.provenance)
-        _gc(cu, self.rules, self._zero)
+        _gc(cu, self.rules)
         return cu
 
 
@@ -361,18 +358,18 @@ def translate(program: Program, params: Params) -> CompilationUnit:
     return _Translator(program, params).translate_program()
 
 
-def _gc(cu: CompilationUnit, built: list[tuple[str, _Rhs]], zero: set[str]):
+def _gc(cu: CompilationUnit, built: list[tuple[str, _Rhs]]):
     """Give `cu`'s grammar the live rules of `built` that the start symbol
     reaches, in the order built, and drop the labels, factors, domains and
     provenance they do not use. A rule is live when it holds no all-zero
-    table (a label in `zero`) and every nonterminal it uses is productive,
-    that is, has a live rule. Each rule counts what it waits for, the
-    nonterminals it uses and an all-zero table, which never comes, and one
-    worklist of live rules makes their nonterminals productive. A start
-    symbol that is not keeps its last rule with no all-zero table, or else
-    its last rule (its weight is 0 either way). Only kept rules get a
-    hypergraph."""
+    table and every nonterminal it uses is productive, that is, has a live
+    rule. Each rule counts what it waits for, the nonterminals it uses and
+    an all-zero table, which never comes, and one worklist of live rules
+    makes their nonterminals productive. A start symbol that is not keeps
+    its last rule with no all-zero table, or else its last rule (its weight
+    is 0 either way). Only kept rules get a hypergraph."""
     g = cu.fgg
+    zero = {name for name, tab in g.factors.items() if not tab.weights.any()}
     waiting, users = [], {}  # users: nonterminal -> the rules that use it
     for i, (_, rhs) in enumerate(built):
         labels = {e.label for e in rhs.edges}

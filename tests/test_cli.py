@@ -472,6 +472,77 @@ def _listed(where):
     return _edit_json(edit)
 
 
+def _rename_node(rhs, old, new):
+    for n in rhs["nodes"]:
+        n["id"] = new if n["id"] == old else n["id"]
+    for e in rhs["edges"]:
+        e["att"] = [new if a == old else a for a in e["att"]]
+    rhs["ext"] = [new if x == old else x for x in rhs["ext"]]
+
+
+def _att_string(obj):
+    """An edge of arity 1 whose `att` is its node's one-character id."""
+    rhs = obj["rules"][0]["rhs"]
+    edge = next(e for e in rhs["edges"] if len(e["att"]) == 1)
+    _rename_node(rhs, edge["att"][0], "y")
+    edge["att"] = "y"
+
+
+def _ext_string(obj):
+    """The start rule's `ext` as its one node's one-character id."""
+    rhs = next(r for r in obj["rules"] if r["lhs"] == obj["start"])["rhs"]
+    _rename_node(rhs, rhs["ext"][0], "y")
+    rhs["ext"] = "y"
+
+
+def _domain_as(value):
+    """The domain of the one atom `a` spelt as `value`."""
+    def edit(obj):
+        name = next(n for n, vals in obj["domains"].items() if vals == [{"atom": "a"}])
+        obj["domains"][name] = value
+    return edit
+
+
+def _factor_domains_string(obj):
+    body = next(b for b in obj["factors"].values() if len(b["domains"]) == 1)
+    body["domains"] = body["domains"][0]
+
+
+def _indicator_table(obj):
+    """The first two-axis table of more than one row whose first entry is 1."""
+    return next(b["table"] for b in obj["factors"].values()
+                if len(b["domains"]) == 2 and len(b["table"]) > 1 and b["table"][0][0] == 1.0)
+
+
+def _first_entry(change):
+    def edit(obj):
+        table = _indicator_table(obj)
+        table[0][0] = change(table[0][0])
+    return edit
+
+
+def _bool_table(obj):
+    table = _indicator_table(obj)
+    table[:] = [[bool(x) for x in row] for row in table]
+
+
+# where a list belongs, a string or an object, which a reader iterating over
+# it once took for the list of its characters or keys; booleans and strings
+# where a number belongs, which once loaded as 1, 0 and the number spelt; an
+# integer beyond float range, which once ended in an OverflowError traceback
+_WRONG_TYPES = {
+    "att-string": (_att_string, "edge att must be a list, not str"),
+    "ext-string": (_ext_string, "ext must be a list, not str"),
+    "domain-string": (_domain_as("a"), "domain values must be a list, not str"),
+    "domain-object": (_domain_as({"a": 1}), "domain values must be a list, not dict"),
+    "factor-domains-string": (_factor_domains_string, "factor domains must be a list, not str"),
+    "table-bools": (_bool_table, "factor table entry must be a number, not bool"),
+    "table-mixed": (_first_entry(bool), "factor table entry must be a number, not bool"),
+    "table-string": (_first_entry(str), "factor table entry must be a number, not str"),
+    "table-huge-integer": (_first_entry(lambda x: 10 ** 400), "factor table entry is too large"),
+}
+
+
 # an arity that is not a JSON integer once loaded as int(arity): 1.7, true
 # and "1" all as 1
 _ARITIES = {"float": 1.7, "bool": True, "string": "1"}
@@ -492,11 +563,12 @@ def _bad_arity(value):
     (_edit_json(_start_without_rule), "start symbol '$start' has no rule"),
 ] + [(_listed(where), f"bad FGG JSON: {name} must be a string") for name, where in _NAMES.items()]
     + [(_bad_arity(value), f"bad FGG JSON: label arity must be an integer, not {type(value).__name__}")
-       for value in _ARITIES.values()],
+       for value in _ARITIES.values()]
+    + [(_edit_json(edit), f"bad FGG JSON: {message}") for edit, message in _WRONG_TYPES.values()],
     ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind",
          "domains-as-list", "start-without-rule"]
     + ["listed-" + name.replace(" ", "-") for name in _NAMES]
-    + ["arity-" + kind for kind in _ARITIES])
+    + ["arity-" + kind for kind in _ARITIES] + list(_WRONG_TYPES))
 @pytest.mark.parametrize("command", ["infer", "compare"])
 def test_malformed_grammar_json_exit_2(tmp_path, capsys, command, damage, message):
     path = tmp_path / "g.json"

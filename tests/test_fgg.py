@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from conftest import SUITE, load_program
 from fixtures import (DN, DW, pcfg_depth2_derivation, pcfg_fgg,
                       pcfg_tree_graph, quadratic_fgg)
-from fggc.fgg import (NONTERMINAL, TERMINAL, DerivationTree, Edge, EdgeLabel,
+from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, DerivationTree, Edge, EdgeLabel,
                       FactorTable, Hypergraph, Node, Rule,
                       StructuralError, dumps, isomorphic, loads, validate,
                       yield_graph)
@@ -126,6 +127,20 @@ def test_serialization_roundtrip(name):
     for name_, tab in g.factors.items():
         np.testing.assert_array_equal(tab.weights, g2.factors[name_].weights)
     assert dumps(g2) == dumps(g)
+
+
+def test_arity_0_table_is_a_bare_number():
+    """A table over no domain is written as a bare JSON number and read
+    back from one, an integer included."""
+    g = FGG(labels={"S": EdgeLabel("S", 0, NONTERMINAL), "w": EdgeLabel("w", 0, TERMINAL)},
+            rules=[Rule("S", Hypergraph([], [Edge("e", "w", ())], ()))], start="S",
+            domains={}, factors={"w": FactorTable("w", (), np.array(0.5))})
+    obj = json.loads(dumps(g))
+    assert obj["factors"]["w"]["table"] == 0.5
+    obj["factors"]["w"]["table"] = 2
+    g2 = loads(json.dumps(obj))
+    assert validate(g2) == []
+    assert g2.factors["w"].weights.shape == () and float(g2.factors["w"].weights) == 2.0
 
 
 def test_serialization_deterministic():

@@ -9,9 +9,10 @@ import reference_impl
 from reference_impl import assignment_weight
 from conftest import PROGRAMS_DIR, SUITE, cnf_pcfgw, load_program
 from fixtures import pcfg_fgg, pcfg_tree_graph, quadratic_fgg
+from genprog import random_program
 from fggc import inference
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
-                      Hypergraph, Node, Rule, rules_by_lhs)
+                      Hypergraph, Node, Rule, dumps, loads, rules_by_lhs)
 from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, InferenceError,
                             OpCounter, WeightTensor, align,
                             dependency_components, external_marginal,
@@ -233,8 +234,8 @@ def test_lowered_steps_of_binary_rule_copy_no_operand(monkeypatch):
 
 def test_alignment_is_built_once_per_solve(monkeypatch):
     """Each edge's alignment onto its nodes (the index and mask of a
-    nonterminal edge's tensor, and a terminal table's, once per shared
-    array and node domains) is built when its rule is compiled, never per
+    nonterminal edge's tensor, and a terminal table's, once per terminal
+    label and node domains) is built when its rule is compiled, never per
     sweep."""
     source, params = cnf_pcfgw(23)
     g = compile_source(source, params).fgg
@@ -245,8 +246,7 @@ def test_alignment_is_built_once_per_solve(monkeypatch):
     terminal = set()
     for r in g.rules:
         nodes = {n.id: n.domain for n in r.rhs.nodes}
-        terminal |= {(id(g.factors[e.label].weights), g.factors[e.label].domains,
-                      tuple(nodes[a] for a in e.att))
+        terminal |= {(e.label, tuple(nodes[a] for a in e.att))
                      for e in r.rhs.edges if g.labels[e.label].is_terminal}
     edges = len(nonterminal) + len(terminal)
     assert nonterminal and len(terminal) < sum(len(r.rhs.edges) for r in g.rules) - len(nonterminal)
@@ -256,6 +256,33 @@ def test_alignment_is_built_once_per_solve(monkeypatch):
         iterations.add(solve_fixed_point(g, max_iter=max_iter).iteration)
         assert len(built) == edges
     assert len(iterations) == 2
+
+
+@pytest.mark.parametrize("name", ["gen-16", "pcfgw", "cnf-23"])
+def test_grammar_read_from_json_aligns_as_compiled(name, monkeypatch):
+    """The solver shares a terminal table's alignment by label, so a
+    grammar written to JSON and read back, one array per label, aligns as
+    often as the compiled one and gives the same tensors bit for bit."""
+    if name.startswith("gen-"):
+        source, params = random_program(random.Random("json-align"), int(name[4:]))
+        params = params_from_json(params)
+    else:
+        source, params = cnf_pcfgw(int(name[4:])) if name.startswith("cnf-") else load_program(name)
+    g = compile_source(source, params).fgg
+    calls = []
+    real = inference.align
+    monkeypatch.setattr(inference, "align", lambda *args: calls.append(1) or real(*args))
+    states = []
+    for grammar in (g, loads(dumps(g))):
+        calls.clear()
+        states.append((solve_fixed_point(grammar), len(calls)))
+    (want, want_calls), (got, got_calls) = states
+    assert got_calls == want_calls > 0
+    assert (got.status, got.iteration, got.delta, got.ops) == (
+        want.status, want.iteration, want.delta, want.ops)
+    assert list(got.tau) == list(want.tau)
+    for label, t in want.tau.items():
+        assert got.tau[label].data.tobytes() == t.data.tobytes()
 
 
 def test_repeated_attachment_diagonal():
@@ -520,19 +547,20 @@ def test_frozen_steps_change_nothing_but_ops(name, monkeypatch):
             super().__init__(*args, counter=counter, **kwargs)
             folded[self] = counter.ops - before
 
-        def apply(self, tau, counter=None):
+        def apply(self, tau):
             applies[self] = applies.get(self, 0) + 1
-            return super().apply(tau, counter)
+            return super().apply(tau)
 
     class Unfolded:
         """A rule built anew, every tensor known, each time it is applied,
         so that every step runs in every sweep."""
 
-        def __init__(self, graph, domains, factors, tau, live, **kwargs):
+        def __init__(self, graph, domains, factors, tau, live, counter, **kwargs):
             self.args = graph, domains, factors
+            self.counter = counter
 
-        def apply(self, tau, counter=None):
-            return real(*self.args, tau, (), counter=counter).result
+        def apply(self, tau):
+            return real(*self.args, tau, (), counter=self.counter).result
 
     monkeypatch.setattr(inference, "_Contraction", Counted)
     got = solve_fixed_point(g)
@@ -565,9 +593,9 @@ def test_rule_without_member_edge_runs_once(monkeypatch):
             super().__init__(*args, **kwargs)
             built[self] = len(runs) - before
 
-        def apply(self, tau, counter=None):
+        def apply(self, tau):
             before = len(runs)
-            result = super().apply(tau, counter)
+            result = super().apply(tau)
             applied.setdefault(self, []).append(len(runs) - before)
             return result
 
@@ -589,15 +617,17 @@ def test_contraction_without_live_label_is_finished_when_built(monkeypatch):
     (rule,) = [r for r in g.rules if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
     folded = OpCounter()
     swept = inference._Contraction(rule.rhs, g.domains, g.factors, tau, {"d"}, counter=folded)
+    built = folded.ops
     want = swept.apply(tau).data.tobytes()
+    assert folded.ops == built + swept.ops  # `apply` counts in the counter it was built with
     counter = OpCounter()
     c = inference._Contraction(rule.rhs, g.domains, g.factors, tau, (), counter=counter)
     assert swept.steps and not c.steps and not c.tau_slots and c.ops == 0
-    assert counter.ops == folded.ops + swept.ops
+    assert counter.ops == built + swept.ops
     monkeypatch.setattr(inference._Contraction, "_run",
                         staticmethod(lambda *args: pytest.fail("a step ran in apply")))
-    assert c.apply(tau, counter) is c.result
-    assert counter.ops == folded.ops + swept.ops
+    assert c.apply(tau) is c.result
+    assert counter.ops == built + swept.ops
     assert c.result.data.tobytes() == want
 
 

@@ -64,21 +64,47 @@ def _rules(g):
 
 def _same_grammar(cu, ref):
     """The translator's unit `cu` holds the grammar of the reference
-    pipeline's `ref` (reference_impl.compile_program): the same labels in
-    the same order, tables, domains and provenance, and each nonterminal's
-    rules in the same order, node for node and edge for edge. Only where a
-    nonterminal's rules sit among the others' may differ (the reference's
+    pipeline's `ref` (reference_impl.compile_program) up to the renaming of
+    terminal labels that the rules' edges induce: the same nonterminals in
+    the same order, start symbol, domains and provenance, and each
+    nonterminal's rules in the same order, node for node and edge for edge,
+    where every reference terminal label maps to one translator label of the
+    same construct, domains and table. The reference gives each occurrence
+    a label of its own; the translator gives each distinct table one label,
+    so no two of its terminal labels share (construct, domains). Only where
+    a nonterminal's rules sit among the others' may differ (the reference's
     inlining appends a collapsed function's rules last)."""
     g, want = cu.fgg, ref.fgg
-    assert list(g.labels.items()) == list(want.labels.items())
+
+    def labels(f, terminal):
+        return [(k, v) for k, v in f.labels.items() if v.is_terminal == terminal]
+
+    assert labels(g, False) == labels(want, False)
     assert g.start == want.start
     assert {n: d.values for n, d in g.domains.items()} == {
         n: d.values for n, d in want.domains.items()}
-    assert g.factors.keys() == want.factors.keys()
-    for label, tab in want.factors.items():
-        assert g.factors[label].domains == tab.domains
-        assert g.factors[label].weights.tobytes() == tab.weights.tobytes()
-    assert _rules(g) == _rules(want)
+    got_rules, want_rules = _rules(g), _rules(want)
+    assert got_rules.keys() == want_rules.keys()
+    rename = {}  # reference terminal label -> translator label
+    for lhs, rules in want_rules.items():
+        assert len(got_rules[lhs]) == len(rules)
+        for (nodes, edges, ext), (g_nodes, g_edges, g_ext) in zip(rules, got_rules[lhs]):
+            assert (g_nodes, g_ext) == (nodes, ext)
+            assert [(e.id, e.att) for e in g_edges] == [(e.id, e.att) for e in edges]
+            for e, mine in zip(edges, g_edges):
+                if want.labels[e.label].is_terminal:
+                    assert rename.setdefault(e.label, mine.label) == mine.label
+                else:
+                    assert mine.label == e.label
+    assert rename.keys() == dict(labels(want, True)).keys() == want.factors.keys()
+    assert set(rename.values()) == dict(labels(g, True)).keys() == g.factors.keys()
+    for label, mine in rename.items():
+        assert mine.split("@")[0] == label.split("@")[0]
+        assert g.labels[mine].arity == want.labels[label].arity
+        assert g.factors[mine].domains == want.factors[label].domains
+        assert g.factors[mine].weights.tobytes() == want.factors[label].weights.tobytes()
+    tables = [(k.split("@")[0], t.domains, t.weights.tobytes()) for k, t in g.factors.items()]
+    assert len(set(tables)) == len(tables)
     assert cu.provenance == ref.provenance
 
 

@@ -328,10 +328,11 @@ def test_simplify_rebuilds_grow_linearly(monkeypatch):
 
 def test_each_distinct_table_is_tabulated_once(monkeypatch):
     """A terminal table depends only on its construct and its domains, so
-    translation tabulates each distinct one once, however many sites share
-    it. The distinct ones are counted here from every label made, those of
-    rules dropped later included: construct (the label's name before '@'),
-    domains and contents."""
+    translation makes one label per distinct (construct, domains), tabulates
+    its table once, and puts it on every edge of that construct and those
+    domains. Every label made is counted, those of rules dropped later
+    included: construct (the label's name before '@'), domains and
+    contents."""
     translate_module = importlib.import_module("fggc.translate")
     source, params = random_program(random.Random("shared-tables"), 48)
     params = params_from_json(params)
@@ -342,20 +343,31 @@ def test_each_distinct_table_is_tabulated_once(monkeypatch):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(translate_module, name, counted)
-    distinct = {"_graph": set(), "_density_table": set()}
-    made = []
+    made = {"_graph": [], "_density_table": []}
 
     def recorded(label, domains, weights, _table=translate_module.FactorTable):
         kind = "_density_table" if label.startswith("density@") else "_graph"
-        distinct[kind].add((label.split("@")[0], domains, weights.tobytes()))
-        made.append(label)
+        made[kind].append((label.split("@")[0], domains, weights.tobytes()))
         return _table(label, domains, weights)
 
     monkeypatch.setattr(translate_module, "FactorTable", recorded)
-    translate(program, params)
+    g = translate(program, params).fgg
     for name in calls:
-        assert 0 < calls[name] <= len(distinct[name]), name
-    assert sum(calls.values()) < len(made)  # some tables are shared
+        assert 0 < calls[name] == len(made[name]) == len(set(made[name])), name
+    edges = [e.label for r in g.rules for e in r.rhs.edges if g.labels[e.label].is_terminal]
+    assert len(set(edges)) == len(g.factors) < len(edges)  # the labels are shared
+
+
+def test_shared_label_is_named_after_its_first_occurrence():
+    """The label of the constant `B` is named after its first occurrence,
+    the one bound to `x` (column 30), although `fail` drops that rule; the
+    `else` arm's `B` (column 46) carries it."""
+    cu = compile_source("if sample c[u] then (let x = B in fail) else B",
+                        params_from_json(FAIL_PARAMS))
+    (rule,) = cu.fgg.rules
+    assert rule.rhs.edges[-1].label == "const@1:30"
+    assert [name for name in cu.fgg.factors if name.startswith("const@")] == [
+        "const@1:13", "const@1:30"]
 
 
 @pytest.mark.parametrize("name", SUITE)
