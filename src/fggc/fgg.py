@@ -353,6 +353,13 @@ def _list(x, what: str) -> list:
     return x
 
 
+def _object(x, what: str) -> dict:
+    """`x`, read from FGG JSON, if it is an object; else ValueError."""
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} must be an object, not {type(x).__name__}")
+    return x
+
+
 def _table(x) -> np.ndarray:
     """`x`, a factor's table read from FGG JSON, as an array if it is a
     number (not a boolean) or nested lists of them; else ValueError, also
@@ -371,27 +378,38 @@ def _table(x) -> np.ndarray:
 
 
 def fgg_from_json(obj: dict) -> FGG:
-    """The FGG that `fgg_to_json` wrote. Every name in it (of a label, kind,
-    rule lhs, node, domain, edge and attached or external node, and the
-    start symbol) must be a string, every label's arity an integer, every
-    edge's `att`, rule's `ext`, domain's values and factor's `domains` a
-    list, and every table entry a number, else ValueError."""
+    """The FGG that `fgg_to_json` wrote. The top level, `domains`,
+    `factors`, and each label, rule, rhs, node, edge and factor must be an
+    object; `labels`, `rules`, and each rhs's `nodes` and `edges` a list;
+    every name in it (of a label, kind, rule lhs, node, domain, edge and
+    attached or external node, and the start symbol) a string, every
+    label's arity an integer, every edge's `att`, rule's `ext`, domain's
+    values and factor's `domains` a list, and every table entry a number,
+    else ValueError."""
+    obj = _object(obj, "FGG")
     labels = [EdgeLabel(_name(l["name"], "label name"), _arity(l["arity"]),
-                        _name(l["kind"], "label kind")) for l in obj["labels"]]
+                        _name(l["kind"], "label kind"))
+              for l in (_object(l, "label") for l in _list(obj["labels"], "labels"))]
     domains = {name: Domain(name, [value_from_json(v) for v in _list(vals, "domain values")])
-               for name, vals in obj["domains"].items()}
-    rules = [Rule(_name(r["lhs"], "rule lhs"), Hypergraph(
-        nodes=[Node(_name(n["id"], "node id"), _name(n["domain"], "node domain"))
-               for n in r["rhs"]["nodes"]],
-        edges=[Edge(_name(e["id"], "edge id"), _name(e["label"], "edge label"),
-                    tuple(_name(a, "edge att entry") for a in _list(e["att"], "edge att")))
-               for e in r["rhs"]["edges"]],
-        ext=tuple(_name(x, "ext entry") for x in _list(r["rhs"]["ext"], "ext")),
-    )) for r in obj["rules"]]
-    factors = {name: FactorTable(name, tuple(_name(d, "factor domain")
-                                             for d in _list(body["domains"], "factor domains")),
-                                 _table(body["table"]))
-               for name, body in obj["factors"].items()}
+               for name, vals in _object(obj["domains"], "domains").items()}
+    rules = []
+    for r in _list(obj["rules"], "rules"):
+        r = _object(r, "rule")
+        rhs = _object(r["rhs"], "rule rhs")
+        rules.append(Rule(_name(r["lhs"], "rule lhs"), Hypergraph(
+            nodes=[Node(_name(n["id"], "node id"), _name(n["domain"], "node domain"))
+                   for n in (_object(n, "node") for n in _list(rhs["nodes"], "rhs nodes"))],
+            edges=[Edge(_name(e["id"], "edge id"), _name(e["label"], "edge label"),
+                        tuple(_name(a, "edge att entry") for a in _list(e["att"], "edge att")))
+                   for e in (_object(e, "edge") for e in _list(rhs["edges"], "rhs edges"))],
+            ext=tuple(_name(x, "ext entry") for x in _list(rhs["ext"], "ext")),
+        )))
+    factors = {}
+    for name, body in _object(obj["factors"], "factors").items():
+        body = _object(body, "factor")
+        factors[name] = FactorTable(name, tuple(_name(d, "factor domain")
+                                                for d in _list(body["domains"], "factor domains")),
+                                    _table(body["table"]))
     return FGG(labels={l.name: l for l in labels}, rules=rules,
                start=_name(obj["start"], "start"), domains=domains, factors=factors)
 

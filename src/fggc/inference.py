@@ -1,8 +1,11 @@
 """Exact inference: external marginals by variable elimination, and
 nonterminal weight tensors as the least fixed point of tau = F(tau), solved
 one strongly connected component of the nonterminal dependency graph at a
-time, callees first: one exact pass for a non-recursive component, Kleene
-iteration for a recursive one.
+time, callees first, each by one method: one exact pass for a
+non-recursive component; for a recursive one whose entries a verified size
+ranking orders, one exact evaluation per entry, level by level (the order
+in which a semiring parser evaluates an acyclic deduction graph: Goodman,
+"Semiring Parsing", CL 1999); Kleene iteration for any other.
 
 Each rule's elimination is compiled once per solve, when the tensors of
 its component's callees are final, into a list of steps: large two-operand
@@ -20,13 +23,15 @@ bit of the answers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .fgg import FGG, Hypergraph, Rule, rules_by_lhs
+from .fgg import FGG, FactorTable, Hypergraph, Rule, rules_by_lhs
+from .frontend import _measure
 from .scc import strongly_connected_components
-from .values import Domain, FggcError, Value
+from .values import Atom, Domain, FggcError, Value
 
 
 class InferenceError(FggcError):
@@ -122,7 +127,8 @@ class EliminationPlan:
 
 
 def plan_order(node_domains: dict[str, Domain], scopes, ext) -> EliminationPlan:
-    """Min-fill ordering over the interaction graph induced by factor scopes:
+    """Min-fill ordering over the interaction graph induced by factor scopes
+    (`node_domains` gives each node's domain, or anything of its length):
     each step eliminates the internal node whose remaining neighbours lack
     the fewest edges among themselves, the first by name on a tie, and the
     scan stops at the first node that lacks none. Nodes are numbered in
@@ -226,18 +232,23 @@ def matmul_plan(a: list, b: list, out: list, sizes: list, split):
     inner) and (batch, inner, columns), each part's labels in the split's
     order, so the products are those of the einsum, summed in BLAS's order;
     the result, made in (batch, rows, columns) order, is viewed in
-    `out`'s."""
+    `out`'s. One label kept in `out` may have size -1, a length known only
+    when the plan runs."""
     batch, rows, inner, cols = split
     mid = batch + rows + cols
     ta = [a.index(m) for m in batch + rows + inner]
     tb = [b.index(m) for m in batch + inner + cols]
-    nb, nr, ni, nc = (math.prod(sizes[m] for m in x) for x in split)
+    nb, nr, ni, nc = (max(math.prod(sizes[m] for m in x), -1) for x in split)
     shape = [sizes[m] for m in mid]
     to = [mid.index(m) for m in out]
 
     def run(x, y):
         z = np.matmul(x.transpose(ta).reshape(nb, nr, ni), y.transpose(tb).reshape(nb, ni, nc))
         return z.reshape(shape).transpose(to)
+
+    if ta == sorted(ta) and tb == sorted(tb) and to == sorted(to):  # no axis moves
+        def run(x, y):
+            return np.matmul(x.reshape(nb, nr, ni), y.reshape(nb, ni, nc)).reshape(shape)
     return run
 
 
@@ -269,6 +280,20 @@ class _Contraction:
     value carries no label (its axes are reshaped away), and labels are
     numbered within each step, so a step's labels are its nodes of size > 1.
 
+    With a `batch`, a pair of the rule's external nodes (say) and, for
+    each, its value index at each entry of a list (an ordered component's
+    ranked entries, `_ordered`), those nodes are merged into one batch node
+    over the list: every known operand holding them is gathered over it
+    once, the nodes that no member edge holds are eliminated first, so
+    that their steps run now, and a node only one pending operand holds is
+    summed in the step that makes it. `apply_part` then runs the steps
+    that read a member on one part of the list, each member edge gathered
+    from the member's tensor by that part; the size of the batch node
+    (-1 to `matmul_plan`) is the part's, and its ops count per entry. With
+    `finish` False (the support contractions of `_verified`) there is no
+    `result`: the last value is read with `_last`, a view, as it is with a
+    batch.
+
     A step runs as np.einsum, except a two-operand step of at least
     `_MIN_MATMUL` products that `_split` can lower: that one runs as one
     batched BLAS matrix product (`matmul_plan`; the pairwise lowering of
@@ -298,19 +323,34 @@ class _Contraction:
 
     def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
                  tau: dict[str, WeightTensor], live, order=None,
-                 aligned: dict | None = None, counter: OpCounter | None = None):
+                 aligned: dict | None = None, counter: OpCounter | None = None,
+                 batch=None, finish=True):
         node_domains = {n.id: domains[n.domain] for n in graph.nodes}
         self.sizes = {n: len(d) for n, d in node_domains.items()}
         self.ext_domains = tuple(node_domains[n] for n in graph.ext)
         self.shape = tuple(map(self.sizes.__getitem__, graph.ext))
+        ext, scopes, plan_domains = graph.ext, [e.att for e in graph.edges], node_domains
+        self.batch, self._gather, self.cut, self.batch_ops = None, {}, {}, 0
+        if batch is not None:
+            nodes, index = batch
+            self.batch = b = "~" + "".join(self.sizes)  # a name no node has
+            self.sizes[b] = len(index[0])
+            self._gather = {n: ix for n, ix in zip(nodes, index) if self.sizes[n] > 1}
+            ext = (b, *(n for n in graph.ext if n not in nodes))
+            plan_domains = {n: d for n, d in node_domains.items() if n not in nodes}
+            plan_domains[b] = range(self.sizes[b])
+            scopes = [tuple(dict.fromkeys(b if a in nodes else a for a in s)) for s in scopes]
         if order is None:
-            order = plan_order(node_domains, [e.att for e in graph.edges], set(graph.ext)).order
+            order = plan_order(plan_domains, scopes, set(ext)).order
+            if batch is not None:  # the nodes no member edge holds first: their steps run once
+                held = {a for e in graph.edges if e.label in live for a in e.att}
+                order = sorted(order, key=held.__contains__)
         if aligned is None:
             aligned = {}
         self._counter = counter if counter is not None else OpCounter()
         node_names = {n.id: n.domain for n in graph.nodes}
         self.values: list = []
-        self.tau_slots: list = []  # (position, label, alignment, shape)
+        self.tau_slots: list = []  # (position, label, alignment or gather, shape)
         work = []  # (labelled nodes, operand position)
         for e in graph.edges:
             nds = tuple(map(node_domains.__getitem__, e.att))
@@ -324,6 +364,8 @@ class _Contraction:
                 moved = alignment(t.domains, nds)
                 if e.label in live:
                     arr = None
+                    if self.batch is not None:
+                        labels, moved = self._slot_gather(e.att, moved)
                     self.tau_slots.append((len(self.values), e.label, moved, shape))
                 else:
                     arr = _realign(t.data, moved).reshape(shape)
@@ -335,12 +377,15 @@ class _Contraction:
                     tds = tuple(domains[d] for d in tab.domains)
                     arr = aligned[key] = align(np.asarray(tab.weights, dtype=float),
                                                tds, nds).reshape(shape)
+            if arr is not None and self._gather:
+                arr, labels = self._gathered(arr, labels)
             work.append((labels, self._operand(arr)))
         attached = {a for e in graph.edges for a in e.att}
-        out = self._labelled(graph.ext)
-        work += [((n,), self._operand(np.ones(self.sizes[n]))) for n in out if n not in attached]
+        held = {m for s, _ in work for m in s}
+        out = self._labelled(ext)
+        work += [((n,), self._operand(np.ones(self.sizes[n]))) for n in out if n not in held]
         scale = float(math.prod(size for n, size in self.sizes.items()
-                                if n not in attached and n not in graph.ext))
+                                if n not in attached and n not in ext))
         if scale != 1.0 or not work:
             work.append(((), self._operand(np.array(scale))))
         self.steps: list = []  # ([(operand position, labels)], output labels, matmul plan, slot)
@@ -351,12 +396,77 @@ class _Contraction:
             if group:
                 work = [w for w in work if n not in w[0]]
                 keep = tuple(dict.fromkeys(m for s, _ in group for m in s if m != n))
+                if batch is not None:  # also sum the nodes no other operand holds
+                    keep = tuple(m for m in keep if m in out or any(m in s for s, _ in work))
                 work.append((keep, self._step(group, keep)))
-        self._step(work, out, last=True)  # also sums any internal node `order` left out
-        self.result = None if self.steps else self._finish(self.values[-1])
+        self.final = None
+        if (batch is not None or not finish) and len(work) == 1 and sorted(work[0][0]) == sorted(out):
+            (labels, pos), = work  # viewed in `out`'s order, not copied into it
+            if pos in self._pending:
+                labels = self._settle(pos, False)
+            self.final = pos, [labels.index(m) for m in out]
+        else:
+            self._step(work, out, last=True)  # also sums any internal node `order` left out
+        self.result = None if self.steps or not finish else self._finish(self.values[-1])
+
+    def _last(self, vals) -> np.ndarray:
+        """The last value, over `out`'s labels, of a contraction built with
+        a batch or with `finish` False: a view, neither copied nor checked
+        for overflow."""
+        if self.final is None:
+            return vals[-1]
+        pos, perm = self.final
+        return vals[pos].transpose(perm)
+
+    def _gathered(self, arr, labels):
+        """A known operand over `labels` with its gathered nodes' axes
+        replaced by one batch axis, first."""
+        at = [i for i, m in enumerate(labels) if m in self._gather]
+        if not at:
+            return arr, labels
+        rest = [i for i in range(len(labels)) if i not in at]
+        arr = arr.transpose(at + rest)[tuple(self._gather[labels[i]] for i in at)]
+        return arr, (self.batch, *(labels[i] for i in rest))
+
+    def _slot_gather(self, att, moved):
+        """The labels of a member edge's operand and how `apply_part` reads
+        it from the member's tensor: its axes in the order gathered nodes',
+        those the edge's `alignment` moves, the rest; one index array per
+        gathered axis, each batch entry's values with the alignment folded
+        in, and the mask of the batch entries the tensor's domains lack;
+        for each moved axis, its position after the gather, its index (a
+        slice if a run) and mask; the labelled shape."""
+        by_axis = {ax: (idx, hit) for ax, idx, hit in moved}
+        front = [ax for ax, a in enumerate(att) if a in self._gather]
+        shift = [ax for ax in by_axis if ax not in front]
+        rest = [ax for ax in range(len(att)) if ax not in front and ax not in shift]
+        lead = 1 if front else 0
+        index, mask = [], None
+        for ax in front:
+            ix = self._gather[att[ax]]
+            idx, hit = by_axis.get(ax, (None, None))
+            index.append(ix if idx is None else idx[ix])
+            if hit is not None:
+                hit = hit.ravel()[ix]
+                mask = hit if mask is None else mask & hit
+        if mask is not None:
+            mask = mask.reshape([-1] + [1] * (len(shift) + len(rest)))
+        after = []
+        for k, ax in enumerate(shift):
+            idx, hit = by_axis[ax]
+            if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+                idx = slice(int(idx[0]), int(idx[0]) + idx.size)
+            if hit is not None:
+                shape = [1] * (lead + len(shift) + len(rest))
+                shape[lead + k] = -1
+                hit = hit.reshape(shape)
+            after.append(((slice(None),) * (lead + k), idx, hit))
+        labels = (self.batch,) * lead + self._labelled([att[ax] for ax in shift + rest])
+        shape = tuple(-1 if m == self.batch else self.sizes[m] for m in labels)
+        return labels, (tuple(front + shift + rest), tuple(index), mask, tuple(after), shape)
 
     def _labelled(self, nodes) -> tuple:
-        return tuple(n for n in nodes if self.sizes[n] > 1)
+        return tuple(n for n in nodes if self.sizes[n] > 1 or n == self.batch)
 
     def _operand(self, arr) -> int:
         self.values.append(arr)
@@ -399,12 +509,19 @@ class _Contraction:
         operands = [(p, [label[m] for m in s]) for s, p in group]
         labels_out = [label[m] for m in out]
         plan = None if split is None else matmul_plan(
-            operands[0][1], operands[1][1], labels_out, [self.sizes[m] for m in names],
+            operands[0][1], operands[1][1], labels_out,
+            [-1 if m == self.batch else self.sizes[m] for m in names],
             [[label[m] for m in part] for part in split])
         step = operands, labels_out, plan, pos
         if any(self.values[p] is None for p, _ in operands):
             self.steps.append(step)
-            self.ops += size
+            if self.batch in names:  # the part's share counts when it runs
+                self.batch_ops += size // self.sizes[self.batch]
+            else:
+                self.ops += size
+            for s, p in group:
+                if self.batch in s and self.values[p] is not None:
+                    self.cut[p] = s.index(self.batch)
         else:
             self.values[pos] = self._run(step, self.values)
             self._counter.ops += size
@@ -461,6 +578,31 @@ class _Contraction:
         self._counter.ops += self.ops
         return self._finish(vals[-1])
 
+    def apply_part(self, layouts: dict, start: int, stop: int) -> np.ndarray:
+        """A batched contraction's result over the batch entries
+        `start:stop`: an array over the batch axis and then the other
+        labelled external nodes. `layouts[label, order]` is a live label's
+        tensor with its axes in the order, a tuple, that its edge reads."""
+        part = slice(start, stop)
+        vals = list(self.values)
+        for pos, axis in self.cut.items():
+            vals[pos] = vals[pos][(slice(None),) * axis + (part,)]
+        for i, label, (perm, index, mask, after, shape), _ in self.tau_slots:
+            arr = layouts[label, perm]
+            if index:
+                arr = arr[tuple(ix[part] for ix in index)]
+                if mask is not None:
+                    arr = arr * mask[part]
+            for before, idx, hit in after:
+                arr = arr[before + (idx,)] if isinstance(idx, slice) else np.take(arr, idx, axis=len(before))
+                if hit is not None:
+                    arr = arr * hit
+            vals[i] = arr.reshape(shape)
+        for step in self.steps:
+            vals[step[3]] = self._run(step, vals)
+        self._counter.ops += self.ops + self.batch_ops * (stop - start)
+        return self._last(vals)
+
 
 # ---------------------------------------------------------------------------
 # Fixed-point solver
@@ -478,6 +620,23 @@ DIVERGENT = "divergent"
 DIVERGENCE_BOUND = 1e12  # an entry above this is taken to mean an infinite weight
 
 
+ONE_PASS, ORDERED, KLEENE = "one-pass", "ordered", "kleene"
+
+
+@dataclass
+class ComponentState:
+    """How one dependency component was solved: its members, the method
+    (ONE_PASS, ORDERED or KLEENE), its status, the sweeps (or, ORDERED,
+    the levels) run, the final delta, and the ops counted while solving
+    it, its verification included."""
+    members: list[str]
+    method: str
+    status: str
+    iterations: int
+    delta: float
+    ops: int
+
+
 @dataclass
 class SolverState:
     tau: dict[str, WeightTensor]
@@ -485,6 +644,7 @@ class SolverState:
     delta: float
     status: str
     ops: int = 0
+    components: list[ComponentState] = field(default_factory=list)
 
 
 def dependency_components(by_lhs: dict[str, list[Rule]], nts) -> list[tuple[list[str], bool]]:
@@ -499,27 +659,288 @@ def dependency_components(by_lhs: dict[str, list[Rule]], nts) -> list[tuple[list
     return strongly_connected_components(nts, calls)
 
 
-def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> SolverState:
-    """Least fixed point of tau = F(tau) by Kleene iteration from zero
-    tensors, one dependency component at a time, callees first.
+def _sweep(prepared: dict, shapes, tau) -> dict[str, WeightTensor]:
+    """Every member's rules applied to `tau`, summed in grammar order."""
+    new_tau = {}
+    for n, rules in prepared.items():
+        acc = WeightTensor.zeros(shapes[n])
+        for rule in rules:
+            acc.data += rule.apply(tau).data
+        new_tau[n] = acc
+    return new_tau
 
-    A non-recursive component takes one pass, which is exact (delta 0). A
-    recursive one takes synchronous (Jacobi) sweeps over its own rules, with
-    the tensors of earlier components final, until the largest absolute
-    change is below `tol` (converged), `max_iter` sweeps have run (max-iter:
-    the later components are still solved from this last iterate) or an
-    entry exceeds DIVERGENCE_BOUND (divergent: the solve stops); a one-pass
-    component's entries are exact, so a large one there is not divergent.
-    The state reports the most sweeps and the largest final delta of any
-    component. Each rule is compiled once per solve, when its component is
-    reached and its callees' tensors are final (see _Contraction), with
-    each terminal label aligned once per solve onto each tuple of node
-    domains it meets. Its steps that read no member's tensor run there,
-    once, so a sweep runs only the rest, and a rule that uses no member
-    (every rule of a one-pass component) is a constant. Each rule's result
-    is still added in grammar order, so the tensors are those of running
-    every step in every sweep; `ops` counts the steps run at build time
-    once.
+
+def _one_pass(prepared: dict, shapes, tau, max_iter: int) -> tuple:
+    """A non-recursive component: each rule is a constant, so one pass is
+    exact."""
+    if max_iter < 1:
+        return {}, MAX_ITER, 0, float("inf")
+    return _sweep(prepared, shapes, tau), CONVERGED, 1, 0.0
+
+
+def _kleene(prepared: dict, shapes, tau, tol: float, max_iter: int) -> tuple:
+    """Synchronous (Jacobi) sweeps from `tau` until the largest absolute
+    change is below `tol` (converged), `max_iter` sweeps have run
+    (max-iter), or an entry exceeds DIVERGENCE_BOUND (divergent)."""
+    cur, new_tau = dict(tau), {n: tau[n] for n in prepared}
+    delta, status = float("inf"), MAX_ITER
+    for it in range(1, max_iter + 1):
+        new_tau = _sweep(prepared, shapes, cur)
+        delta = 0.0
+        for n in prepared:
+            d = float(np.max(np.abs(new_tau[n].data - cur[n].data))) if cur[n].data.size else 0.0
+            delta = max(delta, d)
+        cur.update(new_tau)
+        if any(np.any(t.data > DIVERGENCE_BOUND) for t in new_tau.values()):
+            status = DIVERGENT
+            break
+        if delta < tol:
+            status = CONVERGED
+            break
+    return new_tau, status, it if max_iter >= 1 else 0, delta
+
+
+@dataclass
+class _Ranking:
+    """A ranking of one member's entries: `coef`, the coefficient of each
+    axis that has one; `level`, an integer array over those axes in
+    increasing order; and the entries of level 1 or more, by level:
+    `index`, one array of value indices per such axis, and each level's
+    `bounds` in it."""
+    coef: dict[int, int]
+    level: np.ndarray
+    index: tuple = ()
+    bounds: dict = field(default_factory=dict)
+
+
+def _rankings(members, ext, sizes):
+    """The candidate rankings of a recursive component, in the order they
+    are tried: for j = 1, 2, ..., each member's level is the size of its
+    j-th argument from the last minus the size of its last axis, the
+    result (the call consumes input). A member with no such argument ends
+    the candidates."""
+    for j in range(1, min(len(ext[n]) for n in members)):
+        ranks = {}
+        for n in members:
+            coef = {len(ext[n]) - 1 - j: 1, len(ext[n]) - 1: -1}
+            axes = sorted(coef)
+            level = 0
+            for k, ax in enumerate(axes):
+                shape = [1] * len(axes)
+                shape[k] = -1
+                level = level + coef[ax] * sizes(ext[n][ax]).reshape(shape)
+            ranks[n] = _Ranking(coef, level)
+        yield ranks
+
+
+def _plausible(ranks, constants) -> bool:
+    """Whether a ranking survives the checks that need no solver work: the
+    entries of level 1 or more hold more than one level, and the constant
+    rules (`constants`, each member's contractions with no member edge) put
+    no weight on an entry of level below 1."""
+    levels = [r.level[r.level >= 1] for r in ranks.values()]
+    if len({int(f(lv)) for lv in levels if lv.size for f in (np.min, np.max)}) < 2:
+        return False
+    for n, consts in constants.items():
+        r = ranks[n]
+        for c in consts:
+            data = c.result.data
+            other = tuple(ax for ax in range(data.ndim) if ax not in r.coef)
+            if np.any(data.any(axis=other) & (r.level < 1)):
+                return False
+    return True
+
+
+def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool:
+    """Whether the ranking `ranks` orders the component's live rules: one
+    contraction per rule of supports (each table and each earlier
+    component's tensor replaced by its support, each member edge by 1[S],
+    S the entries of level >= 1) onto its level-carrying nodes, in which
+    every supported output entry is in S (F maps S into S) and every
+    member entry read is of a lower level than the entry it is read for.
+    An edge that holds no level-carrying node is left out, as if its
+    support were full, and so is a node no edge left holds: that can only
+    make the checks stricter, and it keeps the contraction small. Each comparison reads the support reduced
+    onto the nodes whose sizes it depends on. `sizes` gives a domain's
+    value sizes by name."""
+    members = set(ranks)
+    support = {}
+    for n, r in ranks.items():
+        t = tau[n]
+        keep = (r.level >= 1).reshape([k if ax in r.coef else 1 for ax, k in enumerate(t.data.shape)])
+        support[n] = WeightTensor(t.domains, np.ones(t.data.shape) * keep)
+    factors, aligned = {}, {}
+    for n, rules in live.items():
+        for rule in rules:
+            rhs = rule.rhs
+            levels = []  # each read's level, as a coefficient per node
+            for coef, att in [(ranks[n].coef, rhs.ext)] + [(ranks[e.label].coef, e.att)
+                                                            for e in rhs.edges if e.label in members]:
+                level = {}
+                for ax, c in coef.items():
+                    level[att[ax]] = level.get(att[ax], 0) + c
+                levels.append(level)
+            onto = tuple(dict.fromkeys(a for level in levels for a in level))
+            near = [e for e in rhs.edges if any(a in onto for a in e.att)]
+            for e in near:
+                if e.label in factors or e.label in support:
+                    continue
+                if e.label in g.factors:
+                    tab = g.factors[e.label]
+                    factors[e.label] = FactorTable(e.label, tab.domains,
+                                                   (np.asarray(tab.weights) > 0).astype(float))
+                else:
+                    t = tau[e.label]
+                    support[e.label] = WeightTensor(t.domains, (t.data > 0).astype(float))
+            nodes = [x for x in rhs.nodes if any(x.id in e.att for e in near)]
+            c = _Contraction(Hypergraph(nodes, near, onto), g.domains, factors,
+                             support, (), aligned=aligned, counter=counter, finish=False)
+            held = (c._last(c.values) > 0).reshape(tuple(len(g.domains[rhs.domain_of(a)])
+                                                         for a in onto))
+            out, *slots = levels
+            # out >= 1, and out - slot >= 1 for each slot, wherever held
+            for level in [out] + [{a: out.get(a, 0) - slot.get(a, 0) for a in {**out, **slot}}
+                                  for slot in slots]:
+                at = [k for k, a in enumerate(onto) if level.get(a, 0)]
+                value = 0
+                for i, k in enumerate(at):
+                    shape = [1] * len(at)
+                    shape[i] = -1
+                    value = value + level[onto[k]] * sizes(rhs.domain_of(onto[k])).reshape(shape)
+                rest = tuple(k for k in range(len(onto)) if k not in at)
+                if np.any(held.any(axis=rest) & (value < 1)):
+                    return False
+    return True
+
+
+def _ranking(g: FGG, rules: dict, constant: dict, ext, tau, sizes, counter) -> dict | None:
+    """The first candidate ranking (`_rankings`) of a recursive component
+    that passes `_plausible` and then `_verified`, its levels indexed
+    (`_index_levels`); None if none does."""
+    members = list(rules)
+    consts = {n: [c for c in cs if c is not None] for n, cs in constant.items()}
+    live = {n: [r for r, c in zip(rules[n], constant[n]) if c is None] for n in members}
+    for ranks in _rankings(members, {n: ext[n] for n in members}, sizes):
+        if _plausible(ranks, consts) and _verified(g, live, ranks, tau, sizes, counter):
+            for r in ranks.values():
+                _index_levels(r)
+            return ranks
+    return None
+
+
+def _value_sizes(domain: Domain) -> np.ndarray:
+    """Each value's size: its atom characters plus pair and sum
+    constructors (`frontend._measure`)."""
+    return np.array([len(v.name) if isinstance(v, Atom) else _measure(v)[1]
+                     for v in domain.values])
+
+
+def _ordered(rules: dict, constant: dict, ranks, shapes, build) -> tuple:
+    """Each member's entries of level 1 or more, one level at a time in
+    increasing order, each from the final entries of lower levels: the
+    constant rules' results gathered once, the live rules' batched
+    contractions applied to the level's part of the batch, the sum
+    scattered into the member's tensor and into each copy of it that a
+    member edge reads with its axes in another order (so that a level's
+    gather reads whole rows). Exact: delta 0, and the levels are the
+    iterations."""
+    prepared = {}
+    for n, rs in rules.items():
+        gathered = sorted(ranks[n].coef)
+        prepared[n] = ([c for c in constant[n] if c is not None],
+                       [build(r.rhs, batch=(tuple(r.rhs.ext[ax] for ax in gathered), ranks[n].index))
+                        for r, c in zip(rs, constant[n]) if c is None])
+    cur = {n: WeightTensor.zeros(shapes[n]) for n in prepared}
+    layouts = {}  # (member, axis order) -> its tensor in that order
+    for n, (_, live) in prepared.items():
+        for c in live:
+            for _, label, (perm, *_), _ in c.tau_slots:
+                if (label, perm) not in layouts:
+                    data = cur[label].data
+                    layouts[label, perm] = data if perm == tuple(range(data.ndim)) else \
+                        np.zeros(data.transpose(perm).shape)
+    plan = {}
+    for n, (consts, live) in prepared.items():
+        r = ranks[n]
+        axes = sorted(r.coef)
+        order = axes + [ax for ax in range(len(shapes[n])) if ax not in r.coef]
+        targets = []  # each copy, flat, and each entry's flat offsets (entry, other axes)
+        for arr, perm in [(cur[n].data, None)] + [(arr, perm) for (label, perm), arr in layouts.items()
+                                                  if label == n and arr is not cur[n].data]:
+            view = arr if perm is None else arr.transpose(np.argsort(perm))
+            step = [view.strides[ax] // view.itemsize for ax in order]
+            at = sum(ix * k for ix, k in zip(r.index, step))
+            rest = np.zeros(1, dtype=int)
+            for ax, k in zip(order[len(axes):], step[len(axes):]):
+                rest = (rest[:, None] + k * np.arange(view.shape[ax])).ravel()
+            targets.append((arr.reshape(-1), np.add.outer(at, rest)))
+        known = None
+        for c in consts:
+            part = c.result.data.transpose(order)[r.index].reshape(len(r.index[0]), -1)
+            known = part if known is None else known + part
+        plan[n] = targets, known, live
+    levels = sorted(set().union(*(r.bounds for r in ranks.values())))
+    for level in levels:
+        for n, (targets, known, live) in plan.items():
+            if level not in ranks[n].bounds:
+                continue
+            start, stop = ranks[n].bounds[level]
+            acc = 0.0 if known is None else known[start:stop]
+            for c in live:
+                acc = acc + c.apply_part(layouts, start, stop).reshape(stop - start, -1)
+            for flat, at in targets:
+                flat[at[start:stop]] = acc
+    for t in cur.values():
+        if not np.all(np.isfinite(t.data)):
+            raise InferenceError("non-finite result in external marginal (overflow)")
+    return cur, CONVERGED, len(levels), 0.0
+
+
+def _index_levels(r: _Ranking) -> None:
+    """Fill in `r.index` and `r.bounds`: the entries of level >= 1, by
+    level (in index order within one)."""
+    flat = r.level.ravel()
+    pick = np.flatnonzero(flat >= 1)
+    pick = pick[np.argsort(flat[pick], kind="stable")]
+    r.index = np.unravel_index(pick, r.level.shape)
+    levels = flat[pick]
+    starts = [0, *(np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist()]
+    stops = [*starts[1:], pick.size]
+    r.bounds = {int(levels[s]): (s, e) for s, e in zip(starts, stops)}
+
+
+def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> SolverState:
+    """Least fixed point of tau = F(tau), one dependency component at a
+    time, callees first, each by one method:
+
+    - one-pass: a non-recursive component; each rule is a constant, so one
+      pass is exact (delta 0);
+    - ordered: a recursive component whose entries a size ranking orders
+      (ROADMAP item "Chart-order evaluation"): a level per entry,
+      sum over its axes of +-1 times the size of its value (`_rankings`),
+      checked first against the constant rules (`_plausible`) and then by
+      one support contraction per rule (`_verified`). Its entries are
+      computed once, level by level in increasing order, from final lower
+      levels (`_ordered`); exact, delta 0, `iterations` the number of
+      levels. `tol` and `max_iter` do not apply;
+    - kleene: any other recursive component: synchronous (Jacobi) sweeps
+      from zero tensors until the largest absolute change is below `tol`
+      (converged), `max_iter` sweeps have run (max-iter: the later
+      components are still solved from this last iterate) or an entry
+      exceeds DIVERGENCE_BOUND (divergent: the solve stops). A component
+      exact by construction (one-pass or ordered) is never divergent.
+
+    The state reports the most iterations and the largest final delta of
+    any component, and each component's ComponentState in `components`.
+    Each rule is compiled once per solve, when its component is reached
+    and its callees' tensors are final (see _Contraction), with each
+    terminal label aligned once per solve onto each tuple of node domains
+    it meets. Its steps that read no member's tensor run there, once, so a
+    sweep or a level runs only the rest, and a rule that uses no member
+    (every rule of a one-pass component) is a constant. Each rule's
+    result is still added in grammar order, so a Kleene component's
+    tensors are those of running every step in every sweep; `ops` counts
+    the steps run at build time once.
     """
     by_lhs = rules_by_lhs(g.rules)
     ext = g.ext_domains()
@@ -532,37 +953,40 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
         except ValueError as e:  # numpy's limit on the number of axes
             raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: {e}") from None
     aligned: dict = {}
+    sizes: dict = {}
+
+    def value_sizes(name):
+        if name not in sizes:
+            sizes[name] = _value_sizes(g.domains[name])
+        return sizes[name]
+
     counter = OpCounter()
     state = SolverState(tau=tau, iteration=0, delta=0.0, status=CONVERGED)
     for members, recursive in dependency_components(by_lhs, nts):
-        live = set(members)
-        prepared = {n: [_Contraction(r.rhs, g.domains, g.factors, tau, live,
-                                     aligned=aligned, counter=counter)
-                        for r in by_lhs.get(n, ())]
-                    for n in members}
-        delta, status = float("inf"), MAX_ITER
-        for it in range(1, (max_iter if recursive else min(max_iter, 1)) + 1):
-            new_tau = {}
-            for n in members:
-                acc = WeightTensor.zeros(shapes[n])
-                for rule in prepared[n]:
-                    acc.data += rule.apply(tau).data
-                new_tau[n] = acc
-            delta = 0.0
+        before = counter.ops
+        rules = {n: by_lhs.get(n, []) for n in members}
+        build = partial(_Contraction, domains=g.domains, factors=g.factors, tau=tau,
+                        live=set(members), aligned=aligned, counter=counter)
+        # each rule that uses no member, compiled (a constant); None for the others
+        constant = {n: [None if any(e.label in rules for e in r.rhs.edges) else build(r.rhs)
+                        for r in rs] for n, rs in rules.items()}
+        ranks = recursive and _ranking(g, rules, constant, ext, tau, value_sizes, counter)
+        if ranks:
+            method, solved = ORDERED, _ordered(rules, constant, ranks, shapes, build)
+        else:
+            prepared = {n: [c or build(r.rhs) for r, c in zip(rules[n], constant[n])]
+                        for n in members}
             if recursive:
-                for n in members:
-                    d = float(np.max(np.abs(new_tau[n].data - tau[n].data))) if tau[n].data.size else 0.0
-                    delta = max(delta, d)
-            tau.update(new_tau)
-            state.iteration = max(state.iteration, it)
-            state.ops = counter.ops
-            if recursive and any(np.any(t.data > DIVERGENCE_BOUND) for t in new_tau.values()):
-                status = DIVERGENT
-                break
-            if delta < tol or not recursive:
-                status = CONVERGED
-                break
+                method, solved = KLEENE, _kleene(prepared, shapes, tau, tol, max_iter)
+            else:
+                method, solved = ONE_PASS, _one_pass(prepared, shapes, tau, max_iter)
+        tensors, status, iterations, delta = solved
+        tau.update(tensors)
+        state.components.append(ComponentState(members, method, status, iterations, delta,
+                                               counter.ops - before))
+        state.iteration = max(state.iteration, iterations)
         state.delta = max(state.delta, delta)
+        state.ops = counter.ops
         if status == DIVERGENT:
             state.status = DIVERGENT
             return state

@@ -527,7 +527,9 @@ def _bool_table(obj):
 
 
 # where a list belongs, a string or an object, which a reader iterating over
-# it once took for the list of its characters or keys; booleans and strings
+# it once took for the list of its characters or keys (or indexed, as with
+# `labels` and `rules`, with a Python error naming no field); where an
+# object belongs, a list, a string or a number; booleans and strings
 # where a number belongs, which once loaded as 1, 0 and the number spelt; an
 # integer beyond float range, which once ended in an OverflowError traceback
 _WRONG_TYPES = {
@@ -540,6 +542,19 @@ _WRONG_TYPES = {
     "table-mixed": (_first_entry(bool), "factor table entry must be a number, not bool"),
     "table-string": (_first_entry(str), "factor table entry must be a number, not str"),
     "table-huge-integer": (_first_entry(lambda x: 10 ** 400), "factor table entry is too large"),
+    "labels-string": (lambda obj: obj.update(labels="ab"), "labels must be a list, not str"),
+    "rules-object": (lambda obj: obj.update(rules={"x": 1}), "rules must be a list, not dict"),
+    "nodes-number": (lambda obj: obj["rules"][0]["rhs"].update(nodes=3),
+                     "rhs nodes must be a list, not int"),
+    "edges-object": (lambda obj: obj["rules"][0]["rhs"].update(edges={}),
+                     "rhs edges must be a list, not dict"),
+    "factors-list": (lambda obj: obj.update(factors=[]), "factors must be an object, not list"),
+    "label-string": (lambda obj: obj["labels"].__setitem__(0, "S"), "label must be an object, not str"),
+    "rule-number": (lambda obj: obj["rules"].__setitem__(0, 1), "rule must be an object, not int"),
+    "node-list": (lambda obj: obj["rules"][0]["rhs"]["nodes"].__setitem__(0, ["x", "D"]),
+                  "node must be an object, not list"),
+    "edge-string": (lambda obj: obj["rules"][0]["rhs"]["edges"].__setitem__(0, "e"),
+                    "edge must be an object, not str"),
 }
 
 
@@ -559,7 +574,7 @@ def _bad_arity(value):
     (_edit_json(_drop_factor_domains), "bad FGG JSON"),
     (_edit_json(_undeclared_label), "undeclared label 'nosuch'"),
     (_edit_json(_unknown_kind), "has unknown kind 'factor'"),
-    (_edit_json(_domains_as_list), "bad FGG JSON"),
+    (_edit_json(_domains_as_list), "bad FGG JSON: domains must be an object, not list"),
     (_edit_json(_start_without_rule), "start symbol '$start' has no rule"),
 ] + [(_listed(where), f"bad FGG JSON: {name} must be a string") for name, where in _NAMES.items()]
     + [(_bad_arity(value), f"bad FGG JSON: label arity must be an integer, not {type(value).__name__}")

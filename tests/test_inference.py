@@ -232,13 +232,20 @@ def test_lowered_steps_of_binary_rule_copy_no_operand(monkeypatch):
     assert len(checked) == sum(plan is not None for _, _, plan, _ in c.steps) >= 3
 
 
+def _sweeps_only(monkeypatch):
+    """Solve every recursive component by Kleene sweeps, as one that no
+    ranking orders is."""
+    monkeypatch.setattr(inference, "_rankings", lambda *args: iter(()))
+
+
 def test_alignment_is_built_once_per_solve(monkeypatch):
     """Each edge's alignment onto its nodes (the index and mask of a
     nonterminal edge's tensor, and a terminal table's, once per terminal
     label and node domains) is built when its rule is compiled, never per
-    sweep."""
+    sweep (string scoring solved by sweeps)."""
     source, params = cnf_pcfgw(23)
     g = compile_source(source, params).fgg
+    _sweeps_only(monkeypatch)
     built = []
     real = inference.alignment
     monkeypatch.setattr(inference, "alignment", lambda *args: built.append(1) or real(*args))
@@ -531,13 +538,15 @@ def test_mixed_components_agree_with_whole_grammar_iteration():
 @pytest.mark.parametrize("name", ["pcfg", "mutual", "mixed", "cnf-8", "cnf-23", "cnf-64"])
 def test_frozen_steps_change_nothing_but_ops(name, monkeypatch):
     """Running each rule's known steps once, when its component's rules are
-    built, leaves the solve as it is bit for bit; each such step runs once
-    instead of once per sweep."""
+    built, leaves a Kleene solve as it is bit for bit; each such step runs
+    once instead of once per sweep (string scoring solved by sweeps)."""
     if name == "mixed":
         g = _mixed_fgg()
     else:
         source, params = cnf_pcfgw(int(name[4:])) if name.startswith("cnf-") else load_program(name)
         g = compile_source(source, params).fgg
+    if name.startswith("cnf-"):
+        _sweeps_only(monkeypatch)
     folded, applies = {}, {}
     real = inference._Contraction
 
@@ -663,13 +672,9 @@ def test_divergence_in_inner_component_stops_the_solve():
 
 
 # ---------------------------------------------------------------------------
-# Known defect (the ROADMAP item "Make `converged` true"): the absolute
-# stopping rule `delta < tol` stops early on queries of small total weight
-# and reports them converged, and Kleene iteration needs about 1/eps sweeps
-# on a critical grammar. The cases marked xfail fail until the stopping rule
-# is fixed; short strings already pass. At n = 32 and 64 the solve reports
-# `converged` with Z about 6e-30 and 1e-54 and relative errors of 0.997 and
-# 0.9999997.
+# String scoring: the component of `d` is solved in size order (ROADMAP item
+# "Chart-order evaluation"), exactly, with delta 0, where Kleene sweeps under
+# the absolute stopping rule stopped early on queries of small total weight.
 
 
 def _ab_pcfgw(n):
@@ -680,15 +685,10 @@ def _ab_pcfgw(n):
     return source, params_from_json(obj)
 
 
-STOPS_EARLY = pytest.mark.xfail(strict=True,
-                                reason="absolute stopping rule stops early "
-                                       "(ROADMAP, \"Make `converged` true\")")
-
-
 @pytest.mark.parametrize("grammar,n", [
-    *[pytest.param(_ab_pcfgw, n, marks=STOPS_EARLY, id=str(n)) for n in (24, 32, 48)],
+    *[pytest.param(_ab_pcfgw, n, id=str(n)) for n in (24, 32, 48, 64)],
     *[pytest.param(cnf_pcfgw, n, id=f"cnf-{n}") for n in range(1, 9)],
-    *[pytest.param(cnf_pcfgw, n, marks=STOPS_EARLY, id=f"cnf-{n}") for n in (11, 16, 32, 64)],
+    *[pytest.param(cnf_pcfgw, n, id=f"cnf-{n}") for n in (11, 16, 32, 64, 96, 128)],
 ])
 def test_string_scoring_matches_cky_at_default_settings(grammar, n):
     source, params = grammar(n)
@@ -699,8 +699,76 @@ def test_string_scoring_matches_cky_at_default_settings(grammar, n):
     want = inside_reference(params.params["p"], w, "S")
     assert st.status == CONVERGED
     assert abs(st.tau[g.start].total() - want) <= 1e-9 * want
+    (d,) = [c for c in st.components if "d" in c.members]
+    if n > 1:  # one symbol gives one level, which orders nothing
+        assert (d.method, d.status, d.delta, d.iterations) == ("ordered", CONVERGED, 0.0, n)
 
 
+@pytest.mark.parametrize("name", ["pcfg", "mutual", "mixed"])
+def test_unranked_components_are_swept_without_verification(name, monkeypatch):
+    """A component whose candidate levels fail the checks that need no
+    solver work (one level only, or none) is solved by Kleene sweeps, with
+    no verifying contraction built."""
+    if name == "mixed":
+        g = _mixed_fgg()
+    else:
+        source, params = load_program(name)
+        g = compile_source(source, params).fgg
+    monkeypatch.setattr(inference, "_verified", lambda *args: pytest.fail("verified"))
+    st = solve_fixed_point(g)
+    recursive = [members for members, rec in _components(g) if rec]
+    assert [c.members for c in st.components if c.method == inference.KLEENE] == recursive
+    assert {c.method for c in st.components} == {inference.ONE_PASS, inference.KLEENE}
+
+
+UNARY_PCFGW = """\
+fun d(x, w) =
+  case sample p[x] of
+    inl(a) => if w != nil and car(w) = a then cdr(w) else fail
+  | inr(r) => case r of inl(y) => d(y, w)
+            | inr(yz) => let w2 = d(fst(yz), w) in d(snd(yz), w2);
+if d(S, w0) = nil then unit else fail
+"""
+
+
+def test_same_span_unary_arm_fails_verification_and_is_swept(monkeypatch):
+    """A unary arm reads d over the span it defines, an entry of its own
+    level, so the ranking fails the check that every entry read is lower:
+    the component stays on Kleene sweeps, as the reference solves it."""
+    params = params_from_json({"params": {"p": {
+        "S": {"inl a": 0.3, "inr (inl T)": 0.2, "inr (inr (S,T))": 0.5},
+        "T": {"inl b": 0.6, "inr (inl S)": 0.1, "inr (inr (T,S))": 0.3}}},
+        "inputs": {"w0": "abab"}})
+    g = compile_source(UNARY_PCFGW, params).fgg
+    verdicts = []
+    real = inference._verified
+    monkeypatch.setattr(inference, "_verified",
+                        lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+    tol = 1e-12
+    got = solve_fixed_point(g, tol=tol)
+    assert verdicts and not any(verdicts)
+    (d,) = [c for c in got.components if "d" in c.members]
+    assert (d.method, d.status) == (inference.KLEENE, CONVERGED) and d.iterations > 4
+    want = reference_impl.solve_fixed_point(g, tol=tol)
+    assert want.status == CONVERGED
+    for label, t in want.tau.items():
+        np.testing.assert_allclose(got.tau[label].data, t.data, rtol=0, atol=tol)
+    assert got.tau[g.start].total() > 0
+
+
+def test_ordered_solve_ops_grow_at_most_cubically():
+    """Doubling the string multiplies the solve's ops by at most 9 (the
+    cubic inside algorithm's 8, and a margin), where sweeps also grow in
+    number."""
+    ops = []
+    for n in (48, 96):
+        source, params = cnf_pcfgw(n)
+        ops.append(solve_fixed_point(compile_source(source, params).fgg).ops)
+    assert ops[1] <= 9 * ops[0]
+
+
+# Known defect (the ROADMAP item "Make `converged` true"): Kleene iteration
+# needs about 1/eps sweeps on a critical grammar.
 @pytest.mark.xfail(strict=True, reason="Kleene iteration is too slow at Z = 1 "
                                          "(ROADMAP, \"Make `converged` true\")")
 def test_critical_pcfg_converges_at_default_settings():
