@@ -31,7 +31,7 @@ import numpy as np
 from .fgg import FGG, FactorTable, Hypergraph, Rule, rules_by_lhs
 from .frontend import _measure
 from .scc import strongly_connected_components
-from .values import Atom, Domain, FggcError, Value
+from .values import Domain, FggcError, Value
 
 
 class InferenceError(FggcError):
@@ -246,9 +246,6 @@ def matmul_plan(a: list, b: list, out: list, sizes: list, split):
         z = np.matmul(x.transpose(ta).reshape(nb, nr, ni), y.transpose(tb).reshape(nb, ni, nc))
         return z.reshape(shape).transpose(to)
 
-    if ta == sorted(ta) and tb == sorted(tb) and to == sorted(to):  # no axis moves
-        def run(x, y):
-            return np.matmul(x.reshape(nb, nr, ni), y.reshape(nb, ni, nc)).reshape(shape)
     return run
 
 
@@ -289,10 +286,9 @@ class _Contraction:
     summed in the step that makes it. `apply_part` then runs the steps
     that read a member on one part of the list, each member edge gathered
     from the member's tensor by that part; the size of the batch node
-    (-1 to `matmul_plan`) is the part's, and its ops count per entry. With
-    `finish` False (the support contractions of `_verified`) there is no
-    `result`: the last value is read with `_last`, a view, as it is with a
-    batch.
+    (-1 to `matmul_plan`) is the part's, and its ops count per entry. A
+    batched contraction has no `result`: `apply_part` reads its last value
+    as a view (`_last`).
 
     A step runs as np.einsum, except a two-operand step of at least
     `_MIN_MATMUL` products that `_split` can lower: that one runs as one
@@ -321,21 +317,23 @@ class _Contraction:
     `apply` returns it.
     """
 
+    batch = final = None  # set for a batched contraction
+
     def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
                  tau: dict[str, WeightTensor], live, order=None,
                  aligned: dict | None = None, counter: OpCounter | None = None,
-                 batch=None, finish=True):
+                 batch=None):
         node_domains = {n.id: domains[n.domain] for n in graph.nodes}
         self.sizes = {n: len(d) for n, d in node_domains.items()}
         self.ext_domains = tuple(node_domains[n] for n in graph.ext)
         self.shape = tuple(map(self.sizes.__getitem__, graph.ext))
         ext, scopes, plan_domains = graph.ext, [e.att for e in graph.edges], node_domains
-        self.batch, self._gather, self.cut, self.batch_ops = None, {}, {}, 0
         if batch is not None:
             nodes, index = batch
             self.batch = b = "~" + "".join(self.sizes)  # a name no node has
             self.sizes[b] = len(index[0])
             self._gather = {n: ix for n, ix in zip(nodes, index) if self.sizes[n] > 1}
+            self.cut, self.batch_ops = {}, 0
             ext = (b, *(n for n in graph.ext if n not in nodes))
             plan_domains = {n: d for n, d in node_domains.items() if n not in nodes}
             plan_domains[b] = range(self.sizes[b])
@@ -377,11 +375,11 @@ class _Contraction:
                     tds = tuple(domains[d] for d in tab.domains)
                     arr = aligned[key] = align(np.asarray(tab.weights, dtype=float),
                                                tds, nds).reshape(shape)
-            if arr is not None and self._gather:
+            if batch is not None and arr is not None:
                 arr, labels = self._gathered(arr, labels)
             work.append((labels, self._operand(arr)))
         attached = {a for e in graph.edges for a in e.att}
-        held = {m for s, _ in work for m in s}
+        held = attached if batch is None else {m for s, _ in work for m in s}
         out = self._labelled(ext)
         work += [((n,), self._operand(np.ones(self.sizes[n]))) for n in out if n not in held]
         scale = float(math.prod(size for n, size in self.sizes.items()
@@ -399,20 +397,18 @@ class _Contraction:
                 if batch is not None:  # also sum the nodes no other operand holds
                     keep = tuple(m for m in keep if m in out or any(m in s for s, _ in work))
                 work.append((keep, self._step(group, keep)))
-        self.final = None
-        if (batch is not None or not finish) and len(work) == 1 and sorted(work[0][0]) == sorted(out):
+        if batch is not None and len(work) == 1 and sorted(work[0][0]) == sorted(out):
             (labels, pos), = work  # viewed in `out`'s order, not copied into it
             if pos in self._pending:
                 labels = self._settle(pos, False)
             self.final = pos, [labels.index(m) for m in out]
         else:
             self._step(work, out, last=True)  # also sums any internal node `order` left out
-        self.result = None if self.steps or not finish else self._finish(self.values[-1])
+        self.result = None if self.steps or batch is not None else self._finish(self.values[-1])
 
     def _last(self, vals) -> np.ndarray:
-        """The last value, over `out`'s labels, of a contraction built with
-        a batch or with `finish` False: a view, neither copied nor checked
-        for overflow."""
+        """The last value, over `out`'s labels, of a batched contraction: a
+        view, neither copied nor checked for overflow."""
         if self.final is None:
             return vals[-1]
         pos, perm = self.final
@@ -628,7 +624,8 @@ class ComponentState:
     """How one dependency component was solved: its members, the method
     (ONE_PASS, ORDERED or KLEENE), its status, the sweeps (or, ORDERED,
     the levels) run, the final delta, and the ops counted while solving
-    it, its verification included."""
+    it: an ordered component's include the verification of its ranking, a
+    Kleene component's leave out a verification that failed."""
     members: list[str]
     method: str
     status: str
@@ -759,16 +756,19 @@ def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool
     every supported output entry is in S (F maps S into S) and every
     member entry read is of a lower level than the entry it is read for.
     An edge that holds no level-carrying node is left out, as if its
-    support were full, and so is a node no edge left holds: that can only
-    make the checks stricter, and it keeps the contraction small. Each comparison reads the support reduced
-    onto the nodes whose sizes it depends on. `sizes` gives a domain's
-    value sizes by name."""
+    support were full, and so is an internal node no edge left holds: that
+    can only make the checks stricter, and it keeps the contraction small.
+    A level-carrying node that no edge holds (an argument that the rule
+    ignores) ranges over all its values. Each comparison reads the support
+    reduced onto the nodes whose sizes it depends on. `sizes` gives a
+    domain's value sizes by name.
+
+    A rule with two or more member edges whose output level is, node by
+    node, the sum of their levels (a split of a span, as in CKY's binary
+    rule) needs no contraction: each read is in S, of level >= 1, so the
+    output is in S and exceeds each read by the others' levels."""
     members = set(ranks)
     support = {}
-    for n, r in ranks.items():
-        t = tau[n]
-        keep = (r.level >= 1).reshape([k if ax in r.coef else 1 for ax, k in enumerate(t.data.shape)])
-        support[n] = WeightTensor(t.domains, np.ones(t.data.shape) * keep)
     factors, aligned = {}, {}
     for n, rules in live.items():
         for rule in rules:
@@ -780,6 +780,20 @@ def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool
                 for ax, c in coef.items():
                     level[att[ax]] = level.get(att[ax], 0) + c
                 levels.append(level)
+            out, *slots = levels
+            total = {}
+            for slot in slots:
+                for a, c in slot.items():
+                    total[a] = total.get(a, 0) + c
+            if len(slots) > 1 and {a: c for a, c in total.items() if c} == \
+                    {a: c for a, c in out.items() if c}:
+                continue
+            if not support:  # each member's 1[S]
+                for m, r in ranks.items():
+                    t = tau[m]
+                    keep = (r.level >= 1).reshape([k if ax in r.coef else 1
+                                                   for ax, k in enumerate(t.data.shape)])
+                    support[m] = WeightTensor(t.domains, np.ones(t.data.shape) * keep)
             onto = tuple(dict.fromkeys(a for level in levels for a in level))
             near = [e for e in rhs.edges if any(a in onto for a in e.att)]
             for e in near:
@@ -792,12 +806,10 @@ def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool
                 else:
                     t = tau[e.label]
                     support[e.label] = WeightTensor(t.domains, (t.data > 0).astype(float))
-            nodes = [x for x in rhs.nodes if any(x.id in e.att for e in near)]
+            nodes = [x for x in rhs.nodes if x.id in onto or any(x.id in e.att for e in near)]
             c = _Contraction(Hypergraph(nodes, near, onto), g.domains, factors,
-                             support, (), aligned=aligned, counter=counter, finish=False)
-            held = (c._last(c.values) > 0).reshape(tuple(len(g.domains[rhs.domain_of(a)])
-                                                         for a in onto))
-            out, *slots = levels
+                             support, (), aligned=aligned, counter=counter)
+            held = c.result.data > 0
             # out >= 1, and out - slot >= 1 for each slot, wherever held
             for level in [out] + [{a: out.get(a, 0) - slot.get(a, 0) for a in {**out, **slot}}
                                   for slot in slots]:
@@ -816,14 +828,18 @@ def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool
 def _ranking(g: FGG, rules: dict, constant: dict, ext, tau, sizes, counter) -> dict | None:
     """The first candidate ranking (`_rankings`) of a recursive component
     that passes `_plausible` and then `_verified`, its levels indexed
-    (`_index_levels`); None if none does."""
+    (`_index_levels`); None if none does. The verifying contractions' ops
+    go into `counter` only when a ranking is returned, so a component that
+    falls back to Kleene sweeps counts the sweeps' ops alone."""
     members = list(rules)
     consts = {n: [c for c in cs if c is not None] for n, cs in constant.items()}
     live = {n: [r for r, c in zip(rules[n], constant[n]) if c is None] for n in members}
+    checks = OpCounter()  # counted in `counter` only if a ranking is used
     for ranks in _rankings(members, {n: ext[n] for n in members}, sizes):
-        if _plausible(ranks, consts) and _verified(g, live, ranks, tau, sizes, counter):
+        if _plausible(ranks, consts) and _verified(g, live, ranks, tau, sizes, checks):
             for r in ranks.values():
                 _index_levels(r)
+            counter.ops += checks.ops
             return ranks
     return None
 
@@ -831,8 +847,7 @@ def _ranking(g: FGG, rules: dict, constant: dict, ext, tau, sizes, counter) -> d
 def _value_sizes(domain: Domain) -> np.ndarray:
     """Each value's size: its atom characters plus pair and sum
     constructors (`frontend._measure`)."""
-    return np.array([len(v.name) if isinstance(v, Atom) else _measure(v)[1]
-                     for v in domain.values])
+    return np.array([_measure(v)[1] for v in domain.values])
 
 
 def _ordered(rules: dict, constant: dict, ranks, shapes, build) -> tuple:
@@ -918,11 +933,11 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
     - ordered: a recursive component whose entries a size ranking orders
       (ROADMAP item "Chart-order evaluation"): a level per entry,
       sum over its axes of +-1 times the size of its value (`_rankings`),
-      checked first against the constant rules (`_plausible`) and then by
-      one support contraction per rule (`_verified`). Its entries are
-      computed once, level by level in increasing order, from final lower
-      levels (`_ordered`); exact, delta 0, `iterations` the number of
-      levels. `tol` and `max_iter` do not apply;
+      checked first against the constant rules (`_plausible`) and then
+      per rule, by its form or by one support contraction (`_verified`).
+      Its entries are computed once, level by level in increasing order,
+      from final lower levels (`_ordered`); exact, delta 0, `iterations`
+      the number of levels. `tol` and `max_iter` do not apply;
     - kleene: any other recursive component: synchronous (Jacobi) sweeps
       from zero tensors until the largest absolute change is below `tol`
       (converged), `max_iter` sweeps have run (max-iter: the later
@@ -964,22 +979,25 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
     state = SolverState(tau=tau, iteration=0, delta=0.0, status=CONVERGED)
     for members, recursive in dependency_components(by_lhs, nts):
         before = counter.ops
-        rules = {n: by_lhs.get(n, []) for n in members}
-        build = partial(_Contraction, domains=g.domains, factors=g.factors, tau=tau,
-                        live=set(members), aligned=aligned, counter=counter)
-        # each rule that uses no member, compiled (a constant); None for the others
-        constant = {n: [None if any(e.label in rules for e in r.rhs.edges) else build(r.rhs)
-                        for r in rs] for n, rs in rules.items()}
-        ranks = recursive and _ranking(g, rules, constant, ext, tau, value_sizes, counter)
-        if ranks:
-            method, solved = ORDERED, _ordered(rules, constant, ranks, shapes, build)
+        rules = {n: by_lhs.get(n, ()) for n in members}
+        if not recursive:
+            prepared = {n: [_Contraction(r.rhs, g.domains, g.factors, tau, (), aligned=aligned,
+                                         counter=counter) for r in rs]
+                        for n, rs in rules.items()}
+            method, solved = ONE_PASS, _one_pass(prepared, shapes, tau, max_iter)
         else:
-            prepared = {n: [c or build(r.rhs) for r, c in zip(rules[n], constant[n])]
-                        for n in members}
-            if recursive:
-                method, solved = KLEENE, _kleene(prepared, shapes, tau, tol, max_iter)
+            build = partial(_Contraction, domains=g.domains, factors=g.factors, tau=tau,
+                            live=set(members), aligned=aligned, counter=counter)
+            # each rule that uses no member, compiled (a constant); None for the others
+            constant = {n: [None if any(e.label in rules for e in r.rhs.edges) else build(r.rhs)
+                            for r in rs] for n, rs in rules.items()}
+            ranks = _ranking(g, rules, constant, ext, tau, value_sizes, counter)
+            if ranks:
+                method, solved = ORDERED, _ordered(rules, constant, ranks, shapes, build)
             else:
-                method, solved = ONE_PASS, _one_pass(prepared, shapes, tau, max_iter)
+                prepared = {n: [c or build(r.rhs) for r, c in zip(rules[n], constant[n])]
+                            for n in members}
+                method, solved = KLEENE, _kleene(prepared, shapes, tau, tol, max_iter)
         tensors, status, iterations, delta = solved
         tau.update(tensors)
         state.components.append(ComponentState(members, method, status, iterations, delta,

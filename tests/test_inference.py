@@ -167,16 +167,19 @@ def test_matmul_plan_leaves_other_steps_to_einsum(a, b, out):
 def test_lowered_steps_of_string_scoring_match_einsum(monkeypatch):
     """Every step the size rule lowers, on a length-64 string, gives what
     np.einsum gives on the same operands, whether it runs while its rule is
-    built or in `apply`."""
+    built, in `apply`, or in the ordered solve on each level's part of the
+    batch (a plan with a batch size of -1)."""
     source, params = cnf_pcfgw(64)
     g = compile_source(source, params).fgg
     tau = solve_fixed_point(g).tau
     lowered = {}
     index = None  # of the rule being built and applied
+    batched = []
     real_plan = inference.matmul_plan
 
-    def checked(la, lb, out, *args):
-        plan = real_plan(la, lb, out, *args)
+    def checked(la, lb, out, sizes, *args):
+        plan = real_plan(la, lb, out, sizes, *args)
+        batched.append(-1 in sizes)
 
         def run(x, y):
             got = plan(x, y)
@@ -192,7 +195,13 @@ def test_lowered_steps_of_string_scoring_match_einsum(monkeypatch):
     # the rule for `inr(yz) => ...`, which calls d twice
     (binary,) = [i for i, r in enumerate(g.rules)
                  if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
-    assert lowered[binary] >= 1
+    assert lowered[binary] >= 1 and not any(batched)
+    index = "ordered"
+    lowered[index] = 0
+    st = solve_fixed_point(g)
+    (d,) = [c for c in st.components if "d" in c.members]
+    assert d.method == inference.ORDERED and d.iterations == 64
+    assert any(batched) and lowered[index] >= d.iterations
 
 
 def test_lowered_steps_of_binary_rule_copy_no_operand(monkeypatch):
@@ -754,6 +763,65 @@ def test_same_span_unary_arm_fails_verification_and_is_swept(monkeypatch):
     for label, t in want.tau.items():
         np.testing.assert_allclose(got.tau[label].data, t.data, rtol=0, atol=tol)
     assert got.tau[g.start].total() > 0
+    # the failed verification's ops are not the component's: it counts the
+    # sweeps alone, as when no ranking is tried
+    monkeypatch.setattr(inference, "_rankings", lambda *args: iter(()))
+    swept = solve_fixed_point(g, tol=tol)
+    assert [(c.method, c.iterations, c.delta, c.ops) for c in got.components] == \
+        [(c.method, c.iterations, c.delta, c.ops) for c in swept.components]
+    for label, t in swept.tau.items():
+        assert got.tau[label].data.tobytes() == t.data.tobytes()
+
+
+FIXED_ARG_PCFGW = """\
+fun d(x, w) =
+  case sample p[x] of
+    inl(a) => if w != nil and car(w) = a then cdr(w) else fail
+  | inr(yz) => let w2 = d(fst(yz), FIRST) in d(snd(yz), w2);
+if d(S, w0) = nil then unit else fail
+"""
+
+
+@pytest.mark.parametrize("first,method", [("nil", inference.ORDERED), ("w0", inference.KLEENE)])
+def test_recursive_arm_that_ignores_the_ranked_argument(first, method):
+    """A binary arm that reads d at a fixed string leaves the rule's `w`, a
+    level-carrying external node, attached to no edge. The verifying
+    contraction holds it as a vector of ones: at `nil` every such read is
+    below level 1, so the ranking holds; at `w0` a read can be of the
+    entry's own level, so it fails and the component is swept. Either way
+    the tensors are the reference's."""
+    params = params_from_json({"params": {"p": {"S": {"inl a": 0.6, "inr (S,S)": 0.4}}},
+                               "inputs": {"w0": "aaa"}})
+    g = compile_source(FIXED_ARG_PCFGW.replace("FIRST", first), params).fgg
+    tol = 1e-12
+    got = solve_fixed_point(g, tol=tol)
+    (d,) = [c for c in got.components if "d" in c.members]
+    assert (d.method, d.status) == (method, CONVERGED)
+    want = reference_impl.solve_fixed_point(g, tol=tol)
+    assert want.status == CONVERGED
+    for label, t in want.tau.items():
+        np.testing.assert_allclose(got.tau[label].data, t.data, rtol=0, atol=tol)
+    assert (got.tau[g.start].total() > 0) == (first == "w0")
+
+
+@pytest.mark.parametrize("first", [None, "nil"])
+def test_span_split_is_verified_by_its_form(first, monkeypatch):
+    """CKY's binary rule, d(x, w, v) from d(y, w, w2) and d(z, w2, v), is
+    ordered by its form alone: the two reads' levels sum to the rule's, so
+    `_verified` builds no support contraction. A read at a fixed string
+    (d(y, nil, w2)) breaks the sum, and the contraction decides."""
+    built = []
+    monkeypatch.setattr(inference, "Hypergraph", lambda *args: built.append(args) or Hypergraph(*args))
+    if first is None:
+        source, params = cnf_pcfgw(16)
+    else:
+        source = FIXED_ARG_PCFGW.replace("FIRST", first)
+        params = params_from_json({"params": {"p": {"S": {"inl a": 0.6, "inr (S,S)": 0.4}}},
+                                   "inputs": {"w0": "aaa"}})
+    st = solve_fixed_point(compile_source(source, params).fgg)
+    (d,) = [c for c in st.components if "d" in c.members]
+    assert d.method == inference.ORDERED
+    assert bool(built) == (first is not None)
 
 
 def test_ordered_solve_ops_grow_at_most_cubically():
