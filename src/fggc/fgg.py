@@ -360,10 +360,19 @@ def _object(x, what: str) -> dict:
     return x
 
 
-def _table(x) -> np.ndarray:
-    """`x`, a factor's table read from FGG JSON, as an array if it is a
-    number (not a boolean) or nested lists of them; else ValueError, also
-    for an integer too large for a float."""
+def _key(obj: dict, key: str, what: str):
+    """`obj[key]`, read from FGG JSON; ValueError naming `what`, the kind of
+    object, and the key if it has none."""
+    if key not in obj:
+        raise ValueError(f"{what} has no key {key!r}")
+    return obj[key]
+
+
+def _table(x, name: str) -> np.ndarray:
+    """`x`, the table of factor `name` read from FGG JSON, as an array if it
+    is a number (not a boolean) or nested lists of them, each list of one
+    depth as long as the others; else ValueError, also for an integer too
+    large for a float."""
     todo = [x]
     while todo:
         v = todo.pop()
@@ -375,6 +384,9 @@ def _table(x) -> np.ndarray:
         return np.asarray(x, dtype=float)
     except OverflowError:
         raise ValueError("factor table entry is too large for a float") from None
+    except ValueError:  # numpy's message for ragged lists names no factor
+        raise ValueError(f"factor {name!r} has a ragged table: its lists at one depth "
+                         "differ in length, or hold both lists and numbers") from None
 
 
 def fgg_from_json(obj: dict) -> FGG:
@@ -385,33 +397,40 @@ def fgg_from_json(obj: dict) -> FGG:
     attached or external node, and the start symbol) a string, every
     label's arity an integer, every edge's `att`, rule's `ext`, domain's
     values and factor's `domains` a list, and every table entry a number,
-    else ValueError."""
+    else ValueError; so is a missing key, named with the object's kind."""
     obj = _object(obj, "FGG")
-    labels = [EdgeLabel(_name(l["name"], "label name"), _arity(l["arity"]),
-                        _name(l["kind"], "label kind"))
-              for l in (_object(l, "label") for l in _list(obj["labels"], "labels"))]
+    labels = [EdgeLabel(_name(_key(l, "name", "label"), "label name"),
+                        _arity(_key(l, "arity", "label")),
+                        _name(_key(l, "kind", "label"), "label kind"))
+              for l in (_object(l, "label") for l in _list(_key(obj, "labels", "FGG"), "labels"))]
     domains = {name: Domain(name, [value_from_json(v) for v in _list(vals, "domain values")])
-               for name, vals in _object(obj["domains"], "domains").items()}
+               for name, vals in _object(_key(obj, "domains", "FGG"), "domains").items()}
     rules = []
-    for r in _list(obj["rules"], "rules"):
+    for r in _list(_key(obj, "rules", "FGG"), "rules"):
         r = _object(r, "rule")
-        rhs = _object(r["rhs"], "rule rhs")
-        rules.append(Rule(_name(r["lhs"], "rule lhs"), Hypergraph(
-            nodes=[Node(_name(n["id"], "node id"), _name(n["domain"], "node domain"))
-                   for n in (_object(n, "node") for n in _list(rhs["nodes"], "rhs nodes"))],
-            edges=[Edge(_name(e["id"], "edge id"), _name(e["label"], "edge label"),
-                        tuple(_name(a, "edge att entry") for a in _list(e["att"], "edge att")))
-                   for e in (_object(e, "edge") for e in _list(rhs["edges"], "rhs edges"))],
-            ext=tuple(_name(x, "ext entry") for x in _list(rhs["ext"], "ext")),
+        rhs = _object(_key(r, "rhs", "rule"), "rule rhs")
+        nodes = (_object(n, "node") for n in _list(_key(rhs, "nodes", "rhs"), "rhs nodes"))
+        edges = (_object(e, "edge") for e in _list(_key(rhs, "edges", "rhs"), "rhs edges"))
+        rules.append(Rule(_name(_key(r, "lhs", "rule"), "rule lhs"), Hypergraph(
+            nodes=[Node(_name(_key(n, "id", "node"), "node id"),
+                        _name(_key(n, "domain", "node"), "node domain")) for n in nodes],
+            edges=[Edge(_name(_key(e, "id", "edge"), "edge id"),
+                        _name(_key(e, "label", "edge"), "edge label"),
+                        tuple(_name(a, "edge att entry")
+                              for a in _list(_key(e, "att", "edge"), "edge att")))
+                   for e in edges],
+            ext=tuple(_name(x, "ext entry") for x in _list(_key(rhs, "ext", "rhs"), "ext")),
         )))
     factors = {}
-    for name, body in _object(obj["factors"], "factors").items():
+    for name, body in _object(_key(obj, "factors", "FGG"), "factors").items():
         body = _object(body, "factor")
+        what = f"factor {name!r}"
         factors[name] = FactorTable(name, tuple(_name(d, "factor domain")
-                                                for d in _list(body["domains"], "factor domains")),
-                                    _table(body["table"]))
+                                                for d in _list(_key(body, "domains", what),
+                                                               "factor domains")),
+                                    _table(_key(body, "table", what), name))
     return FGG(labels={l.name: l for l in labels}, rules=rules,
-               start=_name(obj["start"], "start"), domains=domains, factors=factors)
+               start=_name(_key(obj, "start", "FGG"), "start"), domains=domains, factors=factors)
 
 
 def dumps(g: FGG) -> str:

@@ -9,15 +9,14 @@ in which a semiring parser evaluates an acyclic deduction graph: Goodman,
 
 Each rule's elimination is compiled once per solve, when the tensors of
 its component's callees are final, into a list of steps: large two-operand
-steps run as batched BLAS matrix products (np.matmul), with operands
-ordered so that BLAS reads them without a copy, the rest as np.einsum. The
-steps and the op counts do not depend on that choice. The answers, and so
-the deltas, can differ from all-einsum execution in the last bits, as can
-runs with different BLAS thread counts; the iterations change only if such
-a difference moves a delta across `tol`. A step that reads no tensor of
-the component's own nonterminals runs there, once, so a sweep runs only
-the steps that do, and a rule with none is a constant; that changes no
-bit of the answers.
+steps run as batched BLAS matrix products (np.matmul), the rest as
+np.einsum. The steps and the op counts are the same either way. The
+answers, and so the deltas, can differ from all-einsum execution in the
+last bits, as can runs with different BLAS thread counts; the iterations
+change only if such a difference moves a delta across `tol`. A step that
+reads no tensor of the component's own nonterminals runs there, once, so
+a sweep runs only the steps that do, and a rule with none is a constant;
+that changes no bit of the answers.
 """
 
 from __future__ import annotations
@@ -249,18 +248,6 @@ def matmul_plan(a: list, b: list, out: list, sizes: list, split):
     return run
 
 
-def _viewable(mem, batch, x, y) -> bool:
-    """Whether an array laid out in C order over the labels `mem` is, with
-    no copy, a stack over `batch` of matrices over `x` by `y` (each a list
-    of labels of `mem`, merged in that order) that BLAS can read: each
-    list's labels are adjacent in `mem`, and unless one of the three is
-    empty the innermost label is not a batch label."""
-    at = {m: i for i, m in enumerate(mem)}
-    if any(at[m] + 1 != at[n] for block in (batch, x, y) for m, n in zip(block, block[1:])):
-        return False
-    return not (batch and x and y) or mem[-1] not in batch
-
-
 class _Contraction:
     """A hypergraph's sum-product onto its external nodes, built once the
     tensors of every label but those in `live` are final: `tau` holds the
@@ -297,15 +284,6 @@ class _Contraction:
     the same either way. The products are summed in another order, so a
     result can differ from all-einsum execution in the last bits, and the
     BLAS build and thread count can move those bits too.
-
-    A lowered step whose result another step reads is compiled when that
-    step is, so that it can choose which operand goes on the left: the
-    order that leaves fewer arrays needing a copy before BLAS can read
-    them, counting its two operands and, when the reading step is lowered
-    too, its own result as that step reads it (the given order on a tie).
-    Each array is taken to be laid out in C order over its labels, and the
-    result's labels are put in `_split`'s (batch, rows, columns) order, in
-    which np.matmul lays it out, so the next step sees it as it is.
 
     `values` holds the operands and then one slot per step, by position,
     None where the value depends on a live tensor. A step whose operands
@@ -388,7 +366,6 @@ class _Contraction:
             work.append(((), self._operand(np.array(scale))))
         self.steps: list = []  # ([(operand position, labels)], output labels, matmul plan, slot)
         self.ops = 0
-        self._pending: dict = {}  # lowered steps compiled when their reader is
         for n in order:
             group = [w for w in work if n in w[0]]
             if group:
@@ -399,11 +376,9 @@ class _Contraction:
                 work.append((keep, self._step(group, keep)))
         if batch is not None and len(work) == 1 and sorted(work[0][0]) == sorted(out):
             (labels, pos), = work  # viewed in `out`'s order, not copied into it
-            if pos in self._pending:
-                labels = self._settle(pos, False)
             self.final = pos, [labels.index(m) for m in out]
         else:
-            self._step(work, out, last=True)  # also sums any internal node `order` left out
+            self._step(work, out)  # also sums any internal node `order` left out
         self.result = None if self.steps or batch is not None else self._finish(self.values[-1])
 
     def _last(self, vals) -> np.ndarray:
@@ -430,8 +405,8 @@ class _Contraction:
         those the edge's `alignment` moves, the rest; one index array per
         gathered axis, each batch entry's values with the alignment folded
         in, and the mask of the batch entries the tensor's domains lack;
-        for each moved axis, its position after the gather, its index (a
-        slice if a run) and mask; the labelled shape."""
+        for each moved axis, its position after the gather, its index and
+        mask; the labelled shape."""
         by_axis = {ax: (idx, hit) for ax, idx, hit in moved}
         front = [ax for ax, a in enumerate(att) if a in self._gather]
         shift = [ax for ax in by_axis if ax not in front]
@@ -450,13 +425,11 @@ class _Contraction:
         after = []
         for k, ax in enumerate(shift):
             idx, hit = by_axis[ax]
-            if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-                idx = slice(int(idx[0]), int(idx[0]) + idx.size)
             if hit is not None:
                 shape = [1] * (lead + len(shift) + len(rest))
                 shape[lead + k] = -1
                 hit = hit.reshape(shape)
-            after.append(((slice(None),) * (lead + k), idx, hit))
+            after.append((lead + k, idx, hit))
         labels = (self.batch,) * lead + self._labelled([att[ax] for ax in shift + rest])
         shape = tuple(-1 if m == self.batch else self.sizes[m] for m in labels)
         return labels, (tuple(front + shift + rest), tuple(index), mask, tuple(after), shape)
@@ -468,46 +441,27 @@ class _Contraction:
         self.values.append(arr)
         return len(self.values) - 1
 
-    def _step(self, group, out, last=False) -> int:
+    def _step(self, group, out) -> int:
         """Add the steps contracting `group` onto `out`; return the position
         of the result. A group too large for one call is multiplied in
         chunks that keep all their labels, and summed by the last call. A
-        lowered step that is not the `last` waits in `_pending` for the
-        step that reads its result."""
+        step that reads no live value runs now."""
         while len(group) > _MAX_OPERANDS:
             chunk, group = group[:_MAX_OPERANDS], group[_MAX_OPERANDS:]
             keep = tuple(dict.fromkeys(m for s, _ in chunk for m in s))
             group.insert(0, (keep, self._step(chunk, keep)))
         names = dict.fromkeys(m for s, _ in group for m in s)
         size = math.prod(self.sizes[m] for m in names)
-        split = (_split(group[0][0], group[1][0], out)
-                 if len(group) == 2 and size >= _MIN_MATMUL else None)
-        if self._pending and any(pos in self._pending for _, pos in group):
-            settled = [(self._settle(pos, split is not None and (group[1 - i][0], out)), pos)
-                       if pos in self._pending else (s, pos) for i, (s, pos) in enumerate(group)]
-            if settled != group:  # a settled operand's labels moved
-                names = dict.fromkeys(m for s, _ in settled for m in s)
-                if split is not None:
-                    split = _split(settled[0][0], settled[1][0], out)
-            group = settled
-        pos = self._operand(None)
-        if split is not None and not last:
-            self._pending[pos] = group, out, split, size
-        else:
-            self._compile(pos, group, out, names, split, size)
-        return pos
-
-    def _compile(self, pos, group, out, names, split, size):
-        """Compile the step `group -> out` into slot `pos`, its labels
-        numbered in `names`' order, and run it now if it reads no live
-        value; `split` is `_split`'s of its labels if it is lowered."""
         label = {m: i for i, m in enumerate(names)}
         operands = [(p, [label[m] for m in s]) for s, p in group]
         labels_out = [label[m] for m in out]
+        split = (_split(group[0][0], group[1][0], out)
+                 if len(group) == 2 and size >= _MIN_MATMUL else None)
         plan = None if split is None else matmul_plan(
             operands[0][1], operands[1][1], labels_out,
             [-1 if m == self.batch else self.sizes[m] for m in names],
             [[label[m] for m in part] for part in split])
+        pos = self._operand(None)
         step = operands, labels_out, plan, pos
         if any(self.values[p] is None for p, _ in operands):
             self.steps.append(step)
@@ -521,27 +475,7 @@ class _Contraction:
         else:
             self.values[pos] = self._run(step, self.values)
             self._counter.ops += size
-
-    def _settle(self, pos, reader) -> tuple:
-        """Compile the lowered step whose result is at `pos`, now that the
-        step reading it is known, and return the result's labels. `reader`
-        is, when that step is lowered too, its other operand's labels and
-        its output labels, else False."""
-        group, keep, split, size = self._pending.pop(pos)
-        options = []
-        (a, _), (b, _) = group
-        for pair, s in ((group, split), (group[::-1], _split(b, a, keep))):
-            (x, _), (y, _) = pair
-            batch, rows, inner, cols = s
-            mid = tuple(batch + rows + cols)
-            copies = (not _viewable(x, batch, rows, inner)) + (not _viewable(y, batch, inner, cols))
-            if reader:
-                copies += not _viewable(mid, *_split(mid, *reader)[:3])
-            options.append((copies, pair, mid, s))
-        _, group, mid, split = min(options, key=lambda o: o[0])
-        names = dict.fromkeys(m for s, _ in group for m in s)
-        self._compile(pos, group, mid, names, split, size)
-        return mid
+        return pos
 
     @staticmethod
     def _run(step, vals):
@@ -589,8 +523,8 @@ class _Contraction:
                 arr = arr[tuple(ix[part] for ix in index)]
                 if mask is not None:
                     arr = arr * mask[part]
-            for before, idx, hit in after:
-                arr = arr[before + (idx,)] if isinstance(idx, slice) else np.take(arr, idx, axis=len(before))
+            for axis, idx, hit in after:
+                arr = np.take(arr, idx, axis=axis)
                 if hit is not None:
                     arr = arr * hit
             vals[i] = arr.reshape(shape)

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 import re
 
 import numpy as np
@@ -347,6 +349,27 @@ def test_program_that_always_fails_infers_zero(tmp_path, capsys, source):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("source,params,out", [
+    ("sample p[a]", {"p": {"a": {}}}, "unit: 0\n"),
+    ("sample p[a]", {"p": {"a": {"b": 0, "c": 0}}}, "b: 0\nc: 0\n"),
+    # f(a) calls f(b), whose row is empty
+    ("fun f(x) = case sample p[x] of inl(u) => u | inr(v) => f(v);\nf(a)",
+     {"p": {"a": {"inr b": 1}, "b": {}}}, "unit: 0\n"),
+], ids=["empty-row", "all-zero-row", "recursive-empty-row"])
+def test_empty_or_all_zero_parameter_row_infers_zero(tmp_path, capsys, source, params, out):
+    """A distribution row with no entries, or only zero weights, gives
+    weight 0 to every value (an empty value set prints as `unit`), and the
+    interpreter agrees."""
+    src, path = tmp_path / "row.ppl", tmp_path / "row.params.json"
+    src.write_text(source + "\n")
+    path.write_text(json.dumps({"params": params}))
+    code, got, err = run(capsys, "infer", str(src), "--params", str(path))
+    assert (code, err) == (0, "") and got.startswith(out)
+    assert "status: converged" in got
+    code, _, err = run(capsys, "compare", str(src), "--params", str(path))
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("source", FAIL_POSITIONS.values(), ids=FAIL_POSITIONS.keys())
 def test_fail_anywhere_agrees_with_interpreter(tmp_path, capsys, source):
     """`fail` drops its path wherever it stands and adds no value to any
@@ -563,6 +586,17 @@ _WRONG_TYPES = {
 _ARITIES = {"float": 1.7, "bool": True, "string": "1"}
 
 
+def _drop_arity(obj):
+    del obj["labels"][0]["arity"]
+
+
+def _ragged_table(obj):
+    """The first table of two or more rows gets one entry more in its first
+    row (once numpy's own message, which names no factor)."""
+    table = next(f["table"] for f in obj["factors"].values() if len(f["table"]) > 1)
+    table[0].append(0.0)
+
+
 def _bad_arity(value):
     def edit(obj):
         next(l for l in obj["labels"] if l["arity"] == 1)["arity"] = value
@@ -576,12 +610,14 @@ def _bad_arity(value):
     (_edit_json(_unknown_kind), "has unknown kind 'factor'"),
     (_edit_json(_domains_as_list), "bad FGG JSON: domains must be an object, not list"),
     (_edit_json(_start_without_rule), "start symbol '$start' has no rule"),
+    (_edit_json(_drop_arity), "bad FGG JSON: label has no key 'arity'"),
+    (_edit_json(_ragged_table), "bad FGG JSON: factor 'is-inl@3:3' has a ragged table"),
 ] + [(_listed(where), f"bad FGG JSON: {name} must be a string") for name, where in _NAMES.items()]
     + [(_bad_arity(value), f"bad FGG JSON: label arity must be an integer, not {type(value).__name__}")
        for value in _ARITIES.values()]
     + [(_edit_json(edit), f"bad FGG JSON: {message}") for edit, message in _WRONG_TYPES.values()],
     ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind",
-         "domains-as-list", "start-without-rule"]
+         "domains-as-list", "start-without-rule", "label-without-arity", "ragged-table"]
     + ["listed-" + name.replace(" ", "-") for name in _NAMES]
     + ["arity-" + kind for kind in _ARITIES] + list(_WRONG_TYPES))
 @pytest.mark.parametrize("command", ["infer", "compare"])
@@ -597,6 +633,56 @@ def test_malformed_grammar_json_exit_2(tmp_path, capsys, command, damage, messag
     assert code == 2
     assert message in err
     _one_line_error(err)
+
+
+# what a mutation puts in place of a value
+_REPLACEMENTS = (None, True, 0, "x", [], {}, [1])
+# words of numpy's or Python's own errors, which name no field of the grammar
+_INTERNALS = ("setting an array element", "not subscriptable", "has no attribute")
+
+
+def _places(x, here=()):
+    """The path of every key and list entry in a JSON value."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield here + (k,)
+        yield from _places(v, here + (k,))
+
+
+def test_seeded_mutations_of_compiled_grammars_are_diagnosed(tmp_path, capsys):
+    """300 grammars, each a suite program's `compile --out` JSON with one
+    key or list entry deleted or one value replaced, each infer with exit 0
+    or a diagnosed exit: no traceback, and no `error:` line in numpy's or
+    Python's words or made of a bare key."""
+    grammars = []
+    for src in sorted(PROGRAMS_DIR.glob("*.ppl")):
+        path = tmp_path / f"{src.stem}.json"
+        run(capsys, "compile", str(src), "--params", _params(src.stem), "--out", str(path))
+        grammars.append(json.loads(path.read_text()))
+    rng = random.Random("grammar-mutations")
+    path = tmp_path / "mutated.json"
+    codes = set()
+    for _ in range(300):
+        obj = copy.deepcopy(rng.choice(grammars))
+        where = rng.choice(list(_places(obj)))
+        holder = obj
+        for k in where[:-1]:
+            holder = holder[k]
+        change = rng.choice(("delete",) + _REPLACEMENTS)
+        if change == "delete":
+            del holder[where[-1]]
+        else:
+            holder[where[-1]] = copy.deepcopy(change)
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "infer", str(path))
+        case = (where, change, err)
+        assert code in (0, 2, 3, 4, 5) and "Traceback" not in err, case
+        for line in err.splitlines():
+            if line.startswith("error: "):
+                assert not any(w in line for w in _INTERNALS), case
+                assert not re.fullmatch(r"error: (bad FGG JSON: )?'[^']*'", line), case
+        codes.add(code)
+    assert {0, 2} <= codes
 
 
 def _nullary_start(obj):

@@ -204,43 +204,6 @@ def test_lowered_steps_of_string_scoring_match_einsum(monkeypatch):
     assert any(batched) and lowered[index] >= d.iterations
 
 
-def test_lowered_steps_of_binary_rule_copy_no_operand(monkeypatch):
-    """In the sweeps of a length-64 string, each matrix product of the rule
-    that calls d twice reads its operands where they are: np.matmul gets
-    views of them, each with a unit-stride matrix axis, as BLAS reads it."""
-    source, params = cnf_pcfgw(64)
-    g = compile_source(source, params).fgg
-    tau = solve_fixed_point(g).tau
-    (rule,) = [r for r in g.rules if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
-    calls = []
-    real_matmul, real_plan = np.matmul, inference.matmul_plan
-    monkeypatch.setattr(np, "matmul", lambda x, y: calls.append((x, y)) or real_matmul(x, y))
-    checked = []
-    sweeping = False
-
-    def checking(*args):
-        plan = real_plan(*args)
-
-        def run(x, y):
-            calls.clear()
-            z = plan(x, y)
-            if sweeping:
-                ((vx, vy),) = calls
-                for view, operand in ((vx, x), (vy, y)):
-                    assert np.shares_memory(view, operand)
-                    assert view.itemsize in view.strides[-2:]
-                checked.append(1)
-            return z
-        return run
-
-    monkeypatch.setattr(inference, "matmul_plan", checking)
-    c = inference._Contraction(rule.rhs, g.domains, g.factors, tau, {"d"})
-    want = rule_contribution(g, rule, tau)
-    sweeping = True
-    np.testing.assert_allclose(c.apply(tau).data, want.data, rtol=1e-12, atol=0)
-    assert len(checked) == sum(plan is not None for _, _, plan, _ in c.steps) >= 3
-
-
 def _sweeps_only(monkeypatch):
     """Solve every recursive component by Kleene sweeps, as one that no
     ranking orders is."""
