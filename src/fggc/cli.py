@@ -22,6 +22,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import fgg as fggmod
 from .fgg import FGG, validate
 from .frontend import check_program
@@ -267,7 +269,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_flags(args)
-        code = args.fn(args)
+        with np.errstate(over="ignore"):  # the solver reports an overflow as an error
+            code = args.fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

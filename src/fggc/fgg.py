@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .values import Domain, FggcError, value_from_json, value_to_json
+from .values import Domain, FggcError, json_type, value_from_json, value_to_json
 
 TERMINAL = "terminal"
 NONTERMINAL = "nonterminal"
@@ -333,7 +333,7 @@ def fgg_to_json(g: FGG) -> dict:
 def _name(x, what: str) -> str:
     """`x`, a name read from FGG JSON, if it is a string; else ValueError."""
     if not isinstance(x, str):
-        raise ValueError(f"{what} must be a string, not {type(x).__name__}")
+        raise ValueError(f"{what} must be a string, not {json_type(x)}")
     return x
 
 
@@ -341,7 +341,8 @@ def _arity(x) -> int:
     """`x`, a label's arity read from FGG JSON, if it is an integer (a JSON
     number without a fraction or exponent, not a boolean); else ValueError."""
     if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"label arity must be an integer, not {type(x).__name__}")
+        kind = "a number with a fraction or exponent" if isinstance(x, float) else json_type(x)
+        raise ValueError(f"label arity must be an integer, not {kind}")
     return x
 
 
@@ -349,14 +350,14 @@ def _list(x, what: str) -> list:
     """`x`, read from FGG JSON, if it is a list; else ValueError (a string
     or an object would be read as its characters or keys)."""
     if not isinstance(x, list):
-        raise ValueError(f"{what} must be a list, not {type(x).__name__}")
+        raise ValueError(f"{what} must be a list, not {json_type(x)}")
     return x
 
 
 def _object(x, what: str) -> dict:
     """`x`, read from FGG JSON, if it is an object; else ValueError."""
     if not isinstance(x, dict):
-        raise ValueError(f"{what} must be an object, not {type(x).__name__}")
+        raise ValueError(f"{what} must be an object, not {json_type(x)}")
     return x
 
 
@@ -379,7 +380,7 @@ def _table(x, name: str) -> np.ndarray:
         if isinstance(v, list):
             todo += v
         elif not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"factor table entry must be a number, not {type(v).__name__}")
+            raise ValueError(f"factor table entry must be a number, not {json_type(v)}")
     try:
         return np.asarray(x, dtype=float)
     except OverflowError:

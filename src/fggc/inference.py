@@ -16,7 +16,10 @@ last bits, as can runs with different BLAS thread counts; the iterations
 change only if such a difference moves a delta across `tol`. A step that
 reads no tensor of the component's own nonterminals runs there, once, so
 a sweep runs only the steps that do, and a rule with none is a constant;
-that changes no bit of the answers.
+that changes no bit of the answers. Such a step keeps nothing but its
+array, so a non-recursive component costs about its einsums; its rules'
+results are summed per nonterminal into a fresh array, checked once for
+overflow.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, product
 
 import numpy as np
 
@@ -45,7 +49,7 @@ class WeightTensor:
     @classmethod
     def zeros(cls, domains) -> "WeightTensor":
         domains = tuple(domains)
-        return cls(domains, np.zeros(tuple(len(d) for d in domains)))
+        return cls(domains, np.zeros([len(d.values) for d in domains]))
 
     def __getitem__(self, values) -> float:
         if isinstance(values, Value):
@@ -54,7 +58,6 @@ class WeightTensor:
         return float(self.data[idx])
 
     def items(self):
-        from itertools import product
         for idx in product(*(range(len(d)) for d in self.domains)):
             yield tuple(d.values[i] for d, i in zip(self.domains, idx)), float(self.data[idx])
 
@@ -83,14 +86,11 @@ def alignment(table_domains, node_domains) -> tuple:
     for ax, (td, nd) in enumerate(zip(table_domains, node_domains)):
         if td is nd or td == nd:
             continue
-        idx = np.zeros(len(nd), dtype=int)
-        hit = np.zeros(len(nd), dtype=bool)
-        for i, v in enumerate(nd.values):
-            if v in td:
-                idx[i] = td.index(v)
-                hit[i] = True
-        mask = None
-        if not hit.all():
+        pos = td.positions(nd)
+        idx, mask = np.array(pos, dtype=int), None
+        if -1 in pos:
+            hit = idx >= 0
+            idx[~hit] = 0
             shape = [1] * len(table_domains)
             shape[ax] = len(nd)
             mask = hit.reshape(shape)
@@ -191,7 +191,14 @@ def plan_elimination(g: FGG, rule: Rule) -> EliminationPlan:
 def external_marginal(g: Hypergraph, domains: dict[str, Domain], factors,
                       order=None, counter: OpCounter | None = None) -> WeightTensor:
     """Marginal weight tensor over the external nodes of a terminal-only graph."""
-    return _Contraction(g, domains, factors, {}, (), order, counter=counter).result
+    return _marginal(g, domains, factors, {}, order, counter)
+
+
+def _marginal(g: Hypergraph, domains, factors, tau, order, counter) -> WeightTensor:
+    """The sum-product of `g` onto its external nodes, every tensor known."""
+    result = _Contraction(g, domains, factors, tau, (), order, counter=counter).result
+    return WeightTensor(tuple(domains[g.domain_of(n)] for n in g.ext),
+                        _finite(np.array(result, dtype=float, order="C")))
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +260,19 @@ class _Contraction:
     tensors of every label but those in `live` are final: `tau` holds the
     nonterminal edges' tensors, terminal tables come from `factors`.
 
-    Terminal tables are aligned onto their nodes here (once per terminal
-    label and node domains when several contractions share an `aligned`
-    cache), and so is each nonterminal edge's tensor: a known one's data at
-    once, a live one's `alignment` for `apply` to index with. Each node of
-    the elimination order gets one step over the operands that mention it,
-    and a last step maps what remains onto `ext`. A repeated attachment is a
-    repeated label (a diagonal), an unattached external node a vector of
-    ones, an unattached internal node a constant scale. A node with one
-    value carries no label (its axes are reshaped away), and labels are
-    numbered within each step, so a step's labels are its nodes of size > 1.
+    Terminal tables are aligned onto their nodes here, and so is each
+    nonterminal edge's tensor: a known one's data at once, a live one's
+    `alignment` for `apply` to index with; contractions that share an
+    `aligned` cache align a table, or find a tensor's alignment, once per
+    label and node domains. Each node of size > 1 in the elimination order
+    gets one step over the operands that mention it, and a last step maps
+    what remains onto `ext`. The order is min-fill (`plan_order`) unless
+    at most one internal node has size > 1, which forces it. A repeated
+    attachment is a repeated label (a diagonal), an unattached external
+    node a vector of ones, an unattached internal node a constant scale. A
+    node with one value carries no label (its axes are reshaped away), and
+    labels are numbered within each step, so a step's labels are its nodes
+    of size > 1.
 
     With a `batch`, a pair of the rule's external nodes (say) and, for
     each, its value index at each entry of a list (an ordered component's
@@ -274,8 +284,7 @@ class _Contraction:
     that read a member on one part of the list, each member edge gathered
     from the member's tensor by that part; the size of the batch node
     (-1 to `matmul_plan`) is the part's, and its ops count per entry. A
-    batched contraction has no `result`: `apply_part` reads its last value
-    as a view (`_last`).
+    batched contraction has no `result`: `apply_part` returns a view.
 
     A step runs as np.einsum, except a two-operand step of at least
     `_MIN_MATMUL` products that `_split` can lower: that one runs as one
@@ -285,119 +294,112 @@ class _Contraction:
     result can differ from all-einsum execution in the last bits, and the
     BLAS build and thread count can move those bits too.
 
-    `values` holds the operands and then one slot per step, by position,
-    None where the value depends on a live tensor. A step whose operands
-    are all known runs as soon as it is compiled, its product size counted
-    in `counter`; `steps` keeps the others, in an order that computes each
-    operand before it is read, each with its slot. `apply` runs them on
-    the live tensors and counts `ops`, their product size, in `counter`
-    each time; with no live step, `result` is the finished tensor and
-    `apply` returns it.
+    A step whose operands are all known runs as soon as it is made, its
+    product size counted in `counter`; its array is all that is kept of it.
+    `steps` keeps the others, in an order that computes each operand before
+    it is read, each with the positions in `values` of its operands and its
+    result: a live tensor's, a known array's (added when a kept step reads
+    it) or a kept step's. `apply` runs them on the live tensors and counts
+    `ops`, their product size, in `counter` each time. With no live step,
+    `result` is the finished array and `apply` returns it. Either may be a
+    view and is not checked for overflow: the callers sum and check.
     """
 
-    batch = final = None  # set for a batched contraction
+    batch = final = result = None  # see the class docstring
 
     def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
                  tau: dict[str, WeightTensor], live, order=None,
                  aligned: dict | None = None, counter: OpCounter | None = None,
                  batch=None):
-        node_domains = {n.id: domains[n.domain] for n in graph.nodes}
-        self.sizes = {n: len(d) for n, d in node_domains.items()}
-        self.ext_domains = tuple(node_domains[n] for n in graph.ext)
-        self.shape = tuple(map(self.sizes.__getitem__, graph.ext))
-        ext, scopes, plan_domains = graph.ext, [e.att for e in graph.edges], node_domains
+        dom = {n.id: n.domain for n in graph.nodes}
+        self.sizes = sizes = {n: len(domains[d].values) for n, d in dom.items()}
+        self.shape = tuple(map(sizes.__getitem__, graph.ext))
+        self._lab = lab = {n for n, k in sizes.items() if k > 1}
+        ext, planned = graph.ext, sizes
         if batch is not None:
             nodes, index = batch
-            self.batch = b = "~" + "".join(self.sizes)  # a name no node has
-            self.sizes[b] = len(index[0])
-            self._gather = {n: ix for n, ix in zip(nodes, index) if self.sizes[n] > 1}
+            self.batch = b = "~" + "".join(sizes)  # a name no node has
+            sizes[b] = len(index[0])
+            lab.add(b)
+            self._gather = {n: ix for n, ix in zip(nodes, index) if sizes[n] > 1}
             self.cut, self.batch_ops = {}, 0
             ext = (b, *(n for n in graph.ext if n not in nodes))
-            plan_domains = {n: d for n, d in node_domains.items() if n not in nodes}
-            plan_domains[b] = range(self.sizes[b])
-            scopes = [tuple(dict.fromkeys(b if a in nodes else a for a in s)) for s in scopes]
-        if order is None:
-            order = plan_order(plan_domains, scopes, set(ext)).order
-            if batch is not None:  # the nodes no member edge holds first: their steps run once
-                held = {a for e in graph.edges if e.label in live for a in e.att}
-                order = sorted(order, key=held.__contains__)
-        if aligned is None:
-            aligned = {}
+            planned = {n: k for n, k in sizes.items() if n not in nodes}
+        if order is None:  # min-fill, unless at most one internal node has size > 1
+            order = [n for n in planned if sizes[n] > 1 and n not in ext]
+            if len(order) > 1:
+                scopes = [e.att if batch is None else
+                          tuple(dict.fromkeys(b if a in nodes else a for a in e.att))
+                          for e in graph.edges]
+                ranges = {n: range(k) for n, k in planned.items()}
+                order = [n for n in plan_order(ranges, scopes, set(ext)).order if sizes[n] > 1]
+                if batch is not None:  # the nodes no member edge holds first: their steps run once
+                    held = {a for e in graph.edges if e.label in live for a in e.att}
+                    order = sorted(order, key=held.__contains__)
+        aligned = {} if aligned is None else aligned
         self._counter = counter if counter is not None else OpCounter()
-        node_names = {n.id: n.domain for n in graph.nodes}
-        self.values: list = []
-        self.tau_slots: list = []  # (position, label, alignment or gather, shape)
-        work = []  # (labelled nodes, operand position)
+        self.values, self.tau_slots, self.steps, self.ops = [], [], [], 0
+        work = []  # (labels, known array or position in `values` of a live one)
         for e in graph.edges:
-            nds = tuple(map(node_domains.__getitem__, e.att))
-            labels = self._labelled(e.att)
-            shape = tuple(map(self.sizes.__getitem__, labels))
+            labels = tuple(filter(lab.__contains__, e.att))
+            key = (e.label, tuple(map(dom.__getitem__, e.att)))
+            arr = aligned.get(key)  # a table aligned, or a tensor's alignment
             if e.label in tau:
                 t = tau[e.label]
-                if len(t.domains) != len(e.att):
-                    raise InferenceError(
-                        f"tensor for {e.label} has rank {len(t.domains)}, edge arity {len(e.att)}")
-                moved = alignment(t.domains, nds)
-                if e.label in live:
-                    arr = None
-                    if self.batch is not None:
-                        labels, moved = self._slot_gather(e.att, moved)
-                    self.tau_slots.append((len(self.values), e.label, moved, shape))
-                else:
-                    arr = _realign(t.data, moved).reshape(shape)
-            else:
-                key = (e.label, tuple(map(node_names.__getitem__, e.att)))
-                arr = aligned.get(key)
                 if arr is None:
-                    tab = factors[e.label]
-                    tds = tuple(domains[d] for d in tab.domains)
-                    arr = aligned[key] = align(np.asarray(tab.weights, dtype=float),
-                                               tds, nds).reshape(shape)
-            if batch is not None and arr is not None:
-                arr, labels = self._gathered(arr, labels)
-            work.append((labels, self._operand(arr)))
+                    if len(t.domains) != len(e.att):
+                        raise InferenceError(f"tensor for {e.label} has rank {len(t.domains)}, "
+                                             f"edge arity {len(e.att)}")
+                    arr = aligned[key] = alignment(t.domains, map(domains.__getitem__, key[1]))
+                shape = tuple(map(sizes.__getitem__, labels))
+                if e.label in live:
+                    if batch is not None:
+                        labels, arr = self._slot_gather(e.att, arr)
+                    self.tau_slots.append((len(self.values), e.label, arr, shape))
+                    work.append((labels, len(self.values)))
+                    self.values.append(None)
+                    continue
+                arr = _realign(t.data, arr).reshape(shape)
+            elif arr is None:
+                tab = factors[e.label]
+                arr = aligned[key] = align(np.asarray(tab.weights, dtype=float),
+                                           tuple(map(domains.__getitem__, tab.domains)),
+                                           tuple(map(domains.__getitem__, key[1]))
+                                           ).reshape(tuple(map(sizes.__getitem__, labels)))
+            work.append((labels, arr) if batch is None else self._gathered(arr, labels))
         attached = {a for e in graph.edges for a in e.att}
         held = attached if batch is None else {m for s, _ in work for m in s}
-        out = self._labelled(ext)
-        work += [((n,), self._operand(np.ones(self.sizes[n]))) for n in out if n not in held]
-        scale = float(math.prod(size for n, size in self.sizes.items()
-                                if n not in attached and n not in ext))
+        out = tuple(filter(lab.__contains__, ext))
+        work += [((n,), np.ones(sizes[n])) for n in out if n not in held]
+        scale = float(math.prod(sizes[n] for n in sizes.keys() - attached if n not in ext))
         if scale != 1.0 or not work:
-            work.append(((), self._operand(np.array(scale))))
-        self.steps: list = []  # ([(operand position, labels)], output labels, matmul plan, slot)
-        self.ops = 0
+            work.append(((), np.array(scale)))
         for n in order:
             group = [w for w in work if n in w[0]]
             if group:
                 work = [w for w in work if n not in w[0]]
-                keep = tuple(dict.fromkeys(m for s, _ in group for m in s if m != n))
+                names = dict.fromkeys(m for s, _ in group for m in s)
+                keep = tuple(m for m in names if m != n)
                 if batch is not None:  # also sum the nodes no other operand holds
                     keep = tuple(m for m in keep if m in out or any(m in s for s, _ in work))
-                work.append((keep, self._step(group, keep)))
+                work.append((keep, self._step(group, keep, names)))
         if batch is not None and len(work) == 1 and sorted(work[0][0]) == sorted(out):
-            (labels, pos), = work  # viewed in `out`'s order, not copied into it
-            self.final = pos, [labels.index(m) for m in out]
-        else:
-            self._step(work, out)  # also sums any internal node `order` left out
-        self.result = None if self.steps or batch is not None else self._finish(self.values[-1])
-
-    def _last(self, vals) -> np.ndarray:
-        """The last value, over `out`'s labels, of a batched contraction: a
-        view, neither copied nor checked for overflow."""
-        if self.final is None:
-            return vals[-1]
-        pos, perm = self.final
-        return vals[pos].transpose(perm)
+            (labels, v), = work  # viewed in `out`'s order, not copied into it
+            self.final = self._slot(v, labels), [labels.index(m) for m in out]
+        else:  # also sums any internal node `order` left out
+            last = self._step(work, out, dict.fromkeys(m for s, _ in work for m in s))
+            if not self.steps and batch is None:
+                self.result = last.reshape(self.shape)
 
     def _gathered(self, arr, labels):
         """A known operand over `labels` with its gathered nodes' axes
         replaced by one batch axis, first."""
         at = [i for i, m in enumerate(labels) if m in self._gather]
         if not at:
-            return arr, labels
+            return labels, arr
         rest = [i for i in range(len(labels)) if i not in at]
         arr = arr.transpose(at + rest)[tuple(self._gather[labels[i]] for i in at)]
-        return arr, (self.batch, *(labels[i] for i in rest))
+        return (self.batch, *(labels[i] for i in rest)), arr
 
     def _slot_gather(self, att, moved):
         """The labels of a member edge's operand and how `apply_part` reads
@@ -430,83 +432,76 @@ class _Contraction:
                 shape[lead + k] = -1
                 hit = hit.reshape(shape)
             after.append((lead + k, idx, hit))
-        labels = (self.batch,) * lead + self._labelled([att[ax] for ax in shift + rest])
+        labels = (self.batch,) * lead + tuple(att[a] for a in shift + rest if att[a] in self._lab)
         shape = tuple(-1 if m == self.batch else self.sizes[m] for m in labels)
         return labels, (tuple(front + shift + rest), tuple(index), mask, tuple(after), shape)
 
-    def _labelled(self, nodes) -> tuple:
-        return tuple(n for n in nodes if self.sizes[n] > 1 or n == self.batch)
-
-    def _operand(self, arr) -> int:
-        self.values.append(arr)
+    def _slot(self, v, labels) -> int:
+        """The position in `values` of a work value over `labels`, a known
+        array added (its batch axis cut by `apply_part`) when a step reads it."""
+        if type(v) is int:
+            return v
+        if self.batch in labels:
+            self.cut[len(self.values)] = labels.index(self.batch)
+        self.values.append(v)
         return len(self.values) - 1
 
-    def _step(self, group, out) -> int:
-        """Add the steps contracting `group` onto `out`; return the position
-        of the result. A group too large for one call is multiplied in
-        chunks that keep all their labels, and summed by the last call. A
-        step that reads no live value runs now."""
+    def _step(self, group, out, names) -> np.ndarray | int:
+        """Contract `group` (labels, value) onto `out`, `names` its labels
+        in order of first appearance: now, giving the array, if it reads no
+        live value, else kept in `steps`, giving its result's position. A
+        group too large for one call is multiplied in chunks that keep all
+        their labels, and summed by the last call."""
         while len(group) > _MAX_OPERANDS:
             chunk, group = group[:_MAX_OPERANDS], group[_MAX_OPERANDS:]
             keep = tuple(dict.fromkeys(m for s, _ in chunk for m in s))
-            group.insert(0, (keep, self._step(chunk, keep)))
-        names = dict.fromkeys(m for s, _ in group for m in s)
-        size = math.prod(self.sizes[m] for m in names)
-        label = {m: i for i, m in enumerate(names)}
-        operands = [(p, [label[m] for m in s]) for s, p in group]
-        labels_out = [label[m] for m in out]
+            group.insert(0, (keep, self._step(chunk, keep, keep)))
+        size = math.prod(map(self.sizes.__getitem__, names))
+        label = dict(zip(names, range(len(names)))).__getitem__
+        labels = [list(map(label, s)) for s, _ in group]
+        labels_out = list(map(label, out))
         split = (_split(group[0][0], group[1][0], out)
-                 if len(group) == 2 and size >= _MIN_MATMUL else None)
+                 if size >= _MIN_MATMUL and len(group) == 2 else None)
         plan = None if split is None else matmul_plan(
-            operands[0][1], operands[1][1], labels_out,
-            [-1 if m == self.batch else self.sizes[m] for m in names],
-            [[label[m] for m in part] for part in split])
-        pos = self._operand(None)
-        step = operands, labels_out, plan, pos
-        if any(self.values[p] is None for p, _ in operands):
-            self.steps.append(step)
-            if self.batch in names:  # the part's share counts when it runs
-                self.batch_ops += size // self.sizes[self.batch]
-            else:
-                self.ops += size
-            for s, p in group:
-                if self.batch in s and self.values[p] is not None:
-                    self.cut[p] = s.index(self.batch)
-        else:
-            self.values[pos] = self._run(step, self.values)
+            *labels, labels_out, [-1 if m == self.batch else self.sizes[m] for m in names],
+            [list(map(label, part)) for part in split])
+        arrays = [v for _, v in group]
+        if not self.tau_slots or int not in map(type, arrays):
             self._counter.ops += size
-        return pos
+            return self._run(arrays, labels, labels_out, plan)
+        at = [self._slot(v, s) for s, v in group]
+        self.steps.append((at, labels, labels_out, plan, len(self.values)))
+        self.values.append(None)
+        if self.batch in names:  # the part's share counts when it runs
+            self.batch_ops += size // self.sizes[self.batch]
+        else:
+            self.ops += size
+        return len(self.values) - 1
 
     @staticmethod
-    def _run(step, vals):
-        """The value of one compiled step, its operands taken from `vals`."""
-        operands, out, plan, _ = step
+    def _run(arrays, labels, out, plan) -> np.ndarray:
+        """One step's value: `arrays` over `labels` summed onto `out`."""
         if plan is not None:
-            (a, _), (b, _) = operands
-            return plan(vals[a], vals[b])
-        args = []
-        for pos, labels in operands:
-            args += (vals[pos], labels)
-        return np.einsum(*args, out)
+            return plan(*arrays)
+        return np.einsum(*chain.from_iterable(zip(arrays, labels)), out)
 
-    def _finish(self, arr) -> WeightTensor:
-        """The tensor over `ext` that the last step's value `arr` holds."""
-        result = np.array(arr, dtype=float, order="C").reshape(self.shape)
-        if not np.all(np.isfinite(result)):
-            raise InferenceError("non-finite result in external marginal (overflow)")
-        return WeightTensor(self.ext_domains, result)
+    def _replay(self, vals) -> list:
+        """`vals`, a copy of `values` with the live operands in, with each
+        kept step's result put in its slot."""
+        for at, labels, out, plan, slot in self.steps:
+            vals[slot] = self._run([vals[p] for p in at], labels, out, plan)
+        return vals
 
-    def apply(self, tau: dict[str, WeightTensor]) -> WeightTensor:
-        """The sum-product with the live labels' tensors taken from `tau`."""
+    def apply(self, tau: dict[str, WeightTensor]) -> np.ndarray:
+        """The sum-product over `shape` with the live labels' tensors taken
+        from `tau`: an array that may be a view, not checked for overflow."""
         if self.result is not None:
             return self.result
         vals = list(self.values)
         for i, label, moved, shape in self.tau_slots:
             vals[i] = _realign(tau[label].data, moved).reshape(shape)
-        for step in self.steps:
-            vals[step[3]] = self._run(step, vals)
         self._counter.ops += self.ops
-        return self._finish(vals[-1])
+        return self._replay(vals)[-1].reshape(self.shape)
 
     def apply_part(self, layouts: dict, start: int, stop: int) -> np.ndarray:
         """A batched contraction's result over the batch entries
@@ -528,10 +523,9 @@ class _Contraction:
                 if hit is not None:
                     arr = arr * hit
             vals[i] = arr.reshape(shape)
-        for step in self.steps:
-            vals[step[3]] = self._run(step, vals)
         self._counter.ops += self.ops + self.batch_ops * (stop - start)
-        return self._last(vals)
+        vals = self._replay(vals)  # the last value over `out`'s labels: a view
+        return vals[-1] if self.final is None else vals[self.final[0]].transpose(self.final[1])
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +535,7 @@ class _Contraction:
 def rule_contribution(g: FGG, rule: Rule, tau: dict[str, WeightTensor],
                       order=None, counter: OpCounter | None = None) -> WeightTensor:
     """One-level unrolling: nonterminal edges act as factors with table tau[X]."""
-    return _Contraction(rule.rhs, g.domains, g.factors, tau, (), order, counter=counter).result
+    return _marginal(rule.rhs, g.domains, g.factors, tau, order, counter)
 
 
 CONVERGED = "converged"
@@ -590,20 +584,26 @@ def dependency_components(by_lhs: dict[str, list[Rule]], nts) -> list[tuple[list
     return strongly_connected_components(nts, calls)
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise InferenceError("non-finite result in external marginal (overflow)")
+    return arr
+
+
 def _sweep(prepared: dict, shapes, tau) -> dict[str, WeightTensor]:
-    """Every member's rules applied to `tau`, summed in grammar order."""
+    """Every member's rules applied to `tau`, summed in grammar order into
+    a fresh array per member, which is then checked for overflow."""
     new_tau = {}
     for n, rules in prepared.items():
-        acc = WeightTensor.zeros(shapes[n])
+        acc = np.zeros(tau[n].data.shape)
         for rule in rules:
-            acc.data += rule.apply(tau).data
-        new_tau[n] = acc
+            acc += rule.apply(tau)
+        new_tau[n] = WeightTensor(shapes[n], _finite(acc))
     return new_tau
 
 
 def _one_pass(prepared: dict, shapes, tau, max_iter: int) -> tuple:
-    """A non-recursive component: each rule is a constant, so one pass is
-    exact."""
+    """A non-recursive component: each rule is a constant, so one pass is exact."""
     if max_iter < 1:
         return {}, MAX_ITER, 0, float("inf")
     return _sweep(prepared, shapes, tau), CONVERGED, 1, 0.0
@@ -675,7 +675,7 @@ def _plausible(ranks, constants) -> bool:
     for n, consts in constants.items():
         r = ranks[n]
         for c in consts:
-            data = c.result.data
+            data = c.result
             other = tuple(ax for ax in range(data.ndim) if ax not in r.coef)
             if np.any(data.any(axis=other) & (r.level < 1)):
                 return False
@@ -743,7 +743,7 @@ def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool
             nodes = [x for x in rhs.nodes if x.id in onto or any(x.id in e.att for e in near)]
             c = _Contraction(Hypergraph(nodes, near, onto), g.domains, factors,
                              support, (), aligned=aligned, counter=counter)
-            held = c.result.data > 0
+            held = c.result > 0
             # out >= 1, and out - slot >= 1 for each slot, wherever held
             for level in [out] + [{a: out.get(a, 0) - slot.get(a, 0) for a in {**out, **slot}}
                                   for slot in slots]:
@@ -825,7 +825,7 @@ def _ordered(rules: dict, constant: dict, ranks, shapes, build) -> tuple:
             targets.append((arr.reshape(-1), np.add.outer(at, rest)))
         known = None
         for c in consts:
-            part = c.result.data.transpose(order)[r.index].reshape(len(r.index[0]), -1)
+            part = c.result.transpose(order)[r.index].reshape(len(r.index[0]), -1)
             known = part if known is None else known + part
         plan[n] = targets, known, live
     levels = sorted(set().union(*(r.bounds for r in ranks.values())))
@@ -840,8 +840,7 @@ def _ordered(rules: dict, constant: dict, ranks, shapes, build) -> tuple:
             for flat, at in targets:
                 flat[at[start:stop]] = acc
     for t in cur.values():
-        if not np.all(np.isfinite(t.data)):
-            raise InferenceError("non-finite result in external marginal (overflow)")
+        _finite(t.data)
     return cur, CONVERGED, len(levels), 0.0
 
 

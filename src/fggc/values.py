@@ -8,6 +8,7 @@ parameter map.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 
@@ -135,6 +136,15 @@ def value_to_json(v: Value):
     raise TypeError(f"not a value: {v!r}")
 
 
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+def json_type(x) -> str:
+    """The JSON name of the kind of `x`, a value read from JSON."""
+    return _JSON_TYPES.get(type(x), type(x).__name__)
+
+
 def value_from_json(obj) -> Value:
     from .parser import parse_value  # the parser imports this module
     if obj == "unit":
@@ -160,7 +170,7 @@ def value_from_json(obj) -> Value:
             v = parse_value(f"dist {body}")
             if isinstance(v, Dist):  # not the atom `dist` of an empty body
                 return v
-    raise ValueSyntaxError(f"bad value encoding: {obj!r}")
+    raise ValueSyntaxError(f"bad value encoding: {json.dumps(obj, default=repr)}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +188,7 @@ class Domain:
         self.name = name
         self.values = values
         self._index = {v: i for i, v in enumerate(values)}
+        self._seen: dict = {}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -187,6 +198,14 @@ class Domain:
 
     def __iter__(self):
         return iter(self.values)
+
+    def positions(self, other: Domain) -> tuple[int, ...]:
+        """The index here of each of `other`'s values, -1 for one this
+        domain lacks; kept, with `other`, for the next call."""
+        got = self._seen.get(id(other))
+        if got is None or got[0] is not other:  # a copy's entries hold stale ids
+            got = self._seen[id(other)] = other, tuple(self._index.get(v, -1) for v in other.values)
+        return got[1]
 
     def index(self, v: Value) -> int:
         try:

@@ -147,6 +147,18 @@ def test_large_finite_weight_without_recursion_converges(tmp_path, capsys):
     assert "b: 1e+13" in out
 
 
+def test_overflowing_product_without_recursion_exits_2(tmp_path, capsys):
+    """Three weights of 1e200 multiply past float range: an overflow in a
+    one-pass component is an error, not an infinite weight."""
+    src, params = tmp_path / "huge.ppl", tmp_path / "huge.params.json"
+    src.write_text("let x = sample p[a] in let y = sample p[a] in let z = sample p[a] in unit")
+    params.write_text(json.dumps({"params": {"p": {"a": {"b": 1e200}}}}))
+    code, _, err = run(capsys, "infer", str(src), "--params", str(params))
+    assert code == 2
+    assert "non-finite result" in err
+    _one_line_error(err)
+
+
 def test_infer_from_compiled_json_matches_source(tmp_path, capsys):
     """For every suite program, inferring from the grammar `compile --out`
     wrote prints what inferring from the source prints, byte for byte:
@@ -549,6 +561,13 @@ def _bool_table(obj):
     table[:] = [[bool(x) for x in row] for row in table]
 
 
+def _att_entry(value):
+    """The first edge's first attached node named by `value`."""
+    def edit(obj):
+        obj["rules"][0]["rhs"]["edges"][0]["att"][0] = value
+    return edit
+
+
 # where a list belongs, a string or an object, which a reader iterating over
 # it once took for the list of its characters or keys (or indexed, as with
 # `labels` and `rules`, with a Python error naming no field); where an
@@ -556,34 +575,40 @@ def _bool_table(obj):
 # where a number belongs, which once loaded as 1, 0 and the number spelt; an
 # integer beyond float range, which once ended in an OverflowError traceback
 _WRONG_TYPES = {
-    "att-string": (_att_string, "edge att must be a list, not str"),
-    "ext-string": (_ext_string, "ext must be a list, not str"),
-    "domain-string": (_domain_as("a"), "domain values must be a list, not str"),
-    "domain-object": (_domain_as({"a": 1}), "domain values must be a list, not dict"),
-    "factor-domains-string": (_factor_domains_string, "factor domains must be a list, not str"),
-    "table-bools": (_bool_table, "factor table entry must be a number, not bool"),
-    "table-mixed": (_first_entry(bool), "factor table entry must be a number, not bool"),
-    "table-string": (_first_entry(str), "factor table entry must be a number, not str"),
+    "att-string": (_att_string, "edge att must be a list, not string"),
+    "ext-string": (_ext_string, "ext must be a list, not string"),
+    "domain-string": (_domain_as("a"), "domain values must be a list, not string"),
+    "domain-object": (_domain_as({"a": 1}), "domain values must be a list, not object"),
+    "factor-domains-string": (_factor_domains_string, "factor domains must be a list, not string"),
+    "table-bools": (_bool_table, "factor table entry must be a number, not boolean"),
+    "table-mixed": (_first_entry(bool), "factor table entry must be a number, not boolean"),
+    "table-string": (_first_entry(str), "factor table entry must be a number, not string"),
     "table-huge-integer": (_first_entry(lambda x: 10 ** 400), "factor table entry is too large"),
-    "labels-string": (lambda obj: obj.update(labels="ab"), "labels must be a list, not str"),
-    "rules-object": (lambda obj: obj.update(rules={"x": 1}), "rules must be a list, not dict"),
+    "labels-string": (lambda obj: obj.update(labels="ab"), "labels must be a list, not string"),
+    "rules-object": (lambda obj: obj.update(rules={"x": 1}), "rules must be a list, not object"),
     "nodes-number": (lambda obj: obj["rules"][0]["rhs"].update(nodes=3),
-                     "rhs nodes must be a list, not int"),
+                     "rhs nodes must be a list, not number"),
     "edges-object": (lambda obj: obj["rules"][0]["rhs"].update(edges={}),
-                     "rhs edges must be a list, not dict"),
-    "factors-list": (lambda obj: obj.update(factors=[]), "factors must be an object, not list"),
-    "label-string": (lambda obj: obj["labels"].__setitem__(0, "S"), "label must be an object, not str"),
-    "rule-number": (lambda obj: obj["rules"].__setitem__(0, 1), "rule must be an object, not int"),
+                     "rhs edges must be a list, not object"),
+    "factors-list": (lambda obj: obj.update(factors=[]), "factors must be an object, not array"),
+    "label-string": (lambda obj: obj["labels"].__setitem__(0, "S"), "label must be an object, not string"),
+    "rule-number": (lambda obj: obj["rules"].__setitem__(0, 1), "rule must be an object, not number"),
     "node-list": (lambda obj: obj["rules"][0]["rhs"]["nodes"].__setitem__(0, ["x", "D"]),
-                  "node must be an object, not list"),
+                  "node must be an object, not array"),
     "edge-string": (lambda obj: obj["rules"][0]["rhs"]["edges"].__setitem__(0, "e"),
-                    "edge must be an object, not str"),
+                    "edge must be an object, not string"),
+    # a null or an object where a name or a value belongs: named by its JSON
+    # type, or spelt as JSON
+    "att-entry-null": (_att_entry(None), "edge att entry must be a string, not null"),
+    "att-entry-object": (_att_entry({"a": 1}), "edge att entry must be a string, not object"),
+    "domain-value-null": (_domain_as([None]), "bad value encoding: null"),
 }
 
 
 # an arity that is not a JSON integer once loaded as int(arity): 1.7, true
 # and "1" all as 1
 _ARITIES = {"float": 1.7, "bool": True, "string": "1"}
+_ARITY_KINDS = ("a number with a fraction or exponent", "boolean", "string")
 
 
 def _drop_arity(obj):
@@ -608,13 +633,13 @@ def _bad_arity(value):
     (_edit_json(_drop_factor_domains), "bad FGG JSON"),
     (_edit_json(_undeclared_label), "undeclared label 'nosuch'"),
     (_edit_json(_unknown_kind), "has unknown kind 'factor'"),
-    (_edit_json(_domains_as_list), "bad FGG JSON: domains must be an object, not list"),
+    (_edit_json(_domains_as_list), "bad FGG JSON: domains must be an object, not array"),
     (_edit_json(_start_without_rule), "start symbol '$start' has no rule"),
     (_edit_json(_drop_arity), "bad FGG JSON: label has no key 'arity'"),
     (_edit_json(_ragged_table), "bad FGG JSON: factor 'is-inl@3:3' has a ragged table"),
 ] + [(_listed(where), f"bad FGG JSON: {name} must be a string") for name, where in _NAMES.items()]
-    + [(_bad_arity(value), f"bad FGG JSON: label arity must be an integer, not {type(value).__name__}")
-       for value in _ARITIES.values()]
+    + [(_bad_arity(value), f"bad FGG JSON: label arity must be an integer, not {kind}")
+       for value, kind in zip(_ARITIES.values(), _ARITY_KINDS)]
     + [(_edit_json(edit), f"bad FGG JSON: {message}") for edit, message in _WRONG_TYPES.values()],
     ids=["truncated", "factor-without-domains", "undeclared-label", "unknown-kind",
          "domains-as-list", "start-without-rule", "label-without-arity", "ragged-table"]

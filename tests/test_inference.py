@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -16,9 +17,9 @@ from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
 from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, InferenceError,
                             OpCounter, WeightTensor, align,
                             dependency_components, external_marginal,
-                            plan_elimination, plan_order, query_start,
-                            rule_contribution, solve_fixed_point)
-from fggc.oracle import enumerate_derivations, inside_reference, truncated_wX
+                            plan_order, query_start, rule_contribution,
+                            solve_fixed_point)
+from fggc.oracle import inside_reference, truncated_wX
 from fggc.params import params_from_json
 from fggc.translate import compile_source
 from fggc.values import Atom, Domain
@@ -564,7 +565,7 @@ def test_rule_without_member_edge_runs_once(monkeypatch):
     runs = []
     real_run = inference._Contraction._run
     monkeypatch.setattr(inference._Contraction, "_run",
-                        staticmethod(lambda step, vals: runs.append(1) or real_run(step, vals)))
+                        staticmethod(lambda *args: runs.append(1) or real_run(*args)))
     built, applied = {}, {}
     real = inference._Contraction
 
@@ -599,7 +600,7 @@ def test_contraction_without_live_label_is_finished_when_built(monkeypatch):
     folded = OpCounter()
     swept = inference._Contraction(rule.rhs, g.domains, g.factors, tau, {"d"}, counter=folded)
     built = folded.ops
-    want = swept.apply(tau).data.tobytes()
+    want = swept.apply(tau).tobytes()
     assert folded.ops == built + swept.ops  # `apply` counts in the counter it was built with
     counter = OpCounter()
     c = inference._Contraction(rule.rhs, g.domains, g.factors, tau, (), counter=counter)
@@ -609,7 +610,57 @@ def test_contraction_without_live_label_is_finished_when_built(monkeypatch):
                         staticmethod(lambda *args: pytest.fail("a step ran in apply")))
     assert c.apply(tau) is c.result
     assert counter.ops == built + swept.ops
-    assert c.result.data.tobytes() == want
+    assert c.result.tobytes() == want
+
+
+def _planned_programs():
+    for name in SUITE:
+        yield name, *load_program(name)
+    for seed in range(5):
+        source, params = random_program(random.Random(seed), 8)
+        yield f"gen-{seed}", source, params_from_json(params)
+
+
+def test_builder_eliminates_in_plan_order(monkeypatch):
+    """Every rule of the suite and of five generated programs, built with
+    every tensor known, sums its nodes of size > 1 in `plan_order`'s order,
+    also where the builder skips the search because the order is forced,
+    and counts as ops the product sizes of the steps it runs."""
+    steps = []
+    real = inference._Contraction._step
+
+    def step(self, group, out, names):
+        steps.append((tuple(names), set(out)))
+        return real(self, group, out, names)
+
+    monkeypatch.setattr(inference._Contraction, "_step", step)
+    forced = 0
+    for name, source, params in _planned_programs():
+        g = compile_source(source, params).fgg
+        tau = solve_fixed_point(g).tau
+        for rule in g.rules:
+            sizes = {n.id: len(g.domains[n.domain]) for n in rule.rhs.nodes}
+            held = {a for e in rule.rhs.edges for a in e.att}
+            want = [n for n in inference.plan_elimination(g, rule).order
+                    if sizes[n] > 1 and n in held]
+            forced += len(want) <= 1
+            steps.clear()
+            counter = OpCounter()
+            inference._Contraction(rule.rhs, g.domains, g.factors, tau, (), counter=counter)
+            assert [m for names, out in steps for m in names if m not in out] == want, name
+            assert counter.ops == sum(math.prod(map(sizes.__getitem__, names))
+                                      for names, _ in steps), name
+    assert forced
+
+
+def test_one_pass_sum_that_overflows_raises():
+    """Two one-pass rules of one nonterminal, each finite, whose sum
+    overflows: the summed tensor's check raises, as one rule that overflows
+    does."""
+    g = _scalar_fgg([("S", []), ("S", [])], "S", weight=1e308)
+    assert [rule_contribution(g, r, {}).total() for r in g.rules] == [1e308, 1e308]
+    with pytest.raises(InferenceError, match="non-finite result"), np.errstate(over="ignore"):
+        solve_fixed_point(g)
 
 
 def test_nonterminal_without_rules_stays_zero():
