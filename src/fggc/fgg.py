@@ -91,14 +91,15 @@ class FGG:
     def ext_domains(self) -> dict[str, tuple[str, ...]]:
         """Per-slot domain names of each nonterminal, from its first rule or,
         failing that, its first use; one with neither is absent."""
+        nts = set(self.nonterminals())
         own, used = {}, {}  # label -> (rhs, the nodes in slot order)
         for r in self.rules:
             own.setdefault(r.lhs, (r.rhs, r.rhs.ext))
             for e in r.rhs.edges:
-                used.setdefault(e.label, (r.rhs, e.att))
+                if e.label in nts:
+                    used.setdefault(e.label, (r.rhs, e.att))
         return {n: tuple(rhs.domain_of(x) for x in nodes)
-                for n, (rhs, nodes) in {**used, **own}.items()
-                if n in self.labels and self.labels[n].is_nonterminal}
+                for n, (rhs, nodes) in {**used, **own}.items() if n in nts}
 
     def domain_tuple(self, names) -> tuple[Domain, ...]:
         return tuple(self.domains[n] for n in names)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import chain, product
 
 import numpy as np
@@ -595,7 +595,7 @@ def _sweep(prepared: dict, shapes, tau) -> dict[str, WeightTensor]:
     a fresh array per member, which is then checked for overflow."""
     new_tau = {}
     for n, rules in prepared.items():
-        acc = np.zeros(tau[n].data.shape)
+        acc = np.zeros(tuple(map(len, shapes[n])))
         for rule in rules:
             acc += rule.apply(tau)
         new_tau[n] = WeightTensor(shapes[n], _finite(acc))
@@ -605,7 +605,7 @@ def _sweep(prepared: dict, shapes, tau) -> dict[str, WeightTensor]:
 def _one_pass(prepared: dict, shapes, tau, max_iter: int) -> tuple:
     """A non-recursive component: each rule is a constant, so one pass is exact."""
     if max_iter < 1:
-        return {}, MAX_ITER, 0, float("inf")
+        return {n: WeightTensor.zeros(shapes[n]) for n in prepared}, MAX_ITER, 0, float("inf")
     return _sweep(prepared, shapes, tau), CONVERGED, 1, 0.0
 
 
@@ -778,6 +778,16 @@ def _ranking(g: FGG, rules: dict, constant: dict, ext, tau, sizes, counter) -> d
     return None
 
 
+@cache
+def _max_axes() -> int:
+    """numpy's limit on the axes of an array: 64 on numpy 2, 32 on 1.x."""
+    try:
+        np.empty((0,) * 64)
+        return 64
+    except ValueError:
+        return 32
+
+
 def _value_sizes(domain: Domain) -> np.ndarray:
     """Each value's size: its atom characters plus pair and sum
     constructors (`frontend._measure`)."""
@@ -894,12 +904,11 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
     ext = g.ext_domains()
     nts = [n for n in g.nonterminals() if n in ext]
     shapes = {n: g.domain_tuple(ext[n]) for n in nts}
-    tau = {}
     for n in nts:
-        try:
-            tau[n] = WeightTensor.zeros(shapes[n])
-        except ValueError as e:  # numpy's limit on the number of axes
-            raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: {e}") from None
+        if len(shapes[n]) > _max_axes():
+            raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: numpy "
+                                 f"arrays have at most {_max_axes()} axes")
+    tau = {}  # each member's zeros or final tensor, made when its component is reached
     aligned: dict = {}
     sizes: dict = {}
 
@@ -919,6 +928,7 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
                         for n, rs in rules.items()}
             method, solved = ONE_PASS, _one_pass(prepared, shapes, tau, max_iter)
         else:
+            tau.update((n, WeightTensor.zeros(shapes[n])) for n in members)
             build = partial(_Contraction, domains=g.domains, factors=g.factors, tau=tau,
                             live=set(members), aligned=aligned, counter=counter)
             # each rule that uses no member, compiled (a constant); None for the others
@@ -940,9 +950,11 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
         state.ops = counter.ops
         if status == DIVERGENT:
             state.status = DIVERGENT
-            return state
+            break
         if status == MAX_ITER:
             state.status = MAX_ITER
+    # in grammar order, with zeros for the members of components not reached
+    state.tau = {n: tau[n] if n in tau else WeightTensor.zeros(shapes[n]) for n in nts}
     return state
 
 

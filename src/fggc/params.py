@@ -57,8 +57,16 @@ class Params:
     def global_names(self) -> set[str]:
         """Identifiers that resolve outside any binder: inputs and known atoms."""
         names = set(self.inputs)
-        for v in self._all_values():
-            names |= _atom_names(v)
+        stack = list(set(self._all_values()))  # rows repeat their keys: walk each once
+        while stack:
+            v = stack.pop()
+            if isinstance(v, Atom):
+                if v.name:
+                    names.add(v.name)
+            elif isinstance(v, Pair):
+                stack += v.first, v.second
+            elif isinstance(v, (Inl, Inr)):
+                stack.append(v.value)
         return names
 
     def _all_values(self):
@@ -69,16 +77,6 @@ class Params:
                 yield key
                 yield from weights.keys()
         yield from self.inputs.values()
-
-
-def _atom_names(v: Value) -> set[str]:
-    if isinstance(v, Atom) and v.name:
-        return {v.name}
-    if isinstance(v, Pair):
-        return _atom_names(v.first) | _atom_names(v.second)
-    if isinstance(v, (Inl, Inr)):
-        return _atom_names(v.value)
-    return set()
 
 
 def _items(obj, what: str):

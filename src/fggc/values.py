@@ -4,12 +4,18 @@ Values are the things variables range over: atoms (which double as finite
 strings, with the empty atom playing the role of nil), booleans, unit,
 pairs, tagged sums, and distributions, each the table of one key of a
 parameter map.
+
+Each value is a tuple whose first item is a small-int tag naming its kind,
+followed by its fields: `Pair(a, b)` is the tuple `(_PAIR, a, b)`. The tag
+comes first and no two kinds share one, so values of different kinds never
+compare equal, and `hash` and `==` are tuple's own, which run in C however
+deep a value nests. Fields are read by name, as properties.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from operator import itemgetter
 
 
 class FggcError(Exception):
@@ -25,17 +31,41 @@ class FggcError(Exception):
         self.pos = pos
 
 
-class Value:
-    """Base class for all values. Subclasses are frozen and hashable."""
+class Value(tuple):
+    """Base class for all values, each an immutable tagged tuple.
+
+    A value acts as a scalar: iterating or unpacking it raises TypeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def key(self) -> str:
         """Canonical string form; doubles as a deterministic sort key."""
         raise NotImplementedError
 
+    def __iter__(self):
+        raise TypeError(f"{type(self).__name__} value is not iterable")
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return type(self), self[1:]  # the constructor's arguments: pickle, copy
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={x!r}" for f, x in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
+
+
+_new = tuple.__new__
+_ATOM, _BOOL, _UNIT, _PAIR, _INL, _INR, _DIST = range(7)  # kind tags
+
+
 class Atom(Value):
-    name: str
+    __slots__ = ()
+    _fields = ("name",)
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str):
+        return _new(cls, (_ATOM, name))
 
     def key(self) -> str:
         if self.name in ("true", "false", "unit", "nil", "inl", "inr"):
@@ -43,51 +73,75 @@ class Atom(Value):
         return self.name or "nil"
 
 
-@dataclass(frozen=True)
 class Bool(Value):
-    value: bool
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value: bool):
+        return _new(cls, (_BOOL, value))
 
     def key(self) -> str:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
 class Unit(Value):
+    __slots__ = ()
+
+    def __new__(cls):
+        return _new(cls, (_UNIT,))
+
     def key(self) -> str:
         return "unit"
 
 
-@dataclass(frozen=True)
 class Pair(Value):
-    first: Value
-    second: Value
+    __slots__ = ()
+    _fields = ("first", "second")
+    first = property(itemgetter(1))
+    second = property(itemgetter(2))
+
+    def __new__(cls, first: Value, second: Value):
+        return _new(cls, (_PAIR, first, second))
 
     def key(self) -> str:
         return f"({self.first.key()},{self.second.key()})"
 
 
-@dataclass(frozen=True)
 class Inl(Value):
-    value: Value
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value: Value):
+        return _new(cls, (_INL, value))
 
     def key(self) -> str:
         return f"inl {_wrap(self.value)}"
 
 
-@dataclass(frozen=True)
 class Inr(Value):
-    value: Value
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value: Value):
+        return _new(cls, (_INR, value))
 
     def key(self) -> str:
         return f"inr {_wrap(self.value)}"
 
 
-@dataclass(frozen=True)
 class Dist(Value):
     """The distribution `param[index]` of the parameter map `param`."""
 
-    param: str
-    index: Value
+    __slots__ = ()
+    _fields = ("param", "index")
+    param = property(itemgetter(1))
+    index = property(itemgetter(2))  # hides tuple.index, which no value uses
+
+    def __new__(cls, param: str, index: Value):
+        return _new(cls, (_DIST, param, index))
 
     @property
     def name(self) -> str:
