@@ -54,10 +54,10 @@ def _load_params(path: str | None) -> Params:
 
 
 def _read_source(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as f:
+    try:  # utf-8-sig drops a leading byte-order mark
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FggcError(f"cannot read {path!r}: {e}")
 
 

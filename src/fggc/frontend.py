@@ -21,7 +21,7 @@ from .ast import (BuiltinApp, Call, Case, Expr, Fail, If, Let, Lookup,
 from .fgg import Diagnostic
 from .params import Params
 from .values import (FALSE, NIL, TRUE, UNIT, Atom, Bool, Dist, Domain,
-                     FggcError, Inl, Inr, Pair, Unit, Value, sorted_values)
+                     FggcError, Inl, Inr, Pair, Value, sorted_values)
 
 
 class DomainError(FggcError):

@@ -118,5 +118,5 @@ def params_from_json(obj: dict) -> Params:
 
 
 def load_params(path: str) -> Params:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:  # drops a leading byte-order mark
         return params_from_json(json.load(f))

@@ -26,6 +26,12 @@ Concrete syntax (low to high precedence):
                | "atom" KEYWORD                      -- the atom named KEYWORD
                | IDENT | KEYWORD                     -- an atom
 
+The tokenizer scans each line with one regular expression and returns three
+parallel lists: tags, texts and (line, column) positions. A keyword or
+symbol is tagged with its own text; every identifier has the tag IDENT and
+the end of input the tag EOF, sentinels that no token can spell. The parser
+reads those lists by index and branches on tags.
+
 `value` is the literal syntax that `Value.key()` prints and parameter files
 use (see parse_value); an atom named `true`, `false`, `unit`, `nil`, `inl`
 or `inr` prints as `atom NAME`. Comments run from '#' to end of line. `a and b`
@@ -38,7 +44,7 @@ adds, takes the position of its keyword. `fail` is a core form of its own
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 
 from . import ast
 from .ast import (BuiltinApp, Call, Case, Expr, Fail, FunDef, If, Let,
@@ -61,246 +67,237 @@ class ParseError(FggcError):
     pass
 
 
-@dataclass
-class Token:
-    kind: str  # "ident", "kw", "sym", "eof"
-    text: str
-    pos: tuple[int, int]
+# The tags of identifiers and of the end of input: no token holds a '%'.
+IDENT, EOF = "%ident", "%eof"
+_TAGS = {w: w for w in (*KEYWORDS, *SYMBOLS)}
+
+# One token or comment. An identifier starts with a letter or '_' (checked in
+# tokenize, since `[^\W\d]` also takes digits that are not decimal, such as
+# '²') and goes on with letters, digits, '_' and "'". Any other character but
+# a space, tab or carriage return is unexpected.
+_TOKEN = re.compile(r"[^\W\d][\w']*|" + "|".join(re.escape(sym) for sym in SYMBOLS)
+                    + r"|#.*|[^ \t\r]")
+_text = itemgetter(0)
 
 
-# Spaces, tabs and carriage returns, then one token, comment or newline. An
-# identifier starts with a letter or '_' (checked in tokenize, since
-# `[^\W\d]` also takes digits that are not decimal, such as '²') and goes on
-# with letters, digits, '_' and "'". Any other character is unexpected.
-_TOKEN = re.compile(r"[ \t\r]*(?:(?P<ident>[^\W\d][\w']*)|(?P<sym>"
-                    + "|".join(re.escape(sym) for sym in SYMBOLS)
-                    + r")|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<bad>[^ \t\r]))")
-
-
-def tokenize(source: str) -> list[Token]:
-    """The tokens of `source`, each at its (line, column), both from 1; a
-    tab is one column."""
-    toks: list[Token] = []
-    line, start = 1, 0  # the current line and the index of its first character
-    m = None
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        text, pos = m.group(kind), (line, m.start(kind) - start + 1)
-        if kind == "ident" and (text[0].isalpha() or text[0] == "_"):
-            toks.append(Token("kw" if text in KEYWORDS else "ident", text, pos))
-        elif kind == "sym":
-            toks.append(Token("sym", text, pos))
-        elif kind == "newline":
-            line, start = line + 1, m.end()
-        elif kind != "comment":
-            raise ParseError(f"unexpected character {text[0]!r}", pos)
-    # a comment that ends the source leaves the end of input at its '#'
-    end = m.start(m.lastgroup) if m is not None and m.lastgroup == "comment" else len(source)
-    toks.append(Token("eof", "", (line, end - start + 1)))
-    return toks
+def tokenize(source: str) -> tuple[list[str], list[str], list[tuple[int, int]]]:
+    """The tags, texts and (line, column) positions of the tokens of
+    `source`, as three parallel lists that end with EOF; line and column
+    count from 1, and a tab is one column."""
+    texts: list[str] = []
+    poses: list[tuple[int, int]] = []
+    # only '\n' ends a line: str.splitlines would also split at '\f' and more
+    for line_no, line in enumerate(source.split("\n"), 1):
+        found = [*_TOKEN.finditer(line)]
+        end = len(line) + 1  # the end of input, if this line is the last
+        if found and found[-1][0][0] == "#":  # a comment, which ends the line
+            end = found.pop().start() + 1
+        texts += map(_text, found)
+        poses += [(line_no, m.start() + 1) for m in found]
+    bad = {w for w in set(texts).difference(_TAGS) if not (w[0].isalpha() or w[0] == "_")}
+    if bad:
+        i = next(i for i, w in enumerate(texts) if w in bad)
+        raise ParseError(f"unexpected character {texts[i][0]!r}", poses[i])
+    tags = [_TAGS.get(w, IDENT) for w in texts]
+    tags.append(EOF)
+    texts.append("")
+    poses.append((line_no, end))
+    return tags, texts, poses
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, source: str):
+        self.tags, self.texts, self.poses = tokenize(source)
         self.i = 0
 
-    @property
-    def tok(self) -> Token:
-        return self.toks[self.i]
+    def expect(self, tag: str) -> tuple[int, int]:
+        """Consume a token tagged `tag`; its position."""
+        i = self.i
+        if self.tags[i] != tag:
+            want = "end of input" if tag == EOF else repr(tag)
+            raise ParseError(f"expected {want}, found {self.texts[i] or 'end of input'!r}",
+                             self.poses[i])
+        self.i = i + 1
+        return self.poses[i]
 
-    def advance(self) -> Token:
-        t = self.tok
-        self.i += 1
-        return t
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.tok
-        return t.kind == kind and (text is None or t.text == text)
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if not self.at(kind, text):
-            want = "end of input" if kind == "eof" else repr(text)
-            raise ParseError(f"expected {want}, found {self.tok.text or 'end of input'!r}",
-                             self.tok.pos)
-        return self.advance()
-
-    def ident(self) -> Token:
-        if not self.at("ident"):
-            raise ParseError(f"expected identifier, found {self.tok.text or 'end of input'!r}",
-                             self.tok.pos)
-        return self.advance()
+    def ident(self) -> str:
+        """Consume an identifier; its text."""
+        i = self.i
+        if self.tags[i] != IDENT:
+            raise ParseError(f"expected identifier, found {self.texts[i] or 'end of input'!r}",
+                             self.poses[i])
+        self.i = i + 1
+        return self.texts[i]
 
     # -- grammar ------------------------------------------------------------
 
     def program(self) -> Program:
+        tags = self.tags
         funs: list[FunDef] = []
-        while self.at("kw", "fun"):
-            pos = self.advance().pos
-            name = self.ident().text
-            self.expect("sym", "(")
+        while tags[self.i] == "fun":
+            pos = self.expect("fun")
+            name = self.ident()
+            self.expect("(")
             params: list[str] = []
-            if not self.at("sym", ")"):
-                params.append(self.ident().text)
-                while self.at("sym", ","):
-                    self.advance()
-                    params.append(self.ident().text)
-            self.expect("sym", ")")
-            self.expect("sym", "=")
+            if tags[self.i] != ")":
+                params.append(self.ident())
+                while tags[self.i] == ",":
+                    self.i += 1
+                    params.append(self.ident())
+            self.expect(")")
+            self.expect("=")
             body = self.expr()
-            self.expect("sym", ";")
+            self.expect(";")
             funs.append(FunDef(name, params, body, pos))
         main = self.expr()
-        self.expect("eof")
+        self.expect(EOF)
         return Program(funs, main)
 
     def expr(self) -> Expr:
-        t = self.tok
-        if self.at("kw", "let"):
-            self.advance()
-            name = self.ident().text
-            self.expect("sym", "=")
+        i = self.i
+        tag, pos = self.tags[i], self.poses[i]
+        if tag == "let":
+            self.i = i + 1
+            name = self.ident()
+            self.expect("=")
             bound = self.expr()
-            self.expect("kw", "in")
-            body = self.expr()
-            return Let(name, bound, body, pos=t.pos)
-        if self.at("kw", "if"):
-            self.advance()
+            self.expect("in")
+            return Let(name, bound, self.expr(), pos=pos)
+        if tag == "if":
+            self.i = i + 1
             cond = self.expr()
-            self.expect("kw", "then")
+            self.expect("then")
             then = self.expr()
-            self.expect("kw", "else")
-            els = self.expr()
-            return If(cond, then, els, pos=t.pos)
-        if self.at("kw", "case"):
-            self.advance()
+            self.expect("else")
+            return If(cond, then, self.expr(), pos=pos)
+        if tag == "case":
+            self.i = i + 1
             scrut = self.expr()
-            self.expect("kw", "of")
-            self.expect("kw", "inl")
-            self.expect("sym", "(")
-            lv = self.ident().text
-            self.expect("sym", ")")
-            self.expect("sym", "=>")
+            self.expect("of")
+            self.expect("inl")
+            self.expect("(")
+            lv = self.ident()
+            self.expect(")")
+            self.expect("=>")
             left = self.expr()
-            self.expect("sym", "|")
-            self.expect("kw", "inr")
-            self.expect("sym", "(")
-            rv = self.ident().text
-            self.expect("sym", ")")
-            self.expect("sym", "=>")
-            right = self.expr()
-            return Case(scrut, lv, left, rv, right, pos=t.pos)
-        if self.at("kw", "sample"):
-            self.advance()
-            return Sample(self.atom(), pos=t.pos)
-        if self.at("kw", "observe"):
-            self.advance()
+            self.expect("|")
+            self.expect("inr")
+            self.expect("(")
+            rv = self.ident()
+            self.expect(")")
+            self.expect("=>")
+            return Case(scrut, lv, left, rv, self.expr(), pos=pos)
+        if tag == "sample":
+            self.i = i + 1
+            return Sample(self.atom(), pos=pos)
+        if tag == "observe":
+            self.i = i + 1
             value = self.orexpr()
-            self.expect("sym", "<-")
-            dist = self.expr()
-            return Observe(value, dist, pos=t.pos)
+            self.expect("<-")
+            return Observe(value, self.expr(), pos=pos)
         return self.orexpr()
 
     def orexpr(self) -> Expr:
         e = self.andexpr()
-        while self.at("kw", "or"):
-            pos = self.advance().pos
+        while self.tags[self.i] == "or":
+            pos = self.expect("or")
             e = If(e, _const("true", pos), self.andexpr(), pos=pos)
         return e
 
     def andexpr(self) -> Expr:
         e = self.cmpexpr()
-        while self.at("kw", "and"):
-            pos = self.advance().pos
+        while self.tags[self.i] == "and":
+            pos = self.expect("and")
             e = If(e, self.cmpexpr(), _const("false", pos), pos=pos)
         return e
 
     def cmpexpr(self) -> Expr:
         e = self.atom()
-        if self.at("sym", "=") or self.at("sym", "!="):
-            op = self.advance()
-            rhs = self.atom()
-            return BuiltinApp(op.text, [e, rhs], pos=op.pos)
+        i = self.i
+        op = self.tags[i]
+        if op == "=" or op == "!=":
+            self.i = i + 1
+            return BuiltinApp(op, [e, self.atom()], pos=self.poses[i])
         return e
 
     def atom(self) -> Expr:
-        t = self.tok
-        if t.kind == "kw" and t.text in ("true", "false", "unit", "nil"):
-            self.advance()
-            return _const(t.text, t.pos)
-        if self.at("kw", "fail"):
-            self.advance()
-            return Fail(pos=t.pos)
-        if self.at("kw", "inl") or self.at("kw", "inr"):
-            op = self.advance()
-            self.expect("sym", "(")
-            arg = self.expr()
-            self.expect("sym", ")")
-            return BuiltinApp(op.text, [arg], pos=op.pos)
-        if self.at("sym", "("):
-            self.advance()
-            e = self.expr()
-            if self.at("sym", ","):
-                self.advance()
-                second = self.expr()
-                self.expect("sym", ")")
-                return BuiltinApp("pair", [e, second], pos=t.pos)
-            self.expect("sym", ")")
-            return e
-        if self.at("ident"):
-            name = self.advance()
-            if self.at("sym", "("):
-                self.advance()
+        tags, i = self.tags, self.i
+        tag, pos = tags[i], self.poses[i]
+        self.i = i + 1
+        if tag == IDENT:
+            name = self.texts[i]
+            if tags[i + 1] == "(":
+                self.i = i + 2
                 args: list[Expr] = []
-                if not self.at("sym", ")"):
+                if tags[self.i] != ")":
                     args.append(self.expr())
-                    while self.at("sym", ","):
-                        self.advance()
+                    while tags[self.i] == ",":
+                        self.i += 1
                         args.append(self.expr())
-                self.expect("sym", ")")
-                if name.text in ast.NAMED_BUILTINS:
-                    want = ast.BUILTIN_ARITY[name.text]
+                self.expect(")")
+                if name in ast.NAMED_BUILTINS:
+                    want = ast.BUILTIN_ARITY[name]
                     if len(args) != want:
                         raise ParseError(
-                            f"built-in {name.text!r} takes {want} argument(s), got {len(args)}",
-                            name.pos)
-                    if name.text == "not":
-                        return If(args[0], _const("false", name.pos),
-                                  _const("true", name.pos), pos=name.pos)
-                    return BuiltinApp(name.text, args, pos=name.pos)
-                return Call(name.text, args, pos=name.pos)
-            if self.at("sym", "["):
-                self.advance()
+                            f"built-in {name!r} takes {want} argument(s), got {len(args)}", pos)
+                    if name == "not":
+                        return If(args[0], _const("false", pos), _const("true", pos), pos=pos)
+                    return BuiltinApp(name, args, pos=pos)
+                return Call(name, args, pos=pos)
+            if tags[i + 1] == "[":
+                self.i = i + 2
                 index = self.expr()
-                self.expect("sym", "]")
-                return Lookup(name.text, index, pos=name.pos)
-            return Var(name.text, pos=name.pos)
-        raise ParseError(f"expected expression, found {t.text or 'end of input'!r}", t.pos)
+                self.expect("]")
+                return Lookup(name, index, pos=pos)
+            return Var(name, pos=pos)
+        if tag == "(":
+            e = self.expr()
+            if tags[self.i] == ",":
+                self.i += 1
+                second = self.expr()
+                self.expect(")")
+                return BuiltinApp("pair", [e, second], pos=pos)
+            self.expect(")")
+            return e
+        if tag in _CONSTANTS:
+            return _const(tag, pos)
+        if tag == "fail":
+            return Fail(pos=pos)
+        if tag == "inl" or tag == "inr":
+            self.expect("(")
+            arg = self.expr()
+            self.expect(")")
+            return BuiltinApp(tag, [arg], pos=pos)
+        raise ParseError(f"expected expression, found {self.texts[i] or 'end of input'!r}", pos)
 
     def value(self) -> Value:
-        t = self.advance()
-        if t.kind == "sym" and t.text == "(":
+        tags, i = self.tags, self.i
+        tag, text = tags[i], self.texts[i]
+        self.i = i + 1
+        if tag == "(":
             v = self.value()
-            if self.at("sym", ","):
-                self.advance()
+            if tags[self.i] == ",":
+                self.i += 1
                 v = Pair(v, self.value())
-            self.expect("sym", ")")
+            self.expect(")")
             return v
-        if t.kind == "kw" and t.text in _CONSTANTS:
-            return _CONSTANTS[t.text]
-        if t.kind == "kw" and t.text in ("inl", "inr"):
-            return (Inl if t.text == "inl" else Inr)(self.value())
-        if t.text == "dist" and self.at("ident"):
-            param = self.advance().text
-            self.expect("sym", "[")
+        if tag in _CONSTANTS:
+            return _CONSTANTS[tag]
+        if tag == "inl" or tag == "inr":
+            return (Inl if tag == "inl" else Inr)(self.value())
+        if text == "dist" and tags[i + 1] == IDENT:
+            param = self.texts[i + 1]
+            self.i = i + 2
+            self.expect("[")
             index = self.value()
-            self.expect("sym", "]")
+            self.expect("]")
             return Dist(param, index)
-        if t.text == "atom" and self.at("kw"):
-            return Atom(self.advance().text)
-        if t.kind in ("ident", "kw"):
-            return Atom(t.text)
-        raise ParseError(f"expected value, found {t.text or 'end of input'!r}", t.pos)
+        if text == "atom" and tags[i + 1] in KEYWORDS:
+            self.i = i + 2
+            return Atom(self.texts[i + 1])
+        if tag == IDENT or tag in KEYWORDS:
+            return Atom(text)
+        raise ParseError(f"expected value, found {text or 'end of input'!r}", self.poses[i])
 
 
 def _const(op: str, pos: tuple[int, int]) -> BuiltinApp:
@@ -308,13 +305,13 @@ def _const(op: str, pos: tuple[int, int]) -> BuiltinApp:
 
 
 def parse(source: str) -> Program:
-    return _Parser(tokenize(source)).program()
+    return _Parser(source).program()
 
 
 def parse_expr(source: str) -> Expr:
-    p = _Parser(tokenize(source))
+    p = _Parser(source)
     e = p.expr()
-    p.expect("eof")
+    p.expect(EOF)
     return e
 
 
@@ -324,9 +321,9 @@ def parse_value(text: str) -> Value:
     try:
         if "#" in text:  # tokenize would drop the rest of the line as a comment
             raise ParseError("unexpected character '#'")
-        p = _Parser(tokenize(text))
+        p = _Parser(text)
         v = p.value()
-        p.expect("eof")
+        p.expect(EOF)
         return v
     except ParseError as e:
         raise ValueSyntaxError(f"bad value literal {text!r}: {e}") from None

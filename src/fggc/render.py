@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .fgg import FGG, Hypergraph, Rule
+from .fgg import FGG, Rule
 
 
 def _esc(s: str) -> str:

@@ -10,7 +10,6 @@ import json
 import random
 
 import numpy as np
-import pytest
 
 import reference_impl
 from conftest import BRANCHING_SUITE, PROGRAMS_DIR, SUITE, load_program

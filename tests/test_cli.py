@@ -177,6 +177,31 @@ def test_infer_from_compiled_json_matches_source(tmp_path, capsys):
         assert "iterations: " in out2 and "status: " in out2
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    """A source, parameter file and grammar JSON that start with a UTF-8
+    byte-order mark read as the files without one."""
+    src, params = tmp_path / "pcfg.ppl", tmp_path / "pcfg.params.json"
+    src.write_bytes(b"\xef\xbb\xbf" + (PROGRAMS_DIR / "pcfg.ppl").read_bytes())
+    params.write_bytes(b"\xef\xbb\xbf" + (PROGRAMS_DIR / "pcfg.params.json").read_bytes())
+    want = run(capsys, "infer", _p("pcfg"), "--params", _params("pcfg"))
+    assert want[0] == 0
+    assert run(capsys, "infer", str(src), "--params", str(params)) == want
+    grammar = tmp_path / "pcfg.json"
+    assert run(capsys, "compile", _p("pcfg"), "--params", _params("pcfg"),
+               "--out", str(grammar))[0] == 0
+    grammar.write_bytes(b"\xef\xbb\xbf" + grammar.read_bytes())
+    assert run(capsys, "infer", str(grammar)) == want
+
+
+def test_source_that_is_not_utf8_exits_2(tmp_path, capsys):
+    src = tmp_path / "latin1.ppl"
+    src.write_bytes(b"let x = \xff in x")
+    code, _, err = run(capsys, "infer", str(src))
+    assert code == 2
+    assert "cannot read" in err and "can't decode byte 0xff" in err
+    _one_line_error(err)
+
+
 def test_infer_max_iter_one(tmp_path, capsys):
     import sys
     sys.path.insert(0, str(PROGRAMS_DIR.parent))

@@ -1,4 +1,3 @@
-import copy
 import json
 import random
 
@@ -6,14 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import SUITE, load_program
-from fixtures import (DN, DW, pcfg_depth2_derivation, pcfg_fgg,
-                      pcfg_tree_graph, quadratic_fgg)
+from fixtures import (DN, pcfg_depth2_derivation, pcfg_fgg, pcfg_tree_graph,
+                      quadratic_fgg)
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, DerivationTree, Edge, EdgeLabel,
                       FactorTable, Hypergraph, Node, Rule,
                       StructuralError, dumps, isomorphic, loads, validate,
                       yield_graph)
 from fggc.translate import compile_source
-from fggc.values import Atom
 
 
 def test_yield_base_case():

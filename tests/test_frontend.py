@@ -5,11 +5,11 @@ import pytest
 
 from conftest import SUITE, cnf_pcfgw, load_program
 from fggc.frontend import (_MAX_NESTING, _WEIGHT_LIMIT, DomainError, apply_builtin,
-                           assign_domains, check_program, scope_check)
+                           check_program, scope_check)
 from fggc.params import Params, params_from_json
 from fggc.parser import parse
 from fggc.translate import compile_source
-from fggc.values import Atom, Bool, Dist, Inl, Inr, Pair, Unit
+from fggc.values import Atom, Bool, Inl, Inr, Pair
 
 frontend_module = importlib.import_module("fggc.frontend")
 

@@ -5,7 +5,7 @@ from fixtures import pcfg_fgg
 from fggc.frontend import check_program
 from fggc.oracle import (OracleError, branches, enumerate_derivations,
                          inside_reference, interpret, truncated_wX)
-from fggc.params import Params, load_params
+from fggc.params import Params
 from fggc.translate import compile_source
 from fggc.values import Atom, Bool, Inl, Inr, Pair, Unit
 

@@ -1,17 +1,20 @@
 """The translator, the prepared-rule solver, the compiled einsum
-contraction and the one-traversal domain assignment against their
-straightforward references (reference_impl.py): the paper's translation
-inlined, contracted and pruned, with the same start weights before the
-passes; solver states that agree with whole-grammar Kleene iteration; rule
-contributions equal to 1e-12 relative; identical domain annotations and
-errors. On grammars without recursion, the dependency-ordered solve gives
-the reference's limit bit for bit."""
+contraction, the one-traversal domain assignment and the parser over tag
+arrays against their straightforward references (reference_impl.py): the
+paper's translation inlined, contracted and pruned, with the same start
+weights before the passes; solver states that agree with whole-grammar
+Kleene iteration; rule contributions equal to 1e-12 relative; identical
+domain annotations and errors; identical ASTs, positions included, and
+identical syntax errors. On grammars without recursion, the
+dependency-ordered solve gives the reference's limit bit for bit."""
 
 import dataclasses
+import functools
 import importlib
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -24,9 +27,10 @@ from fggc.fgg import FGG, Rule, fgg_to_json, rules_by_lhs, validate
 from fggc.frontend import DomainError, assign_domains, check_program, scope_check
 from fggc.inference import dependency_components, rule_contribution, solve_fixed_point
 from fggc.params import params_from_json
-from fggc.parser import parse
+from fggc.parser import ParseError, parse, parse_value
 from fggc.translate import (ALL_PASSES, CompilationUnit, _Translator, compile_source,
                             simplify, translate)
+from fggc.values import ValueSyntaxError
 from genprog import random_program
 
 frontend_module = importlib.import_module("fggc.frontend")
@@ -479,3 +483,134 @@ def test_cycle_with_a_way_out_keeps_its_rules():
     g = _compiled(*_dead_rule_input("mutual-productive")).fgg
     assert sorted(r.lhs for r in g.rules) == ["$start", "f", "f", "g"]
     np.testing.assert_allclose(solve_fixed_point(g, tol=1e-14).tau[g.start].data, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# The parser over tag arrays against the parser over Token objects
+
+
+@functools.cache
+def _workloads():
+    """perfbench/workloads.py, which generates the benchmark's queries."""
+    sys.path.append(str(PROGRAMS_DIR.parents[1] / "perfbench"))
+    return importlib.import_module("workloads")
+
+
+# every cky, programs and recursion query of seeds 1 to 3, one name per
+# workload and seed
+WORKLOAD_SEEDS = [f"{w}-{seed}" for w in ("cky", "programs", "recursion") for seed in (1, 2, 3)]
+
+
+@functools.cache
+def _inputs(name):
+    """(source, params) pairs: a suite or `genprog` program, or every
+    query of a workload-seed name."""
+    workload, _, seed = name.rpartition("-")
+    if workload not in ("cky", "programs", "recursion"):
+        return [_program(name)]
+    return [(q.source, params_from_json(q.params))
+            for q in _workloads().queries(workload, int(seed))]
+
+
+def _syntax(node):
+    """`node` as nested tuples of the class and every field, `pos` included."""
+    if isinstance(node, list):
+        return [_syntax(x) for x in node]
+    if dataclasses.is_dataclass(node):
+        return (type(node).__name__, *((k, _syntax(v)) for k, v in vars(node).items()))
+    return node
+
+
+def _outcome(read, text):
+    """What `read(text)` gives: the syntax tree or value, or the error."""
+    try:
+        result = read(text)
+    except ParseError as e:
+        return "ParseError", e.message, e.pos
+    except ValueSyntaxError as e:
+        return "ValueSyntaxError", str(e)
+    return _syntax(result)
+
+
+@pytest.mark.parametrize("name", SUITE + GENERATED_NAMES + WORKLOAD_SEEDS)
+def test_parse_matches_reference(name):
+    for source in {source: None for source, _ in _inputs(name)}:
+        got = _outcome(parse, source)
+        assert got[0] == "Program"
+        assert got == _outcome(reference_impl.reference_parse, source)
+
+
+@pytest.mark.parametrize("name", SUITE + GENERATED_NAMES + WORKLOAD_SEEDS)
+def test_parse_value_matches_reference(name):
+    """Every value in the program's domains, read back from its key(); and
+    a seeded sample of those keys with one token deleted, duplicated or
+    swapped with the next."""
+    keys = {v.key(): v for source, params in _inputs(name)
+            for d in check_program(source, params)[1].values() for v in d.values}
+    for key, v in keys.items():
+        assert parse_value(key) == reference_impl.reference_parse_value(key) == v
+    rng = random.Random(f"value-mutants-{name}")
+    for key in rng.sample(sorted(keys), min(len(keys), 100)):
+        for kind in ("delete", "duplicate", "swap"):
+            text = _mutate(rng, key, kind)
+            assert _outcome(parse_value, text) == \
+                _outcome(reference_impl.reference_parse_value, text), text
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", ",", ")", "()", "(a", "(a,", "(a b)", "(a, b, c)", "((a), (b, c))",
+    "atom", "atom in", "atom atom", "atom (", "atom x", "atom true x", "(atom of, inl atom inr)",
+    "dist", "dist p", "dist p [", "dist p [a]", "dist p [a", "dist [a]", "dist in [a]",
+    "dist dist [dist]", "dist p [dist q [inl nil]]", "inl", "inl inr a", "inr (a, unit)",
+    "fun", "=>", "a\nb", "a\r\n", "\ta", "\ufeffa", "a²", "²a", "_x'", "'a", "a#b"])
+def test_parse_value_literals_match_reference(text):
+    assert _outcome(parse_value, text) == _outcome(reference_impl.reference_parse_value, text)
+
+
+def _spans(source):
+    """The (offset, length) of each token of `source`."""
+    starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+    return [(starts[t.pos[0] - 1] + t.pos[1] - 1, len(t.text))
+            for t in reference_impl.tokenize(source)[:-1]]
+
+
+def _mutate(rng, source, kind):
+    """`source` with one seeded token-level change of the given kind."""
+    spans = _spans(source)
+    k = rng.randrange(len(spans))
+    at, n = spans[k]
+    if kind == "delete":
+        return source[:at] + source[at + n:]
+    if kind == "duplicate":
+        return source[:at + n] + " " + source[at:]
+    if kind == "swap":
+        if k + 1 == len(spans):
+            return source
+        at2, n2 = spans[k + 1]
+        return source[:at] + source[at2:at2 + n2] + source[at + n:at2] + source[at:at + n] \
+            + source[at2 + n2:]
+    if kind == "insert":
+        at = rng.choice([0, rng.randrange(len(source) + 1)])
+        return source[:at] + rng.choice(["$", "\u00b2", "\f", "\ufeff"]) + source[at:]
+    if kind == "comment":  # a comment with no newline after it ends the source
+        return source[:rng.choice([at, len(source.rstrip())])] + "# trailing"
+    if kind == "crlf-tabs":
+        spaced = source.replace("\n", "\r\n")
+        spaced = "".join("\t" if c == " " and rng.random() < 0.5 else c for c in spaced)
+        return _mutate(rng, spaced, rng.choice(["delete", "duplicate", "swap", "insert"]))
+    raise ValueError(kind)
+
+
+MUTATIONS = ["delete", "duplicate", "swap", "insert", "comment", "crlf-tabs"]
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@pytest.mark.parametrize("name", SUITE)
+def test_parse_errors_match_reference(name, kind):
+    """Seeded token-level mutations of a suite program parse to the same
+    tree or fail with the same message at the same position."""
+    source, _ = load_program(name)
+    rng = random.Random(f"parse-mutants-{name}-{kind}")
+    for _ in range(25):
+        text = _mutate(rng, source, kind)
+        assert _outcome(parse, text) == _outcome(reference_impl.reference_parse, text), text
