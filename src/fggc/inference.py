@@ -7,19 +7,19 @@ ranking orders, one exact evaluation per entry, level by level (the order
 in which a semiring parser evaluates an acyclic deduction graph: Goodman,
 "Semiring Parsing", CL 1999); Kleene iteration for any other.
 
-Each rule's elimination is compiled once per solve, when the tensors of
-its component's callees are final, into a list of steps: large two-operand
+Each rule's elimination is planned once per solve, when the tensors of
+its component's callees are final, as a list of steps: large two-operand
 steps run as batched BLAS matrix products (np.matmul), the rest as
 np.einsum. The steps and the op counts are the same either way. The
 answers, and so the deltas, can differ from all-einsum execution in the
 last bits, as can runs with different BLAS thread counts; the iterations
 change only if such a difference moves a delta across `tol`. A step that
-reads no tensor of the component's own nonterminals runs there, once, so
-a sweep runs only the steps that do, and a rule with none is a constant;
-that changes no bit of the answers. Such a step keeps nothing but its
-array, so a non-recursive component costs about its einsums; its rules'
-results are summed per nonterminal into a fresh array, checked once for
-overflow.
+reads no tensor of the component's own nonterminals runs as it is made,
+once. A rule with no other step (every rule of a non-recursive component,
+a recursive one's constant rules) is contracted straight to its array
+(`_contract`), so it costs about its einsums; any other keeps the rest of
+its steps for each sweep or level (`_Contraction`). That changes no bit of
+the answers. No step result or recursive tensor exceeds MAX_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -196,7 +196,7 @@ def external_marginal(g: Hypergraph, domains: dict[str, Domain], factors,
 
 def _marginal(g: Hypergraph, domains, factors, tau, order, counter) -> WeightTensor:
     """The sum-product of `g` onto its external nodes, every tensor known."""
-    result = _Contraction(g, domains, factors, tau, (), order, counter=counter).result
+    result = _contract(_Known(domains, factors, tau, counter), g, order)
     return WeightTensor(tuple(domains[g.domain_of(n)] for n in g.ext),
                         _finite(np.array(result, dtype=float, order="C")))
 
@@ -212,6 +212,15 @@ _MAX_OPERANDS = 31
 # step that qualifies made the solves of generated non-recursive programs
 # about a tenth slower)
 _MIN_MATMUL = 4096
+# the most entries of one array the solver makes (1 GiB of float64): a step
+# or a tensor larger than this is refused before it is allocated
+MAX_ENTRIES = 2 ** 27
+
+
+def _bound(entries: int, what: str) -> None:
+    if entries > MAX_ENTRIES:
+        raise InferenceError(f"{what} of {entries} entries exceeds the bound of "
+                             f"{MAX_ENTRIES} entries on one array")
 
 
 def _split(a, b, out):
@@ -255,24 +264,153 @@ def matmul_plan(a: list, b: list, out: list, sizes: list, split):
     return run
 
 
-class _Contraction:
-    """A hypergraph's sum-product onto its external nodes, built once the
-    tensors of every label but those in `live` are final: `tau` holds the
-    nonterminal edges' tensors, terminal tables come from `factors`.
+def _run(args: list, out, plan) -> np.ndarray:
+    """One step's value: `args`, each operand followed by its labels,
+    summed onto the labels `out`."""
+    return np.einsum(*args, out) if plan is None else plan(args[0], args[2])
 
-    Terminal tables are aligned onto their nodes here, and so is each
-    nonterminal edge's tensor: a known one's data at once, a live one's
-    `alignment` for `apply` to index with; contractions that share an
-    `aligned` cache align a table, or find a tensor's alignment, once per
-    label and node domains. Each node of size > 1 in the elimination order
-    gets one step over the operands that mention it, and a last step maps
-    what remains onto `ext`. The order is min-fill (`plan_order`) unless
-    at most one internal node has size > 1, which forces it. A repeated
-    attachment is a repeated label (a diagonal), an unattached external
-    node a vector of ones, an unattached internal node a constant scale. A
-    node with one value carries no label (its axes are reshaped away), and
-    labels are numbered within each step, so a step's labels are its nodes
-    of size > 1.
+
+def _step(counter: OpCounter, group, out, names, sizes, keep=None, batch=None):
+    """Contract `group`, (labels, value) pairs, onto the labels `out`
+    (`names`: their labels in order of first appearance): at once, its
+    product size counted, giving the array, if every value is one; else
+    `keep(group, args, out, plan, size, names)` keeps it. A group too large
+    for one call is multiplied in chunks that keep all their labels. A
+    result over MAX_ENTRIES entries (a whole batch's) is refused first."""
+    while len(group) > _MAX_OPERANDS:
+        chunk, group = group[:_MAX_OPERANDS], group[_MAX_OPERANDS:]
+        kept = tuple(dict.fromkeys(m for s, _ in chunk for m in s))
+        group.insert(0, (kept, _step(counter, chunk, kept, kept, sizes, keep, batch)))
+    size = 1
+    for m in names:  # a loop: faster than math.prod on a few small factors
+        size *= sizes[m]
+    if size > MAX_ENTRIES:  # the result's entries are at most its product size
+        _bound(math.prod([sizes[m] for m in out]), "a contraction step's result")
+    label = dict(zip(names, range(len(names))))
+    args = []  # each operand followed by its labels
+    for s, v in group:
+        args.append(v)
+        args.append([label[m] for m in s])
+    labels_out = [label[m] for m in out]
+    split = _split(group[0][0], group[1][0], out) if size >= _MIN_MATMUL and len(group) == 2 else None
+    plan = None if split is None else matmul_plan(
+        args[1], args[3], labels_out, [-1 if m == batch else sizes[m] for m in names],
+        [[label[m] for m in part] for part in split])
+    if keep is None or int not in map(type, args[::2]):
+        counter.ops += size
+        return _run(args, labels_out, plan)
+    return keep(group, args, labels_out, plan, size, names)
+
+
+class _Known:
+    """What one solve's contractions read and reuse: domains and their
+    sizes, terminal tables (`factors`), known tensors (`tau`), the
+    `OpCounter`, and `aligned`: each label's table aligned onto, or
+    tensor's `alignment` to, each tuple of node domains it meets, made once."""
+
+    def __init__(self, domains, factors, tau, counter: OpCounter | None = None):
+        self.domains, self.factors, self.tau = domains, factors, tau
+        self.counter = counter if counter is not None else OpCounter()
+        self.size = {name: len(d.values) for name, d in domains.items()}
+        self.aligned = {}
+
+
+def _contract(known: _Known, graph: Hypergraph, order=None, c=None, live=(), batch=None):
+    """The sum-product of `graph` onto its external nodes: with no `c`,
+    every tensor known, each step run as it is made and nothing but arrays
+    kept, an array (maybe a view, not checked for overflow); else `c`, the
+    `_Contraction` being built, keeps the steps that read a `live` tensor.
+
+    Terminal tables are aligned onto their nodes, and so is each known
+    tensor (an edge whose alignment moves nothing reads the tensor's data
+    as it is). Each node of size > 1 in the elimination order gets one step
+    over the operands that mention it, and a last step maps what remains
+    onto `ext`. The order is min-fill (`plan_order`) unless at most one
+    internal node has size > 1, which forces it. A repeated attachment is
+    a repeated label (a diagonal), an unattached external node a vector of
+    ones, an unattached internal node a constant scale. A node with one
+    value carries no label (its axes are reshaped away), and labels are
+    numbered within each step, so a step's labels are its nodes of size > 1."""
+    dom, sizes = {}, {}
+    for n in graph.nodes:
+        dom[n.id] = d = n.domain
+        sizes[n.id] = known.size[d]
+    ext, planned, b, keep = graph.ext, sizes, None, None
+    if c is not None:
+        c.sizes, c.shape, keep = sizes, tuple(map(sizes.__getitem__, ext)), c._keep
+    if batch is not None:
+        nodes, index = batch
+        c.batch = b = "~" + "".join(sizes)  # a name no node has
+        sizes[b] = len(index[0])
+        c._gather = {n: ix for n, ix in zip(nodes, index) if sizes[n] > 1}
+        ext = (b, *(n for n in graph.ext if n not in nodes))
+        planned = {n: k for n, k in sizes.items() if n not in nodes}
+    if order is None:  # min-fill, unless at most one internal node has size > 1
+        order = [n for n in planned if sizes[n] > 1 and n not in ext]
+        if len(order) > 1:
+            scopes = [e.att if b is None else tuple(dict.fromkeys(b if a in nodes else a for a in e.att))
+                      for e in graph.edges]
+            ranges = {n: range(k) for n, k in planned.items()}
+            order = [n for n in plan_order(ranges, scopes, set(ext)).order if sizes[n] > 1]
+            if b is not None:  # the nodes no member edge holds first: their steps run once
+                held = {a for e in graph.edges if e.label in live for a in e.att}
+                order = sorted(order, key=held.__contains__)
+    work, aligned, tau = [], known.aligned, known.tau  # (labels, array or live position)
+    for e in graph.edges:
+        label, att = e.label, e.att
+        labels = tuple([a for a in att if sizes[a] > 1])
+        key = (label, tuple([dom[a] for a in att]))
+        v = aligned.get(key)  # a table aligned, or a tensor's alignment
+        if label in tau:
+            t = tau[label]
+            if v is None:
+                if len(t.domains) != len(att):
+                    raise InferenceError(f"tensor for {label} has rank {len(t.domains)}, "
+                                         f"edge arity {len(att)}")
+                v = aligned[key] = alignment(t.domains, map(known.domains.__getitem__, key[1]))
+            if label in live:
+                work.append(c._live(label, att, labels, v))
+                continue
+            v = (_realign(t.data, v) if v else t.data).reshape([sizes[a] for a in labels])
+        elif v is None:
+            tab = known.factors[label]
+            v = aligned[key] = align(np.asarray(tab.weights, dtype=float),
+                                     tuple(map(known.domains.__getitem__, tab.domains)),
+                                     tuple(map(known.domains.__getitem__, key[1]))
+                                     ).reshape([sizes[a] for a in labels])
+        work.append((labels, v) if b is None else c._gathered(v, labels))
+    attached = set().union(*[e.att for e in graph.edges])
+    held = attached if b is None else {m for s, _ in work for m in s}
+    out = tuple([m for m in ext if m == b or sizes[m] > 1])
+    work += [((n,), np.ones(sizes[n])) for n in out if n not in held]
+    scale = float(math.prod([k for n, k in sizes.items() if n not in attached and n not in ext])
+                  if len(attached) < len(sizes) else 1)
+    if scale != 1.0 or not work:
+        work.append(((), np.array(scale)))
+    for n in order:
+        group = [w for w in work if n in w[0]]
+        if group:
+            work = [w for w in work if n not in w[0]]
+            names = dict.fromkeys([m for s, _ in group for m in s])
+            kept = tuple([m for m in names if m != n])
+            if b is not None:  # also sum the nodes no other operand holds
+                kept = tuple(m for m in kept if m in out or any(m in s for s, _ in work))
+            work.append((kept, _step(known.counter, group, kept, names, sizes, keep, b)))
+    if b is not None and len(work) == 1 and sorted(work[0][0]) == sorted(out):
+        (labels, v), = work  # viewed in `out`'s order, not copied into it
+        c.final = c._slot(v, labels), [labels.index(m) for m in out]
+        return None
+    # the last step also sums any internal node `order` left out
+    last = _step(known.counter, work, out, dict.fromkeys([m for s, _ in work for m in s]),
+                 sizes, keep, b)
+    return last.reshape([sizes[n] for n in graph.ext]) if c is None else c._slot(last, out)
+
+
+class _Contraction:
+    """A hypergraph's sum-product onto its external nodes, built by
+    `_contract` once the tensors of every label but those in `live` are
+    final (`known.tau`), for `apply` to run on the live labels' tensors,
+    each read by its `alignment`.
 
     With a `batch`, a pair of the rule's external nodes (say) and, for
     each, its value index at each entry of a list (an ordered component's
@@ -283,8 +421,7 @@ class _Contraction:
     summed in the step that makes it. `apply_part` then runs the steps
     that read a member on one part of the list, each member edge gathered
     from the member's tensor by that part; the size of the batch node
-    (-1 to `matmul_plan`) is the part's, and its ops count per entry. A
-    batched contraction has no `result`: `apply_part` returns a view.
+    (-1 to `matmul_plan`) is the part's, and its ops count per entry.
 
     A step runs as np.einsum, except a two-operand step of at least
     `_MIN_MATMUL` products that `_split` can lower: that one runs as one
@@ -294,102 +431,32 @@ class _Contraction:
     result can differ from all-einsum execution in the last bits, and the
     BLAS build and thread count can move those bits too.
 
-    A step whose operands are all known runs as soon as it is made, its
-    product size counted in `counter`; its array is all that is kept of it.
-    `steps` keeps the others, in an order that computes each operand before
-    it is read, each with the positions in `values` of its operands and its
-    result: a live tensor's, a known array's (added when a kept step reads
-    it) or a kept step's. `apply` runs them on the live tensors and counts
-    `ops`, their product size, in `counter` each time. With no live step,
-    `result` is the finished array and `apply` returns it. Either may be a
-    view and is not checked for overflow: the callers sum and check.
+    A step whose operands are all known runs as soon as it is made;
+    its array is all that is kept of it. `steps` keeps the others, in an
+    order that computes each operand before it is read, each with the
+    positions in `values` of its operands and of its result (the last is
+    the contraction's). `apply` runs them on the live tensors and counts
+    `ops`, their product size, each time. Its result may be a view and is
+    not checked for overflow: the callers sum and check.
     """
 
-    batch = final = result = None  # see the class docstring
+    batch = final = None  # see the class docstring
 
-    def __init__(self, graph: Hypergraph, domains: dict[str, Domain], factors,
-                 tau: dict[str, WeightTensor], live, order=None,
-                 aligned: dict | None = None, counter: OpCounter | None = None,
-                 batch=None):
-        dom = {n.id: n.domain for n in graph.nodes}
-        self.sizes = sizes = {n: len(domains[d].values) for n, d in dom.items()}
-        self.shape = tuple(map(sizes.__getitem__, graph.ext))
-        self._lab = lab = {n for n, k in sizes.items() if k > 1}
-        ext, planned = graph.ext, sizes
-        if batch is not None:
-            nodes, index = batch
-            self.batch = b = "~" + "".join(sizes)  # a name no node has
-            sizes[b] = len(index[0])
-            lab.add(b)
-            self._gather = {n: ix for n, ix in zip(nodes, index) if sizes[n] > 1}
-            self.cut, self.batch_ops = {}, 0
-            ext = (b, *(n for n in graph.ext if n not in nodes))
-            planned = {n: k for n, k in sizes.items() if n not in nodes}
-        if order is None:  # min-fill, unless at most one internal node has size > 1
-            order = [n for n in planned if sizes[n] > 1 and n not in ext]
-            if len(order) > 1:
-                scopes = [e.att if batch is None else
-                          tuple(dict.fromkeys(b if a in nodes else a for a in e.att))
-                          for e in graph.edges]
-                ranges = {n: range(k) for n, k in planned.items()}
-                order = [n for n in plan_order(ranges, scopes, set(ext)).order if sizes[n] > 1]
-                if batch is not None:  # the nodes no member edge holds first: their steps run once
-                    held = {a for e in graph.edges if e.label in live for a in e.att}
-                    order = sorted(order, key=held.__contains__)
-        aligned = {} if aligned is None else aligned
-        self._counter = counter if counter is not None else OpCounter()
+    def __init__(self, graph: Hypergraph, known: _Known, live, order=None, batch=None):
+        self._counter = known.counter
         self.values, self.tau_slots, self.steps, self.ops = [], [], [], 0
-        work = []  # (labels, known array or position in `values` of a live one)
-        for e in graph.edges:
-            labels = tuple(filter(lab.__contains__, e.att))
-            key = (e.label, tuple(map(dom.__getitem__, e.att)))
-            arr = aligned.get(key)  # a table aligned, or a tensor's alignment
-            if e.label in tau:
-                t = tau[e.label]
-                if arr is None:
-                    if len(t.domains) != len(e.att):
-                        raise InferenceError(f"tensor for {e.label} has rank {len(t.domains)}, "
-                                             f"edge arity {len(e.att)}")
-                    arr = aligned[key] = alignment(t.domains, map(domains.__getitem__, key[1]))
-                shape = tuple(map(sizes.__getitem__, labels))
-                if e.label in live:
-                    if batch is not None:
-                        labels, arr = self._slot_gather(e.att, arr)
-                    self.tau_slots.append((len(self.values), e.label, arr, shape))
-                    work.append((labels, len(self.values)))
-                    self.values.append(None)
-                    continue
-                arr = _realign(t.data, arr).reshape(shape)
-            elif arr is None:
-                tab = factors[e.label]
-                arr = aligned[key] = align(np.asarray(tab.weights, dtype=float),
-                                           tuple(map(domains.__getitem__, tab.domains)),
-                                           tuple(map(domains.__getitem__, key[1]))
-                                           ).reshape(tuple(map(sizes.__getitem__, labels)))
-            work.append((labels, arr) if batch is None else self._gathered(arr, labels))
-        attached = {a for e in graph.edges for a in e.att}
-        held = attached if batch is None else {m for s, _ in work for m in s}
-        out = tuple(filter(lab.__contains__, ext))
-        work += [((n,), np.ones(sizes[n])) for n in out if n not in held]
-        scale = float(math.prod(sizes[n] for n in sizes.keys() - attached if n not in ext))
-        if scale != 1.0 or not work:
-            work.append(((), np.array(scale)))
-        for n in order:
-            group = [w for w in work if n in w[0]]
-            if group:
-                work = [w for w in work if n not in w[0]]
-                names = dict.fromkeys(m for s, _ in group for m in s)
-                keep = tuple(m for m in names if m != n)
-                if batch is not None:  # also sum the nodes no other operand holds
-                    keep = tuple(m for m in keep if m in out or any(m in s for s, _ in work))
-                work.append((keep, self._step(group, keep, names)))
-        if batch is not None and len(work) == 1 and sorted(work[0][0]) == sorted(out):
-            (labels, v), = work  # viewed in `out`'s order, not copied into it
-            self.final = self._slot(v, labels), [labels.index(m) for m in out]
-        else:  # also sums any internal node `order` left out
-            last = self._step(work, out, dict.fromkeys(m for s, _ in work for m in s))
-            if not self.steps and batch is None:
-                self.result = last.reshape(self.shape)
+        self.cut, self.batch_ops = {}, 0
+        _contract(known, graph, order, self, live, batch)
+
+    def _live(self, label, att, labels, moved):
+        """A live edge's labels and the position in `values` that `apply`
+        fills from its tensor by the `alignment` `moved`."""
+        shape = tuple(map(self.sizes.__getitem__, labels))
+        if self.batch is not None:
+            labels, moved = self._slot_gather(att, moved)
+        self.tau_slots.append((len(self.values), label, moved, shape))
+        self.values.append(None)
+        return labels, len(self.values) - 1
 
     def _gathered(self, arr, labels):
         """A known operand over `labels` with its gathered nodes' axes
@@ -432,7 +499,7 @@ class _Contraction:
                 shape[lead + k] = -1
                 hit = hit.reshape(shape)
             after.append((lead + k, idx, hit))
-        labels = (self.batch,) * lead + tuple(att[a] for a in shift + rest if att[a] in self._lab)
+        labels = (self.batch,) * lead + tuple(att[a] for a in shift + rest if self.sizes[att[a]] > 1)
         shape = tuple(-1 if m == self.batch else self.sizes[m] for m in labels)
         return labels, (tuple(front + shift + rest), tuple(index), mask, tuple(after), shape)
 
@@ -446,31 +513,11 @@ class _Contraction:
         self.values.append(v)
         return len(self.values) - 1
 
-    def _step(self, group, out, names) -> np.ndarray | int:
-        """Contract `group` (labels, value) onto `out`, `names` its labels
-        in order of first appearance: now, giving the array, if it reads no
-        live value, else kept in `steps`, giving its result's position. A
-        group too large for one call is multiplied in chunks that keep all
-        their labels, and summed by the last call."""
-        while len(group) > _MAX_OPERANDS:
-            chunk, group = group[:_MAX_OPERANDS], group[_MAX_OPERANDS:]
-            keep = tuple(dict.fromkeys(m for s, _ in chunk for m in s))
-            group.insert(0, (keep, self._step(chunk, keep, keep)))
-        size = math.prod(map(self.sizes.__getitem__, names))
-        label = dict(zip(names, range(len(names)))).__getitem__
-        labels = [list(map(label, s)) for s, _ in group]
-        labels_out = list(map(label, out))
-        split = (_split(group[0][0], group[1][0], out)
-                 if size >= _MIN_MATMUL and len(group) == 2 else None)
-        plan = None if split is None else matmul_plan(
-            *labels, labels_out, [-1 if m == self.batch else self.sizes[m] for m in names],
-            [list(map(label, part)) for part in split])
-        arrays = [v for _, v in group]
-        if not self.tau_slots or int not in map(type, arrays):
-            self._counter.ops += size
-            return self._run(arrays, labels, labels_out, plan)
+    def _keep(self, group, args, out, plan, size, names) -> int:
+        """Keep a step that reads a live value (see `_step`): the position
+        of its result."""
         at = [self._slot(v, s) for s, v in group]
-        self.steps.append((at, labels, labels_out, plan, len(self.values)))
+        self.steps.append((at, args, out, plan, len(self.values)))
         self.values.append(None)
         if self.batch in names:  # the part's share counts when it runs
             self.batch_ops += size // self.sizes[self.batch]
@@ -478,25 +525,18 @@ class _Contraction:
             self.ops += size
         return len(self.values) - 1
 
-    @staticmethod
-    def _run(arrays, labels, out, plan) -> np.ndarray:
-        """One step's value: `arrays` over `labels` summed onto `out`."""
-        if plan is not None:
-            return plan(*arrays)
-        return np.einsum(*chain.from_iterable(zip(arrays, labels)), out)
-
     def _replay(self, vals) -> list:
         """`vals`, a copy of `values` with the live operands in, with each
         kept step's result put in its slot."""
-        for at, labels, out, plan, slot in self.steps:
-            vals[slot] = self._run([vals[p] for p in at], labels, out, plan)
+        for at, args, out, plan, slot in self.steps:
+            args = args.copy()  # its operands' places filled from `vals`
+            args[::2] = [vals[p] for p in at]
+            vals[slot] = _run(args, out, plan)
         return vals
 
     def apply(self, tau: dict[str, WeightTensor]) -> np.ndarray:
         """The sum-product over `shape` with the live labels' tensors taken
         from `tau`: an array that may be a view, not checked for overflow."""
-        if self.result is not None:
-            return self.result
         vals = list(self.values)
         for i, label, moved, shape in self.tau_slots:
             vals[i] = _realign(tau[label].data, moved).reshape(shape)
@@ -591,22 +631,25 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 
 
 def _sweep(prepared: dict, shapes, tau) -> dict[str, WeightTensor]:
-    """Every member's rules applied to `tau`, summed in grammar order into
-    a fresh array per member, which is then checked for overflow."""
+    """Every member's rules, each a constant's array or a `_Contraction`
+    applied to `tau`, summed in grammar order into a fresh array per
+    member, which is then checked for overflow."""
     new_tau = {}
     for n, rules in prepared.items():
         acc = np.zeros(tuple(map(len, shapes[n])))
         for rule in rules:
-            acc += rule.apply(tau)
+            acc += rule.apply(tau) if isinstance(rule, _Contraction) else rule
         new_tau[n] = WeightTensor(shapes[n], _finite(acc))
     return new_tau
 
 
-def _one_pass(prepared: dict, shapes, tau, max_iter: int) -> tuple:
-    """A non-recursive component: each rule is a constant, so one pass is exact."""
+def _one_pass(known: _Known, rules: dict, shapes, max_iter: int) -> tuple:
+    """A non-recursive component: each rule is a constant, contracted
+    straight to its array when the sum reaches it, so one pass is exact."""
     if max_iter < 1:
-        return {n: WeightTensor.zeros(shapes[n]) for n in prepared}, MAX_ITER, 0, float("inf")
-    return _sweep(prepared, shapes, tau), CONVERGED, 1, 0.0
+        return {n: WeightTensor.zeros(shapes[n]) for n in rules}, MAX_ITER, 0, float("inf")
+    return _sweep({n: (_contract(known, r.rhs) for r in rs) for n, rs in rules.items()},
+                  shapes, known.tau), CONVERGED, 1, 0.0
 
 
 def _kleene(prepared: dict, shapes, tau, tol: float, max_iter: int) -> tuple:
@@ -635,9 +678,9 @@ def _kleene(prepared: dict, shapes, tau, tol: float, max_iter: int) -> tuple:
 class _Ranking:
     """A ranking of one member's entries: `coef`, the coefficient of each
     axis that has one; `level`, an integer array over those axes in
-    increasing order; and the entries of level 1 or more, by level:
-    `index`, one array of value indices per such axis, and each level's
-    `bounds` in it."""
+    increasing order; and the entries of level `floor` or more (the set S),
+    by level: `index`, one array of value indices per such axis, and each
+    level's `bounds` in it."""
     coef: dict[int, int]
     level: np.ndarray
     index: tuple = ()
@@ -664,29 +707,28 @@ def _rankings(members, ext, sizes):
         yield ranks
 
 
-def _plausible(ranks, constants) -> bool:
+def _plausible(ranks, constants, floor: int) -> bool:
     """Whether a ranking survives the checks that need no solver work: the
-    entries of level 1 or more hold more than one level, and the constant
-    rules (`constants`, each member's contractions with no member edge) put
-    no weight on an entry of level below 1."""
-    levels = [r.level[r.level >= 1] for r in ranks.values()]
+    entries of level `floor` or more hold more than one level, and the
+    constant rules (`constants`, each member's arrays of the rules with no
+    member edge) put no weight on an entry of level below `floor`."""
+    levels = [r.level[r.level >= floor] for r in ranks.values()]
     if len({int(f(lv)) for lv in levels if lv.size for f in (np.min, np.max)}) < 2:
         return False
     for n, consts in constants.items():
         r = ranks[n]
-        for c in consts:
-            data = c.result
+        for data in consts:
             other = tuple(ax for ax in range(data.ndim) if ax not in r.coef)
-            if np.any(data.any(axis=other) & (r.level < 1)):
+            if np.any(data.any(axis=other) & (r.level < floor)):
                 return False
     return True
 
 
-def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool:
+def _verified(g: FGG, live: dict, ranks, floor: int, tau, sizes, counter: OpCounter) -> bool:
     """Whether the ranking `ranks` orders the component's live rules: one
     contraction per rule of supports (each table and each earlier
     component's tensor replaced by its support, each member edge by 1[S],
-    S the entries of level >= 1) onto its level-carrying nodes, in which
+    S the entries of level >= `floor`) onto its level-carrying nodes, in which
     every supported output entry is in S (F maps S into S) and every
     member entry read is of a lower level than the entry it is read for.
     An edge that holds no level-carrying node is left out, as if its
@@ -697,13 +739,13 @@ def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool
     reduced onto the nodes whose sizes it depends on. `sizes` gives a
     domain's value sizes by name.
 
-    A rule with two or more member edges whose output level is, node by
-    node, the sum of their levels (a split of a span, as in CKY's binary
-    rule) needs no contraction: each read is in S, of level >= 1, so the
-    output is in S and exceeds each read by the others' levels."""
+    At a floor of 1, a rule with two or more member edges whose output
+    level is, node by node, the sum of their levels (a split of a span, as
+    in CKY's binary rule) needs no contraction: each read is in S, of level
+    >= 1, so the output is in S and exceeds each read by the others'."""
     members = set(ranks)
-    support = {}
-    factors, aligned = {}, {}
+    support, factors = {}, {}
+    known = _Known(g.domains, factors, support, counter)
     for n, rules in live.items():
         for rule in rules:
             rhs = rule.rhs
@@ -719,14 +761,14 @@ def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool
             for slot in slots:
                 for a, c in slot.items():
                     total[a] = total.get(a, 0) + c
-            if len(slots) > 1 and {a: c for a, c in total.items() if c} == \
+            if floor >= 1 and len(slots) > 1 and {a: c for a, c in total.items() if c} == \
                     {a: c for a, c in out.items() if c}:
                 continue
             if not support:  # each member's 1[S]
                 for m, r in ranks.items():
                     t = tau[m]
-                    keep = (r.level >= 1).reshape([k if ax in r.coef else 1
-                                                   for ax, k in enumerate(t.data.shape)])
+                    keep = (r.level >= floor).reshape([k if ax in r.coef else 1
+                                                       for ax, k in enumerate(t.data.shape)])
                     support[m] = WeightTensor(t.domains, np.ones(t.data.shape) * keep)
             onto = tuple(dict.fromkeys(a for level in levels for a in level))
             near = [e for e in rhs.edges if any(a in onto for a in e.att)]
@@ -741,12 +783,10 @@ def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool
                     t = tau[e.label]
                     support[e.label] = WeightTensor(t.domains, (t.data > 0).astype(float))
             nodes = [x for x in rhs.nodes if x.id in onto or any(x.id in e.att for e in near)]
-            c = _Contraction(Hypergraph(nodes, near, onto), g.domains, factors,
-                             support, (), aligned=aligned, counter=counter)
-            held = c.result > 0
-            # out >= 1, and out - slot >= 1 for each slot, wherever held
-            for level in [out] + [{a: out.get(a, 0) - slot.get(a, 0) for a in {**out, **slot}}
-                                  for slot in slots]:
+            held = _contract(known, Hypergraph(nodes, near, onto)) > 0
+            # out >= floor, and out - slot >= 1 for each slot, wherever held
+            for level, least in [(out, floor)] + [({a: out.get(a, 0) - slot.get(a, 0)
+                                                    for a in {**out, **slot}}, 1) for slot in slots]:
                 at = [k for k, a in enumerate(onto) if level.get(a, 0)]
                 value = 0
                 for i, k in enumerate(at):
@@ -754,27 +794,32 @@ def _verified(g: FGG, live: dict, ranks, tau, sizes, counter: OpCounter) -> bool
                     shape[i] = -1
                     value = value + level[onto[k]] * sizes(rhs.domain_of(onto[k])).reshape(shape)
                 rest = tuple(k for k in range(len(onto)) if k not in at)
-                if np.any(held.any(axis=rest) & (value < 1)):
+                if np.any(held.any(axis=rest) & (value < least)):
                     return False
     return True
 
 
 def _ranking(g: FGG, rules: dict, constant: dict, ext, tau, sizes, counter) -> dict | None:
     """The first candidate ranking (`_rankings`) of a recursive component
-    that passes `_plausible` and then `_verified`, its levels indexed
-    (`_index_levels`); None if none does. The verifying contractions' ops
-    go into `counter` only when a ranking is returned, so a component that
-    falls back to Kleene sweeps counts the sweeps' ops alone."""
+    that passes `_plausible` and then `_verified` with the floor at 1, or
+    else at the lowest level of any entry (S every entry: a loop over its
+    input ends at level 0), its levels indexed (`_index_levels`); None if
+    none does. The verifying contractions' ops go into `counter` only when
+    a ranking is returned, so a component that falls back to Kleene sweeps
+    counts the sweeps' ops alone."""
     members = list(rules)
     consts = {n: [c for c in cs if c is not None] for n, cs in constant.items()}
     live = {n: [r for r, c in zip(rules[n], constant[n]) if c is None] for n in members}
     checks = OpCounter()  # counted in `counter` only if a ranking is used
-    for ranks in _rankings(members, {n: ext[n] for n in members}, sizes):
-        if _plausible(ranks, consts) and _verified(g, live, ranks, tau, sizes, checks):
-            for r in ranks.values():
-                _index_levels(r)
-            counter.ops += checks.ops
-            return ranks
+    for lowest in (False, True):
+        for ranks in _rankings(members, {n: ext[n] for n in members}, sizes):
+            floor = min(int(r.level.min()) for r in ranks.values()) if lowest else 1
+            if (floor < 1 or not lowest) and _plausible(ranks, consts, floor) and \
+                    _verified(g, live, ranks, floor, tau, sizes, checks):
+                for r in ranks.values():
+                    _index_levels(r, floor)
+                counter.ops += checks.ops
+                return ranks
     return None
 
 
@@ -795,9 +840,9 @@ def _value_sizes(domain: Domain) -> np.ndarray:
 
 
 def _ordered(rules: dict, constant: dict, ranks, shapes, build) -> tuple:
-    """Each member's entries of level 1 or more, one level at a time in
-    increasing order, each from the final entries of lower levels: the
-    constant rules' results gathered once, the live rules' batched
+    """Each member's ranked entries (level `floor` or more), one level at a
+    time in increasing order, each from the final entries of lower levels:
+    the constant rules' arrays gathered once, the live rules' batched
     contractions applied to the level's part of the batch, the sum
     scattered into the member's tensor and into each copy of it that a
     member edge reads with its axes in another order (so that a level's
@@ -835,7 +880,7 @@ def _ordered(rules: dict, constant: dict, ranks, shapes, build) -> tuple:
             targets.append((arr.reshape(-1), np.add.outer(at, rest)))
         known = None
         for c in consts:
-            part = c.result.transpose(order)[r.index].reshape(len(r.index[0]), -1)
+            part = c.transpose(order)[r.index].reshape(len(r.index[0]), -1)
             known = part if known is None else known + part
         plan[n] = targets, known, live
     levels = sorted(set().union(*(r.bounds for r in ranks.values())))
@@ -854,11 +899,11 @@ def _ordered(rules: dict, constant: dict, ranks, shapes, build) -> tuple:
     return cur, CONVERGED, len(levels), 0.0
 
 
-def _index_levels(r: _Ranking) -> None:
-    """Fill in `r.index` and `r.bounds`: the entries of level >= 1, by
-    level (in index order within one)."""
+def _index_levels(r: _Ranking, floor: int) -> None:
+    """Fill in `r.index` and `r.bounds`: the entries of level >= `floor`,
+    by level (in index order within one)."""
     flat = r.level.ravel()
-    pick = np.flatnonzero(flat >= 1)
+    pick = np.flatnonzero(flat >= floor)
     pick = pick[np.argsort(flat[pick], kind="stable")]
     r.index = np.unravel_index(pick, r.level.shape)
     levels = flat[pick]
@@ -877,7 +922,8 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
       (ROADMAP item "Chart-order evaluation"): a level per entry,
       sum over its axes of +-1 times the size of its value (`_rankings`),
       checked first against the constant rules (`_plausible`) and then
-      per rule, by its form or by one support contraction (`_verified`).
+      per rule, by its form or by one support contraction (`_verified`),
+      for the entries of level 1 or more or else for all (`_ranking`).
       Its entries are computed once, level by level in increasing order,
       from final lower levels (`_ordered`); exact, delta 0, `iterations`
       the number of levels. `tol` and `max_iter` do not apply;
@@ -890,15 +936,17 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
 
     The state reports the most iterations and the largest final delta of
     any component, and each component's ComponentState in `components`.
-    Each rule is compiled once per solve, when its component is reached
-    and its callees' tensors are final (see _Contraction), with each
-    terminal label aligned once per solve onto each tuple of node domains
-    it meets. Its steps that read no member's tensor run there, once, so a
-    sweep or a level runs only the rest, and a rule that uses no member
-    (every rule of a one-pass component) is a constant. Each rule's
-    result is still added in grammar order, so a Kleene component's
-    tensors are those of running every step in every sweep; `ops` counts
-    the steps run at build time once.
+    Each rule is contracted once per solve, when its component is reached
+    and its callees' tensors are final, with each terminal label aligned
+    once per solve onto each tuple of node domains it meets (`_Known`). A
+    rule that uses no member (every rule of a one-pass component) is a
+    constant, contracted straight to its array (`_contract`); any other is
+    a `_Contraction`, whose steps that read no member's tensor run once,
+    so a sweep or a level runs only the rest. Each rule's result is still
+    added in grammar order, so a Kleene component's tensors are those of
+    running every step in every sweep; `ops` counts the steps run at build
+    time once. A recursive member's tensor of more than MAX_ENTRIES entries
+    is refused (InferenceError) before its zeros are made.
     """
     by_lhs = rules_by_lhs(g.rules)
     ext = g.ext_domains()
@@ -909,36 +957,28 @@ def solve_fixed_point(g: FGG, tol: float = 1e-10, max_iter: int = 10000) -> Solv
             raise InferenceError(f"nonterminal {n!r} of arity {len(shapes[n])}: numpy "
                                  f"arrays have at most {_max_axes()} axes")
     tau = {}  # each member's zeros or final tensor, made when its component is reached
-    aligned: dict = {}
-    sizes: dict = {}
-
-    def value_sizes(name):
-        if name not in sizes:
-            sizes[name] = _value_sizes(g.domains[name])
-        return sizes[name]
-
+    value_sizes = cache(lambda name: _value_sizes(g.domains[name]))
     counter = OpCounter()
+    known = _Known(g.domains, g.factors, tau, counter)
     state = SolverState(tau=tau, iteration=0, delta=0.0, status=CONVERGED)
     for members, recursive in dependency_components(by_lhs, nts):
         before = counter.ops
         rules = {n: by_lhs.get(n, ()) for n in members}
         if not recursive:
-            prepared = {n: [_Contraction(r.rhs, g.domains, g.factors, tau, (), aligned=aligned,
-                                         counter=counter) for r in rs]
-                        for n, rs in rules.items()}
-            method, solved = ONE_PASS, _one_pass(prepared, shapes, tau, max_iter)
+            method, solved = ONE_PASS, _one_pass(known, rules, shapes, max_iter)
         else:
-            tau.update((n, WeightTensor.zeros(shapes[n])) for n in members)
-            build = partial(_Contraction, domains=g.domains, factors=g.factors, tau=tau,
-                            live=set(members), aligned=aligned, counter=counter)
-            # each rule that uses no member, compiled (a constant); None for the others
-            constant = {n: [None if any(e.label in rules for e in r.rhs.edges) else build(r.rhs)
+            for n in members:
+                _bound(math.prod(map(len, shapes[n])), f"the tensor of nonterminal {n!r}")
+                tau[n] = WeightTensor.zeros(shapes[n])
+            build = partial(_Contraction, known=known, live=set(members))
+            # each rule that uses no member, contracted (a constant); None for the others
+            constant = {n: [None if any(e.label in rules for e in r.rhs.edges) else _contract(known, r.rhs)
                             for r in rs] for n, rs in rules.items()}
             ranks = _ranking(g, rules, constant, ext, tau, value_sizes, counter)
             if ranks:
                 method, solved = ORDERED, _ordered(rules, constant, ranks, shapes, build)
             else:
-                prepared = {n: [c or build(r.rhs) for r, c in zip(rules[n], constant[n])]
+                prepared = {n: [build(r.rhs) if c is None else c for r, c in zip(rules[n], constant[n])]
                             for n in members}
                 method, solved = KLEENE, _kleene(prepared, shapes, tau, tol, max_iter)
         tensors, status, iterations, delta = solved

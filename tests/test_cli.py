@@ -2,12 +2,14 @@ import copy
 import json
 import random
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import FAIL_PARAMS, FAIL_POSITIONS, PROGRAMS_DIR, load_program
-from fggc import cli
+from fggc import cli, inference
 from fggc import fgg as fggmod
 from fggc.cli import main
 from fggc.fgg import FactorTable, StructuralError
@@ -922,6 +924,46 @@ def test_memory_error_exit_2(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert "out of memory" in err and "8.64 GiB" in err
     _one_line_error(err)
+
+
+def clique_grammar(k=12, values=20) -> dict:
+    """The JSON of a grammar whose start rule joins k nodes of `values`
+    values pairwise by one 2-ary factor: the first step of its elimination
+    makes an array of values^(k - 1) entries (20^11 by default)."""
+    node = [f"n{i}" for i in range(k)]
+    edges = [{"id": f"e{i}-{j}", "label": "f", "att": [node[i], node[j]]}
+             for i in range(k) for j in range(i + 1, k)]
+    return {"labels": [{"name": "S", "arity": 0, "kind": "nonterminal"},
+                       {"name": "f", "arity": 2, "kind": "terminal"}],
+            "start": "S",
+            "rules": [{"lhs": "S", "rhs": {"nodes": [{"id": n, "domain": "D"} for n in node],
+                                          "edges": edges, "ext": []}}],
+            "domains": {"D": [f"v{i}" for i in range(values)]},
+            "factors": {"f": {"domains": ["D", "D"], "table": [[0.5] * values] * values}}}
+
+
+def test_step_above_the_entry_bound_exits_2(tmp_path, capsys):
+    """A contraction step whose result would exceed `MAX_ENTRIES` entries
+    is refused before it is made: exit 2, one `error:` line, within a
+    second and without allocating it."""
+    path = tmp_path / "clique.json"
+    path.write_text(json.dumps(clique_grammar()))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "infer", str(path))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"{20 ** 11} entries exceeds the bound of {inference.MAX_ENTRIES}" in err
+    _one_line_error(err)
+    assert elapsed < 1.0 and peak < 2 ** 26
+    # a smaller clique stays under the bound
+    path.write_text(json.dumps(clique_grammar(k=4)))
+    code, out, err = run(capsys, "infer", str(path))
+    assert code == 0 and "status: converged" in out
 
 
 def test_every_library_error_is_an_fggc_error():

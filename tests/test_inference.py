@@ -15,10 +15,9 @@ from fggc import inference
 from fggc.fgg import (FGG, NONTERMINAL, TERMINAL, Edge, EdgeLabel, FactorTable,
                       Hypergraph, Node, Rule, dumps, loads, rules_by_lhs)
 from fggc.inference import (CONVERGED, DIVERGENT, MAX_ITER, InferenceError,
-                            OpCounter, WeightTensor, align,
-                            dependency_components, external_marginal,
-                            plan_order, query_start, rule_contribution,
-                            solve_fixed_point)
+                            WeightTensor, align, dependency_components,
+                            external_marginal, plan_order, query_start,
+                            rule_contribution, solve_fixed_point)
 from fggc.oracle import inside_reference, truncated_wX
 from fggc.params import params_from_json
 from fggc.translate import compile_source
@@ -63,15 +62,49 @@ def _brute_marginal(h, domains, factors):
     return out
 
 
-def test_external_marginal_against_brute_force():
+def _wide_marginals():
+    """Two graphs whose marginals take the step runner's other paths: a
+    chain over 16 values, whose middle node's step of 16^3 products runs as
+    a matrix product, and a node read by more factors than one np.einsum
+    call takes, whose step runs in chunks. Each: graph, domains, factors,
+    and the step runner's global that the graph exceeds."""
+    rng = np.random.default_rng(3)
+    d16 = Domain("D16", tuple(Atom(f"v{i}") for i in range(16)))
+    chain = Hypergraph([Node(x, "D16") for x in "abc"],
+                       [Edge("e1", "t", ("a", "b")), Edge("e2", "u", ("b", "c"))], ("a", "c"))
+    yield chain, {"D16": d16}, {"t": FactorTable("t", ("D16", "D16"), rng.random((16, 16))),
+                                "u": FactorTable("u", ("D16", "D16"), rng.random((16, 16)))}, \
+        "_MIN_MATMUL"
+    d2 = Domain("D2", (Atom("a"), Atom("b")))
+    n = inference._MAX_OPERANDS + 9
+    star = Hypergraph([Node("x", "D2"), Node("y", "D2")],
+                      [Edge(f"e{i}", f"t{i}", ("x",)) for i in range(n)] + [Edge("xy", "w", ("x", "y"))],
+                      ("y",))
+    factors = {f"t{i}": FactorTable(f"t{i}", ("D2",), rng.random(2) + 0.5) for i in range(n)}
+    factors["w"] = FactorTable("w", ("D2", "D2"), rng.random((2, 2)))
+    yield star, {"D2": d2}, factors, "_MAX_OPERANDS"
+
+
+def test_external_marginal_against_brute_force(monkeypatch):
     g = pcfg_fgg()
     h = pcfg_tree_graph()
-    for ext in [(), ("N1",), ("N2", "W4"), ("W5", "N1")]:
-        he = Hypergraph(h.nodes, h.edges, ext)
-        t = external_marginal(he, g.domains, g.factors)
-        brute = _brute_marginal(he, g.domains, g.factors)
+    cases = [(Hypergraph(h.nodes, h.edges, ext), g.domains, g.factors, None)
+             for ext in [(), ("N1",), ("N2", "W4"), ("W5", "N1")]]
+    planned, runs = [], []
+    real_plan, real_run = inference.matmul_plan, inference._run
+    monkeypatch.setattr(inference, "matmul_plan", lambda *args: planned.append(1) or real_plan(*args))
+    monkeypatch.setattr(inference, "_run", lambda args, *rest: runs.append(len(args) // 2)
+                        or real_run(args, *rest))
+    for he, domains, factors, exceeds in cases + list(_wide_marginals()):
+        planned.clear()
+        runs.clear()
+        t = external_marginal(he, domains, factors)
+        brute = _brute_marginal(he, domains, factors)
         for key, w in t.items():
-            assert w == pytest.approx(brute[key], abs=1e-12)
+            assert w == pytest.approx(brute[key], rel=1e-12, abs=1e-12)
+        assert bool(planned) == (exceeds == "_MIN_MATMUL")
+        if exceeds == "_MAX_OPERANDS":  # more factors than one call takes, run in chunks
+            assert len(he.edges) > inference._MAX_OPERANDS >= max(runs)
 
 
 def test_external_marginal_all_nodes_external():
@@ -133,9 +166,26 @@ def test_chunked_contraction_matches_one_call(name, monkeypatch):
     same iterates as groups contracted in one call."""
     source, params = load_program(name)
     g = compile_source(source, params, ()).fgg
+    runs, known = [], []  # the operands of each call; of each call of an all-known contraction
+    real_run, real_contract = inference._run, inference._contract
+
+    def contract(known_tensors, graph, order=None, c=None, *args):
+        first = len(runs)
+        result = real_contract(known_tensors, graph, order, c, *args)
+        if c is None:
+            known.extend(runs[first:])
+        return result
+
+    monkeypatch.setattr(inference, "_run", lambda args, *rest: runs.append(len(args) // 2)
+                        or real_run(args, *rest))
+    monkeypatch.setattr(inference, "_contract", contract)
     whole = solve_fixed_point(g, max_iter=10, tol=0.0)
+    assert max(known) > 2 or name == "const"  # the one-pass rules are chunked below
+    runs.clear()
+    known.clear()
     monkeypatch.setattr(inference, "_MAX_OPERANDS", 2)
     chunked = solve_fixed_point(g, max_iter=10, tol=0.0)
+    assert max(runs) <= 2 and known
     for label, t in whole.tau.items():
         np.testing.assert_allclose(chunked.tau[label].data, t.data, rtol=1e-12, atol=0)
 
@@ -168,8 +218,9 @@ def test_matmul_plan_leaves_other_steps_to_einsum(a, b, out):
 def test_lowered_steps_of_string_scoring_match_einsum(monkeypatch):
     """Every step the size rule lowers, on a length-64 string, gives what
     np.einsum gives on the same operands, whether it runs while its rule is
-    built, in `apply`, or in the ordered solve on each level's part of the
-    batch (a plan with a batch size of -1)."""
+    built (a constant rule's steps all do), in `apply`, or in the ordered
+    solve on each level's part of the batch (a plan with a batch size of
+    -1)."""
     source, params = cnf_pcfgw(64)
     g = compile_source(source, params).fgg
     tau = solve_fixed_point(g).tau
@@ -192,7 +243,8 @@ def test_lowered_steps_of_string_scoring_match_einsum(monkeypatch):
     monkeypatch.setattr(inference, "matmul_plan", checked)
     for index, rule in enumerate(g.rules):
         lowered[index] = 0
-        inference._Contraction(rule.rhs, g.domains, g.factors, tau, {rule.lhs}).apply(tau)
+        known = inference._Known(g.domains, g.factors, tau)
+        inference._Contraction(rule.rhs, known, {rule.lhs}).apply(tau)
     # the rule for `inr(yz) => ...`, which calls d twice
     (binary,) = [i for i, r in enumerate(g.rules)
                  if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
@@ -524,25 +576,25 @@ def test_frozen_steps_change_nothing_but_ops(name, monkeypatch):
     real = inference._Contraction
 
     class Counted(real):
-        def __init__(self, *args, counter, **kwargs):
-            before = counter.ops
-            super().__init__(*args, counter=counter, **kwargs)
-            folded[self] = counter.ops - before
+        def __init__(self, *args, known, **kwargs):
+            before = known.counter.ops
+            super().__init__(*args, known=known, **kwargs)
+            folded[self] = known.counter.ops - before
 
         def apply(self, tau):
             applies[self] = applies.get(self, 0) + 1
             return super().apply(tau)
 
     class Unfolded:
-        """A rule built anew, every tensor known, each time it is applied,
-        so that every step runs in every sweep."""
+        """A rule contracted anew, every tensor known, each time it is
+        applied, so that every step runs in every sweep."""
 
-        def __init__(self, graph, domains, factors, tau, live, counter, **kwargs):
-            self.args = graph, domains, factors
-            self.counter = counter
+        def __init__(self, graph, known, **kwargs):
+            self.graph, self.known = graph, known
 
         def apply(self, tau):
-            return real(*self.args, tau, (), counter=self.counter).result
+            known = inference._Known(self.known.domains, self.known.factors, tau, self.known.counter)
+            return inference._contract(known, self.graph)
 
     monkeypatch.setattr(inference, "_Contraction", Counted)
     got = solve_fixed_point(g)
@@ -553,64 +605,73 @@ def test_frozen_steps_change_nothing_but_ops(name, monkeypatch):
     for label, t in want.tau.items():
         assert got.tau[label].data.tobytes() == t.data.tobytes()
     swept = [c for c in applies if applies[c] > 1]
-    assert any(folded[c] for c in swept)
+    # the scalar grammar's rules that read a member have no other step:
+    # what runs once there is its constant rules, each an array
+    assert any(folded[c] for c in swept) == (name != "mixed")
     assert got.ops == want.ops - sum(ops * (applies[c] - 1) for c, ops in folded.items())
     if name != "mixed":  # one recursive component: its sweeps are the solve's
         assert got.ops == want.ops - (got.iteration - 1) * sum(folded[c] for c in swept)
 
 
 def test_rule_without_member_edge_runs_once(monkeypatch):
-    """A recursive component's rule that uses none of its members runs its
-    steps once, when it is built, and none in any sweep."""
-    runs = []
-    real_run = inference._Contraction._run
-    monkeypatch.setattr(inference._Contraction, "_run",
-                        staticmethod(lambda *args: runs.append(1) or real_run(*args)))
-    built, applied = {}, {}
-    real = inference._Contraction
+    """A recursive component's rule that uses none of its members is
+    contracted straight to its array, once, before the sweeps: no
+    `_Contraction` is built for it, and no sweep runs a step of it."""
+    g = _mixed_fgg()
+    runs, contracted, built = [], {}, {}
+    real_run, real_contract, real = inference._run, inference._contract, inference._Contraction
+
+    def contract(known, graph, order=None, c=None, *args):
+        before = len(runs)
+        result = real_contract(known, graph, order, c, *args)
+        if c is None:  # every tensor known
+            contracted.setdefault(graph, []).append(len(runs) - before)
+        return result
 
     class Counted(real):
-        def __init__(self, *args, **kwargs):
-            before = len(runs)
-            super().__init__(*args, **kwargs)
-            built[self] = len(runs) - before
+        def __init__(self, graph, *args, **kwargs):
+            built[graph] = built.get(graph, 0) + 1
+            super().__init__(graph, *args, **kwargs)
 
-        def apply(self, tau):
-            before = len(runs)
-            result = super().apply(tau)
-            applied.setdefault(self, []).append(len(runs) - before)
-            return result
-
+    monkeypatch.setattr(inference, "_run", lambda *args: runs.append(1) or real_run(*args))
+    monkeypatch.setattr(inference, "_contract", contract)
     monkeypatch.setattr(inference, "_Contraction", Counted)
-    st = solve_fixed_point(_mixed_fgg())
+    st = solve_fixed_point(g)
     assert st.iteration > 2
-    constant = [c for c in built if not c.tau_slots and len(applied[c]) > 1]
+    recursive = {m for members, rec in _components(g) if rec for m in members}
+    constant = [r.rhs for r in g.rules if r.lhs in recursive and len(r.rhs.edges) == 1]
     assert len(constant) == 3  # the rules A -> w, B -> w and C -> w
-    for c in constant:
-        assert built[c] >= 1 and not c.steps and set(applied[c]) == {0}
+    for rhs in constant:
+        assert rhs not in built and len(contracted[rhs]) == 1 and contracted[rhs][0] >= 1
+    live = [r.rhs for r in g.rules if r.lhs in recursive and len(r.rhs.edges) > 1]
+    assert all(built[rhs] == 1 and rhs not in contracted for rhs in live)
 
 
 def test_contraction_without_live_label_is_finished_when_built(monkeypatch):
-    """With no live label, every step runs when the rule is built: no step
-    is kept, and `apply` returns the finished tensor without running one."""
+    """With no live label, every step runs as it is made: `_contract` gives
+    the array, bit for bit what a contraction with a live label gives when
+    applied, in the ops that one counts built and applied; a
+    `_Contraction` none of whose edges is live keeps no step, and its
+    `apply` runs none."""
     source, params = cnf_pcfgw(8)
     g = compile_source(source, params).fgg
     tau = solve_fixed_point(g).tau
     (rule,) = [r for r in g.rules if r.lhs == "d" and sum(e.label == "d" for e in r.rhs.edges) == 2]
-    folded = OpCounter()
-    swept = inference._Contraction(rule.rhs, g.domains, g.factors, tau, {"d"}, counter=folded)
-    built = folded.ops
+    folded = inference._Known(g.domains, g.factors, tau)
+    swept = inference._Contraction(rule.rhs, folded, {"d"})
+    built = folded.counter.ops
     want = swept.apply(tau).tobytes()
-    assert folded.ops == built + swept.ops  # `apply` counts in the counter it was built with
-    counter = OpCounter()
-    c = inference._Contraction(rule.rhs, g.domains, g.factors, tau, (), counter=counter)
-    assert swept.steps and not c.steps and not c.tau_slots and c.ops == 0
-    assert counter.ops == built + swept.ops
-    monkeypatch.setattr(inference._Contraction, "_run",
-                        staticmethod(lambda *args: pytest.fail("a step ran in apply")))
-    assert c.apply(tau) is c.result
-    assert counter.ops == built + swept.ops
-    assert c.result.tobytes() == want
+    assert folded.counter.ops == built + swept.ops  # `apply` counts in the known counter
+    known = inference._Known(g.domains, g.factors, tau)
+    assert inference._contract(known, rule.rhs).tobytes() == want
+    assert swept.steps and known.counter.ops == built + swept.ops
+    known = inference._Known(g.domains, g.factors, tau)
+    c = inference._Contraction(rule.rhs, known, ())
+    assert not c.steps and not c.tau_slots and c.ops == 0
+    assert known.counter.ops == built + swept.ops
+    monkeypatch.setattr(inference, "_run", lambda *args: pytest.fail("a step ran in apply"))
+    assert c.apply(tau).tobytes() == want
+    assert known.counter.ops == built + swept.ops
 
 
 def _planned_programs():
@@ -622,18 +683,18 @@ def _planned_programs():
 
 
 def test_builder_eliminates_in_plan_order(monkeypatch):
-    """Every rule of the suite and of five generated programs, built with
-    every tensor known, sums its nodes of size > 1 in `plan_order`'s order,
-    also where the builder skips the search because the order is forced,
-    and counts as ops the product sizes of the steps it runs."""
+    """Every rule of the suite and of five generated programs, contracted
+    with every tensor known, sums its nodes of size > 1 in `plan_order`'s
+    order, also where the builder skips the search because the order is
+    forced, and counts as ops the product sizes of the steps it runs."""
     steps = []
-    real = inference._Contraction._step
+    real = inference._step
 
-    def step(self, group, out, names):
+    def step(counter, group, out, names, *args):
         steps.append((tuple(names), set(out)))
-        return real(self, group, out, names)
+        return real(counter, group, out, names, *args)
 
-    monkeypatch.setattr(inference._Contraction, "_step", step)
+    monkeypatch.setattr(inference, "_step", step)
     forced = 0
     for name, source, params in _planned_programs():
         g = compile_source(source, params).fgg
@@ -645,10 +706,10 @@ def test_builder_eliminates_in_plan_order(monkeypatch):
                     if sizes[n] > 1 and n in held]
             forced += len(want) <= 1
             steps.clear()
-            counter = OpCounter()
-            inference._Contraction(rule.rhs, g.domains, g.factors, tau, (), counter=counter)
+            known = inference._Known(g.domains, g.factors, tau)
+            inference._contract(known, rule.rhs)
             assert [m for names, out in steps for m in names if m not in out] == want, name
-            assert counter.ops == sum(math.prod(map(sizes.__getitem__, names))
+            assert known.counter.ops == sum(math.prod(map(sizes.__getitem__, names))
                                       for names, _ in steps), name
     assert forced
 
@@ -661,6 +722,24 @@ def test_one_pass_sum_that_overflows_raises():
     assert [rule_contribution(g, r, {}).total() for r in g.rules] == [1e308, 1e308]
     with pytest.raises(InferenceError, match="non-finite result"), np.errstate(over="ignore"):
         solve_fixed_point(g)
+
+
+def test_recursive_tensor_above_the_entry_bound_raises(monkeypatch):
+    """A recursive nonterminal whose tensor would have more than
+    `MAX_ENTRIES` entries is refused before its zeros are made (the bound
+    lowered here, so that a regression allocates little)."""
+    monkeypatch.setattr(inference, "MAX_ENTRIES", 1000)
+    d = Domain("D", tuple(Atom(f"v{i}") for i in range(20)))
+    nodes = [Node(f"x{i}", "D") for i in range(3)]
+    ext = tuple(n.id for n in nodes)
+    g = FGG(labels={"S": EdgeLabel("S", 3, NONTERMINAL), "f": EdgeLabel("f", 1, TERMINAL)},
+            rules=[Rule("S", Hypergraph(nodes, [Edge("e", "S", ext), Edge("w", "f", ("x0",))], ext))],
+            start="S", domains={"D": d}, factors={"f": FactorTable("f", ("D",), np.full(20, 0.5))})
+    allocated = []
+    monkeypatch.setattr(WeightTensor, "zeros", classmethod(lambda cls, doms: allocated.append(doms)))
+    with pytest.raises(InferenceError, match="tensor of nonterminal 'S' of 8000 entries exceeds"):
+        solve_fixed_point(g)
+    assert not allocated
 
 
 def test_nonterminal_without_rules_stays_zero():
@@ -836,6 +915,48 @@ def test_span_split_is_verified_by_its_form(first, monkeypatch):
     (d,) = [c for c in st.components if "d" in c.members]
     assert d.method == inference.ORDERED
     assert bool(built) == (first is not None)
+
+
+def _hmm(states, n, seed=0):
+    """hmm.ppl with `states` states over a, b, c under random transition
+    and emission rows, reading a random string of length n; and the
+    numpy forward pass's answer."""
+    rng = random.Random(f"hmm-{states}-{n}-{seed}")
+    names = [f"q{i}" for i in range(states)]
+
+    def row():
+        w = [rng.random() for _ in range(states)]
+        return [x / sum(w) for x in w]
+
+    trans = np.array([row() for _ in names])
+    emit = np.array([[x / sum(r) for x in r] for r in ([rng.random() for _ in "abc"] for _ in names)])
+    w = "".join(rng.choice("abc") for _ in range(n))
+    alpha = np.eye(states)[0]  # the start state q0
+    for c in w:
+        alpha = (alpha @ trans) * emit[:, "abc".index(c)]
+    obj = {"params": {"trans": {s: dict(zip(names, r)) for s, r in zip(names, trans.tolist())},
+                      "emit": {s: dict(zip("abc", r)) for s, r in zip(names, emit.tolist())}},
+           "inputs": {"w0": w}}
+    source = (PROGRAMS_DIR / "hmm.ppl").read_text()
+    return source, params_from_json(obj), float(alpha.sum())
+
+
+@pytest.mark.parametrize("states", [2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64, 256])
+def test_loop_over_input_is_solved_in_chart_order(states, n):
+    """An HMM's forward pass written as recursion over its input ends at
+    level 0 (the empty rest of the string), so no ranking verifies with S
+    the entries of level 1 or more; with S every entry, it is ordered, and
+    matches a forward pass to rounding at every length (at n = 64 Kleene
+    sweeps stopped early with Z = 0)."""
+    source, params, want = _hmm(states, n)
+    g = compile_source(source, params).fgg
+    st = solve_fixed_point(g)
+    (loop,) = [c for c in st.components if "hmm" in c.members]
+    assert (loop.method, loop.status, loop.delta, loop.iterations) == (
+        inference.ORDERED, CONVERGED, 0.0, n + 1)
+    assert (st.status, st.delta) == (CONVERGED, 0.0)
+    assert st.tau[g.start].total() == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_ordered_solve_ops_grow_at_most_cubically():
